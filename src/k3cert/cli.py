@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from .count import CacheStore, count_series
-from .errors import MathError
+from .errors import CacheFileError, MathError
 from .ffield import field_create, is_prime
 from .forms import IntForm, reduce_mod
 from .geom import (
@@ -226,7 +226,10 @@ def emit_report(report: dict, as_json: bool) -> str:
 
 
 def _series_for(spec, p, dmax, args):
-    cache = CacheStore(args.cache) if args.cache else None
+    try:
+        cache = CacheStore(args.cache) if args.cache else None
+    except CacheFileError as exc:
+        raise UsageError(f"corrupt count cache {exc}") from None
     return count_series(spec.f6, p, dmax, cache, deep=args.deep,
                         workers=args.workers, external=spec.external_counts)
 

@@ -5,15 +5,23 @@ well defined on projective points because chi(lambda^6 f) = chi(f).  The
 sum is taken chart by chart: (1 : y : z) with q^2 points, (0 : 1 : z)
 with q points, and (0 : 0 : 1).
 
+f6 has coefficients in F_p, so f6(1, y^p, z^p) = f6(1, y, z)^p; as p is
+odd, chi(a^p) = chi(a), and the character sum over z of the row y is
+constant on the Frobenius orbit of y.  The affine chart therefore
+evaluates the row y = 0 and one row per orbit of y -> y^p on F_q^*
+(k -> p*k mod (q - 1) on log indices), each weighted by its orbit size:
+about q/d rows instead of q.
+
 The hot loop works entirely in the discrete-log domain of the zech
 representation: for fixed y the sextic f6(1, y, z) collapses to seven
 per-y coefficients, each z-monomial value is a log gather, and additions
-run through the Zech table.  Everything is vectorized with numpy over
-blocks of (y, z) pairs; log values are kept unreduced modulo q - 1
-(which is even, so character parity survives) and -1 marks zero.
+run through a Zech table.  Everything is vectorized with numpy over
+blocks of (row, z) pairs in int32 logs; the last addition looks up only
+the quadratic character.
 
-Work is partitioned by disjoint ranges of y; worker subtotals are exact
-integers, so the total is independent of worker count and scheduling.
+With several workers each gets an equal share of the orbit rows (every
+row costs q - 1 points); subtotals are exact integers, so the total is
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -26,13 +34,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetExceededError, WeilBoundError
+from .errors import BudgetExceededError, CacheFileError, WeilBoundError
 from .ffield import FieldCtx, field_create
 from .forms import IntForm, ModForm, reduce_mod
 
 H2_DIM = 22  # second Betti number of a K3 surface
 MANDATORY_Q2_LIMIT = 4_000_000_000  # desk-scale policy: q^2 at most 4e9
-_BLOCK_ELEMS = 1 << 20
+_BLOCK_ELEMS = 1 << 16  # (row, z) pairs per kernel block: buffers stay in cache
+# a worker pool starts only above this many (row, z) pairs, about 0.1 s of
+# single-worker kernel time; starting the pool costs 20-50 ms
+_FORK_MIN_ELEMS = 1 << 22
+_NEG = -(1 << 30)  # a zero in the count kernel's int32 logs: any negative
 
 
 def fingerprint_mod_p(f6: IntForm, p: int) -> str:
@@ -131,33 +143,102 @@ def _poly_logs(ctx, coef_logs_1d, xlogs):
     return acc
 
 
-def _affine_chart_sum(ctx, coef, y_lo, y_hi, block_elems=_BLOCK_ELEMS) -> int:
-    """Character sum over the chart (1 : y : z) for y indices in [y_lo, y_hi).
-
-    y index 0 is y = 0 and index 1 + k is g^k; z runs over all of F_q.
-    """
-    n = coef.shape[0] - 1
-    q = ctx.q
-    q1 = q - 1
-    zech = ctx._zech
-    ylogs = np.arange(y_lo, y_hi, dtype=np.int64) - 1  # index 0 -> -1 (zero)
-    # per-y coefficient logs of f(1, y, z) as a polynomial in z
-    lc = np.empty((n + 1, len(ylogs)), dtype=np.int64)
-    for j in range(n + 1):
-        lc[j] = _poly_logs(ctx, coef[:, j], ylogs)
-    total = _chi_sum(lc[0])  # the z = 0 column
-    if q1 == 0:
-        return total
+def _frobenius_orbits(ctx):
+    """Orbits of Frobenius y -> y^p on F_q^*, which acts on log indices as
+    k -> p*k mod (q-1): the least index of each orbit and the orbit size."""
+    q1 = ctx.q - 1
     k = np.arange(q1, dtype=np.int64)
+    lead = k.copy()
+    cur = k
+    for _ in range(ctx.d - 1):
+        cur = cur * ctx.p % q1
+        np.minimum(lead, cur, out=lead)
+    reps = np.flatnonzero(lead == k)
+    return reps, np.bincount(lead, minlength=q1)[reps]
+
+
+def _affine_rows(ctx):
+    """Rows of the chart (1 : y : z) that the count evaluates, as y log
+    indices (-1 for y = 0) with integer weights: y = 0 once and one
+    representative per Frobenius orbit, weighted by the orbit size."""
+    reps, sizes = _frobenius_orbits(ctx)
+    return (np.concatenate(([-1], reps)).astype(np.int64),
+            np.concatenate(([1], sizes)).astype(np.int64))
+
+
+def _kernel_tables(ctx):
+    """Zech tables for the count kernel, indexed by a - m + 2(q-1) for logs
+    a in [0, 3(q-1)) and m in [0, 2(q-1)).
+
+    T[i] is log(g^a + g^m) - m + 2(q-1), or _NEG when the sum is zero, and
+    P[i] is chi(g^a + g^m) / chi(g^m).  Index 0 stands for a = 0: np.take
+    with mode="clip" sends every negative index there, so a zero needs no
+    mask and the index no remainder.  T[0] = 2(q-1) gives the sum g^m and
+    P[0] = 1 its character."""
+    q1 = ctx.q - 1
+    off = 2 * q1
+    zech = ctx._zech[(np.arange(5 * q1) - off) % q1]
+    T = np.where(zech < 0, _NEG, zech + off).astype(np.int32)
+    P = np.where(zech < 0, 0, 1 - 2 * (zech & 1)).astype(np.int8)
+    T[0], P[0] = off, 1
+    return T, P
+
+
+def _affine_chart_sum(ctx, coef, ylogs, weights, block_elems=_BLOCK_ELEMS) -> int:
+    """Weighted character sum over the chart (1 : y : z) for the rows
+    y = g^ylogs (-1 is y = 0); z runs over all of F_q.
+
+    Each row's sum over z is multiplied by its weight, so the rows and
+    weights of _affine_rows give the full chart sum.
+
+    For z = g^k the terms c_j(y) z^j, j = n..1, are summed through the
+    Zech table T in int32 logs (q <= 2^22 keeps every value in range) with
+    _NEG for zero; the last step adds the constant term c_0(y) and looks up
+    only the character, through P."""
+    n = coef.shape[0] - 1
+    q1 = ctx.q - 1
+    # per-y coefficient logs of f(1, y, z) as a polynomial in z
+    lc = np.stack([_poly_logs(ctx, coef[:, j], ylogs) for j in range(n + 1)])
+    nonzero = lc >= 0
+    total = int(np.dot(weights, nonzero[0] * (1 - 2 * (lc[0] & 1))))  # z = 0
+    lc = np.where(nonzero, lc % q1, -1).astype(np.int32)
+    T, P = _kernel_tables(ctx)
+    off = 2 * q1
+    k = np.arange(q1, dtype=np.int64)
+    jk = [(j * k % q1).astype(np.int32) for j in range(n + 1)]
+    terms = [j for j in range(n, 0, -1) if nonzero[j].any()]
     rows_per_block = max(1, block_elems // q1)
+    size = min(rows_per_block, len(ylogs)) * q1
+    bufs = [np.empty(size, dtype=np.int32) for _ in range(3)]
+    chi_buf = np.empty(size, dtype=np.int8)
     for r0 in range(0, len(ylogs), rows_per_block):
         r1 = min(r0 + rows_per_block, len(ylogs))
-        acc = None
-        for j in range(n + 1):
-            cj = lc[j, r0:r1, None]
-            m = np.where(cj < 0, -1, cj + j * k[None, :])
-            acc = m if acc is None else _zadd(acc, m, q1, zech)
-        total += _chi_sum(acc)
+        acc, t, m = (b[:(r1 - r0) * q1].reshape(r1 - r0, q1) for b in bufs)
+        if not terms:
+            acc.fill(_NEG)
+        for i, j in enumerate(terms):
+            c = lc[j, r0:r1, None]
+            zero_rows = ~nonzero[j, r0:r1]
+            if i == 0:
+                np.add(c, jk[j], out=acc)
+                acc[zero_rows] = _NEG
+                continue
+            np.add(c - off, jk[j], out=m)
+            np.subtract(acc, m, out=t)
+            np.take(T, t, out=t, mode="clip")
+            np.add(t, m, out=t)
+            t[zero_rows] = acc[zero_rows]
+            acc, t = t, acc
+        # parity-only last step: chi(acc + c_0) = chi(c_0) * P[acc - c_0 + off]
+        np.subtract(acc, lc[0, r0:r1, None] - off, out=t)
+        chi = chi_buf[:t.size].reshape(t.shape)
+        np.take(P, t, out=chi, mode="clip")
+        c0 = lc[0, r0:r1]
+        row_chi = (1 - 2 * (c0 & 1)) * chi.sum(axis=1, dtype=np.int64)
+        for r in np.flatnonzero(c0 < 0):  # c_0(y) = 0: the character of acc
+            vals = acc[r]
+            row_chi[r] = _chi_sum(vals[vals >= 0])
+        total += int(np.dot(weights[r0:r1], row_chi))
     return total
 
 
@@ -242,11 +323,8 @@ def _require_zech(p, d, deep):
 
 
 def _count_worker(args):
-    coeffs, p, d, lo, hi = args
-    ctx = field_create(p, d)
-    f6p = ModForm.from_int_coeffs(field_create(p, 1), coeffs)
-    coef = _coef_log_matrix(ctx, f6p)
-    return _affine_chart_sum(ctx, coef, lo, hi)
+    p, d, coef, ylogs, weights = args
+    return _affine_chart_sum(field_create(p, d), coef, ylogs, weights)
 
 
 def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
@@ -262,17 +340,20 @@ def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
     ctx = _require_zech(p, d, deep)
     q = ctx.q
     coef = _coef_log_matrix(ctx, f6p)
-    if workers > 1 and q >= 64:
+    ylogs, weights = _affine_rows(ctx)
+    if workers > 1 and len(ylogs) * (q - 1) > _FORK_MIN_ELEMS:
+        # every row costs q - 1 points, so equal shares of the rows are
+        # equal shares of the work
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, q, workers + 1, dtype=int)
-        jobs = [(dict(f6p.lift().coeffs), p, d, int(lo), int(hi))
-                for lo, hi in zip(bounds, bounds[1:]) if lo != hi]
-        with ProcessPoolExecutor(max_workers=workers,
+        jobs = [(p, d, coef, ys, ws) for ys, ws in
+                zip(np.array_split(ylogs, workers), np.array_split(weights, workers))
+                if len(ys)]
+        with ProcessPoolExecutor(max_workers=len(jobs),
                                  mp_context=mp.get_context("fork")) as ex:
             s_affine = sum(ex.map(_count_worker, jobs))
     else:
-        s_affine = _affine_chart_sum(ctx, coef, 0, q)
+        s_affine = _affine_chart_sum(ctx, coef, ylogs, weights)
     s = s_affine + _line_chart_sum(ctx, coef) + _point_chart_sum(ctx, coef)
     n_pts = (q * q + q + 1) + s
     rec = CountRecord(p=p, d=d, N=int(n_pts),
@@ -290,12 +371,18 @@ class CacheStore:
         self.path = Path(path)
         self._mem: dict[tuple, int] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
+            lines = self.path.read_text().splitlines()
+            for lineno, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                self._mem[(rec["fingerprint"], rec["p"], rec["d"])] = int(rec["N"])
+                try:
+                    rec = json.loads(line)
+                    key = (rec["fingerprint"], rec["p"], rec["d"])
+                    self._mem[key] = int(rec["N"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheFileError(f"{self.path}, line {lineno}: not a "
+                                         f"count record ({exc})") from None
 
     def get(self, fingerprint: str, p: int, d: int):
         return self._mem.get((fingerprint, p, d))

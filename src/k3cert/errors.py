@@ -37,3 +37,7 @@ class CommonZeroOnLineError(MathError):
 
 class ChainHypothesisError(MathError):
     """A lattice chain does not satisfy the index-p hypotheses."""
+
+
+class CacheFileError(ValueError):
+    """A line of the count cache file is not a count record."""

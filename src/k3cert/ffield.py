@@ -2,7 +2,8 @@
 
 A FieldCtx fixes the prime, the extension degree d and a deterministic
 modulus: the monic irreducible of degree d over F_p whose coefficient
-vector (c_{d-1}, ..., c_0) is lexicographically least.  Fields with
+vector (c_0, c_1, ..., c_{d-1}) is lexicographically least (constant term
+first; at p = 5, d = 2 this is t^2 + t + 1).  Fields with
 q = p^d below the table limit use the "zech" representation: a nonzero
 element is stored as the exponent of a fixed multiplicative generator,
 multiplication is index addition, addition goes through the Zech
@@ -137,6 +138,13 @@ def _zp_sub(a, b, p):
     return _zp_trim(out)
 
 
+def _zp_eval(a, x, p):
+    r = 0
+    for c in reversed(a):
+        r = (r * x + c) % p
+    return r
+
+
 def _is_irreducible_zp(m, p, d):
     # m monic of degree d; test x^{p^d} == x mod m and
     # gcd(x^{p^{d/r}} - x, m) == 1 for every prime r | d
@@ -157,21 +165,26 @@ def _is_irreducible_zp(m, p, d):
 
 def _lex_least_irreducible(p, d):
     """Monic irreducible t^d + c_{d-1} t^{d-1} + ... + c_0 with the
-    lexicographically least (c_{d-1}, ..., c_0).  Returns ascending tuple
-    including the leading 1."""
+    lexicographically least (c_0, c_1, ..., c_{d-1}): the constant term is
+    the most significant digit.  Returns ascending tuple including the
+    leading 1.
+
+    For d >= 2 an irreducible has no root in F_p, so c_0 != 0 (the scan
+    starts at the first code with c_0 = 1) and a candidate with a root in
+    F_p^* is skipped before the full irreducibility test."""
     if d == 1:
         return (0, 1)  # t itself
-    for code in range(p ** d):
+    for code in range(p ** (d - 1), p ** d):
         digits = []
         x = code
         for _ in range(d):
             digits.append(x % p)
             x //= p
-        # digits[0] is the least significant digit of code; code ascending
-        # means (c_{d-1}, ..., c_0) ascending when c_{d-1} is the most
-        # significant digit
-        coeffs = list(reversed(digits))  # (c_0, ..., c_{d-1})
-        m = coeffs + [1]
+        # digits[0] is the least significant digit of code, so ascending
+        # codes order (c_0, ..., c_{d-1}) lexicographically
+        m = list(reversed(digits)) + [1]  # (c_0, ..., c_{d-1}, 1)
+        if any(_zp_eval(m, a, p) == 0 for a in range(1, p)):
+            continue
         if _is_irreducible_zp(m, p, d):
             return tuple(m)
     raise AssertionError("no irreducible found")  # impossible
@@ -347,23 +360,25 @@ class FieldCtx:
         pvec = np.array(self._pvec, dtype=np.int64)
         exp = np.empty(q1, dtype=np.int64)
         block = min(q1, 4096)
+        # rows of x are the coefficient vectors of g^0, ..., g^(block-1),
+        # filled by doubling: rows [n, 2n) are rows [0, n) times mg^n
         x = np.zeros((block, d), dtype=np.int64)
         x[0, 0] = 1
-        for i in range(1, min(block, q1)):
-            x[i] = mg.dot(x[i - 1]) % p
-        n0 = min(block, q1)
-        exp[:n0] = x[:n0].dot(pvec)
-        if q1 > block:
-            mb = np.eye(d, dtype=np.int64)
-            for _ in range(block):
-                mb = mg.dot(mb) % p
-            pos = block
-            cur = x
-            while pos < q1:
-                cur = cur.dot(mb.T) % p
-                take = min(block, q1 - pos)
-                exp[pos:pos + take] = cur[:take].dot(pvec)
-                pos += take
+        mn, n = mg, 1
+        while n < block:
+            take = min(n, block - n)
+            x[n:n + take] = x[:take].dot(mn.T) % p
+            mn = mn.dot(mn) % p
+            n += take
+        exp[:block] = x.dot(pvec)
+        # the loop below runs only when block = 4096 = n, so mn = mg^block
+        pos = block
+        cur = x
+        while pos < q1:
+            cur = cur.dot(mn.T) % p
+            take = min(block, q1 - pos)
+            exp[pos:pos + take] = cur[:take].dot(pvec)
+            pos += take
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
         # 1 + g^k: bump the constant coefficient, with wraparound at p-1

@@ -164,6 +164,20 @@ def test_cache_roundtrip_via_cli(tmp_path, capsys):
     assert [c["N"] for c in second["counts"]] == [c["N"] for c in first["counts"]]
 
 
+def test_truncated_cache_line_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "counts.jsonl"
+    args = ["count", "--spec", str(SURFACES / "rank1-p5.txt"), "--prime", "5",
+            "--dmax", "2", "--cache", str(cache), "--json"]
+    assert run(args) == 0
+    capsys.readouterr()
+    text = cache.read_text()
+    cache.write_text(text[:-20])  # cut the second record short
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert f"{cache}, line 2" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code = run(["count", "--spec", "/nonexistent/file.txt", "--prime", "5"])
     assert code == 1

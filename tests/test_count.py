@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from k3cert import count
 from k3cert.count import (
     CacheStore,
     chart_points,
@@ -119,11 +120,51 @@ def test_chart_points_align_with_chart_logs():
                 assert quad_char(val) == (1 - 2 * (int(v) & 1))
 
 
-def test_parallel_equals_serial():
-    f6 = IntForm(data.F6_A)
-    serial = count_points(f6, 5, 2, workers=1)
-    parallel = count_points(f6, 5, 2, workers=3)
-    assert serial.N == parallel.N
+def test_parallel_equals_serial(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    # fork for these small fields too, so that the pool path runs
+    monkeypatch.setattr(count, "_FORK_MIN_ELEMS", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for f6, p, d, n in [(data.F6_A, 5, 3, data.COUNTS_A[2]),
+                        (data.F6_B, 3, 5, data.COUNTS_B[4])]:
+        counts = {count_points(IntForm(f6), p, d, workers=w).N for w in (1, 2, 3)}
+        assert counts == {n}
+    assert pools == [2, 3, 2, 3]
+
+
+def _random_sextic(rng):
+    coeffs = {(a, b, 6 - a - b): rng.randrange(-10, 11)
+              for a in range(7) for b in range(7 - a) if rng.random() < 0.6}
+    coeffs[(6, 0, 0)] = 1
+    return IntForm(coeffs, 6)
+
+
+def test_orbit_weighted_affine_sum():
+    rng = random.Random(2024)
+    for p, d in [(3, 4), (3, 6), (5, 4), (7, 3)]:
+        ctx = field_create(p, d)
+        reps, sizes = count._frobenius_orbits(ctx)
+        assert int(sizes.sum()) == ctx.q - 1
+        ylogs, weights = count._affine_rows(ctx)
+        assert len(ylogs) == len(reps) + 1
+        for _ in range(2):
+            f = reduce_mod(_random_sextic(rng), field_create(p, 1))
+            coef = count._coef_log_matrix(ctx, f)
+            logs = chart_value_logs(f, ctx, 0)
+            valid = logs >= 0
+            full = int(valid.sum()) - 2 * int((logs[valid] & 1).sum())
+            assert count._affine_chart_sum(ctx, coef, ylogs, weights) == full
+            # several kernel blocks, the last one partial
+            assert count._affine_chart_sum(ctx, coef, ylogs, weights,
+                                           block_elems=3 * ctx.q) == full
 
 
 def test_budget_policy():

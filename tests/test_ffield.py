@@ -240,15 +240,10 @@ def test_poly_roots_with_multiplicity():
     assert [(r.to_int(), m) for r, m in roots] == [(2, 2), (3, 1)]
 
 
-def test_deterministic_modulus_and_tables():
-    # same parameters give the identical cached context
-    a = field_create(3, 5)
-    b = field_create(3, 5)
-    assert a is b
-    # the modulus is the lex-least irreducible: recompute independently
+def _exhaustive_modulus(p, d):
+    """Reference search: the first monic irreducible over every code in
+    range(p^d), whose most significant digit is c_0."""
     from k3cert.ffield import _is_irreducible_zp
-    found = None
-    p, d = 3, 5
     for code in range(p ** d):
         digits = []
         x = code
@@ -257,6 +252,29 @@ def test_deterministic_modulus_and_tables():
             x //= p
         m = list(reversed(digits)) + [1]
         if _is_irreducible_zp(m, p, d):
-            found = tuple(m)
-            break
-    assert a.modulus == found
+            return tuple(m)
+    return None
+
+
+def test_deterministic_modulus_and_tables():
+    # same parameters give the identical cached context
+    a = field_create(3, 5)
+    b = field_create(3, 5)
+    assert a is b
+    # the modulus is the lex-least irreducible: recompute independently
+    assert a.modulus == _exhaustive_modulus(3, 5)
+
+
+def test_modulus_order_and_pinned_values():
+    from k3cert.ffield import _lex_least_irreducible
+    # least in (c_0, ..., c_{d-1}): t^2 + t + 1, not t^2 + 2
+    assert _lex_least_irreducible(5, 2) == (1, 1, 1)
+    assert _lex_least_irreducible(3, 8) == (1, 0, 0, 0, 0, 1, 1, 0, 1)
+    assert _lex_least_irreducible(3, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    assert _lex_least_irreducible(5, 6) == (1, 0, 0, 0, 1, 1, 1)
+    assert _lex_least_irreducible(7, 5) == (1, 0, 0, 0, 3, 1)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        d = 2
+        while p ** d <= 3 ** 7:
+            assert _lex_least_irreducible(p, d) == _exhaustive_modulus(p, d), (p, d)
+            d += 1
