@@ -555,21 +555,6 @@ def field_create(p: int, d: int, zech_limit: int = DEFAULT_ZECH_LIMIT,
     return _field_create_cached(int(p), int(d), int(zech_limit), str(rep))
 
 
-def field_arith(a: FieldElem, b: FieldElem, op: str, n: int | None = None) -> FieldElem:
-    """Dispatch form of the basic operations: add, sub, mul, div, pow(n)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** n
-    raise ValueError(f"unknown op {op!r}")
-
-
 def quad_char(a: FieldElem) -> int:
     """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares.
 

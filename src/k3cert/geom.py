@@ -12,16 +12,24 @@ square root of f6 mod (p, x) (leading coefficient the smaller of the two
 representatives in [0, p)), and dividing out x.
 
 Smoothness of the sextic (good reduction of the double cover for odd p)
-is decided by resultant elimination: project the common zeros of f6 and
-its partials along one variable, collect candidates as roots of the gcd
-of pairwise Sylvester resultants, lift each candidate over its residue
-field, and verify.  Degenerate eliminations fall back to the other
-variables and finally to a bounded brute-force search.
+is one rank computation over F_p: f6 and its partials have no common zero
+over the algebraic closure exactly when their multiples span all 120
+monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of
+degrees 6, 5, 5, 5 in three variables).  The Macaulay matrix is reduced
+mod p in int64 arithmetic.  On a rank deficit the witness comes from the
+same echelon form: with the columns of monomials containing z first, the
+rows with a z-free pivot are binary forms in the ideal, and a zero of
+their gcd lifts through the specialised system in z.  Without such rows a
+singular curve is found on the line x = 0, and a finite singular locus
+off that line from the matrix in a higher degree (at most 30).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MathError, SingularReductionError
 from .ffield import (
@@ -39,7 +47,6 @@ from .forms import (
     ModForm,
     apply_linear_change,
     exact_divide,
-    eval_form,
     line_coeffs,
     line_form,
     line_kernel_basis,
@@ -140,129 +147,6 @@ def _binary_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
     return BinaryForm.from_poly(g, g.degree + u_mult)
 
 
-def _scalar_det(mat, ctx) -> FieldElem:
-    """Determinant of a square matrix of field elements (Gaussian)."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = ctx.one()
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if piv is None:
-            return ctx.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k]
-        inv = m[k][k].inverse()
-        for i in range(k + 1, n):
-            if m[i][k].is_zero():
-                continue
-            f = m[i][k] * inv
-            for j in range(k, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-    return det
-
-
-def _lagrange_interpolate(xs, ys, ctx) -> Poly:
-    """Newton-form interpolation through distinct points over a field."""
-    n = len(xs)
-    coeffs = list(ys)  # divided differences, built in place
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Poly(ctx, [])
-    for i in range(n - 1, -1, -1):
-        poly = poly * Poly(ctx, [-xs[i], ctx.one()]) + Poly(ctx, [coeffs[i]])
-    return poly
-
-
-def _var_coeff_polys(f: ModForm, perm):
-    """Write f as a polynomial in variable perm[2]; coefficient of the k-th
-    power is returned as the dehomogenized polynomial in t = perm[1]/perm[0].
-
-    Returns (coeff_polys ascending in k, total_degree)."""
-    ctx = f.ctx
-    n = f.degree
-    buckets: dict[int, dict[int, FieldElem]] = {}
-    for mono, c in f.coeffs.items():
-        k = mono[perm[2]]
-        i = mono[perm[1]]  # exponent of the dehomogenization variable
-        row = buckets.setdefault(k, {})
-        row[i] = row.get(i, ctx.zero()) + c
-    out = []
-    for k in range(n + 1):
-        row = buckets.get(k, {})
-        deg = max(row, default=-1)
-        out.append(Poly(ctx, [row.get(i, ctx.zero()) for i in range(deg + 1)]))
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out, n
-
-
-def _subfield_retraction(base: FieldCtx, ext: FieldCtx):
-    """Map elements of ext that lie in the image of base back to base."""
-    table = {embed_subfield(x, ext).v: x for x in base.elements()}
-
-    def down(c):
-        try:
-            return table[c.v]
-        except KeyError:
-            raise AssertionError("value does not lie in the base field")
-    return down
-
-
-def _sylvester_resultant(a_coeffs, a_total, b_coeffs, b_total, ctx):
-    """Resultant of two homogeneous forms along the eliminated variable.
-
-    Inputs are the dehomogenized coefficient polynomials (ascending in the
-    eliminated variable); output is a BinaryForm in the two remaining
-    variables, of the graded determinant degree.  The determinant is
-    evaluated pointwise over an extension with enough points and
-    interpolated back, which is much faster than elimination over the
-    polynomial ring."""
-    m = len(a_coeffs) - 1
-    n = len(b_coeffs) - 1
-    size = m + n
-    if size == 0:
-        return BinaryForm(ctx, [ctx.one()])
-    # graded degree of the determinant
-    deg = (n * (a_total - m) - n * (n - 1) // 2
-           + m * (b_total - n) - m * (m - 1) // 2
-           + (m + n - 1) * (m + n) // 2)
-    npts = deg + 1
-    e = 1
-    while ctx.q ** e < npts:
-        e += 1
-    ext = ctx if e == 1 else field_create(ctx.p, ctx.d * e, ctx.zech_limit)
-    xs = [ext.from_enc(i) for i in range(npts)]
-    zero = ext.zero()
-    a_ext = [Poly(ext, [embed_subfield(c, ext) for c in cp.c]) if ext is not ctx
-             else cp for cp in a_coeffs]
-    b_ext = [Poly(ext, [embed_subfield(c, ext) for c in cp.c]) if ext is not ctx
-             else cp for cp in b_coeffs]
-    ys = []
-    for t in xs:
-        av = [cp.eval(t) for cp in a_ext]
-        bv = [cp.eval(t) for cp in b_ext]
-        mat = [[zero] * size for _ in range(size)]
-        for r in range(n):
-            for k in range(m + 1):
-                mat[r][r + k] = av[m - k]
-        for r in range(m):
-            for k in range(n + 1):
-                mat[n + r][r + k] = bv[n - k]
-        ys.append(_scalar_det(mat, ext))
-    det_ext = _lagrange_interpolate(xs, ys, ext)
-    if det_ext.is_zero():
-        return BinaryForm(ctx, [ctx.zero()] * (deg + 1))
-    if ext is ctx:
-        det = det_ext
-    else:
-        down = _subfield_retraction(ctx, ext)
-        det = Poly(ctx, [down(c) for c in det_ext.c])
-    return BinaryForm.from_poly(det, deg)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -302,10 +186,9 @@ class ConicCert:
 
 @dataclass
 class SingularityReport:
-    verdict: str  # smooth | singular | inconclusive
+    verdict: str  # smooth | singular
     witness: tuple | None = None
     field_degree: int | None = None
-    reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -446,154 +329,175 @@ def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
 # ---------------------------------------------------------------------------
 # smoothness
 
-
-def _brute_force_singular(system, base: FieldCtx, max_degree: int = 3):
-    """Search P^2(F_{p^e}) for a common zero of the system, e small."""
-    for e in range(1, max_degree + 1):
-        ctx = field_create(base.p, base.d * e, base.zech_limit)
-        polys = [f if ctx is base else f.embed(ctx) for f in system]
-        one, zero = ctx.one(), ctx.zero()
-        pts = [(one, y, z) for y in ctx.elements() for z in ctx.elements()]
-        pts += [(zero, one, z) for z in ctx.elements()]
-        pts.append((zero, zero, one))
-        for pt in pts:
-            if all(f.is_zero() or eval_form(f, pt).is_zero() for f in polys):
-                return normalize_point(pt), e
-    return None
+# Lazard: forms of degrees 6, 5, 5 (and a fourth of degree 5) in three
+# variables without a common projective zero generate every monomial of
+# degree 6 + 5 + 5 - 2.
+_MACAULAY_DEGREE = 14
+# Row reduction subtracts the int64 product of two residues from a third;
+# for p < 2^31 every intermediate stays below 2^62 in magnitude.
+_PRIME_BOUND = 1 << 31
 
 
-def _specialize_at(f: ModForm, perm, pt_u, pt_v, ctx_ext):
-    """f with perm[0], perm[1] fixed at (pt_u, pt_v): a Poly in perm[2]."""
-    coeff_polys, _ = _var_coeff_polys(f, perm)
-    # dehomogenized coefficients need the u-part restored: coefficient k of
-    # the eliminated variable is a binary form of degree n - k in (u, v)
-    n = f.degree
-    out = []
-    for k, cp in enumerate(coeff_polys):
-        deg = n - k
-        acc = ctx_ext.zero()
-        for i in range(cp.degree + 1):
-            c = cp[i]
-            if c.is_zero():
-                continue
-            acc = acc + embed_subfield(c, ctx_ext) * pt_u ** (deg - i) * pt_v ** i
-        out.append(acc)
-    return Poly(ctx_ext, out)
+@functools.lru_cache(maxsize=None)
+def _monomials(degree: int):
+    """Monomials of one degree in column order, with their positions.
+
+    Monomials containing z come first (descending power of z); the z-free
+    ones x^(degree-i) y^i end the list in order of i, so the tail of a
+    row is the coefficient vector of a BinaryForm in (x, y)."""
+    monos = tuple((degree - c - b, b, c)
+                  for c in range(degree, -1, -1) for b in range(degree - c + 1))
+    return monos, {m: i for i, m in enumerate(monos)}
 
 
-def _poly_gcd_list(polys, ctx):
-    g = Poly(ctx, [])
-    for f in polys:
-        g = f.gcd(g) if g.is_zero() else g.gcd(f)
-    return g
+@functools.lru_cache(maxsize=None)
+def _product_columns(degree: int, form_degree: int) -> np.ndarray:
+    """cols[k, j]: the column, in degree `degree`, of the k-th monomial of
+    degree form_degree times the j-th monomial of the complementary degree."""
+    _, index = _monomials(degree)
+    cols = np.array([[index[(a + d, b + e, c + f)]
+                      for d, e, f in _monomials(degree - form_degree)[0]]
+                     for a, b, c in _monomials(form_degree)[0]], dtype=np.intp)
+    cols.setflags(write=False)
+    return cols
+
+
+def _macaulay_matrix(system, degree: int) -> np.ndarray:
+    """Rows: every form of the system times every monomial that brings it
+    to `degree`, as int64 coefficient vectors over F_p."""
+    p = system[0].ctx.p
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"the Macaulay rank test needs p < 2^31 for exact "
+                         f"int64 elimination, got p = {p}")
+    ncols = len(_monomials(degree)[0])
+    blocks = []
+    for f in system:
+        _, index = _monomials(f.degree)
+        coeffs = np.zeros(len(index), dtype=np.int64)
+        for m, c in f.coeffs.items():
+            coeffs[index[m]] = c.to_int()
+        cols = _product_columns(degree, f.degree)
+        block = np.zeros((cols.shape[1], ncols), dtype=np.int64)
+        block[np.arange(cols.shape[1]), cols] = coeffs[:, None]
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def _row_echelon(mat: np.ndarray, p: int):
+    """Row echelon form of a matrix with entries in [0, p), pivots scaled
+    to 1; returns the nonzero rows and their pivot columns."""
+    m = mat.copy()
+    nrows, ncols = m.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
+            continue
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(m[r + 1:, c])
+        if below.size:
+            m[below, c:] = (m[below, c:] - m[below, c, None] * m[r, c:]) % p
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _z_free_forms(ctx: FieldCtx, rows, pivots, degree: int):
+    """From the echelon form of the Macaulay matrix in `degree`: a basis of
+    the binary forms in (x, y) in the ideal, the rows with a z-free pivot."""
+    first = len(_monomials(degree)[0]) - (degree + 1)
+    return [BinaryForm(ctx, [ctx.from_int(int(c)) for c in row[first:]])
+            for row, col in zip(rows, pivots) if col >= first]
+
+
+def _specialize_xy(f: ModForm, u0: FieldElem, v0: FieldElem) -> Poly:
+    """f(u0, v0, z) as a polynomial in z over the field of u0 and v0."""
+    ctx = u0.ctx
+    out = [ctx.zero()] * (f.degree + 1)
+    for (a, b, c), coef in f.coeffs.items():
+        out[c] = out[c] + embed_subfield(coef, ctx) * u0 ** a * v0 ** b
+    return Poly(ctx, out)
+
+
+def _lift_through_z(system, u0: FieldElem, v0: FieldElem):
+    """A common zero (u0 : v0 : w) of the system, or None when there is
+    none over (u0 : v0).  The specialised system is not identically zero
+    because (0 : 0 : 1), on the closure of that line, is not singular."""
+    gz = Poly(u0.ctx, [])
+    for f in system:
+        gz = gz.gcd(_specialize_xy(f, u0, v0))
+    if gz.degree == 0:
+        return None
+    (_, w), _, ctx = binary_roots(BinaryForm.from_poly(gz, gz.degree))[0]
+    return embed_subfield(u0, ctx), embed_subfield(v0, ctx), w
+
+
+def _singular_witness(system, forms):
+    """A common zero of a system whose Macaulay matrix in degree 14 is rank
+    deficient, given the z-free forms of its echelon form.
+
+    (0 : 0 : 1) is checked first, so the projection from it to the line
+    (x : y) is defined on the singular locus V.  Binary forms in the ideal
+    vanish on that projection; each zero of their gcd lifts through the
+    gcd of the system specialised at it, and some zero does.  When V is a
+    curve no nonzero binary form vanishes on its projection, but V meets
+    the line x = 0, where a zero of the gcd of the restrictions is a
+    witness.  When V is finite, f6 and a general combination G of the
+    partials have no common component, so dim (S/I)_D <= dim S/(f6, G)_D
+    = 30 for D >= 9 and the 31 binary monomials of degree 30 are
+    dependent modulo the ideal: some degree D <= 30 has z-free rows."""
+    ctx = system[0].ctx
+    if all((0, 0, f.degree) not in f.coeffs for f in system):
+        return ctx.zero(), ctx.zero(), ctx.one()
+    if not forms:
+        # restrict_to_line parametrizes x = 0 as (0 : s : t)
+        x_line = (ctx.one(), ctx.zero(), ctx.zero())
+        g = functools.reduce(_binary_gcd,
+                             [restrict_to_line(f, x_line) for f in system])
+        if g.degree > 0:
+            (s0, t0), _, _ = binary_roots(g)[0]
+            return s0.ctx.zero(), s0, t0
+        for degree in range(_MACAULAY_DEGREE + 1, 31):
+            forms = _z_free_forms(ctx, *_row_echelon(
+                _macaulay_matrix(system, degree), ctx.p), degree)
+            if forms:
+                break
+        else:
+            raise AssertionError("no binary form in the ideal up to degree 30")
+    for (u0, v0), _, _ in binary_roots(functools.reduce(_binary_gcd, forms)):
+        pt = _lift_through_z(system, u0, v0)
+        if pt is not None:
+            return pt
+    raise AssertionError("no singular point over the zeros of the "
+                         "elimination forms")
 
 
 def smoothness_check(f6: ModForm) -> SingularityReport:
     """Decide whether f6 and its partials share a projective zero over the
-    algebraic closure (singular branch locus means bad reduction)."""
+    algebraic closure (singular branch locus means bad reduction).
+
+    f6 is smooth exactly when the degree-14 Macaulay matrix of f6 and its
+    nonzero partials has full rank 120 over F_p; rank does not change
+    under field extension.  A singular verdict carries a common zero over
+    the smallest extension that the witness search needed."""
     ctx = f6.ctx
+    if ctx.d != 1:
+        raise ValueError("smoothness_check needs a form over a prime field")
     if f6.is_zero():
         raise ValueError("zero form")
-    partials = [f6.partial(v) for v in range(3)]
-    system = [f6] + [fp for fp in partials if not fp.is_zero()]
-    all_polys = [f6] + partials
-
-    if len(system) < 2:
-        # all partials vanish identically: f6 is a p-th power and every
-        # zero of the underlying form is singular
-        hit = _brute_force_singular(all_polys, ctx)
-        if hit is not None:
-            pt, e = hit
-            return SingularityReport("singular", pt, e)
-        return SingularityReport(
-            "inconclusive", reason="non-reduced sextic without a zero over "
-            "F_{p^e}, e <= 3")
-
-    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        report = _smoothness_via_elimination(f6, all_polys, system, perm)
-        if report is not None:
-            return report
-    hit = _brute_force_singular(all_polys, ctx)
-    if hit is not None:
-        pt, e = hit
-        return SingularityReport("singular", pt, e)
-    return SingularityReport(
-        "inconclusive", reason="all three eliminations degenerate and no "
-        "singular point over F_{p^e}, e <= 3")
-
-
-def _smoothness_via_elimination(f6, all_polys, system, perm):
-    """One elimination round; None signals a degenerate elimination."""
-    ctx = f6.ctx
-    pool = []
-    with_var = []
-    for f in system:
-        coeffs, total = _var_coeff_polys(f, perm)
-        if len(coeffs) == 1:
-            # no dependence on the eliminated variable: the form itself
-            # constrains the projection
-            bf = BinaryForm.from_poly(coeffs[0], total)
-            if not bf.is_zero():
-                pool.append(bf)
-        else:
-            with_var.append((coeffs, total))
-    for i in range(len(with_var)):
-        for j in range(i + 1, len(with_var)):
-            res = _sylvester_resultant(with_var[i][0], with_var[i][1],
-                                       with_var[j][0], with_var[j][1], ctx)
-            if not res.is_zero():
-                pool.append(res)
-    if not pool:
-        return None  # degenerate: try another variable
-    g = pool[0]
-    for bf in pool[1:]:
-        g = _binary_gcd(g, bf)
-        if g.degree == 0 and not g.is_zero():
-            break
-    candidates = []
-    if g.degree > 0:
-        candidates = binary_roots(g)
-    # candidate projections plus the point where the projection is undefined
-    for (u0, v0), _, root_ctx in candidates:
-        specials = [_specialize_at(f, perm, u0, v0, root_ctx)
-                    for f in all_polys]
-        if all(sp.is_zero() for sp in specials):
-            pt = _assemble_point(perm, u0, v0, root_ctx.zero(), root_ctx)
-            return SingularityReport("singular", normalize_point(pt),
-                                     root_ctx.d // ctx.d)
-        gz = _poly_gcd_list([sp for sp in specials if not sp.is_zero()],
-                            root_ctx)
-        if gz.degree <= 0:
-            continue
-        for irr, _ in factor_univariate(gz):
-            e2 = irr.degree
-            if e2 == 1:
-                w_ctx, w = root_ctx, -irr[0]
-            else:
-                w_ctx = field_create(ctx.p, root_ctx.d * e2, ctx.zech_limit)
-                lifted = Poly(w_ctx, [embed_subfield(c, w_ctx) for c in irr.c])
-                w = poly_roots(lifted)[0][0]
-            pt = _assemble_point(perm, embed_subfield(u0, w_ctx),
-                                 embed_subfield(v0, w_ctx), w, w_ctx)
-            femb = [f if w_ctx is ctx else f.embed(w_ctx) for f in all_polys]
-            if all(f.is_zero() or eval_form(f, pt).is_zero() for f in femb):
-                return SingularityReport("singular", normalize_point(pt),
-                                         w_ctx.d // ctx.d)
-    # the single point not covered by the projection
-    special = [ctx.zero()] * 3
-    special[perm[2]] = ctx.one()
-    special = tuple(special)
-    if all(f.is_zero() or eval_form(f, special).is_zero() for f in all_polys):
-        return SingularityReport("singular", special, 1)
-    return SingularityReport("smooth")
-
-
-def _assemble_point(perm, u0, v0, w, ctx):
-    pt = [ctx.zero()] * 3
-    pt[perm[0]] = u0
-    pt[perm[1]] = v0
-    pt[perm[2]] = w
-    return tuple(pt)
+    system = [f6] + [g for g in (f6.partial(v) for v in range(3))
+                     if not g.is_zero()]
+    rows, pivots = _row_echelon(_macaulay_matrix(system, _MACAULAY_DEGREE),
+                                ctx.p)
+    if len(pivots) == len(_monomials(_MACAULAY_DEGREE)[0]):
+        return SingularityReport("smooth")
+    pt = _singular_witness(system, _z_free_forms(ctx, rows, pivots,
+                                                 _MACAULAY_DEGREE))
+    return SingularityReport("singular", normalize_point(pt), pt[0].ctx.d)
 
 
 def assert_good_reduction(f6: IntForm, p: int) -> SingularityReport:
@@ -608,7 +512,4 @@ def assert_good_reduction(f6: IntForm, p: int) -> SingularityReport:
         raise SingularReductionError(
             f"branch sextic is singular mod {p}: witness {wit} over "
             f"F_{p}^{report.field_degree}")
-    if report.verdict == "inconclusive":
-        raise SingularReductionError(
-            f"smoothness mod {p} could not be decided: {report.reason}")
     return report

@@ -106,7 +106,6 @@ def cyclotomic_polynomial(n: int) -> tuple:
 def scaled_cyclotomic(n: int, q: int) -> list:
     """q^phi(n) * Phi_n(t/q): monic integer polynomial with roots q * zeta."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
     return [c * q ** i for i, c in enumerate(phi)]
 
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from k3cert import geom
 from k3cert.errors import MathError
-from k3cert.ffield import field_create
+from k3cert.ffield import field_create, is_prime
 from k3cert.forms import (
     IntForm,
     LinearChange,
@@ -16,8 +17,8 @@ from k3cert.forms import (
 )
 from k3cert.geom import (
     ConicCert,
-    _sylvester_resultant,
-    _var_coeff_polys,
+    _macaulay_matrix,
+    _monomials,
     assert_good_reduction,
     decompose_along_line,
     find_tritangents,
@@ -317,34 +318,119 @@ def test_smoothness_matches_exhaustive_on_random_sextics():
                     assert found
 
 
-def test_resultant_agrees_with_direct_evaluation():
-    # Res_z(f, g)(u0, v0) = 0 whenever the specializations share a root
-    rng = random.Random(71)
+def _assert_singular_witness(f6: ModForm, rep):
+    """The reported witness is a common zero of f6 and all its partials."""
+    assert rep.verdict == "singular"
+    wctx = rep.witness[0].ctx
+    assert wctx.d == rep.field_degree
+    femb = f6 if wctx is f6.ctx else f6.embed(wctx)
+    for g in [femb] + [femb.partial(v) for v in range(3)]:
+        assert g.is_zero() or eval_form(g, rep.witness).is_zero()
+
+
+def _lines_product(ctx, lines):
+    f = _mod(ctx, {(0, 0, 0): 1}, 0)
+    for a, b, c in lines:
+        f = f * _mod(ctx, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}, 1)
+    return f
+
+
+def test_smoothness_structured_singular_cases(monkeypatch):
+    macaulay_matrix = geom._macaulay_matrix
+    cases = []
+    # positive-dimensional singular locus: g^2 h with g, h conics
+    for p in (5, 7):
+        ctx = field_create(p, 1)
+        g = _mod(ctx, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+        h = _mod(ctx, {(1, 1, 0): 1, (0, 0, 2): 2, (2, 0, 0): 3})
+        cases.append(("g^2 h", g * g * h))
+    # cube of a conic mod 3: every partial vanishes identically
+    F3 = field_create(3, 1)
+    conic = _mod(F3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    cases.append(("conic^3", conic * conic * conic))
+    # conic times quartic: singular where they meet
+    F7 = field_create(7, 1)
+    cases.append(("conic*quartic",
+                  _mod(F7, {(1, 0, 1): 1, (0, 2, 0): 6})
+                  * _mod(F7, {(4, 0, 0): 1, (0, 4, 0): 2, (0, 0, 4): 3,
+                              (2, 1, 1): 1})))
+    for name, f6 in cases:
+        rep = smoothness_check(f6)
+        assert _exhaustive_singular(f6, 2), name
+        _assert_singular_witness(f6, rep)
+
+    # six lines in general position: 15 rational nodes, none on x = 0,
+    # with 15 distinct projections from (0 : 0 : 1), so no binary form of
+    # degree 14 vanishes on them and the witness needs the degree-15 matrix
+    F23 = field_create(23, 1)
+    f6 = _lines_product(F23, [(1, 21, 2), (1, 14, 22), (1, 17, 13),
+                              (1, 12, 13), (1, 12, 4), (1, 15, 21)])
+    hits = _exhaustive_singular(f6, 1)
+    assert len(hits) == 15 and all(not pt[0].is_zero() for pt, _ in hits)
+    degrees = []
+
+    def recording(system, degree):
+        degrees.append(degree)
+        return macaulay_matrix(system, degree)
+
+    monkeypatch.setattr(geom, "_macaulay_matrix", recording)
+    rep = smoothness_check(f6)
+    _assert_singular_witness(f6, rep)
+    assert (rep.witness, 1) in hits and degrees == [14, 15]
+
+    # a node at (0 : 0 : 1) is returned as it is
+    f6 = _mod(F7, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1, (5, 0, 1): 2})
+    rep = smoothness_check(f6)
+    _assert_singular_witness(f6, rep)
+    assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
+
+    # nodes only at the conjugate points (1 : +-sqrt 2 : 0) over F_25
     F5 = field_create(5, 1)
-    f = _mod(F5, {(1, 0, 2): 1, (3, 0, 0): 2, (0, 1, 2): 3, (1, 1, 1): 1}, 3)
-    g = _mod(F5, {(0, 0, 2): 1, (2, 0, 0): 1, (1, 1, 0): 4}, 2)
-    fc, ft = _var_coeff_polys(f, (0, 1, 2))
-    gc, gt = _var_coeff_polys(g, (0, 1, 2))
-    res = _sylvester_resultant(fc, ft, gc, gt, F5)
-    for eu in range(5):
-        for ev in range(5):
-            if eu == 0 and ev == 0:
-                continue
-            u0, v0 = F5.from_enc(eu), F5.from_enc(ev)
-            fz = [sum((c * u0 ** (cp.degree - i) for i, c in enumerate(cp.c)
-                       if False), F5.zero()) for cp in fc]
-            # direct common-root check by brute force over F_25
-            ext = field_create(5, 2)
-            from k3cert.ffield import embed_subfield
-            femb, gemb = f.embed(ext), g.embed(ext)
-            ue, ve = embed_subfield(u0, ext), embed_subfield(v0, ext)
-            common = False
-            for w in ext.elements():
-                pt = (ue, ve, w)
-                if any(not c.is_zero() for c in pt):
-                    if eval_form(femb, pt).is_zero() and eval_form(gemb, pt).is_zero():
-                        common = True
-                        break
-            rv = res.eval(u0, v0)
-            if common:
-                assert rv.is_zero()
+    pair = _mod(F5, {(0, 2, 0): 1, (2, 0, 0): -2})
+    f6 = (pair * pair * _mod(F5, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+          + _mod(F5, {(0, 0, 6): 1, (3, 0, 3): 1}))
+    hits = _exhaustive_singular(f6, 2)
+    assert {e for _, e in hits} == {2} and len(hits) == 2
+    rep = smoothness_check(f6)
+    _assert_singular_witness(f6, rep)
+    assert rep.field_degree == 2 and (rep.witness, 2) in hits
+
+
+def test_smoothness_prime_bound():
+    # the int64 elimination is exact up to p = 2^31 - 1 and refuses beyond
+    p = (1 << 31) - 1
+    ctx = field_create(p, 1)
+    f6 = _mod(ctx, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1})
+    rep = smoothness_check(f6)
+    _assert_singular_witness(f6, rep)
+    assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
+    big = next(n for n in range(1 << 31, (1 << 31) + 100) if is_prime(n))
+    f6 = _mod(field_create(big, 1), {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1})
+    with pytest.raises(ValueError, match=r"2\^31"):
+        smoothness_check(f6)
+    # only forms over the prime field are accepted
+    F25 = field_create(5, 2)
+    with pytest.raises(ValueError, match="prime field"):
+        smoothness_check(_mod(F25, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}))
+
+
+def test_macaulay_matrix_rows_are_form_multiples():
+    # each row is the coefficient vector of (monomial) * (form), with the
+    # z-free monomials x^(14-i) y^i in the last 15 columns
+    F7 = field_create(7, 1)
+    f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 3, (0, 0, 6): 1, (2, 2, 2): 5,
+                   (1, 0, 5): 2, (3, 3, 0): 4})
+    system = [f6] + [f6.partial(v) for v in range(3)]
+    mat = _macaulay_matrix(system, 14)
+    monos, index = _monomials(14)
+    assert mat.shape == (45 + 3 * 55, 120)
+    assert monos[-15:] == tuple((14 - i, i, 0) for i in range(15))
+    expected = []
+    for f in system:
+        for mult in _monomials(14 - f.degree)[0]:
+            prod = f * _mod(F7, {mult: 1}, 14 - f.degree)
+            row = [0] * 120
+            for m, c in prod.coeffs.items():
+                row[index[m]] = c.to_int()
+            expected.append(row)
+    assert mat.tolist() == expected
