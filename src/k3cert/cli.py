@@ -40,6 +40,7 @@ from .errors import CacheFileError, MathError
 from .ffield import field_create, is_prime
 from .forms import IntForm, reduce_mod
 from .geom import (
+    PRIME_BOUND,
     ConicCert,
     assert_good_reduction,
     find_tritangents,
@@ -527,6 +528,12 @@ def run(argv) -> int:
                              "prime of good reduction")
         if not is_prime(p):
             raise UsageError(f"{p} is not prime")
+        if p >= PRIME_BOUND:
+            raise UsageError(f"p = {p} is too large: the smoothness rank "
+                             "test needs p < 2^31")
+        if args.line_degree < 1:
+            raise UsageError(f"--line-degree must be at least 1, got "
+                             f"{args.line_degree}")
         spec = load_surface_file(args.spec)
         started = time.perf_counter()
         if args.command == "certify":

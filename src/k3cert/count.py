@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceededError, CacheFileError, WeilBoundError
-from .ffield import FieldCtx, field_create
+from .ffield import FieldCtx, field_create, log_add, log_horner
 from .forms import IntForm, ModForm, reduce_mod
 
 H2_DIM = 22  # second Betti number of a K3 surface
@@ -111,36 +111,11 @@ def _coef_log_matrix(ctx: FieldCtx, f: ModForm) -> np.ndarray:
     return m
 
 
-def _vmul(a, b):
-    # log-domain product; -1 is zero
-    return np.where((a < 0) | (b < 0), -1, a + b)
-
-
-def _zadd(a, b, q1, zech):
-    # log-domain sum via the Zech table; inputs may be unreduced mod q1
-    t = (a - b) % q1
-    zt = zech[t]
-    r = np.where(zt < 0, -1, b + zt)
-    r = np.where(a < 0, b, r)
-    r = np.where(b < 0, a, r)
-    return r
-
-
 def _chi_sum(logs) -> int:
     """Sum of the quadratic character over an array of log values."""
     valid = logs >= 0
     odd = int(np.count_nonzero(logs[valid] & 1))
     return int(np.count_nonzero(valid)) - 2 * odd
-
-
-def _poly_logs(ctx, coef_logs_1d, xlogs):
-    """Horner evaluation in the log domain of sum_i c_i x^i over an array."""
-    q1 = ctx.q - 1
-    zech = ctx._zech
-    acc = np.full(xlogs.shape, -1, dtype=np.int64)
-    for c in coef_logs_1d[::-1]:
-        acc = _zadd(_vmul(acc, xlogs), np.int64(c), q1, zech)
-    return acc
 
 
 def _frobenius_orbits(ctx):
@@ -198,7 +173,7 @@ def _affine_chart_sum(ctx, coef, ylogs, weights, block_elems=_BLOCK_ELEMS) -> in
     n = coef.shape[0] - 1
     q1 = ctx.q - 1
     # per-y coefficient logs of f(1, y, z) as a polynomial in z
-    lc = np.stack([_poly_logs(ctx, coef[:, j], ylogs) for j in range(n + 1)])
+    lc = np.stack([log_horner(ctx, coef[:, j], ylogs) for j in range(n + 1)])
     nonzero = lc >= 0
     total = int(np.dot(weights, nonzero[0] * (1 - 2 * (lc[0] & 1))))  # z = 0
     lc = np.where(nonzero, lc % q1, -1).astype(np.int32)
@@ -247,7 +222,7 @@ def _line_chart_sum(ctx, coef) -> int:
     n = coef.shape[0] - 1
     cz = [int(coef[n - c, c]) for c in range(n + 1)]
     zlogs = np.arange(ctx.q, dtype=np.int64) - 1
-    return _chi_sum(_poly_logs(ctx, cz, zlogs))
+    return _chi_sum(log_horner(ctx, cz, zlogs))
 
 
 def _point_chart_sum(ctx, coef) -> int:
@@ -276,9 +251,9 @@ def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
         return np.array([c], dtype=np.int64)
     if chart == 1:
         cz = [int(coef[n - c, c]) for c in range(n + 1)]
-        return _poly_logs(ctx, cz, np.arange(q, dtype=np.int64) - 1)
+        return log_horner(ctx, cz, np.arange(q, dtype=np.int64) - 1)
     ylogs = np.arange(q, dtype=np.int64) - 1
-    lc = np.stack([_poly_logs(ctx, coef[:, j], ylogs) for j in range(n + 1)])
+    lc = np.stack([log_horner(ctx, coef[:, j], ylogs) for j in range(n + 1)])
     out = np.empty((q, q), dtype=np.int64)
     out[:, 0] = lc[0]
     if q1:
@@ -287,7 +262,7 @@ def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
         for j in range(n + 1):
             cj = lc[j][:, None]
             m = np.where(cj < 0, -1, cj + j * k[None, :])
-            acc = m if acc is None else _zadd(acc, m, q1, ctx._zech)
+            acc = m if acc is None else log_add(ctx, acc, m)
         out[:, 1:] = acc
     return out.reshape(-1)
 

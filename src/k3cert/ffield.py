@@ -8,7 +8,8 @@ q = p^d below the table limit use the "zech" representation: a nonzero
 element is stored as the exponent of a fixed multiplicative generator,
 multiplication is index addition, addition goes through the Zech
 logarithm table, and the quadratic character is the parity of the index.
-Larger fields fall back to the "poly" representation (dense coefficient
+The log_* functions do this arithmetic on numpy arrays of log indices,
+for the point count and the tritangent search.  Larger fields fall back to the "poly" representation (dense coefficient
 vectors reduced mod the modulus).
 
 Contexts are immutable after construction and cached by field_create, so
@@ -568,6 +569,44 @@ def quad_char(a: FieldElem) -> int:
         return -1 if (a.v & 1) else 1
     r = a ** ((ctx.q - 1) // 2)
     return 1 if r == ctx.one() else -1
+
+
+# ---------------------------------------------------------------------------
+# array arithmetic on log indices of a zech context: any negative value is
+# zero, and results are log indices modulo q - 1 but not reduced
+
+
+def log_mul(a, b):
+    """Products of elements given by log arrays."""
+    return np.where((a < 0) | (b < 0), -1, a + b)
+
+
+def log_neg(ctx: FieldCtx, a):
+    """Negatives: -1 = g^((q-1)/2)."""
+    return np.where(a < 0, -1, a + (ctx.q - 1) // 2)
+
+
+def log_add(ctx: FieldCtx, a, b):
+    """Sums through the Zech table."""
+    q1 = ctx.q - 1
+    zt = ctx._zech[(a - b) % q1]
+    r = np.where(zt < 0, -1, b + zt)
+    r = np.where(a < 0, b, r)
+    return np.where(b < 0, a, r)
+
+
+def log_equal(ctx: FieldCtx, a, b):
+    """Elementwise equality of elements given by log arrays."""
+    return np.where(a < 0, b < 0, (b >= 0) & ((a - b) % (ctx.q - 1) == 0))
+
+
+def log_horner(ctx: FieldCtx, coef_logs, xlogs):
+    """sum_i c_i x^i by Horner's rule; the logs c_i may be scalars or
+    arrays that broadcast against xlogs."""
+    acc = np.full(np.shape(xlogs), -1, dtype=np.int64)
+    for c in coef_logs[::-1]:
+        acc = log_add(ctx, log_mul(acc, xlogs), c)
+    return acc
 
 
 # ---------------------------------------------------------------------------

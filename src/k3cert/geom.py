@@ -4,7 +4,13 @@ A line is a tritangent exactly when the restriction of f6 to it is a unit
 times the square of a binary cubic; the cubic's roots are the contact
 points.  Lines are canonicalized by scaling the last nonzero coefficient
 to 1 and searched in a deterministic dual-point order, exhaustively over
-P^2(F_{p^e}) for the requested field degrees.
+P^2(F_{p^e}) for the requested field degrees.  The search runs on numpy
+arrays in the discrete-log (Zech) representation: the seven restriction
+coefficients of a block of lines are evaluated at once, and the u*h^2
+test (the formal square root from the leading coefficient) runs on those
+arrays.  Only the lines that pass are restricted and split again in
+scalar arithmetic, which builds their certificates.  A field above the
+Zech table limit raises BudgetExceededError.
 
 The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l is
 canonicalized by moving l to the coordinate x, taking the principal
@@ -27,11 +33,13 @@ off that line from the matrix in a higher degree (at most 30).
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MathError, SingularReductionError
+from .errors import BudgetExceededError, MathError, SingularReductionError
 from .ffield import (
     FieldCtx,
     FieldElem,
@@ -39,6 +47,11 @@ from .ffield import (
     embed_subfield,
     factor_univariate,
     field_create,
+    log_add,
+    log_equal,
+    log_horner,
+    log_mul,
+    log_neg,
     poly_roots,
 )
 from .forms import (
@@ -61,15 +74,6 @@ from .forms import (
 # lines and binary-form utilities
 
 
-def normalize_line(vec):
-    """Scale a nonzero coefficient triple so its last nonzero entry is 1."""
-    last = next((i for i in range(2, -1, -1) if not vec[i].is_zero()), None)
-    if last is None:
-        raise ValueError("zero linear form")
-    inv = vec[last].inverse()
-    return tuple(c * inv for c in vec)
-
-
 def normalize_point(pt):
     """Scale a projective point so its first nonzero coordinate is 1."""
     first = next((i for i in range(3) if not pt[i].is_zero()), None)
@@ -79,28 +83,16 @@ def normalize_point(pt):
     return tuple(c * inv for c in pt)
 
 
-def enumerate_lines(ctx: FieldCtx):
-    """All lines of P^2(F_q) in deterministic dual-point order, each with
-    its last nonzero coefficient scaled to 1."""
-    one, zero = ctx.one(), ctx.zero()
-    for ea in range(ctx.q):
-        a = ctx.from_enc(ea)
-        for eb in range(ctx.q):
-            yield (a, ctx.from_enc(eb), one)
-    for ea in range(ctx.q):
-        yield (ctx.from_enc(ea), one, zero)
-    yield (one, zero, zero)
-
-
-def _in_proper_subfield(elems, e: int, p: int) -> bool:
-    """Whether all elements lie in a common proper subfield of F_{p^e}."""
-    for e1 in range(1, e):
-        if e % e1:
-            continue
-        power = p ** e1
-        if all(x ** power == x for x in elems):
-            return True
-    return False
+def _line_at(ctx: FieldCtx, index: int):
+    """The line of P^2(F_q) with this index in dual-point order, its last
+    nonzero coefficient 1: (a, b, 1) has index q*enc(a) + enc(b), then
+    (a, 1, 0) has index q^2 + enc(a), and (1, 0, 0) comes last."""
+    q, one, zero = ctx.q, ctx.one(), ctx.zero()
+    if index < q * q:
+        return ctx.from_enc(index // q), ctx.from_enc(index % q), one
+    if index < q * q + q:
+        return ctx.from_enc(index - q * q), one, zero
+    return one, zero, zero
 
 
 def binary_roots(bf: BinaryForm):
@@ -282,32 +274,151 @@ def decompose_along_line(f6: IntForm, line, p: int):
     return f3m.lift(), f5m.lift()
 
 
+def _unit_times_square(ctx: FieldCtx, R):
+    """Whether each column of coefficient logs, R[i] the coefficient of
+    s^(n-i) t^i, is u*h^2 with u a unit; a zero column is not.
+
+    The index of the first nonzero coefficient must be even, 2*j0.  The
+    column is shifted to start there: that divides by t^(2 j0) and
+    multiplies by s^(2 j0), both squares, so the shifted column is u*h^2
+    exactly when the column is.  As in perfect_square_split, h_0 = 1 and
+    h_1, ..., h_k (k = n/2) solve the coefficients 1..k of g = R/u; those
+    hold by construction, and the coefficients k+1..n are compared with
+    the expansion of h^2."""
+    n = R.shape[0] - 1
+    k = n // 2
+    nonzero = R >= 0
+    first = np.argmax(nonzero, axis=0)
+    ok = nonzero.any(axis=0) & (first % 2 == 0) & (n % 2 == 0)
+    G = np.take_along_axis(np.concatenate([R, np.full_like(R, -1)]),
+                           first + np.arange(n + 1)[:, None], axis=0)
+    g = log_mul(G, -G[0] % (ctx.q - 1))
+    h = [np.zeros(R.shape[1], dtype=np.int64)]
+
+    def square_coeff(i, lo, hi):
+        # sum of h_a h_(i-a) over lo <= a <= hi
+        acc = np.int64(-1)
+        for a in range(lo, hi + 1):
+            acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
+        return acc
+
+    half = ctx.from_int(2).inverse().v
+    for j in range(1, k + 1):
+        inner = square_coeff(j, 1, j - 1)
+        h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
+    for i in range(k + 1, n + 1):
+        ok &= log_equal(ctx, g[i], square_coeff(i, i - k, k))
+    return ok
+
+
+_SEARCH_BLOCK = 1 << 14  # lines per array block of the tritangent search
+
+
+def _restriction_blocks(f: ModForm, q0: int, e: int):
+    """The lines of P^2(F_q), q = q0^e, in _line_at order and in blocks:
+    the logs of the restriction coefficients of f to each line of a block,
+    and whether the line is defined over a proper subfield F_{q0^e1}.
+
+    A line (a, b, 1) is parametrized as (s, t, A s + B t) with A = -a and
+    B = -b, so the coefficient of s^(n-m) t^m is sum_l B^l P_ml(A), where
+    P_ml(A) = sum_j binom(l+j, l) f_(n-m-j, m-l, l+j) A^j; (a, 1, 0) is
+    parametrized as (s, A s, t) and (1, 0, 0) as (0, s, t).  An element
+    lies in F_{q0^e1} exactly when it is zero or its log is divisible by
+    (q - 1)/(q0^e1 - 1)."""
+    ctx, n = f.ctx, f.degree
+    q = ctx.q
+    logs = ctx._log  # by encoding, so blocks follow the encoding order
+    neg = log_neg(ctx, logs)
+    steps = [(q - 1) // (q0 ** e1 - 1) for e1 in range(1, e) if e % e1 == 0]
+
+    def sub(x, step):
+        return (x < 0) | (x % step == 0)
+
+    def coef(a, b, c, binom=1):
+        # log of binom * f_abc; binom is read in the prime field
+        x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
+        return -1 if x is None or y < 0 else x.v + y
+
+    # K[j, m, l] and T[j, m]: coefficient logs of A^j, indexed for Horner
+    K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
+    T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)
+    for m in range(n + 1):
+        for j in range(n - m + 1):
+            T[j, m] = coef(n - m - j, j, m)
+            for l in range(m + 1):
+                K[j, m, l] = coef(n - m - j, m - l, l + j, math.comb(l + j, l))
+    rows, cols = max(1, _SEARCH_BLOCK // q), min(q, _SEARCH_BLOCK)
+    for r0 in range(0, q, rows):
+        P = log_horner(ctx, K, neg[r0:r0 + rows])  # P[m, l, row]
+        for c0 in range(0, q, cols):
+            R = log_horner(ctx, np.moveaxis(P, 1, 0)[..., None],
+                           neg[c0:c0 + cols])
+            a, b = logs[r0:r0 + rows, None], logs[None, c0:c0 + cols]
+            skip = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
+            for s in steps:
+                skip |= sub(a, s) & sub(b, s)
+            yield R.reshape(n + 1, -1), skip.ravel()
+    for c0 in range(0, q, _SEARCH_BLOCK):
+        a = logs[c0:c0 + _SEARCH_BLOCK]
+        skip = np.zeros(a.shape, dtype=bool)
+        for s in steps:
+            skip |= sub(a, s)
+        yield log_horner(ctx, T, neg[c0:c0 + _SEARCH_BLOCK]), skip
+    yield (np.array([[coef(0, n - m, m)] for m in range(n + 1)]),
+           np.array([e > 1]))
+
+
+def _candidate_lines(f: ModForm, q0: int, e: int):
+    """Indices, in _line_at order, of the lines of P^2(F_q), q = q0^e, on
+    which f restricts to a unit times a square, without the lines defined
+    over a proper subfield; consecutive blocks are tested together up to
+    _SEARCH_BLOCK lines."""
+    start, pending, width = 0, [], 0
+    for block in itertools.chain(_restriction_blocks(f, q0, e), [None]):
+        if pending and (block is None
+                        or width + block[0].shape[1] > _SEARCH_BLOCK):
+            ok = _unit_times_square(
+                f.ctx, np.concatenate([R for R, _ in pending], axis=1))
+            ok &= ~np.concatenate([skip for _, skip in pending])
+            yield from (start + np.flatnonzero(ok)).tolist()
+            start, pending, width = start + width, [], 0
+        if block is not None:
+            pending.append(block)
+            width += block[0].shape[1]
+
+
 def find_tritangents(f6: ModForm, search_field_degree: int = 1):
     """All tritangent lines of f6 over F_{p^e} for e up to the requested
     degree, with contact data; exhaustive over the dual plane.
 
-    A line whose restriction vanishes identically (a line component of the
-    branch locus) is skipped; that configuration is singular and belongs
-    to smoothness_check."""
+    Each field is searched with the array test of _candidate_lines; only
+    the lines it finds go through restrict_to_line, perfect_square_split
+    and the decomposition.  The test needs Zech tables, so a field above
+    the Zech limit raises BudgetExceededError.  A line whose restriction
+    vanishes identically (a line component of the branch locus) is
+    skipped; that configuration is singular and belongs to
+    smoothness_check."""
     base = f6.ctx
     out = []
     for e in range(1, search_field_degree + 1):
+        q = base.q ** e
+        if q > base.zech_limit:
+            raise BudgetExceededError(
+                f"the tritangent search over F_{q} needs Zech tables, which "
+                f"stop at q <= {base.zech_limit}")
         ctx = field_create(base.p, base.d * e, base.zech_limit)
         f = f6 if ctx is base else f6.embed(ctx)
-        for vec in enumerate_lines(ctx):
-            if e > 1 and _in_proper_subfield([c for c in vec], e, base.p ** base.d):
-                continue  # already reported over the smaller field
-            r = restrict_to_line(f, vec)
-            if r.is_zero():
-                continue
-            split = perfect_square_split(r)
+        for index in _candidate_lines(f, base.q, e):
+            vec = _line_at(ctx, index)
+            split = perfect_square_split(restrict_to_line(f, vec))
             if split is None:
-                continue
+                raise AssertionError(f"line {index} passed the array test "
+                                     "but is not a tritangent")
             f3 = f5 = None
             if split.split_field_degree == 1:
                 f3, f5 = _decompose_mod_line(f, vec)
             out.append(TritangentCert(
-                line=normalize_line(vec),
+                line=vec,
                 line_field_degree=e,
                 split_field_degree=split.split_field_degree,
                 unit=split.unit,
@@ -335,7 +446,7 @@ def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
 _MACAULAY_DEGREE = 14
 # Row reduction subtracts the int64 product of two residues from a third;
 # for p < 2^31 every intermediate stays below 2^62 in magnitude.
-_PRIME_BOUND = 1 << 31
+PRIME_BOUND = 1 << 31
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,7 +477,7 @@ def _macaulay_matrix(system, degree: int) -> np.ndarray:
     """Rows: every form of the system times every monomial that brings it
     to `degree`, as int64 coefficient vectors over F_p."""
     p = system[0].ctx.p
-    if p >= _PRIME_BOUND:
+    if p >= PRIME_BOUND:
         raise ValueError(f"the Macaulay rank test needs p < 2^31 for exact "
                          f"int64 elimination, got p = {p}")
     ncols = len(_monomials(degree)[0])

@@ -84,6 +84,26 @@ def test_composite_prime_rejected(capsys):
     assert code == 1
 
 
+def test_prime_above_rank_test_bound_is_usage_error(capsys):
+    # 2147483659 is the least prime above 2^31
+    for command in ("certify", "tritangent", "obstruct"):
+        code = run([command, "--spec", str(SURFACES / "rank1-p3.txt"),
+                    "--prime", "2147483659"])
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert "usage error" in err and "2^31" in err
+
+
+def test_line_degree_below_one_is_usage_error(capsys):
+    for command in ("certify", "tritangent"):
+        for degree in ("0", "-1"):
+            code = run([command, "--spec", str(SURFACES / "rank1-p3.txt"),
+                        "--prime", "3", "--line-degree", degree])
+            err = capsys.readouterr().err
+            assert code == 1, (command, degree)
+            assert "--line-degree" in err
+
+
 def test_singular_reduction_is_math_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("name: cusp\nf6: 6 0 0 1\n")  # w^2 = x^6

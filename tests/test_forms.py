@@ -19,6 +19,7 @@ from k3cert.forms import (
 )
 
 import data
+from oracles import unit_square_products
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -271,22 +272,9 @@ def test_perfect_square_split_not_square_matches_exhaustive():
             if g.is_zero():
                 continue
             split = perfect_square_split(g)
-            found = None
-            for u_enc in range(1, ctx.q):
-                u = ctx.from_enc(u_enc)
-                for code in range(ctx.q ** (k + 1)):
-                    cs = []
-                    x = code
-                    for _ in range(k + 1):
-                        cs.append(ctx.from_enc(x % ctx.q))
-                        x //= ctx.q
-                    h = BinaryForm(ctx, cs)
-                    if (h * h).scale(u) == g:
-                        found = (u, h)
-                        break
-                if found:
-                    break
-            assert (split is None) == (found is None)
+            found = tuple(c.to_int() for c in g.coeffs) in \
+                unit_square_products(p, k)
+            assert (split is None) == (not found)
 
 
 def test_serialization_is_grevlex_descending():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3cert import geom
-from k3cert.errors import MathError
+from k3cert.errors import BudgetExceededError, MathError
 from k3cert.ffield import field_create, is_prime
 from k3cert.forms import (
     IntForm,
@@ -12,6 +12,7 @@ from k3cert.forms import (
     apply_linear_change,
     eval_form,
     line_form,
+    perfect_square_split,
     reduce_mod,
     restrict_to_line,
 )
@@ -107,8 +108,8 @@ def test_tritangent_set_invariant_under_coordinate_change():
             tinv = T.inverse()
             back = tuple(sum((vec[i] * tinv.rows[i][j] for i in range(3)),
                              F5.zero()) for j in range(3))
-            from k3cert.geom import normalize_line
-            moved.add(tuple(c.to_int() for c in normalize_line(back)))
+            last = next(c for c in reversed(back) if not c.is_zero())
+            moved.add(tuple((c / last).to_int() for c in back))
         assert moved == base_lines
 
 
@@ -123,13 +124,128 @@ def _random_invertible(ctx, rng):
 
 
 def test_find_tritangents_extension_field():
-    # x^6 + y^6 + z^6 over F_7 has no rational tritangent but the search
-    # over F_49 must complete and report consistent certificates
+    # x^6 + y^6 + z^6 over F_7 has no rational tritangent; over F_49 the
+    # lines x = zeta*y (zeta^6 = -1) and their permutations are tritangents
     F7 = field_create(7, 1)
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
-    certs = find_tritangents(f6, 1)
+    certs = find_tritangents(f6, 2)
+    assert certs and all(c.line_field_degree == 2 for c in certs)
+    F49 = field_create(7, 2)
+    f = f6.embed(F49)
     for cert in certs:
-        assert cert.line_field_degree == 1
+        # the scalar oracle: the restriction is unit * h^2 ...
+        r = restrict_to_line(f, cert.line)
+        split = perfect_square_split(r)
+        assert split is not None and split.unit == cert.unit
+        assert (split.h * split.h).scale(cert.unit) == r
+        # ... on a line not defined over F_7 ...
+        assert not all(c ** 7 == c for c in cert.line)
+        # ... touching f6 at the contact points
+        ell = line_form(F49, cert.line)
+        for pt, _ in cert.contact_points:
+            ctx = pt[0].ctx
+            assert eval_form(f if ctx is F49 else f.embed(ctx), pt).is_zero()
+            assert eval_form(ell if ctx is F49 else ell.embed(ctx), pt).is_zero()
+
+
+def _oracle_tritangents(f6, max_e):
+    """The per-line search: every line of P^2(F_{p^e}) in dual-point order
+    through restrict_to_line and perfect_square_split, skipping zero
+    restrictions and lines defined over a proper subfield."""
+    p = f6.ctx.p
+    out = []
+    for e in range(1, max_e + 1):
+        ctx = field_create(p, e)
+        f = f6 if ctx is f6.ctx else f6.embed(ctx)
+        els = list(ctx.elements())
+        one, zero = ctx.one(), ctx.zero()
+        lines = ([(a, b, one) for a in els for b in els]
+                 + [(a, one, zero) for a in els] + [(one, zero, zero)])
+        for vec in lines:
+            if any(e % e1 == 0 and all(c ** (p ** e1) == c for c in vec)
+                   for e1 in range(1, e)):
+                continue
+            r = restrict_to_line(f, vec)
+            if r.is_zero():
+                continue
+            split = perfect_square_split(r)
+            if split is None:
+                continue
+            f3 = f5 = None
+            if split.split_field_degree == 1:
+                f3, f5 = geom._decompose_mod_line(f, vec)
+            out.append(geom.TritangentCert(
+                line=vec, line_field_degree=e,
+                split_field_degree=split.split_field_degree, unit=split.unit,
+                contact_points=geom._contact_points(split.h, vec, ctx),
+                f3=f3, f5=f5))
+    return out
+
+
+def _random_sextic(ctx, rng, density=1.0):
+    return _mod(ctx, {(a, b, 6 - a - b): rng.randrange(ctx.p)
+                      for a in range(7) for b in range(7 - a)
+                      if rng.random() < density}, 6)
+
+
+def test_array_search_matches_per_line_oracle():
+    rng = random.Random(61)
+    cases = [(reduce_mod(IntForm(f), field_create(p, 1)), 2)
+             for f, p in ((data.F6_A, 5), (data.F6_B, 3), (data.F6_C, 3))]
+    for p in (3, 5, 7, 11, 13):
+        cases += [(_random_sextic(field_create(p, 1), rng, density), 1)
+                  for density in (1.0, 0.3)]
+    for p in (3, 5):
+        cases += [(_random_sextic(field_create(p, 1), rng, density), 2)
+                  for density in (1.0, 0.4)]
+    # degenerate restrictions, moved off x = 0 by a coordinate change too
+    for p in (5, 7):
+        ctx = field_create(p, 1)
+        x, y, z = (line_form(ctx, tuple(ctx.from_int(int(i == j))
+                                        for j in range(3))) for i in range(3))
+        f5 = _mod(ctx, {(a, b, 5 - a - b): rng.randrange(p)
+                        for a in range(6) for b in range(6 - a)}, 5)
+        h = y * y + y * z.scale(ctx.from_int(2)) + z * z.scale(ctx.from_int(3))
+        nonres = next(ctx.from_int(c) for c in range(2, p)
+                      if pow(c, (p - 1) // 2, p) != 1)
+        degenerate = [
+            x * f5,  # x = 0 is a line component: zero restriction
+            _mod(ctx, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6),
+            _mod(ctx, {(6, 0, 0): 1, (0, 5, 1): 2, (0, 1, 5): 1,
+                       (1, 4, 1): 3}, 6),  # odd leading index on x = 0
+            z * z * (h * h) + x * f5,  # leading index 2 on x = 0
+            y * y * (h * h) + x * f5,  # u-multiplicity 2 on x = 0
+            z * z * z * z * h + x * f5,  # 4, h is not a square
+            (z * z * z * z * (y + z) * (y + z)).scale(nonres) + x * f5,  # 4
+            (z * z * z) * (z * z * z) + x * f5,  # 6
+        ]
+        T = _random_invertible(ctx, rng)
+        cases += [(f, 1) for f in degenerate]
+        cases += [(apply_linear_change(f, T), 1) for f in degenerate]
+    F3 = field_create(3, 1)
+    cases.append((_mod(F3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6), 2))
+    # the rational tritangent y = 0 must not come back in the F_9 search
+    g3 = _mod(F3, {(3, 0, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1}, 3)
+    g5 = _mod(F3, {(a, b, 5 - a - b): rng.randrange(3)
+                   for a in range(6) for b in range(6 - a)}, 5)
+    cases.append((g3 * g3 + _mod(F3, {(0, 1, 0): 1}, 1) * g5, 2))
+    found = 0
+    for f6, e in cases:
+        certs = find_tritangents(f6, e)
+        assert certs == _oracle_tritangents(f6, e), (f6, e)
+        found += len(certs)
+    assert found > len(cases)
+
+
+def test_search_above_zech_limit_raises():
+    small = field_create(5, 1, zech_limit=24)  # F_25 gets no Zech tables
+    f6 = _mod(small, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6)
+    assert find_tritangents(f6, 1)
+    with pytest.raises(BudgetExceededError, match="q <= 24"):
+        find_tritangents(f6, 2)
+    big = field_create(4194319, 1)  # a prime above the default limit 2^22
+    with pytest.raises(BudgetExceededError, match=str(1 << 22)):
+        find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6), 1)
 
 
 # -- decomposition ------------------------------------------------------------
