@@ -30,6 +30,7 @@ precondition failure (for example singular reduction).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -320,7 +321,8 @@ def _stage_obstruct(spec, p, args):
             entry["note"] = ("splits are only rational over the quadratic "
                              "extension; obstruction not computed")
         else:
-            rep = lifts_to_second_order(spec.f6, cert.line, p)
+            rep = lifts_to_second_order(spec.f6, cert.line, p,
+                                        (cert.f3.lift(), cert.f5.lift()))
             entry["obstruction"] = _obstruction_dict(rep)
         reports.append(entry)
     return {
@@ -425,7 +427,8 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     blocked = False
     obstruction_reports = []
     for cert in rational:
-        rep = lifts_to_second_order(spec.f6, cert.line, p)
+        rep = lifts_to_second_order(spec.f6, cert.line, p,
+                                    (cert.f3.lift(), cert.f5.lift()))
         obstruction_reports.append({"line": cert.line_str(),
                                     "obstruction": _obstruction_dict(rep)})
         if not rep.vanishes:
@@ -493,7 +496,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not
+    change it)."""
     parser = _Parser(prog="k3cert",
                      description="Picard rank bounds and certificates for "
                                  "degree-2 K3 surfaces at one odd prime")

@@ -385,6 +385,10 @@ class LinearChange:
                  for j in range(3)] for i in range(3)]
         return LinearChange(self.ctx, rows)
 
+    def column(self, j: int) -> tuple:
+        """The image T e_j of the j-th coordinate point."""
+        return tuple(r[j] for r in self.rows)
+
     def apply_to_point(self, point):
         return tuple(sum((self.rows[i][k] * point[k] for k in range(3)),
                          self.ctx.zero()) for i in range(3))
@@ -513,18 +517,13 @@ def line_kernel_basis(line):
     return tuple(basis)
 
 
-def restrict_to_line(f: ModForm, line) -> BinaryForm:
-    """Restriction of f to the projective line {line = 0}.
-
-    The line is parametrized by the reduced echelon basis (v1, v2) of its
-    kernel; the result is f(s v1 + t v2), a binary form of the same degree
-    (identically zero exactly when the line divides f).
-    """
-    v1, v2 = line_kernel_basis(line)
+def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
+    """The binary form f(s w1 + t w2) of the same degree, for coordinate
+    triples w1, w2 over the field of f."""
     ctx = f.ctx
     zero = ctx.zero()
     out = [zero] * (f.degree + 1)
-    # per-coordinate binomial expansions of (s v1[i] + t v2[i])^e, cached
+    # per-coordinate binomial expansions of (s w1[i] + t w2[i])^e, cached
     memo = [{0: (ctx.one(),)} for _ in range(3)]
 
     def expand(i, e):
@@ -535,8 +534,8 @@ def restrict_to_line(f: ModForm, line) -> BinaryForm:
             for k, c in enumerate(prev):
                 if c.is_zero():
                     continue
-                cur[k] = cur[k] + c * v1[i]
-                cur[k + 1] = cur[k + 1] + c * v2[i]
+                cur[k] = cur[k] + c * w1[i]
+                cur[k + 1] = cur[k + 1] + c * w2[i]
             m[e] = tuple(cur)
         return m[e]
 
@@ -555,6 +554,16 @@ def restrict_to_line(f: ModForm, line) -> BinaryForm:
                     idx = i + j + k
                     out[idx] = out[idx] + coef * pref * cc
     return BinaryForm(ctx, out)
+
+
+def restrict_to_line(f: ModForm, line) -> BinaryForm:
+    """Restriction of f to the projective line {line = 0}.
+
+    The line is parametrized by the reduced echelon basis (v1, v2) of its
+    kernel; the result is f(s v1 + t v2), a binary form of the same degree
+    (identically zero exactly when the line divides f).
+    """
+    return restrict_along(f, *line_kernel_basis(line))
 
 
 def _lead_monomial(coeffs):

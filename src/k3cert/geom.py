@@ -22,12 +22,17 @@ is one rank computation over F_p: f6 and its partials have no common zero
 over the algebraic closure exactly when their multiples span all 120
 monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of
 degrees 6, 5, 5, 5 in three variables).  The Macaulay matrix is reduced
-mod p in int64 arithmetic.  On a rank deficit the witness comes from the
-same echelon form: with the columns of monomials containing z first, the
-rows with a z-free pivot are binary forms in the ideal, and a zero of
-their gcd lifts through the specialised system in z.  Without such rows a
-singular curve is found on the line x = 0, and a finite singular locus
-off that line from the matrix in a higher degree (at most 30).
+mod p in int64 arithmetic with lazy reduction: when p + ncols*(p-1)^2 <
+2^63 (p below about 2.7e8 for the 120 columns of degree 14) only the
+pivot column and the pivot row are reduced at each step, and the rows
+below take unreduced updates, each smaller than (p-1)^2 and at most one
+per pivot; larger primes reduce every update.  On a rank deficit the
+witness comes from the same echelon form: with the columns of monomials
+containing z first, the rows with a z-free pivot are binary forms in the
+ideal, and a zero of their gcd lifts through the specialised system in z.
+Without such rows a singular curve is found on the line x = 0, and a
+finite singular locus off that line from the matrix in a higher degree
+(at most 30).
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .forms import (
     line_to_x,
     perfect_square_split,
     reduce_mod,
+    restrict_along,
     restrict_to_line,
 )
 
@@ -215,14 +221,15 @@ def _sqrt_in_field(u: FieldElem) -> FieldElem:
 def _decompose_mod_line(f6: ModForm, line):
     """f6 = f3^2 + line*f5 over the coefficient field of the line.
 
-    Canonical choice: send the line to x, take the principal square root
-    of the restriction, divide the rest by x, and transform back."""
+    Canonical choice: with T the change of coordinates that sends the line
+    to x, take the principal square root b3 of the restriction f6(T(0, y,
+    z)), move it back (f3 = b3 o T^-1) and divide f6 - f3^2 by the line;
+    the quotient is unique, and equals the quotient of f6 o T - b3^2 by x
+    moved back, since the line is x o T^-1."""
     ctx = f6.ctx
     vec = line_coeffs(line)
     T = line_to_x(vec)
-    g = apply_linear_change(f6, T)
-    x_form = line_form(ctx, (ctx.one(), ctx.zero(), ctx.zero()))
-    restriction = restrict_to_line(g, x_form)
+    restriction = restrict_along(f6, T.column(1), T.column(2))
     split = perfect_square_split(restriction)
     if split is None:
         raise MathError(
@@ -243,12 +250,9 @@ def _decompose_mod_line(f6: ModForm, line):
     b3 = ModForm(ctx, {(0, 3 - i, i): s * c
                        for i, c in enumerate(split.h.coeffs)
                        if not c.is_zero()}, 3)
-    diff = g - b3 * b3
-    f5_t = exact_divide(diff, x_form)
-    T_inv = T.inverse()
-    f3 = apply_linear_change(b3, T_inv)
-    f5 = apply_linear_change(f5_t, T_inv)
+    f3 = apply_linear_change(b3, T.inverse())
     ell = line_form(ctx, vec)
+    f5 = exact_divide(f6 - f3 * f3, ell)
     assert f3 * f3 + ell * f5 == f6
     return f3, f5
 
@@ -445,7 +449,8 @@ def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
 # degree 6 + 5 + 5 - 2.
 _MACAULAY_DEGREE = 14
 # Row reduction subtracts the int64 product of two residues from a third;
-# for p < 2^31 every intermediate stays below 2^62 in magnitude.
+# for p < 2^31 every intermediate stays below 2^62 in magnitude when each
+# update is reduced (the eager path of _row_echelon).
 PRIME_BOUND = 1 << 31
 
 
@@ -496,23 +501,45 @@ def _macaulay_matrix(system, degree: int) -> np.ndarray:
 
 def _row_echelon(mat: np.ndarray, p: int):
     """Row echelon form of a matrix with entries in [0, p), pivots scaled
-    to 1; returns the nonzero rows and their pivot columns."""
+    to 1; returns the nonzero rows and their pivot columns.
+
+    With lazy reduction (p + ncols*(p-1)^2 < 2^63) only the pivot column
+    and the pivot row are reduced mod p at each step; the rows below take
+    unreduced updates.  Each step subtracts less than (p-1)^2 from an entry,
+    at most once per pivot, so no entry leaves int64.  A pivot row is
+    reduced when it is chosen and no later step touches it, so the
+    returned rows are reduced."""
     m = mat.copy()
     nrows, ncols = m.shape
+    lazy = p + ncols * (p - 1) ** 2 < 1 << 63
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        nz = np.flatnonzero(m[r:, c])
+        col = m[r:, c]
+        if lazy:
+            col %= p
+        nz = np.flatnonzero(col)
         if not nz.size:
             continue
         if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        below = r + 1 + np.flatnonzero(m[r + 1:, c])
-        if below.size:
-            m[below, c:] = (m[below, c:] - m[below, c, None] * m[r, c:]) % p
+            m[[r, r + nz[0]], c:] = m[[r + nz[0], r], c:]
+        row = m[r, c:]
+        if lazy:
+            row %= p
+        if row[0] != 1:
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+        if nz.size > 1:
+            # after the swap the rows below with a nonzero in column c are
+            # still r + nz[1:]
+            below = r + nz[1:]
+            block = m[below, c:]
+            block -= block[:, :1] * row
+            if not lazy:
+                block %= p
+            m[below, c:] = block
         pivots.append(c)
     return m[:len(pivots)], pivots
 

@@ -25,12 +25,10 @@ from .forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    apply_linear_change,
     exact_divide,
-    line_form,
     line_to_x,
     reduce_mod,
-    restrict_to_line,
+    restrict_along,
 )
 from .geom import _binary_gcd, _line_vec_over, decompose_along_line
 
@@ -72,12 +70,9 @@ def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntFor
 
 
 def _restrict_mod_line(form: ModForm, T) -> BinaryForm:
-    """Apply the line-to-x change and read off the form mod x, as a binary
-    form in the two remaining coordinates."""
-    ctx = form.ctx
-    moved = apply_linear_change(form, T)
-    x_form = line_form(ctx, (ctx.one(), ctx.zero(), ctx.zero()))
-    return restrict_to_line(moved, x_form)
+    """The form after the line-to-x change, mod x, as a binary form in the
+    two remaining coordinates: form(T(0, s, t))."""
+    return restrict_along(form, T.column(1), T.column(2))
 
 
 def _solve_mod_p(matrix, rhs, p):
@@ -160,9 +155,13 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
         verdict=verdict, witness=witness)
 
 
-def lifts_to_second_order(f6: IntForm, line, p: int) -> ObstructionReport:
+def lifts_to_second_order(f6: IntForm, line, p: int,
+                          decomposition=None) -> ObstructionReport:
     """Full pipeline: canonical decomposition along the line, then G, then
-    the membership verdict."""
-    f3, f5 = decompose_along_line(f6, line, p)
+    the membership verdict.  `decomposition`, integer lifts (f3, f5) of
+    the canonical decomposition that a TritangentCert already carries,
+    saves computing it again."""
+    f3, f5 = (decompose_along_line(f6, line, p) if decomposition is None
+              else decomposition)
     G = obstruction_G(f6, line, f3, f5, p)
     return obstruction_vanishes(G, line, f3, f5, p)

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
+from k3cert import cli, geom
 from k3cert.cli import (
     load_surface_file,
     parse_surface_spec,
@@ -201,3 +204,109 @@ def test_truncated_cache_line_is_usage_error(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code = run(["count", "--spec", "/nonexistent/file.txt", "--prime", "5"])
     assert code == 1
+
+
+def test_parser_is_reused_after_a_usage_error(capsys):
+    # the parser is built once per process; a usage error must not leave
+    # it in a state that breaks the next call
+    assert run(["certify", "--spec", str(SURFACES / "rank1-p3.txt")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert cli.build_parser() is cli.build_parser()
+    code = run(["tritangent", "--spec", str(SURFACES / "rank1-p3.txt"),
+                "--prime", "3", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tritangents"]
+
+
+def test_one_decomposition_per_rational_tritangent(tmp_path, capsys,
+                                                   monkeypatch):
+    # certify and obstruct reuse the certificate's decomposition for the
+    # obstruction instead of decomposing again
+    calls = []
+    decompose = geom._decompose_mod_line
+
+    def counting(f6, line):
+        calls.append(line)
+        return decompose(f6, line)
+
+    monkeypatch.setattr(geom, "_decompose_mod_line", counting)
+    spec = _write_fully_external_spec(tmp_path)
+    for argv in (["certify", "--spec", str(spec), "--prime", "3",
+                  "--line-degree", "2"],
+                 ["obstruct", "--spec", str(SURFACES / "rank1-p3.txt"),
+                  "--prime", "3"],
+                 ["obstruct", "--spec", str(SURFACES / "rank3-conics.txt"),
+                  "--prime", "3"]):
+        calls.clear()
+        assert run(argv + ["--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        rational = [t for t in out["tritangents"]
+                    if t["split_field_degree"] == 1]
+        assert rational and len(calls) == len(rational), argv[0]
+
+
+# sha256 of the outputs of _pinned_calls, recorded before the lazy
+# elimination and the one-pass decomposition; a certificate, witness or
+# verdict that changes changes it
+PINNED_DIGEST = (
+    "c3302d2fe15048fb9d99ea5c7670576545d7aa23c6ad4b820bee230abd2df027")
+
+
+def _pinned_calls(tmp_path):
+    """obstruct on 24 seeded random dense sextics at p = 3, 5, 7 (a
+    quarter built with a rational tritangent, a quarter singular) and
+    certify --line-degree 2 on the three bundled surfaces with every count
+    supplied."""
+    rng = random.Random(20240607)
+
+    def form(degree):
+        return IntForm({(a, b, degree - a - b): rng.randrange(-4, 5)
+                        for a in range(degree + 1)
+                        for b in range(degree + 1 - a)}, degree)
+
+    calls = []
+    for i in range(24):
+        f6 = form(6)
+        if i % 4 == 1:  # a rational tritangent line
+            f3 = form(3)
+            ell = IntForm({(1, 0, 0): 1, (0, 1, 0): rng.randrange(-3, 4),
+                           (0, 0, 1): rng.randrange(-3, 4)}, 1)
+            f6 = f3 * f3 + ell * form(5)
+        elif i % 8 == 2:  # a node at (0 : 0 : 1)
+            f6 = IntForm({m: c for m, c in f6.coeffs.items()
+                          if m[2] < 5}, 6)
+        elif i % 8 == 6:  # singular along a conic
+            g = form(2)
+            f6 = g * g * form(2)
+        path = tmp_path / f"sextic-{i}.txt"
+        path.write_text(serialize_surface_spec(
+            parse_surface_spec(f"name: s{i}\n" + "".join(
+                f"f6: {a} {b} {c} {v}\n"
+                for (a, b, c), v in f6.coeffs.items()))))
+        calls.append(["obstruct", "--spec", str(path),
+                      "--prime", str((3, 5, 7)[i % 3]), "--json"])
+    counts = {"rank1-p5": (5, data.COUNTS_A), "rank1-p3": (3, data.COUNTS_B),
+              "rank3-conics": (3, data.COUNTS_C)}
+    for name, (p, series) in counts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text((SURFACES / f"{name}.txt").read_text() + "".join(
+            f"external: {d} {n}\n" for d, n in enumerate(series, start=1)))
+        calls.append(["certify", "--spec", str(path), "--prime", str(p),
+                      "--json", "--line-degree", "2"])
+    return calls
+
+
+def test_pinned_outputs(tmp_path, capsys):
+    outputs = []
+    for argv in _pinned_calls(tmp_path):
+        code = run(argv)
+        captured = capsys.readouterr()
+        report = captured.out
+        if code == 0:
+            report = json.loads(report)
+            del report["timing_ms"]
+        outputs.append([code, report, captured.err])
+    codes = [o[0] for o in outputs]
+    assert codes.count(2) >= 4 and codes.count(0) >= 15
+    text = json.dumps(outputs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST

@@ -15,6 +15,7 @@ from k3cert.forms import (
     line_to_x,
     perfect_square_split,
     reduce_mod,
+    restrict_along,
     restrict_to_line,
 )
 
@@ -130,6 +131,21 @@ def test_surface_c_transported_is_square_mod_x():
     restriction = restrict_to_line(g, _mod(F3, {(1, 0, 0): 1}))
     split = perfect_square_split(restriction)
     assert split is not None
+
+
+def test_restrict_along_matches_change_then_restrict_to_x():
+    # f(s T e_1 + t T e_2) is the restriction of f o T to x = 0, for random
+    # invertible T over F_p and F_{p^2}, forms of degree 3, 5 and 6
+    rng = random.Random(17)
+    for p, d in ((3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)):
+        ctx = field_create(p, d)
+        x_form = _mod(ctx, {(1, 0, 0): 1})
+        for degree in (3, 5, 6):
+            for _ in range(3):
+                f = _random_form(ctx, degree, rng)
+                T = _random_invertible(ctx, rng)
+                assert (restrict_along(f, T.column(1), T.column(2))
+                        == restrict_to_line(apply_linear_change(f, T), x_form))
 
 
 def test_restriction_keeps_powers_of_unrestricted_variable():

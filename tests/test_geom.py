@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from k3cert import geom
@@ -20,6 +22,7 @@ from k3cert.geom import (
     ConicCert,
     _macaulay_matrix,
     _monomials,
+    _row_echelon,
     assert_good_reduction,
     decompose_along_line,
     find_tritangents,
@@ -29,6 +32,7 @@ from k3cert.geom import (
 )
 
 import data
+from oracles import row_echelon
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -550,3 +554,72 @@ def test_macaulay_matrix_rows_are_form_multiples():
                 row[index[m]] = c.to_int()
             expected.append(row)
     assert mat.tolist() == expected
+
+
+def _assert_echelon_matches_oracle(mat, p):
+    rows, pivots = _row_echelon(mat, p)
+    want_rows, want_pivots = row_echelon(mat, p)
+    assert pivots == want_pivots
+    assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+
+
+def _lazy_threshold_primes(ncols):
+    """The largest prime with p + ncols*(p-1)^2 < 2^63 (lazy reduction)
+    and the next prime (every update reduced)."""
+    p = math.isqrt(((1 << 63) - 1) // ncols) + 1
+    while p + ncols * (p - 1) ** 2 >= 1 << 63 or not is_prime(p):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    assert q + ncols * (q - 1) ** 2 >= 1 << 63
+    return p, q
+
+
+def test_lazy_row_echelon_matches_oracle():
+    # rows and pivots equal those of the eagerly reduced elimination on
+    # Macaulay matrices of random, sparse and singular sextics, on both
+    # sides of the lazy-reduction bound, and on rank-deficient matrices
+    rng = random.Random(7)
+    monos = _monomials(6)[0]
+    below, above = _lazy_threshold_primes(len(_monomials(14)[0]))
+    for p in (3, 5, 7, 11, 1000003, below, above, (1 << 31) - 1):
+        ctx = field_create(p, 1)
+
+        def rand_form(degree, density=1.0):
+            return _mod(ctx, {m: rng.randrange(p) for m in _monomials(degree)[0]
+                              if rng.random() < density}, degree)
+
+        g = rand_form(2)
+        sextics = [rand_form(6), rand_form(6), rand_form(6, 0.25),
+                   g * g * rand_form(2), rand_form(2) * rand_form(4),
+                   _mod(ctx, {m: rng.randrange(p) for m in monos
+                              if m[2] < 5}, 6)]  # node at (0 : 0 : 1)
+        for f6 in sextics:
+            if f6.is_zero():
+                continue
+            system = [f6] + [h for h in (f6.partial(v) for v in range(3))
+                             if not h.is_zero()]
+            _assert_echelon_matches_oracle(_macaulay_matrix(system, 14), p)
+        for nrows, ncols, rank in ((40, 30, 12), (25, 60, 25), (60, 120, 45)):
+            left = np.array([[rng.randrange(p) for _ in range(rank)]
+                             for _ in range(nrows)], dtype=object)
+            right = np.array([[rng.randrange(p) if rng.random() < 0.6 else 0
+                               for _ in range(ncols)] for _ in range(rank)],
+                             dtype=object)
+            mat = (left @ right % p).astype(np.int64)
+            mat[rng.randrange(nrows)] = 0
+            assert len(row_echelon(mat, p)[1]) <= rank
+            _assert_echelon_matches_oracle(mat, p)
+    # the largest growth: every pivot subtracts (p-1)^2 from the entry in
+    # column n-2 of the last row, whose reduced value the last column shows
+    # after scaling; past the bound (the last two primes) these updates
+    # would leave int64 unreduced
+    n = len(_monomials(14)[0])
+    beyond = next(q for q in range(3 * 10 ** 8, 4 * 10 ** 8) if is_prime(q))
+    for p in (below, above, beyond, (1 << 31) - 1):
+        mat = np.zeros((n - 1, n), dtype=np.int64)
+        mat[np.arange(n - 2), np.arange(n - 2)] = 1
+        mat[:, n - 2] = mat[-1, :n - 2] = p - 1
+        mat[-1, n - 1] = 1
+        _assert_echelon_matches_oracle(mat, p)
