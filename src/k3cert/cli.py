@@ -295,7 +295,7 @@ def _stage_tritangent(spec, p, args):
     if f6p.is_zero():
         raise MathError(f"f6 vanishes identically mod {p}")
     smooth = assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(f6p, args.line_degree)
+    certs = find_tritangents(f6p, args.line_degree, deep=args.deep)
     return {
         "stage": "tritangent",
         "surface": spec.name,
@@ -312,7 +312,7 @@ def _stage_obstruct(spec, p, args):
     if f6p.is_zero():
         raise MathError(f"f6 vanishes identically mod {p}")
     assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(f6p, 1)
+    certs = find_tritangents(f6p, 1, deep=args.deep)
     reports = []
     for cert in certs:
         entry = {"line": cert.line_str(),
@@ -416,7 +416,7 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
 
     ctx = field_create(p, 1)
     f6p = reduce_mod(spec.f6, ctx)
-    certs = find_tritangents(f6p, args.line_degree)
+    certs = find_tritangents(f6p, args.line_degree, deep=args.deep)
     report["tritangents"] = [_tritangent_dict(c) for c in certs]
     rational = [c for c in certs
                 if c.line_field_degree == 1 and c.split_field_degree == 1]
@@ -513,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest extension degree to count")
         sp.add_argument("--cache", default=None, help="count cache file")
         sp.add_argument("--deep", action="store_true",
-                        help="allow counts beyond the desk-scale budget")
+                        help="allow counts and tritangent searches beyond "
+                             "the desk-scale budget")
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--json", action="store_true", dest="as_json")
         sp.add_argument("--k", type=int, default=None,

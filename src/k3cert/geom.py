@@ -21,12 +21,18 @@ Smoothness of the sextic (good reduction of the double cover for odd p)
 is one rank computation over F_p: f6 and its partials have no common zero
 over the algebraic closure exactly when their multiples span all 120
 monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of
-degrees 6, 5, 5, 5 in three variables).  The Macaulay matrix is reduced
-mod p in int64 arithmetic with lazy reduction: when p + ncols*(p-1)^2 <
-2^63 (p below about 2.7e8 for the 120 columns of degree 14) only the
-pivot column and the pivot row are reduced at each step, and the rows
-below take unreduced updates, each smaller than (p-1)^2 and at most one
-per pivot; larger primes reduce every update.  On a rank deficit the
+degrees 6, 5, 5, 5 in three variables).  Euler's identity 6 f6 = x fx +
+y fy + z fz makes 45 of the 210 rows redundant: for p != 3 the multiples
+of f6 lie in the span of the partials' multiples, and for p = 3 (where the
+left side vanishes) the multiples x_k m f_k of the last nonzero partial
+f_k do; the matrix keeps 165 rows with the same row space.  It is reduced
+mod p with lazy reduction: only the pivot column and the pivot row are
+reduced at each step, and the rows below take unreduced updates, each
+smaller than (p-1)^2 and at most one per pivot.  Entries then stay below
+p + ncols*(p-1)^2 in magnitude, and the matrix is stored in the narrowest
+of int16, int32 and int64 that holds that bound (at the 120 columns of
+degree 14: int16 up to p = 17, int32 up to p = 4231, int64 below about
+2.7e8); larger primes reduce every update in int64.  On a rank deficit the
 witness comes from the same echelon form: with the columns of monomials
 containing z first, the rows with a z-free pivot are binary forms in the
 ideal, and a zero of their gcd lifts through the specialised system in z.
@@ -44,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .count import MANDATORY_Q2_LIMIT
 from .errors import BudgetExceededError, MathError, SingularReductionError
 from .ffield import (
     FieldCtx,
@@ -58,6 +65,7 @@ from .ffield import (
     log_mul,
     log_neg,
     poly_roots,
+    quad_char,
 )
 from .forms import (
     BinaryForm,
@@ -209,13 +217,38 @@ def _contact_points(split_h: BinaryForm, line, ctx):
 
 
 def _sqrt_in_field(u: FieldElem) -> FieldElem:
-    """Principal square root: the root whose encoding is smaller."""
+    """Principal square root: the root whose encoding is smaller.
+
+    One root is u^((q+1)/4) when q = 3 (mod 4); otherwise Tonelli-Shanks
+    with q - 1 = 2^s t (t odd) and the first non-square by encoding, from p
+    on when the field is not prime (every element of F_p is a square in
+    an even-degree extension, and F_p's non-squares stay non-squares in an
+    odd-degree one)."""
     ctx = u.ctx
-    f = Poly(ctx, [-u, ctx.zero(), ctx.one()])
-    roots = poly_roots(f)
-    if not roots:
+    chi = quad_char(u)
+    if chi == 0:
+        return u
+    if chi < 0:
         raise MathError("element is not a square")
-    return roots[0][0]
+    q, one = ctx.q, ctx.one()
+    if q % 4 == 3:
+        r = u ** ((q + 1) // 4)
+    else:
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        candidates = range(2 if ctx.d == 1 else ctx.p, q)
+        z = next(z for z in map(ctx.from_enc, candidates) if quad_char(z) < 0)
+        c, r, b = z ** t, u ** ((t + 1) // 2), u ** t
+        # invariant: r^2 = u b, and b has order 2^i < 2^s
+        while b != one:
+            i, b2 = 0, b
+            while b2 != one:
+                i, b2 = i + 1, b2 * b2
+            g = c ** (1 << (s - i - 1))
+            r, c, s = r * g, g * g, i
+            b = b * c
+    return min(r, -r, key=FieldElem.to_int)
 
 
 def _decompose_mod_line(f6: ModForm, line):
@@ -391,25 +424,34 @@ def _candidate_lines(f: ModForm, q0: int, e: int):
             width += block[0].shape[1]
 
 
-def find_tritangents(f6: ModForm, search_field_degree: int = 1):
+def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
+                     deep: bool = False):
     """All tritangent lines of f6 over F_{p^e} for e up to the requested
     degree, with contact data; exhaustive over the dual plane.
 
     Each field is searched with the array test of _candidate_lines; only
     the lines it finds go through restrict_to_line, perfect_square_split
-    and the decomposition.  The test needs Zech tables, so a field above
-    the Zech limit raises BudgetExceededError.  A line whose restriction
-    vanishes identically (a line component of the branch locus) is
-    skipped; that configuration is singular and belongs to
-    smoothness_check."""
+    and the decomposition.  Every field is checked before any is searched:
+    the test needs Zech tables, so a field above the Zech limit raises
+    BudgetExceededError, and so does a field with q^2 above the desk-scale
+    budget MANDATORY_Q2_LIMIT unless deep is set (the q^2 + q + 1 lines
+    run at about 4e5 per second).  A line whose restriction vanishes
+    identically (a line component of the branch locus) is skipped; that
+    configuration is singular and belongs to smoothness_check."""
     base = f6.ctx
-    out = []
     for e in range(1, search_field_degree + 1):
         q = base.q ** e
         if q > base.zech_limit:
             raise BudgetExceededError(
                 f"the tritangent search over F_{q} needs Zech tables, which "
                 f"stop at q <= {base.zech_limit}")
+        if q * q > MANDATORY_Q2_LIMIT and not deep:
+            raise BudgetExceededError(
+                f"the tritangent search over F_{q} tests q^2 + q + 1 lines, "
+                f"beyond the desk-scale budget q^2 <= {MANDATORY_Q2_LIMIT}; "
+                "pass deep=True (--deep) to run it")
+    out = []
+    for e in range(1, search_field_degree + 1):
         ctx = field_create(base.p, base.d * e, base.zech_limit)
         f = f6 if ctx is base else f6.embed(ctx)
         for index in _candidate_lines(f, base.q, e):
@@ -478,40 +520,84 @@ def _product_columns(degree: int, form_degree: int) -> np.ndarray:
     return cols
 
 
-def _macaulay_matrix(system, degree: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _free_of(degree: int, v: int) -> np.ndarray:
+    """Positions, in _monomials order, of the monomials of one degree that
+    do not contain the variable v."""
+    return np.array([j for j, m in enumerate(_monomials(degree)[0])
+                     if m[v] == 0], dtype=np.intp)
+
+
+def _smoothness_system(f6: ModForm):
+    """Generators of the ideal of f6 and its partials for the Macaulay
+    matrix, and the `skip` argument of _macaulay_matrix.
+
+    Euler's identity 6 f6 = x fx + y fy + z fz makes 45 of the 210 rows in
+    degree 14 redundant.  For p != 3 f6 lies in the ideal of its partials,
+    so the nonzero partials alone generate it.  For p = 3 the left side
+    vanishes: with f_k the last nonzero partial, x_k m f_k = -sum_{i != k}
+    x_i m f_i, so the multiples of f_k by monomials containing x_k are
+    left out.  The row space, and so the rank and the z-free rows, is the
+    same in every degree."""
+    partials = [(v, g) for v, g in enumerate(f6.partial(v) for v in range(3))
+                if not g.is_zero()]
+    generators = [g for _, g in partials]
+    if f6.ctx.p != 3:
+        return generators, None
+    return [f6] + generators, partials[-1][0] if partials else None
+
+
+def _macaulay_matrix(system, degree: int, skip=None) -> np.ndarray:
     """Rows: every form of the system times every monomial that brings it
-    to `degree`, as int64 coefficient vectors over F_p."""
+    to `degree`, as int64 coefficient vectors over F_p; with skip = v, not
+    the multiples of the last form by monomials containing the variable
+    v."""
     p = system[0].ctx.p
     if p >= PRIME_BOUND:
         raise ValueError(f"the Macaulay rank test needs p < 2^31 for exact "
                          f"int64 elimination, got p = {p}")
     ncols = len(_monomials(degree)[0])
     blocks = []
-    for f in system:
+    for i, f in enumerate(system):
         _, index = _monomials(f.degree)
         coeffs = np.zeros(len(index), dtype=np.int64)
         for m, c in f.coeffs.items():
             coeffs[index[m]] = c.to_int()
         cols = _product_columns(degree, f.degree)
+        if skip is not None and i == len(system) - 1:
+            cols = cols[:, _free_of(degree - f.degree, skip)]
         block = np.zeros((cols.shape[1], ncols), dtype=np.int64)
         block[np.arange(cols.shape[1]), cols] = coeffs[:, None]
         blocks.append(block)
     return np.vstack(blocks)
 
 
+def _elimination_dtype(p: int, ncols: int):
+    """The narrowest of int16, int32 and int64 that holds p + ncols*(p-1)^2,
+    the largest magnitude a lazily reduced elimination reaches; None when
+    int64 does not hold it."""
+    bound = p + ncols * (p - 1) ** 2
+    return next((t for t in (np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max), None)
+
+
 def _row_echelon(mat: np.ndarray, p: int):
     """Row echelon form of a matrix with entries in [0, p), pivots scaled
-    to 1; returns the nonzero rows and their pivot columns.
+    to 1; returns the nonzero rows, in the dtype of `mat`, and their pivot
+    columns.
 
-    With lazy reduction (p + ncols*(p-1)^2 < 2^63) only the pivot column
-    and the pivot row are reduced mod p at each step; the rows below take
-    unreduced updates.  Each step subtracts less than (p-1)^2 from an entry,
-    at most once per pivot, so no entry leaves int64.  A pivot row is
-    reduced when it is chosen and no later step touches it, so the
-    returned rows are reduced."""
-    m = mat.copy()
-    nrows, ncols = m.shape
-    lazy = p + ncols * (p - 1) ** 2 < 1 << 63
+    The elimination runs in the dtype of _elimination_dtype with lazy
+    reduction: only the pivot column and the pivot row are reduced mod p at
+    each step, and the rows below take unreduced updates.  Each step
+    subtracts less than (p-1)^2 from an entry, at most once per pivot, so
+    no entry leaves the dtype.  A pivot row is reduced when it is chosen
+    and no later step touches it, so the returned rows are reduced.  When
+    no dtype holds the bound the elimination runs in int64 and reduces
+    every update."""
+    nrows, ncols = mat.shape
+    dtype = _elimination_dtype(p, ncols)
+    lazy = dtype is not None
+    m = mat.astype(dtype if lazy else np.int64)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -520,7 +606,7 @@ def _row_echelon(mat: np.ndarray, p: int):
         col = m[r:, c]
         if lazy:
             col %= p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if not nz.size:
             continue
         if nz[0]:
@@ -533,7 +619,8 @@ def _row_echelon(mat: np.ndarray, p: int):
             row %= p
         if nz.size > 1:
             # after the swap the rows below with a nonzero in column c are
-            # still r + nz[1:]
+            # still r + nz[1:]; the Macaulay rows are sparse, so updating
+            # only those beats one slice update of every row below
             below = r + nz[1:]
             block = m[below, c:]
             block -= block[:, :1] * row
@@ -541,7 +628,7 @@ def _row_echelon(mat: np.ndarray, p: int):
                 block %= p
             m[below, c:] = block
         pivots.append(c)
-    return m[:len(pivots)], pivots
+    return m[:len(pivots)].astype(mat.dtype), pivots
 
 
 def _z_free_forms(ctx: FieldCtx, rows, pivots, degree: int):
@@ -574,9 +661,10 @@ def _lift_through_z(system, u0: FieldElem, v0: FieldElem):
     return embed_subfield(u0, ctx), embed_subfield(v0, ctx), w
 
 
-def _singular_witness(system, forms):
-    """A common zero of a system whose Macaulay matrix in degree 14 is rank
-    deficient, given the z-free forms of its echelon form.
+def _singular_witness(system, skip, forms):
+    """A common zero of a system from _smoothness_system whose Macaulay
+    matrix in degree 14 is rank deficient, given the z-free forms of its
+    echelon form.
 
     (0 : 0 : 1) is checked first, so the projection from it to the line
     (x : y) is defined on the singular locus V.  Binary forms in the ideal
@@ -601,7 +689,7 @@ def _singular_witness(system, forms):
             return s0.ctx.zero(), s0, t0
         for degree in range(_MACAULAY_DEGREE + 1, 31):
             forms = _z_free_forms(ctx, *_row_echelon(
-                _macaulay_matrix(system, degree), ctx.p), degree)
+                _macaulay_matrix(system, degree, skip), ctx.p), degree)
             if forms:
                 break
         else:
@@ -619,7 +707,8 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
     algebraic closure (singular branch locus means bad reduction).
 
     f6 is smooth exactly when the degree-14 Macaulay matrix of f6 and its
-    nonzero partials has full rank 120 over F_p; rank does not change
+    nonzero partials (less the rows that Euler's identity makes redundant,
+    see _smoothness_system) has full rank 120 over F_p; rank does not change
     under field extension.  A singular verdict carries a common zero over
     the smallest extension that the witness search needed."""
     ctx = f6.ctx
@@ -627,14 +716,13 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
         raise ValueError("smoothness_check needs a form over a prime field")
     if f6.is_zero():
         raise ValueError("zero form")
-    system = [f6] + [g for g in (f6.partial(v) for v in range(3))
-                     if not g.is_zero()]
-    rows, pivots = _row_echelon(_macaulay_matrix(system, _MACAULAY_DEGREE),
-                                ctx.p)
+    system, skip = _smoothness_system(f6)
+    rows, pivots = _row_echelon(
+        _macaulay_matrix(system, _MACAULAY_DEGREE, skip), ctx.p)
     if len(pivots) == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")
-    pt = _singular_witness(system, _z_free_forms(ctx, rows, pivots,
-                                                 _MACAULAY_DEGREE))
+    pt = _singular_witness(system, skip, _z_free_forms(ctx, rows, pivots,
+                                                       _MACAULAY_DEGREE))
     return SingularityReport("singular", normalize_point(pt), pt[0].ctx.d)
 
 

@@ -10,7 +10,10 @@ part removed) into the leading half of R; reciprocity supplies the rest.
 All arithmetic is exact over the integers.  Every division in the Newton
 recursion is asserted exact; a remainder means the traces are wrong and
 aborts immediately.  The numeric root-modulus check in weil_validate is
-advisory only; accept/reject decisions rest on exact checks.
+advisory only; accept/reject decisions rest on exact checks.  Each
+polynomial is validated once: the result is kept on the FrobeniusPoly
+instance, so cyclotomic_part and predicted_count reuse the check that
+determine_sign ran.
 
 The Picard rank bound is the total multiplicity of eigenvalues of the
 form q * (root of unity), found by trial division of P by the scaled
@@ -29,6 +32,7 @@ from .errors import InconsistentTracesError, MathError
 from .ffield import factorize
 
 H2_DIM = 22
+WEIL_TOL = 1e-6  # relative tolerance of the advisory root-modulus check
 
 
 # -- exact integer polynomials, descending coefficient lists ----------------
@@ -175,6 +179,28 @@ class FrobeniusPoly:
             rem = quo
         return tuple(rem)
 
+    @functools.cached_property
+    def weil_valid(self) -> bool:
+        """The result of weil_validate, computed once per instance."""
+        q, n = self.q, self.degree - self.k
+        if abs(self.coeffs[-1]) != q ** self.degree:
+            return False
+        try:
+            r = self.r_coeffs
+        except MathError:
+            return False
+        for i in range(n // 2 + 1):
+            if r[n - i] != self.sign * q ** (n - 2 * i) * r[i]:
+                return False
+        # advisory numeric root moduli on the scaled factor R(qt)/q^n; the
+        # (t - q)^k part was peeled off exactly, so its roots need no solver
+        # (a numeric solver smears multiple roots far beyond the tolerance)
+        if n == 0:
+            return True
+        scaled = [float(Fraction(c, q ** i)) for i, c in enumerate(r)]
+        roots = np.roots(scaled)
+        return bool(np.all(np.abs(np.abs(roots) - 1.0) <= WEIL_TOL))
+
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
@@ -215,28 +241,12 @@ def char_poly_from_traces(traces, q: int, degree: int = H2_DIM, k: int = 0,
                          coeffs=tuple(coeffs))
 
 
-def weil_validate(P: FrobeniusPoly, tol: float = 1e-6) -> bool:
+def weil_validate(P: FrobeniusPoly) -> bool:
     """Exact checks: integrality, |P(0)| = q^degree, (t-q)^k divisibility and
     reciprocity of R; plus an advisory numeric check that every root has
-    modulus q within the given relative tolerance."""
-    q, n = P.q, P.degree - P.k
-    if abs(P.coeffs[-1]) != q ** P.degree:
-        return False
-    try:
-        r = P.r_coeffs
-    except MathError:
-        return False
-    for i in range(n // 2 + 1):
-        if r[n - i] != P.sign * q ** (n - 2 * i) * r[i]:
-            return False
-    # advisory numeric root moduli on the scaled factor R(qt)/q^n; the
-    # (t - q)^k part was peeled off exactly, so its roots need no solver
-    # (a numeric solver smears multiple roots far beyond the tolerance)
-    if n == 0:
-        return True
-    scaled = [float(Fraction(c, q ** i)) for i, c in enumerate(r)]
-    roots = np.roots(scaled)
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) <= tol))
+    modulus q within the relative tolerance WEIL_TOL.  The result is
+    computed once per polynomial and kept on it (FrobeniusPoly.weil_valid)."""
+    return P.weil_valid
 
 
 def determine_sign(traces, q: int, degree: int = H2_DIM, k: int = 0):

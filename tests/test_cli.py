@@ -3,7 +3,7 @@ import json
 import random
 from pathlib import Path
 
-from k3cert import cli, geom
+from k3cert import cli, geom, zeta
 from k3cert.cli import (
     load_surface_file,
     parse_surface_spec,
@@ -95,6 +95,22 @@ def test_prime_above_rank_test_bound_is_usage_error(capsys):
         err = capsys.readouterr().err
         assert code == 1, command
         assert "usage error" in err and "2^31" in err
+
+
+def test_tritangent_search_beyond_desk_budget_needs_deep(capsys,
+                                                        monkeypatch):
+    # at p = 1000003 the search would test about 1e12 lines: tritangent
+    # and obstruct stop with exit code 2 before testing any
+    def never(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(geom, "_candidate_lines", never)
+    for command in ("tritangent", "obstruct"):
+        code = run([command, "--spec", str(SURFACES / "rank1-p3.txt"),
+                    "--prime", "1000003", "--json"])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "desk-scale budget" in err and "--deep" in err
 
 
 def test_line_degree_below_one_is_usage_error(capsys):
@@ -243,6 +259,26 @@ def test_one_decomposition_per_rational_tritangent(tmp_path, capsys,
         rational = [t for t in out["tritangents"]
                     if t["split_field_degree"] == 1]
         assert rational and len(calls) == len(rational), argv[0]
+
+
+def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
+    # each polynomial is Weil-validated once: determine_sign solves for
+    # the roots of each sign candidate, and predicted_count and
+    # cyclotomic_part reuse that check
+    calls = []
+    roots = zeta.np.roots
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return roots(coeffs)
+
+    monkeypatch.setattr(zeta.np, "roots", counting)
+    spec = _write_fully_external_spec(tmp_path)
+    assert run(["certify", "--spec", str(spec), "--prime", "3",
+                "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "rank = 1 proved"
+    assert 1 <= len(calls) <= 2
 
 
 # sha256 of the outputs of _pinned_calls, recorded before the lazy

@@ -6,7 +6,7 @@ import pytest
 
 from k3cert import geom
 from k3cert.errors import BudgetExceededError, MathError
-from k3cert.ffield import field_create, is_prime
+from k3cert.ffield import Poly, field_create, is_prime, poly_roots
 from k3cert.forms import (
     IntForm,
     LinearChange,
@@ -252,6 +252,34 @@ def test_search_above_zech_limit_raises():
         find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6), 1)
 
 
+def test_search_above_desk_budget_raises(monkeypatch):
+    # q^2 above MANDATORY_Q2_LIMIT is refused before any line is tested,
+    # unless deep is set; every field of the search is checked first
+    def never(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(geom, "_candidate_lines", never)
+    fermat = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}
+    f6 = _mod(field_create(1000003, 1), fermat)
+    with pytest.raises(BudgetExceededError, match="--deep"):
+        find_tritangents(f6, 1)
+    with pytest.raises(AssertionError, match="search started"):
+        find_tritangents(f6, 1, deep=True)
+    # F_31^4 (q^2 = 31^8) is beyond the budget, F_31^2 and F_31^3 are not
+    with pytest.raises(BudgetExceededError, match="F_923521"):
+        find_tritangents(_mod(field_create(31, 1), fermat), 4)
+
+
+@pytest.mark.deep
+def test_searches_within_desk_budget_run():
+    # the largest searches below the budget (about 2 s each) need no deep
+    for p, e in ((1009, 1), (31, 2)):
+        ctx = field_create(p, 1)
+        f6 = reduce_mod(IntForm(data.F6_C), ctx)
+        for cert in find_tritangents(f6, e):
+            assert cert.line_field_degree <= e
+
+
 # -- decomposition ------------------------------------------------------------
 
 
@@ -311,6 +339,32 @@ def test_decompose_rejects_non_tangent():
     f6 = IntForm(data.F6_A)
     with pytest.raises(MathError):
         decompose_along_line(f6, (1, 0, 0), 5)  # x = 0 is not a tritangent
+
+
+def test_principal_square_root_matches_factoring():
+    # the closed form (u^((q+1)/4), or Tonelli-Shanks when q = 1 mod 4)
+    # picks the root of t^2 - u with the smaller encoding
+    def by_factoring(u):
+        roots = poly_roots(Poly(u.ctx, [-u, u.ctx.zero(), u.ctx.one()]))
+        return roots[0][0] if roots else None
+
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2),
+                 (3, 4)):
+        ctx = field_create(p, d)
+        squares = {x * x for x in ctx.elements()}
+        for u in ctx.elements():
+            if u in squares:
+                assert geom._sqrt_in_field(u) == by_factoring(u), (p, d, u)
+            else:
+                with pytest.raises(MathError, match="not a square"):
+                    geom._sqrt_in_field(u)
+    rng = random.Random(41)
+    # 1000033 = 1 (mod 4) takes the Tonelli-Shanks path at a large prime
+    for p in (1000003, 1000033, (1 << 31) - 1):
+        ctx = field_create(p, 1)
+        for _ in range(10):
+            x = ctx.from_enc(rng.randrange(1, p))
+            assert geom._sqrt_in_field(x * x) == by_factoring(x * x), p
 
 
 # -- conic identities ---------------------------------------------------------
@@ -489,9 +543,9 @@ def test_smoothness_structured_singular_cases(monkeypatch):
     assert len(hits) == 15 and all(not pt[0].is_zero() for pt, _ in hits)
     degrees = []
 
-    def recording(system, degree):
+    def recording(system, degree, skip):
         degrees.append(degree)
-        return macaulay_matrix(system, degree)
+        return macaulay_matrix(system, degree, skip)
 
     monkeypatch.setattr(geom, "_macaulay_matrix", recording)
     rep = smoothness_check(f6)
@@ -563,16 +617,18 @@ def _assert_echelon_matches_oracle(mat, p):
     assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
 
 
-def _lazy_threshold_primes(ncols):
-    """The largest prime with p + ncols*(p-1)^2 < 2^63 (lazy reduction)
-    and the next prime (every update reduced)."""
-    p = math.isqrt(((1 << 63) - 1) // ncols) + 1
-    while p + ncols * (p - 1) ** 2 >= 1 << 63 or not is_prime(p):
+def _lazy_threshold_primes(ncols, bits=63):
+    """The largest prime with p + ncols*(p-1)^2 < 2^bits and the next
+    prime: for bits = 63, lazy reduction and every update reduced; for 15
+    and 31, the last primes of int16 and int32 elimination and the first
+    beyond."""
+    p = math.isqrt(((1 << bits) - 1) // ncols) + 1
+    while p + ncols * (p - 1) ** 2 >= 1 << bits or not is_prime(p):
         p -= 1
     q = p + 1
     while not is_prime(q):
         q += 1
-    assert q + ncols * (q - 1) ** 2 >= 1 << 63
+    assert q + ncols * (q - 1) ** 2 >= 1 << bits
     return p, q
 
 
@@ -618,8 +674,89 @@ def test_lazy_row_echelon_matches_oracle():
     n = len(_monomials(14)[0])
     beyond = next(q for q in range(3 * 10 ** 8, 4 * 10 ** 8) if is_prime(q))
     for p in (below, above, beyond, (1 << 31) - 1):
-        mat = np.zeros((n - 1, n), dtype=np.int64)
-        mat[np.arange(n - 2), np.arange(n - 2)] = 1
-        mat[:, n - 2] = mat[-1, :n - 2] = p - 1
-        mat[-1, n - 1] = 1
-        _assert_echelon_matches_oracle(mat, p)
+        _assert_echelon_matches_oracle(_growth_matrix(n, p), p)
+
+
+def _growth_matrix(n, p):
+    """(n-1) x n with n-2 pivots, each subtracting (p-1)^2 from the entry
+    in column n-2 of the last row."""
+    mat = np.zeros((n - 1, n), dtype=np.int64)
+    mat[np.arange(n - 2), np.arange(n - 2)] = 1
+    mat[:, n - 2] = mat[-1, :n - 2] = p - 1
+    mat[-1, n - 1] = 1
+    return mat
+
+
+def test_row_echelon_dtype_boundaries_match_oracle():
+    # the elimination runs in the narrowest of int16, int32 and int64 that
+    # holds p + ncols*(p-1)^2: at the 120 columns of degree 14, int16 up
+    # to p = 17 and int32 up to p = 4231
+    assert [geom._elimination_dtype(p, 120) for p in (17, 19, 4231, 4241)] \
+        == [np.int16, np.int32, np.int32, np.int64]
+    rng = np.random.default_rng(13)
+    fixed = (3, 5, 7, 17, 19, 23, 4231, 4241, 1000003, (1 << 31) - 1)
+    for degree in range(14, 31):
+        n = len(_monomials(degree)[0])
+        # the primes on both sides of each dtype's bound at this width
+        edges = [q for bits in (15, 31, 63)
+                 for q in _lazy_threshold_primes(n, bits)]
+        for p in edges + list(fixed if degree in (14, 30) else ()):
+            # 24 rows of rank at most 10, a fifth of the entries of the
+            # right factor zero
+            left = rng.integers(0, p, (24, 10))
+            right = rng.integers(0, p, (10, n)) * (rng.random((10, n)) < 0.8)
+            mat = sum(np.outer(left[:, k], right[k]) % p
+                      for k in range(10)) % p
+            _assert_echelon_matches_oracle(mat, p)
+        if degree in (14, 15, 30):
+            for p in edges[:4]:
+                _assert_echelon_matches_oracle(_growth_matrix(n, p), p)
+
+
+def test_smoothness_matches_full_macaulay_oracle():
+    # smoothness_check leaves out the rows that Euler's identity makes
+    # redundant (165 of 210 rows with three nonzero partials); the full
+    # matrix reduced by the eager oracle gives the same verdict, witness
+    # and field degree
+    rng = random.Random(23)
+    for p in (3, 5, 7, 17, 19, 23, 4231, 4241, 1000003, (1 << 31) - 1):
+        ctx = field_create(p, 1)
+
+        def form(degree, keep=lambda m: True, density=1.0):
+            return _mod(ctx, {m: rng.randrange(p)
+                              for m in _monomials(degree)[0]
+                              if keep(m) and rng.random() < density}, degree)
+
+        # g meets x = 0 in rational points, so the witness of g^2 h is
+        # rational (over F_(p^2) beyond the Zech limit it takes seconds)
+        g = _mod(ctx, {(0, 1, 1): 1, (2, 0, 0): rng.randrange(p),
+                       (1, 1, 0): rng.randrange(p), (1, 0, 1): 1}, 2)
+        f3 = form(3)
+        sextics = [form(6), form(6, density=0.2), g * g * form(2),
+                   form(6, lambda m: m[2] < 5),  # a node at (0 : 0 : 1)
+                   f3 * f3 + form(1) * form(5),
+                   form(6, lambda m: m[0] == 0)]  # fx = 0
+        if p == 3:  # every partial of a cube vanishes
+            c = form(2)
+            sextics += [c * c * c, c * c * c + form(6, density=0.1)]
+        for f6 in sextics:
+            if f6.is_zero():
+                continue
+            partials = [(v, h) for v, h in
+                        enumerate(f6.partial(v) for v in range(3))
+                        if not h.is_zero()]
+            system = [f6] + [h for _, h in partials]
+            full = _macaulay_matrix(system, 14)
+            if len(partials) == 3:
+                generators, skip = geom._smoothness_system(f6)
+                assert _macaulay_matrix(generators, 14, skip).shape == \
+                    (165, 120)
+            rows, pivots = row_echelon(full, p)
+            rep = smoothness_check(f6)
+            if len(pivots) == 120:
+                assert rep.verdict == "smooth"
+                continue
+            pt = normalize_point(geom._singular_witness(
+                system, None, geom._z_free_forms(ctx, rows, pivots, 14)))
+            assert (rep.verdict, rep.witness, rep.field_degree) == \
+                ("singular", pt, pt[0].ctx.d), (p, f6)
