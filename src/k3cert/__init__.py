@@ -31,9 +31,7 @@ from .ffield import (
 from .forms import (
     BinaryForm,
     IntForm,
-    LinearChange,
     ModForm,
-    apply_linear_change,
     eval_form,
     exact_divide,
     perfect_square_split,

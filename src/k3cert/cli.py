@@ -70,12 +70,15 @@ class SurfaceSpec:
     gram: tuple | None = None
 
 
-def _parse_monomial_line(value: str):
+def _parse_monomial_line(value: str, degree: int):
     parts = value.split()
     if len(parts) != 4:
         raise UsageError(f"monomial line needs 'a b c coeff', got {value!r}")
-    a, b, c = (int(x) for x in parts[:3])
-    return (a, b, c), int(parts[3])
+    a, b, c, coeff = (int(x) for x in parts)
+    if min(a, b, c) < 0 or a + b + c != degree:
+        raise UsageError(f"exponents {a} {b} {c} do not form a monomial of "
+                         f"degree {degree}")
+    return (a, b, c), coeff
 
 
 def parse_surface_spec(text: str) -> SurfaceSpec:
@@ -92,40 +95,46 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
         if ":" not in line:
             raise UsageError(f"expected 'key: value', got {raw!r}")
         key, value = (s.strip() for s in line.split(":", 1))
-        if key == "name":
-            name = value
-        elif key == "f6":
-            mono, coeff = _parse_monomial_line(value)
-            if mono in f6:
-                raise UsageError(f"duplicate monomial {mono} in f6")
-            f6[mono] = coeff
-        elif key == "k":
-            k = int(value)
-        elif key == "external":
-            d, n = value.split()
-            external[int(d)] = int(n)
-        elif key == "gram":
-            gram_rows.append(tuple(int(x) for x in value.split()))
-        elif key.startswith("conic."):
-            _, idx, fld = key.split(".")
-            entry = conics.setdefault(int(idx), {"scale": 1, "q2": {},
-                                                 "q3": {}, "q4": {}})
-            if fld == "scale":
-                entry["scale"] = int(value)
-            elif fld in ("q2", "q3", "q4"):
-                mono, coeff = _parse_monomial_line(value)
-                entry[fld][mono] = coeff
+        try:
+            if key == "name":
+                name = value
+            elif key == "f6":
+                mono, coeff = _parse_monomial_line(value, 6)
+                if mono in f6:
+                    raise UsageError(f"duplicate monomial {mono} in f6")
+                f6[mono] = coeff
+            elif key == "k":
+                k = int(value)
+            elif key == "external":
+                d, n = (int(x) for x in value.split())
+                if d < 1:
+                    raise UsageError(f"count degree {d} is below 1")
+                external[d] = n
+            elif key == "gram":
+                gram_rows.append(tuple(int(x) for x in value.split()))
+            elif key.startswith("conic."):
+                _, idx, fld = key.split(".")
+                entry = conics.setdefault(int(idx), {"scale": 1, "q2": {},
+                                                     "q3": {}, "q4": {}})
+                if fld == "scale":
+                    entry["scale"] = int(value)
+                elif fld in ("q2", "q3", "q4"):
+                    mono, coeff = _parse_monomial_line(value, int(fld[1]))
+                    entry[fld][mono] = coeff
+                else:
+                    raise UsageError(f"unknown conic field {fld!r}")
             else:
-                raise UsageError(f"unknown conic field {fld!r}")
-        else:
-            raise UsageError(f"unknown key {key!r}")
+                raise UsageError(f"unknown key {key!r}")
+        except ValueError as exc:  # UsageError included
+            raise UsageError(
+                f"surface file line {raw.strip()!r}: {exc}") from None
     if not f6:
         raise UsageError("surface file has no f6 monomials")
     gram = tuple(gram_rows) if gram_rows else None
     if gram is not None and any(len(r) != len(gram) for r in gram):
         raise UsageError("gram matrix must be square")
-    conic_list = [ConicCert(scale=e["scale"], q2=IntForm(e["q2"]),
-                            q3=IntForm(e["q3"]), q4=IntForm(e["q4"]))
+    conic_list = [ConicCert(scale=e["scale"], q2=IntForm(e["q2"], 2),
+                            q3=IntForm(e["q3"], 3), q4=IntForm(e["q4"], 4))
                   for _, e in sorted(conics.items())]
     return SurfaceSpec(name=name, f6=IntForm(f6, 6), k=k,
                        external_counts=external, conics=conic_list, gram=gram)
@@ -237,8 +246,7 @@ def _series_for(spec, p, dmax, args):
 
 
 def _stage_count(spec, p, args):
-    dmax = args.dmax or 3
-    series = _series_for(spec, p, dmax, args)
+    series = _series_for(spec, p, args.dmax or 3, args)
     return {
         "stage": "count",
         "surface": spec.name,
@@ -251,7 +259,7 @@ def _stage_count(spec, p, args):
 
 def _resolve_k(spec, args):
     k = args.k if args.k is not None else (spec.k if spec.k is not None else 2)
-    if k < 0 or (H2_DIM - k) % 2:
+    if not 0 <= k <= H2_DIM or (H2_DIM - k) % 2:
         raise UsageError(f"k = {k} must be even and between 0 and {H2_DIM}")
     return k
 
@@ -290,12 +298,9 @@ def _stage_zeta(spec, p, args):
 
 
 def _stage_tritangent(spec, p, args):
-    ctx = field_create(p, 1)
-    f6p = reduce_mod(spec.f6, ctx)
-    if f6p.is_zero():
-        raise MathError(f"f6 vanishes identically mod {p}")
     smooth = assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(f6p, args.line_degree, deep=args.deep)
+    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
+                             args.line_degree, deep=args.deep)
     return {
         "stage": "tritangent",
         "surface": spec.name,
@@ -307,12 +312,9 @@ def _stage_tritangent(spec, p, args):
 
 
 def _stage_obstruct(spec, p, args):
-    ctx = field_create(p, 1)
-    f6p = reduce_mod(spec.f6, ctx)
-    if f6p.is_zero():
-        raise MathError(f"f6 vanishes identically mod {p}")
     assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(f6p, 1, deep=args.deep)
+    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)), 1,
+                             deep=args.deep)
     reports = []
     for cert in certs:
         entry = {"line": cert.line_str(),
@@ -414,9 +416,8 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     chain.append(f"cyclotomic_part: rk Pic of the reduction <= {upper} "
                  f"(parity note: bound is {'even' if rb.is_even else 'odd'})")
 
-    ctx = field_create(p, 1)
-    f6p = reduce_mod(spec.f6, ctx)
-    certs = find_tritangents(f6p, args.line_degree, deep=args.deep)
+    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
+                             args.line_degree, deep=args.deep)
     report["tritangents"] = [_tritangent_dict(c) for c in certs]
     rational = [c for c in certs
                 if c.line_field_degree == 1 and c.split_field_degree == 1]
@@ -541,6 +542,8 @@ def run(argv) -> int:
         if args.line_degree < 1:
             raise UsageError(f"--line-degree must be at least 1, got "
                              f"{args.line_degree}")
+        if args.dmax is not None and args.dmax < 1:
+            raise UsageError(f"--dmax must be at least 1, got {args.dmax}")
         spec = load_surface_file(args.spec)
         started = time.perf_counter()
         if args.command == "certify":

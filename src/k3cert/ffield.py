@@ -817,15 +817,14 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _counter_poly(ctx, n: int, cap_degree: int) -> Poly:
+def _counter_poly(ctx, n: int) -> Poly:
     """n-th polynomial in the deterministic candidate sequence: base-q digits
     of n, coefficients decoded through the canonical encoding."""
     digits = []
     while n:
         digits.append(ctx.from_enc(n % ctx.q))
         n //= ctx.q
-    u = Poly(ctx, digits)
-    return u
+    return Poly(ctx, digits)
 
 
 def _equal_degree(f: Poly, e: int) -> list[Poly]:
@@ -837,7 +836,7 @@ def _equal_degree(f: Poly, e: int) -> list[Poly]:
     one = Poly(ctx, [ctx.one()])
     n = ctx.q  # first non-constant candidate in the counter sequence
     while True:
-        u = _counter_poly(ctx, n, f.degree)
+        u = _counter_poly(ctx, n)
         n += 1
         if u.degree < 1:
             continue

@@ -328,78 +328,6 @@ class BinaryForm:
         return f"BinaryForm(F{self.ctx.q}; {self.serialize()})"
 
 
-class LinearChange:
-    """Invertible 3x3 change of coordinates over a FieldCtx.
-
-    Acting on a form f gives f(T v): variable i is replaced by the linear
-    form rows[i] in the new variables.
-    """
-
-    __slots__ = ("ctx", "rows")
-
-    def __init__(self, ctx: FieldCtx, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("need a 3x3 matrix")
-        for r in rows:
-            for c in r:
-                if not isinstance(c, FieldElem) or c.ctx is not ctx:
-                    raise ValueError("field context mismatch")
-        self.ctx = ctx
-        self.rows = rows
-        if self.det().is_zero():
-            raise ValueError("singular change of coordinates")
-
-    @classmethod
-    def from_int_rows(cls, ctx, rows):
-        return cls(ctx, [[ctx.from_int(c) for c in r] for r in rows])
-
-    @classmethod
-    def identity(cls, ctx):
-        return cls.from_int_rows(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def det(self) -> FieldElem:
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-
-    def inverse(self) -> "LinearChange":
-        r = self.rows
-        dinv = self.det().inverse()
-        cof = [[None] * 3 for _ in range(3)]
-        idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-        for i in range(3):
-            for j in range(3):
-                i1, i2 = [k for k in range(3) if k != i]
-                j1, j2 = [k for k in range(3) if k != j]
-                minor = r[i1][j1] * r[i2][j2] - r[i1][j2] * r[i2][j1]
-                sign = self.ctx.from_int(1 if (i + j) % 2 == 0 else -1)
-                cof[j][i] = minor * sign * dinv  # transposed: adjugate
-        return LinearChange(self.ctx, cof)
-
-    def compose(self, other: "LinearChange") -> "LinearChange":
-        """Matrix product self @ other."""
-        a, b = self.rows, other.rows
-        rows = [[sum((a[i][k] * b[k][j] for k in range(3)), self.ctx.zero())
-                 for j in range(3)] for i in range(3)]
-        return LinearChange(self.ctx, rows)
-
-    def column(self, j: int) -> tuple:
-        """The image T e_j of the j-th coordinate point."""
-        return tuple(r[j] for r in self.rows)
-
-    def apply_to_point(self, point):
-        return tuple(sum((self.rows[i][k] * point[k] for k in range(3)),
-                         self.ctx.zero()) for i in range(3))
-
-    def int_rows(self):
-        return tuple(tuple(c.to_int() for c in r) for r in self.rows)
-
-    def __repr__(self):
-        return f"LinearChange({self.int_rows()})"
-
-
 def line_coeffs(line) -> tuple:
     """Coefficient triple of a linear form given as ModForm or triple."""
     if isinstance(line, ModForm):
@@ -418,26 +346,6 @@ def line_coeffs(line) -> tuple:
 
 def line_form(ctx, vec) -> ModForm:
     return ModForm(ctx, {(1, 0, 0): vec[0], (0, 1, 0): vec[1], (0, 0, 1): vec[2]}, 1)
-
-
-def line_to_x(line) -> LinearChange:
-    """A change of coordinates T with (line o T) = x.
-
-    Complete the line's coefficient vector to an invertible matrix M by
-    standard basis vectors (skipping the pivot column), then T = M^{-1}.
-    """
-    vec = line_coeffs(line)
-    ctx = vec[0].ctx
-    pivot = next((i for i, c in enumerate(vec) if not c.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero linear form")
-    rows = [list(vec)]
-    for j in range(3):
-        if j != pivot:
-            e = [ctx.zero()] * 3
-            e[j] = ctx.one()
-            rows.append(e)
-    return LinearChange(ctx, rows).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -472,32 +380,6 @@ def reduce_mod(f: IntForm, ctx: FieldCtx) -> ModForm:
     return ModForm.from_int_coeffs(ctx, f.coeffs, f.degree)
 
 
-def apply_linear_change(f: ModForm, T: LinearChange) -> ModForm:
-    """The form f(T v); degree is preserved."""
-    if T.ctx is not f.ctx:
-        raise ValueError("field context mismatch")
-    ctx = f.ctx
-    lin = [line_form(ctx, T.rows[i]) for i in range(3)]
-    one_form = ModForm(ctx, {(0, 0, 0): ctx.one()}, 0)
-    memo = [{0: one_form} for _ in range(3)]
-
-    def power(i, e):
-        m = memo[i]
-        if e not in m:
-            top = max(m)
-            cur = m[top]
-            for k in range(top + 1, e + 1):
-                cur = cur * lin[i]
-                m[k] = cur
-        return m[e]
-
-    out = ModForm(ctx, {}, f.degree)
-    for (a, b, c), coef in f.coeffs.items():
-        term = power(0, a) * power(1, b) * power(2, c)
-        out = out + term.scale(coef)
-    return out
-
-
 def line_kernel_basis(line):
     """Reduced echelon basis (v1, v2) of the kernel of the line's coefficients."""
     vec = line_coeffs(line)
@@ -517,9 +399,14 @@ def line_kernel_basis(line):
     return tuple(basis)
 
 
-def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
-    """The binary form f(s w1 + t w2) of the same degree, for coordinate
-    triples w1, w2 over the field of f."""
+def restrict_to_line(f: ModForm, line) -> BinaryForm:
+    """Restriction of f to the projective line {line = 0}.
+
+    The line is parametrized by the reduced echelon basis (w1, w2) of its
+    kernel; the result is f(s w1 + t w2), a binary form of the same degree
+    (identically zero exactly when the line divides f).
+    """
+    w1, w2 = line_kernel_basis(line)
     ctx = f.ctx
     zero = ctx.zero()
     out = [zero] * (f.degree + 1)
@@ -554,16 +441,6 @@ def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
                     idx = i + j + k
                     out[idx] = out[idx] + coef * pref * cc
     return BinaryForm(ctx, out)
-
-
-def restrict_to_line(f: ModForm, line) -> BinaryForm:
-    """Restriction of f to the projective line {line = 0}.
-
-    The line is parametrized by the reduced echelon basis (v1, v2) of its
-    kernel; the result is f(s v1 + t v2), a binary form of the same degree
-    (identically zero exactly when the line divides f).
-    """
-    return restrict_along(f, *line_kernel_basis(line))
 
 
 def _lead_monomial(coeffs):

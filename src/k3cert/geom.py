@@ -8,14 +8,17 @@ P^2(F_{p^e}) for the requested field degrees.  The search runs on numpy
 arrays in the discrete-log (Zech) representation: the seven restriction
 coefficients of a block of lines are evaluated at once, and the u*h^2
 test (the formal square root from the leading coefficient) runs on those
-arrays.  Only the lines that pass are restricted and split again in
+arrays.  Only the lines that pass are restricted and split once more in
 scalar arithmetic, which builds their certificates.  A field above the
 Zech table limit raises BudgetExceededError.
 
-The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l is
-canonicalized by moving l to the coordinate x, taking the principal
-square root of f6 mod (p, x) (leading coefficient the smaller of the two
-representatives in [0, p)), and dividing out x.
+The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l happens
+in the line's own coordinates: restrict_to_line parametrizes l = 0 by
+the two coordinates other than the first nonzero one of l, so the
+principal square root r h of the restriction (r the square root of the
+unit with the smaller representative in [0, p), h normalized to 1 at its
+first nonzero coefficient) is f3 written in those two coordinates, and
+f5 = (f6 - f3^2)/l.
 
 Smoothness of the sextic (good reduction of the double cover for odd p)
 is one rank computation over F_p: f6 and its partials have no common zero
@@ -71,15 +74,13 @@ from .forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    apply_linear_change,
+    SquareSplit,
     exact_divide,
     line_coeffs,
     line_form,
     line_kernel_basis,
-    line_to_x,
     perfect_square_split,
     reduce_mod,
-    restrict_along,
     restrict_to_line,
 )
 
@@ -147,7 +148,6 @@ def _binary_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
         return b
     if b.is_zero():
         return a
-    ctx = a.ctx
     g = a.to_poly().gcd(b.to_poly())
     u_mult = min(a.u_multiplicity(), b.u_multiplicity())
     return BinaryForm.from_poly(g, g.degree + u_mult)
@@ -251,40 +251,24 @@ def _sqrt_in_field(u: FieldElem) -> FieldElem:
     return min(r, -r, key=FieldElem.to_int)
 
 
-def _decompose_mod_line(f6: ModForm, line):
-    """f6 = f3^2 + line*f5 over the coefficient field of the line.
+def _decompose_mod_line(f6: ModForm, line, split: SquareSplit):
+    """f6 = f3^2 + line*f5 over the coefficient field of the line, from the
+    rational square split of the restriction of f6 to the line.
 
-    Canonical choice: with T the change of coordinates that sends the line
-    to x, take the principal square root b3 of the restriction f6(T(0, y,
-    z)), move it back (f3 = b3 o T^-1) and divide f6 - f3^2 by the line;
-    the quotient is unique, and equals the quotient of f6 o T - b3^2 by x
-    moved back, since the line is x o T^-1."""
+    restrict_to_line parametrizes the line as s v1 + t v2, where v1 and v2
+    are 1 in the non-pivot coordinates j1 and j2 respectively and 0 in the
+    other one, so a binary form b(s, t) is the restriction of b(x_j1,
+    x_j2).  Canonical choice: f3 = r h(x_j1, x_j2) with r the principal
+    square root of the unit; f6 - f3^2 vanishes on the line, and the
+    quotient f5 = (f6 - f3^2)/line is unique."""
     ctx = f6.ctx
-    vec = line_coeffs(line)
-    T = line_to_x(vec)
-    restriction = restrict_along(f6, T.column(1), T.column(2))
-    split = perfect_square_split(restriction)
-    if split is None:
-        raise MathError(
-            "restriction to the line is not a perfect square: not a tritangent")
-    if split.split_field_degree != 1:
-        raise MathError(
-            "tritangent splits only over the quadratic extension "
-            "(non-square unit); the decomposition needs a rational split")
-    s = _sqrt_in_field(split.unit)
-    # pick the square root of the restriction with the smaller leading
-    # coefficient representative
-    lead_pos = next(i for i in range(split.h.degree + 1)
-                    if not split.h.coeffs[i].is_zero())
-    cand = s * split.h.coeffs[lead_pos]
-    if (-cand).to_int() < cand.to_int():
-        s = -s
-    # the restriction lives in (y, z) after the change of coordinates
-    b3 = ModForm(ctx, {(0, 3 - i, i): s * c
-                       for i, c in enumerate(split.h.coeffs)
-                       if not c.is_zero()}, 3)
-    f3 = apply_linear_change(b3, T.inverse())
-    ell = line_form(ctx, vec)
+    r = _sqrt_in_field(split.unit)
+    pivot = next(i for i, c in enumerate(line) if not c.is_zero())
+    j1, j2 = (j for j in range(3) if j != pivot)
+    f3 = ModForm(ctx, {tuple(3 - i if v == j1 else i if v == j2 else 0
+                             for v in range(3)): r * c
+                       for i, c in enumerate(split.h.coeffs)}, 3)
+    ell = line_form(ctx, line)
     f5 = exact_divide(f6 - f3 * f3, ell)
     assert f3 * f3 + ell * f5 == f6
     return f3, f5
@@ -307,7 +291,15 @@ def decompose_along_line(f6: IntForm, line, p: int):
     ctx = field_create(p, 1)
     f6p = reduce_mod(f6, ctx)
     vec = _line_vec_over(ctx, line)
-    f3m, f5m = _decompose_mod_line(f6p, vec)
+    split = perfect_square_split(restrict_to_line(f6p, vec))
+    if split is None:
+        raise MathError(
+            "restriction to the line is not a perfect square: not a tritangent")
+    if split.split_field_degree != 1:
+        raise MathError(
+            "tritangent splits only over the quadratic extension "
+            "(non-square unit); the decomposition needs a rational split")
+    f3m, f5m = _decompose_mod_line(f6p, vec, split)
     return f3m.lift(), f5m.lift()
 
 
@@ -430,12 +422,13 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     degree, with contact data; exhaustive over the dual plane.
 
     Each field is searched with the array test of _candidate_lines; only
-    the lines it finds go through restrict_to_line, perfect_square_split
-    and the decomposition.  Every field is checked before any is searched:
-    the test needs Zech tables, so a field above the Zech limit raises
-    BudgetExceededError, and so does a field with q^2 above the desk-scale
-    budget MANDATORY_Q2_LIMIT unless deep is set (the q^2 + q + 1 lines
-    run at about 4e5 per second).  A line whose restriction vanishes
+    the lines it finds go, once each, through restrict_to_line and
+    perfect_square_split, whose split also gives the decomposition.  Every
+    field is checked before any is searched: the test needs Zech tables,
+    so a field above the Zech limit raises BudgetExceededError, and so
+    does a field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT
+    unless deep is set (the q^2 + q + 1 lines run at about 4e5 per
+    second).  A line whose restriction vanishes
     identically (a line component of the branch locus) is skipped; that
     configuration is singular and belongs to smoothness_check."""
     base = f6.ctx
@@ -462,7 +455,7 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
                                      "but is not a tritangent")
             f3 = f5 = None
             if split.split_field_degree == 1:
-                f3, f5 = _decompose_mod_line(f, vec)
+                f3, f5 = _decompose_mod_line(f, vec, split)
             out.append(TritangentCert(
                 line=vec,
                 line_field_degree=e,

@@ -39,30 +39,14 @@ def mat_identity(n):
 
 
 def bareiss_det(m) -> int:
-    """Exact determinant by fraction-free elimination."""
-    m = [list(r) for r in m]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Exact determinant: the one gram_rank_disc returns, or 0."""
+    return gram_rank_disc(m)[1] or 0
 
 
 def gram_rank_disc(m):
-    """(rank over Q, determinant when full rank else None) for a symmetric
-    integer Gram matrix, by fraction-free elimination."""
+    """(rank over Q, determinant when full rank else None) for a square
+    integer matrix, a Gram matrix in the pipeline, by fraction-free
+    elimination."""
     rows = _as_matrix(m)
     n = len(rows)
     work = [list(r) for r in rows]
@@ -200,31 +184,9 @@ def smith_normal_form(mat):
 
 
 def _unimodular_inverse(u):
-    n = len(u)
-    det = bareiss_det(u)
-    if det not in (1, -1):
+    if bareiss_det(u) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # exact inverse via rational elimination, then integer cast
-    aug = [[Fraction(u[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = aug[i][n + j]
-            assert val.denominator == 1
-            row.append(int(val))
-        out.append(tuple(row))
-    return tuple(out)
+    return _coordinates(u, mat_identity(len(u)))
 
 
 def _solve_rational(basis, target_cols):

@@ -3,11 +3,12 @@
 Given integer lifts with f6 = f3^2 + l*f5 (mod p), the integer form
 G = (f6 - f3^2 - l*f5)/p decides whether the split class extends to the
 thickening mod p^2: it does exactly when G lies in the ideal
-(p, l, f3, f5).  After moving l to the coordinate x and reducing mod
-(p, x), membership collapses to the degree-6 graded piece in two
-variables: is Gbar a combination f3bar*b3 + f5bar*c1 with b3 a binary
-cubic and c1 a binary linear form?  That is a linear system of seven
-equations (the binary sextic's coefficients) in six unknowns over F_p.
+(p, l, f3, f5).  Restricted to the line l = 0 mod p, in the line's own
+parametrization (restrict_to_line), membership collapses to the degree-6
+graded piece in two variables: is Gbar a combination f3bar*b3 +
+f5bar*c1 with b3 a binary cubic and c1 a binary linear form?  That is a
+linear system of seven equations (the binary sextic's coefficients) in
+six unknowns over F_p.
 
 The verdict is independent of the integer lifts (they shift G by ideal
 members) and of the choice of coordinates; the test suite checks both.
@@ -24,11 +25,9 @@ from .ffield import field_create
 from .forms import (
     BinaryForm,
     IntForm,
-    ModForm,
     exact_divide,
-    line_to_x,
     reduce_mod,
-    restrict_along,
+    restrict_to_line,
 )
 from .geom import _binary_gcd, _line_vec_over, decompose_along_line
 
@@ -69,12 +68,6 @@ def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntFor
     return exact_divide(numerator, IntForm({(0, 0, 0): p}, 0))
 
 
-def _restrict_mod_line(form: ModForm, T) -> BinaryForm:
-    """The form after the line-to-x change, mod x, as a binary form in the
-    two remaining coordinates: form(T(0, s, t))."""
-    return restrict_along(form, T.column(1), T.column(2))
-
-
 def _solve_mod_p(matrix, rhs, p):
     """Gaussian elimination over F_p; a solution tuple or None."""
     rows, cols = len(matrix), len(matrix[0])
@@ -112,10 +105,8 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
     formula assumes and must be surfaced, not absorbed."""
     ctx = field_create(p, 1)
     ell_vec = _line_vec_over(ctx, line)
-    T = line_to_x(ell_vec)
-    g_bar = _restrict_mod_line(reduce_mod(G, ctx), T)
-    f3_bar = _restrict_mod_line(reduce_mod(f3, ctx), T)
-    f5_bar = _restrict_mod_line(reduce_mod(f5, ctx), T)
+    g_bar, f3_bar, f5_bar = (restrict_to_line(reduce_mod(form, ctx), ell_vec)
+                             for form in (G, f3, f5))
     if not f3_bar.is_zero() and not f5_bar.is_zero():
         common = _binary_gcd(f3_bar, f5_bar)
         if common.degree > 0:

@@ -7,13 +7,15 @@ reciprocity a_{n-i} = sign * q^{n-2i} * a_i (n = 22 - k).  Newton's
 identities convert the first m = n/2 power sums (traces with the known
 part removed) into the leading half of R; reciprocity supplies the rest.
 
-All arithmetic is exact over the integers.  Every division in the Newton
-recursion is asserted exact; a remainder means the traces are wrong and
-aborts immediately.  The numeric root-modulus check in weil_validate is
-advisory only; accept/reject decisions rest on exact checks.  Each
-polynomial is validated once: the result is kept on the FrobeniusPoly
-instance, so cyclotomic_part and predicted_count reuse the check that
-determine_sign ran.
+The reconstruction is exact over the integers.  Every division in the
+Newton recursion is asserted exact; a remainder means the traces are
+wrong and aborts immediately.  weil_validate is not exact: it ends with
+a floating-point root-modulus test, and determine_sign drops a sign whose
+polynomial fails it, so a valid polynomial with an eigenvalue of
+multiplicity 3 or more can lose its sign (ROADMAP.md, item 1, replaces
+the test by an exact one).  Each polynomial is validated once: the
+result is kept on the FrobeniusPoly instance, so cyclotomic_part and
+predicted_count reuse the check that determine_sign ran.
 
 The Picard rank bound is the total multiplicity of eigenvalues of the
 form q * (root of unity), found by trial division of P by the scaled
@@ -32,7 +34,7 @@ from .errors import InconsistentTracesError, MathError
 from .ffield import factorize
 
 H2_DIM = 22
-WEIL_TOL = 1e-6  # relative tolerance of the advisory root-modulus check
+WEIL_TOL = 1e-6  # relative tolerance of the float root-modulus test
 
 
 # -- exact integer polynomials, descending coefficient lists ----------------
@@ -192,7 +194,8 @@ class FrobeniusPoly:
         for i in range(n // 2 + 1):
             if r[n - i] != self.sign * q ** (n - 2 * i) * r[i]:
                 return False
-        # advisory numeric root moduli on the scaled factor R(qt)/q^n; the
+        # float root moduli on the scaled factor R(qt)/q^n, which decide
+        # the result (and so which signs determine_sign keeps); the
         # (t - q)^k part was peeled off exactly, so its roots need no solver
         # (a numeric solver smears multiple roots far beyond the tolerance)
         if n == 0:
@@ -243,8 +246,9 @@ def char_poly_from_traces(traces, q: int, degree: int = H2_DIM, k: int = 0,
 
 def weil_validate(P: FrobeniusPoly) -> bool:
     """Exact checks: integrality, |P(0)| = q^degree, (t-q)^k divisibility and
-    reciprocity of R; plus an advisory numeric check that every root has
-    modulus q within the relative tolerance WEIL_TOL.  The result is
+    reciprocity of R; then a floating-point test that every root has
+    modulus q within the relative tolerance WEIL_TOL, which can reject a
+    valid R with a root of multiplicity 3 or more.  The result is
     computed once per polynomial and kept on it (FrobeniusPoly.weil_valid)."""
     return P.weil_valid
 

@@ -1,9 +1,25 @@
-"""Exhaustive oracles shared by several test modules."""
+"""Exhaustive oracles shared by several test modules, and an independent
+reference for restriction and decomposition along a line: the path
+through a 3x3 change of coordinates T that sends the line to x
+(LinearChange, line_to_x, apply_linear_change, restrict_along and
+decompose_mod_line)."""
 
 import functools
 import itertools
 
 import numpy as np
+
+from k3cert.errors import MathError
+from k3cert.ffield import FieldCtx, FieldElem
+from k3cert.forms import (
+    BinaryForm,
+    ModForm,
+    exact_divide,
+    line_coeffs,
+    line_form,
+    perfect_square_split,
+)
+from k3cert.geom import _sqrt_in_field
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,3 +58,200 @@ def row_echelon(mat: np.ndarray, p: int):
             m[below, c:] = (m[below, c:] - m[below, c, None] * m[r, c:]) % p
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+class LinearChange:
+    """Invertible 3x3 change of coordinates over a FieldCtx.
+
+    Acting on a form f gives f(T v): variable i is replaced by the linear
+    form rows[i] in the new variables.
+    """
+
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx: FieldCtx, rows):
+        rows = tuple(tuple(r) for r in rows)
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("need a 3x3 matrix")
+        for r in rows:
+            for c in r:
+                if not isinstance(c, FieldElem) or c.ctx is not ctx:
+                    raise ValueError("field context mismatch")
+        self.ctx = ctx
+        self.rows = rows
+        if self.det().is_zero():
+            raise ValueError("singular change of coordinates")
+
+    @classmethod
+    def from_int_rows(cls, ctx, rows):
+        return cls(ctx, [[ctx.from_int(c) for c in r] for r in rows])
+
+    @classmethod
+    def identity(cls, ctx):
+        return cls.from_int_rows(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def det(self) -> FieldElem:
+        r = self.rows
+        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+
+    def inverse(self) -> "LinearChange":
+        r = self.rows
+        dinv = self.det().inverse()
+        cof = [[None] * 3 for _ in range(3)]
+        idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        for i in range(3):
+            for j in range(3):
+                i1, i2 = [k for k in range(3) if k != i]
+                j1, j2 = [k for k in range(3) if k != j]
+                minor = r[i1][j1] * r[i2][j2] - r[i1][j2] * r[i2][j1]
+                sign = self.ctx.from_int(1 if (i + j) % 2 == 0 else -1)
+                cof[j][i] = minor * sign * dinv  # transposed: adjugate
+        return LinearChange(self.ctx, cof)
+
+    def compose(self, other: "LinearChange") -> "LinearChange":
+        """Matrix product self @ other."""
+        a, b = self.rows, other.rows
+        rows = [[sum((a[i][k] * b[k][j] for k in range(3)), self.ctx.zero())
+                 for j in range(3)] for i in range(3)]
+        return LinearChange(self.ctx, rows)
+
+    def column(self, j: int) -> tuple:
+        """The image T e_j of the j-th coordinate point."""
+        return tuple(r[j] for r in self.rows)
+
+    def apply_to_point(self, point):
+        return tuple(sum((self.rows[i][k] * point[k] for k in range(3)),
+                         self.ctx.zero()) for i in range(3))
+
+    def int_rows(self):
+        return tuple(tuple(c.to_int() for c in r) for r in self.rows)
+
+    def __repr__(self):
+        return f"LinearChange({self.int_rows()})"
+
+
+def line_to_x(line) -> LinearChange:
+    """A change of coordinates T with (line o T) = x.
+
+    Complete the line's coefficient vector to an invertible matrix M by
+    standard basis vectors (skipping the pivot column), then T = M^{-1}.
+    """
+    vec = line_coeffs(line)
+    ctx = vec[0].ctx
+    pivot = next((i for i, c in enumerate(vec) if not c.is_zero()), None)
+    if pivot is None:
+        raise ValueError("zero linear form")
+    rows = [list(vec)]
+    for j in range(3):
+        if j != pivot:
+            e = [ctx.zero()] * 3
+            e[j] = ctx.one()
+            rows.append(e)
+    return LinearChange(ctx, rows).inverse()
+
+
+def apply_linear_change(f: ModForm, T: LinearChange) -> ModForm:
+    """The form f(T v); degree is preserved."""
+    if T.ctx is not f.ctx:
+        raise ValueError("field context mismatch")
+    ctx = f.ctx
+    lin = [line_form(ctx, T.rows[i]) for i in range(3)]
+    one_form = ModForm(ctx, {(0, 0, 0): ctx.one()}, 0)
+    memo = [{0: one_form} for _ in range(3)]
+
+    def power(i, e):
+        m = memo[i]
+        if e not in m:
+            top = max(m)
+            cur = m[top]
+            for k in range(top + 1, e + 1):
+                cur = cur * lin[i]
+                m[k] = cur
+        return m[e]
+
+    out = ModForm(ctx, {}, f.degree)
+    for (a, b, c), coef in f.coeffs.items():
+        term = power(0, a) * power(1, b) * power(2, c)
+        out = out + term.scale(coef)
+    return out
+
+
+def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
+    """The binary form f(s w1 + t w2) of the same degree, for coordinate
+    triples w1, w2 over the field of f."""
+    ctx = f.ctx
+    zero = ctx.zero()
+    out = [zero] * (f.degree + 1)
+    # per-coordinate binomial expansions of (s w1[i] + t w2[i])^e, cached
+    memo = [{0: (ctx.one(),)} for _ in range(3)]
+
+    def expand(i, e):
+        m = memo[i]
+        if e not in m:
+            prev = expand(i, e - 1)
+            cur = [zero] * (e + 1)
+            for k, c in enumerate(prev):
+                if c.is_zero():
+                    continue
+                cur[k] = cur[k] + c * w1[i]
+                cur[k + 1] = cur[k + 1] + c * w2[i]
+            m[e] = tuple(cur)
+        return m[e]
+
+    for (a, b, c), coef in f.coeffs.items():
+        ea, eb, ec = expand(0, a), expand(1, b), expand(2, c)
+        for i, ca in enumerate(ea):
+            if ca.is_zero():
+                continue
+            for j, cb in enumerate(eb):
+                if cb.is_zero():
+                    continue
+                pref = ca * cb
+                for k, cc in enumerate(ec):
+                    if cc.is_zero():
+                        continue
+                    idx = i + j + k
+                    out[idx] = out[idx] + coef * pref * cc
+    return BinaryForm(ctx, out)
+
+
+def decompose_mod_line(f6: ModForm, line):
+    """f6 = f3^2 + line*f5 over the coefficient field of the line.
+
+    Canonical choice: with T the change of coordinates that sends the line
+    to x, take the principal square root b3 of the restriction f6(T(0, y,
+    z)), move it back (f3 = b3 o T^-1) and divide f6 - f3^2 by the line;
+    the quotient is unique, and equals the quotient of f6 o T - b3^2 by x
+    moved back, since the line is x o T^-1."""
+    ctx = f6.ctx
+    vec = line_coeffs(line)
+    T = line_to_x(vec)
+    restriction = restrict_along(f6, T.column(1), T.column(2))
+    split = perfect_square_split(restriction)
+    if split is None:
+        raise MathError(
+            "restriction to the line is not a perfect square: not a tritangent")
+    if split.split_field_degree != 1:
+        raise MathError(
+            "tritangent splits only over the quadratic extension "
+            "(non-square unit); the decomposition needs a rational split")
+    s = _sqrt_in_field(split.unit)
+    # pick the square root of the restriction with the smaller leading
+    # coefficient representative
+    lead_pos = next(i for i in range(split.h.degree + 1)
+                    if not split.h.coeffs[i].is_zero())
+    cand = s * split.h.coeffs[lead_pos]
+    if (-cand).to_int() < cand.to_int():
+        s = -s
+    # the restriction lives in (y, z) after the change of coordinates
+    b3 = ModForm(ctx, {(0, 3 - i, i): s * c
+                       for i, c in enumerate(split.h.coeffs)
+                       if not c.is_zero()}, 3)
+    f3 = apply_linear_change(b3, T.inverse())
+    ell = line_form(ctx, vec)
+    f5 = exact_divide(f6 - f3 * f3, ell)
+    assert f3 * f3 + ell * f5 == f6
+    return f3, f5
+

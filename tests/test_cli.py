@@ -3,6 +3,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from k3cert import cli, geom, zeta
 from k3cert.cli import (
     load_surface_file,
@@ -135,8 +137,41 @@ def test_singular_reduction_is_math_error(tmp_path, capsys):
 def test_zero_reduction_is_math_error(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("name: zero\nf6: 6 0 0 5\n")
-    code = run(["tritangent", "--spec", str(path), "--prime", "5"])
-    assert code == 2
+    for stage in ("tritangent", "obstruct", "certify"):
+        code = run([stage, "--spec", str(path), "--prime", "5"])
+        assert code == 2, stage
+        assert capsys.readouterr().err == (
+            "mathematical error: f6 vanishes identically mod 5\n"), stage
+
+
+@pytest.mark.parametrize("extra_line, options", [
+    ("external: 10", []),
+    ("external: 0 5", []),
+    ("f6: 0 5 0 1", []),
+    ("f6: -1 7 0 1", []),
+    ("k: two", []),
+    ("conic.x.q2: 2 0 0 1", []),
+    ("conic.1: 2 0 0 1", []),
+    ("conic.1.q5: 2 0 0 1", []),
+    ("conic.1.q2: 1 0 0 1", []),
+    ("gram: 1 a", []),
+    ("", ["count", "--dmax", "-1"]),
+    ("", ["count", "--dmax", "0"]),
+    ("", ["zeta", "--k", "24"]),
+    ("", ["certify", "--k", "24"]),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
+                                        options):
+    path = tmp_path / "surface.txt"
+    path.write_text((SURFACES / "rank1-p3.txt").read_text()
+                    + extra_line + "\n")
+    stage, *rest = options or ["count", "--dmax", "1"]
+    code = run([stage, "--spec", str(path), "--prime", "3"] + rest)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error:") and "Traceback" not in err
+    if extra_line:
+        assert repr(extra_line) in err
 
 
 def test_unknown_stage_is_usage_error(capsys):
@@ -241,9 +276,9 @@ def test_one_decomposition_per_rational_tritangent(tmp_path, capsys,
     calls = []
     decompose = geom._decompose_mod_line
 
-    def counting(f6, line):
+    def counting(f6, line, *args):
         calls.append(line)
-        return decompose(f6, line)
+        return decompose(f6, line, *args)
 
     monkeypatch.setattr(geom, "_decompose_mod_line", counting)
     spec = _write_fully_external_spec(tmp_path)

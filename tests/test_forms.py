@@ -7,20 +7,22 @@ from k3cert.ffield import field_create, quad_char
 from k3cert.forms import (
     BinaryForm,
     IntForm,
-    LinearChange,
     ModForm,
-    apply_linear_change,
     eval_form,
     exact_divide,
-    line_to_x,
     perfect_square_split,
     reduce_mod,
-    restrict_along,
     restrict_to_line,
 )
 
 import data
-from oracles import unit_square_products
+from oracles import (
+    LinearChange,
+    apply_linear_change,
+    line_to_x,
+    restrict_along,
+    unit_square_products,
+)
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -135,7 +137,8 @@ def test_surface_c_transported_is_square_mod_x():
 
 def test_restrict_along_matches_change_then_restrict_to_x():
     # f(s T e_1 + t T e_2) is the restriction of f o T to x = 0, for random
-    # invertible T over F_p and F_{p^2}, forms of degree 3, 5 and 6
+    # invertible T over F_p and F_{p^2}, forms of degree 3, 5 and 6; and
+    # restrict_to_line(f, l) is that restriction for T = line_to_x(l)
     rng = random.Random(17)
     for p, d in ((3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)):
         ctx = field_create(p, d)
@@ -145,6 +148,11 @@ def test_restrict_along_matches_change_then_restrict_to_x():
                 f = _random_form(ctx, degree, rng)
                 T = _random_invertible(ctx, rng)
                 assert (restrict_along(f, T.column(1), T.column(2))
+                        == restrict_to_line(apply_linear_change(f, T), x_form))
+                ell = T.rows[0]
+                T = line_to_x(ell)
+                assert (restrict_to_line(f, ell)
+                        == restrict_along(f, T.column(1), T.column(2))
                         == restrict_to_line(apply_linear_change(f, T), x_form))
 
 

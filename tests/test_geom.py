@@ -9,9 +9,7 @@ from k3cert.errors import BudgetExceededError, MathError
 from k3cert.ffield import Poly, field_create, is_prime, poly_roots
 from k3cert.forms import (
     IntForm,
-    LinearChange,
     ModForm,
-    apply_linear_change,
     eval_form,
     line_form,
     perfect_square_split,
@@ -32,7 +30,12 @@ from k3cert.geom import (
 )
 
 import data
-from oracles import row_echelon
+from oracles import (
+    LinearChange,
+    apply_linear_change,
+    decompose_mod_line,
+    row_echelon,
+)
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -177,7 +180,7 @@ def _oracle_tritangents(f6, max_e):
                 continue
             f3 = f5 = None
             if split.split_field_degree == 1:
-                f3, f5 = geom._decompose_mod_line(f, vec)
+                f3, f5 = decompose_mod_line(f, vec)
             out.append(geom.TritangentCert(
                 line=vec, line_field_degree=e,
                 split_field_degree=split.split_field_degree, unit=split.unit,
@@ -339,6 +342,72 @@ def test_decompose_rejects_non_tangent():
     f6 = IntForm(data.F6_A)
     with pytest.raises(MathError):
         decompose_along_line(f6, (1, 0, 0), 5)  # x = 0 is not a tritangent
+
+
+def _random_form(ctx, degree, rng):
+    return ModForm(ctx, {(a, b, degree - a - b):
+                         ctx.from_enc(rng.randrange(ctx.q))
+                         for a in range(degree + 1)
+                         for b in range(degree + 1 - a)}, degree)
+
+
+def test_decomposition_matches_coordinate_change_oracle():
+    # on f3^2 + l*f5 with random f3, f5 and l, the decomposition from the
+    # split in the line's own coordinates equals the reference that moves
+    # the line to x and restricts and splits again: decompose_along_line
+    # for lines over F_p, and the certificates of find_tritangents for
+    # lines over F_p and F_{p^2}
+    rng = random.Random(71)
+    compared = 0
+    for p in (3, 5, 7, 11, 13):
+        for d in (1, 2):
+            ctx = field_create(p, d)
+            for _ in range(4 if d == 1 else 2):
+                vec = (0, 0, 0)
+                while all(c == 0 for c in vec):
+                    vec = tuple(rng.randrange(ctx.q) for _ in range(3))
+                line = tuple(ctx.from_enc(c) for c in vec)
+                f6 = (_random_form(ctx, 3, rng).square()
+                      + line_form(ctx, line) * _random_form(ctx, 5, rng))
+                if f6.is_zero() or restrict_to_line(f6, line).is_zero():
+                    continue
+                want = decompose_mod_line(f6, line)
+                if d == 1:
+                    assert decompose_along_line(f6.lift(), vec, p) == tuple(
+                        g.lift() for g in want)
+                certs = find_tritangents(f6, 1)
+                last = next(c for c in reversed(line) if not c.is_zero())
+                assert tuple(c / last for c in line) in {c.line for c in certs}
+                for cert in certs:
+                    if cert.f3 is not None:
+                        assert ((cert.f3, cert.f5)
+                                == decompose_mod_line(f6, cert.line))
+                        compared += 1
+    assert compared >= 30
+
+
+def test_one_square_split_per_tritangent(monkeypatch):
+    # find_tritangents restricts and splits each line that the array test
+    # finds once; the decomposition reuses that split
+    calls = []
+    split = geom.perfect_square_split
+
+    def counting(g):
+        calls.append(g)
+        return split(g)
+
+    monkeypatch.setattr(geom, "perfect_square_split", counting)
+    cases = [(reduce_mod(IntForm(f), field_create(p, 1)), 2)
+             for f, p in ((data.F6_A, 5), (data.F6_B, 3), (data.F6_C, 3))]
+    F7 = field_create(7, 1)
+    cases.append((_mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}), 2))
+    rational = 0
+    for f6, e in cases:
+        calls.clear()
+        certs = find_tritangents(f6, e)
+        assert certs and len(calls) == len(certs)
+        rational += sum(c.f3 is not None for c in certs)
+    assert rational > 0
 
 
 def test_principal_square_root_matches_factoring():

@@ -68,8 +68,8 @@ def test_surface_c_gbar_matches_published_class():
     f3, f5 = decompose_along_line(IntForm(data.F6_C), LINE_C, 3)
     G = obstruction_G(IntForm(data.F6_C), LINE_C, f3, f5, 3)
     report = obstruction_vanishes(G, LINE_C, f3, f5, 3)
-    # transport: the line-to-x change maps new (0, y, z) to old
-    # (-y-z, y, z); substitute x_old = -(y+z), y_old = y in the class
+    # transport: restrict_to_line parametrizes x+y+z = 0 as (-y-z, y, z)
+    # in its parameters (y, z); substitute x = -(y+z) in the class
     pub = {}
     for (i, j), c in data.GBAR_C_XY.items():
         # (-(y+z))^i * y^j expanded into (y, z)
