@@ -120,6 +120,9 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                     entry["scale"] = int(value)
                 elif fld in ("q2", "q3", "q4"):
                     mono, coeff = _parse_monomial_line(value, int(fld[1]))
+                    if mono in entry[fld]:
+                        raise UsageError(
+                            f"duplicate monomial {mono} in conic.{idx}.{fld}")
                     entry[fld][mono] = coeff
                 else:
                     raise UsageError(f"unknown conic field {fld!r}")

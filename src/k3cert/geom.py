@@ -5,12 +5,15 @@ times the square of a binary cubic; the cubic's roots are the contact
 points.  Lines are canonicalized by scaling the last nonzero coefficient
 to 1 and searched in a deterministic dual-point order, exhaustively over
 P^2(F_{p^e}) for the requested field degrees.  The search runs on numpy
-arrays in the discrete-log (Zech) representation: the seven restriction
-coefficients of a block of lines are evaluated at once, and the u*h^2
-test (the formal square root from the leading coefficient) runs on those
-arrays.  Only the lines that pass are restricted and split once more in
-scalar arithmetic, which builds their certificates.  A field above the
-Zech table limit raises BudgetExceededError.
+arrays of coordinate vectors over F_p: the seven restriction
+coefficients of a block of lines are two float64 matrix products of
+the digits of the powers of the line coefficients with those of the
+sextic's coefficients (exact, as every sum stays below 2^53), and the
+u*h^2 test (the formal square root from the leading coefficient, with
+one inverse per line from the log tables) runs on those arrays.  Only
+the lines that pass are restricted and split once more in scalar
+arithmetic, which builds their certificates.  A field above the Zech
+table limit raises BudgetExceededError.
 
 The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l happens
 in the line's own coordinates: restrict_to_line parametrizes l = 0 by
@@ -59,16 +62,16 @@ from .ffield import (
     FieldCtx,
     FieldElem,
     Poly,
+    digit_inv,
+    digit_mul,
+    digit_powers,
+    digits,
     embed_subfield,
     factor_univariate,
     field_create,
-    log_add,
-    log_equal,
-    log_horner,
-    log_mul,
-    log_neg,
-    poly_roots,
+    mul_tensor,
     quad_char,
+    split_root,
 )
 from .forms import (
     BinaryForm,
@@ -116,7 +119,9 @@ def binary_roots(bf: BinaryForm):
     Returns a list of ((u0, v0), multiplicity, root_ctx) with the points
     living over the smallest extension of the coefficient field that
     contains them, sorted deterministically.  The root at (0 : 1) shows up
-    through the degree drop of the dehomogenization.
+    through the degree drop of the dehomogenization.  An irreducible
+    factor of degree e > 1 over F_q is split over F_(q^e) only until one
+    root r is found; its other roots are r^(q^i).
     """
     ctx = bf.ctx
     if bf.is_zero():
@@ -134,9 +139,11 @@ def binary_roots(bf: BinaryForm):
                 out.append(((ctx.one(), root), mult, ctx))
             else:
                 ext = field_create(ctx.p, ctx.d * e, ctx.zech_limit)
-                lifted = Poly(ext, [embed_subfield(c, ext) for c in irr.c])
-                for root, _ in poly_roots(lifted):
+                root = split_root(
+                    Poly(ext, [embed_subfield(c, ext) for c in irr.c]))
+                for _ in range(e):
                     out.append(((ext.one(), root), mult, ext))
+                    root = root ** ctx.q
     out.sort(key=lambda r: (r[2].d, r[0][0].to_int(), r[0][1].to_int()))
     return out
 
@@ -304,97 +311,166 @@ def decompose_along_line(f6: IntForm, line, p: int):
 
 
 def _unit_times_square(ctx: FieldCtx, R):
-    """Whether each column of coefficient logs, R[i] the coefficient of
-    s^(n-i) t^i, is u*h^2 with u a unit; a zero column is not.
+    """Whether each line is u*h^2 with u a unit, given the coordinate
+    vectors of its restriction coefficients: R[:, i, line] is the
+    coefficient of s^(n-i) t^i.  A zero restriction is not.
 
     The index of the first nonzero coefficient must be even, 2*j0.  The
-    column is shifted to start there: that divides by t^(2 j0) and
-    multiplies by s^(2 j0), both squares, so the shifted column is u*h^2
-    exactly when the column is.  As in perfect_square_split, h_0 = 1 and
+    coefficients are shifted to start there: that divides by t^(2 j0) and
+    multiplies by s^(2 j0), both squares, so the shifted form is u*h^2
+    exactly when the form is.  As in perfect_square_split, h_0 = 1 and
     h_1, ..., h_k (k = n/2) solve the coefficients 1..k of g = R/u; those
     hold by construction, and the coefficients k+1..n are compared with
-    the expansion of h^2."""
-    n = R.shape[0] - 1
-    k = n // 2
-    nonzero = R >= 0
+    the expansion of h^2, k+1 on every line and the others on the lines
+    that pass it.  The one inverse per line, of u, goes through the log
+    and exp tables."""
+    n = R.shape[1] - 1
+    k, p = n // 2, ctx.p
+    ok = np.full(R.shape[2], n % 2 == 0)
+    # the few lines with a zero leading coefficient are shifted apart
+    G, moved = R.copy(), np.flatnonzero(~R[:, 0].any(axis=0))
+    pad = np.zeros((ctx.d, 2 * n + 2, moved.size), dtype=np.int64)
+    pad[:, :n + 1] = R[:, :, moved]
+    nonzero = pad.any(axis=0)
     first = np.argmax(nonzero, axis=0)
-    ok = nonzero.any(axis=0) & (first % 2 == 0) & (n % 2 == 0)
-    G = np.take_along_axis(np.concatenate([R, np.full_like(R, -1)]),
-                           first + np.arange(n + 1)[:, None], axis=0)
-    g = log_mul(G, -G[0] % (ctx.q - 1))
-    h = [np.zeros(R.shape[1], dtype=np.int64)]
-
-    def square_coeff(i, lo, hi):
-        # sum of h_a h_(i-a) over lo <= a <= hi
-        acc = np.int64(-1)
-        for a in range(lo, hi + 1):
-            acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
-        return acc
-
-    half = ctx.from_int(2).inverse().v
+    ok[moved] &= nonzero.any(axis=0) & (first % 2 == 0)
+    G[:, :, moved] = pad[:, first + np.arange(n + 1)[:, None],
+                         np.arange(moved.size)]
+    inv = digit_inv(ctx, G[:, 0])[:, None]
+    g = digit_mul(ctx, G[:, 1:k + 2], inv)
+    H = np.zeros((ctx.d, k + 1, R.shape[2]), dtype=np.int64)
+    H[0, 0] = 1
+    y = g[:, 0]
     for j in range(1, k + 1):
-        inner = square_coeff(j, 1, j - 1)
-        h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
-    for i in range(k + 1, n + 1):
-        ok &= log_equal(ctx, g[i], square_coeff(i, i - k, k))
+        # y = g_j less the sum of h_a h_(j-a) over 0 < a < j, twice h_j
+        H[:, j] = (y + (y & 1) * p) >> 1
+        y = (g[:, j] - digit_mul(ctx, H[:, 1:j + 1], H[:, j:0:-1]).sum(
+            axis=1)) % p
+    ok &= ~y.any(axis=0)  # the coefficient k + 1 of u h^2
+    live = np.flatnonzero(ok)
+    a, b, starts = _square_terms(n)
+    H = H[:, :, live]
+    square = np.add.reduceat(digit_mul(ctx, H[:, a], H[:, b]), starts,
+                             axis=1) % p
+    g = digit_mul(ctx, G[:, k + 2:, live], inv[:, :, live])
+    ok[live] = (square == g).all(axis=(0, 1))
     return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _square_terms(n: int):
+    """The products h_a h_b of the coefficients k+2..n of h^2 (k = n/2,
+    h of degree k, n >= 4): their indices a and b, coefficient by
+    coefficient, and where each coefficient's products start."""
+    k = n // 2
+    terms = [[(a, i - a) for a in range(i - k, k + 1)]
+             for i in range(k + 2, n + 1)]
+    flat = [t for ts in terms for t in ts]
+    starts = np.cumsum([0] + [len(ts) for ts in terms[:-1]])
+    return (np.array([a for a, _ in flat]), np.array([b for _, b in flat]),
+            starts)
 
 
 _SEARCH_BLOCK = 1 << 14  # lines per array block of the tritangent search
 
 
-def _restriction_blocks(f: ModForm, q0: int, e: int):
-    """The lines of P^2(F_q), q = q0^e, in _line_at order and in blocks:
-    the logs of the restriction coefficients of f to each line of a block,
-    and whether the line is defined over a proper subfield F_{q0^e1}.
+@functools.lru_cache(maxsize=None)
+def _restriction_terms(n: int):
+    """Monomial positions, in _monomials(n) order, and integer multipliers
+    of the restriction coefficients of a form of degree n in the three
+    line families, with position len(monomials) for a missing term.
 
-    A line (a, b, 1) is parametrized as (s, t, A s + B t) with A = -a and
-    B = -b, so the coefficient of s^(n-m) t^m is sum_l B^l P_ml(A), where
-    P_ml(A) = sum_j binom(l+j, l) f_(n-m-j, m-l, l+j) A^j; (a, 1, 0) is
-    parametrized as (s, A s, t) and (1, 0, 0) as (0, s, t).  An element
-    lies in F_{q0^e1} exactly when it is zero or its log is divisible by
-    (q - 1)/(q0^e1 - 1)."""
-    ctx, n = f.ctx, f.degree
-    q = ctx.q
-    logs = ctx._log  # by encoding, so blocks follow the encoding order
-    neg = log_neg(ctx, logs)
-    steps = [(q - 1) // (q0 ** e1 - 1) for e1 in range(1, e) if e % e1 == 0]
-
-    def sub(x, step):
-        return (x < 0) | (x % step == 0)
-
-    def coef(a, b, c, binom=1):
-        # log of binom * f_abc; binom is read in the prime field
-        x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
-        return -1 if x is None or y < 0 else x.v + y
-
-    # K[j, m, l] and T[j, m]: coefficient logs of A^j, indexed for Horner
-    K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
-    T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)
+    (a, b, 1) is parametrized as (s, t, -a s - b t), so the coefficient of
+    s^(n-m) t^m is sum_(j,l) (-1)^(j+l) binom(l+j, l) f_(n-m-j, m-l, l+j)
+    a^j b^l, indexed [j, m, l]; (a, 1, 0) as (s, -a s, t), whose
+    coefficient is sum_j (-1)^j f_(n-m-j, j, m) a^j, indexed [j, m]; and
+    (1, 0, 0) as (0, s, t), with coefficient f_(0, n-m, m), indexed [m]."""
+    _, index = _monomials(n)
+    missing = len(index)
+    pos1 = np.full((n + 1,) * 3, missing)
+    mult1 = np.zeros((n + 1,) * 3, dtype=np.int64)
+    pos2 = np.full((n + 1,) * 2, missing)
+    mult2 = np.zeros((n + 1,) * 2, dtype=np.int64)
     for m in range(n + 1):
         for j in range(n - m + 1):
-            T[j, m] = coef(n - m - j, j, m)
+            pos2[j, m] = index[(n - m - j, j, m)]
+            mult2[j, m] = (-1) ** j
             for l in range(m + 1):
-                K[j, m, l] = coef(n - m - j, m - l, l + j, math.comb(l + j, l))
+                pos1[j, m, l] = index[(n - m - j, m - l, l + j)]
+                mult1[j, m, l] = (-1) ** (j + l) * math.comb(l + j, l)
+    pos3 = np.array([index[(0, n - m, m)] for m in range(n + 1)])
+    return (pos1, mult1), (pos2, mult2), pos3
+
+
+def _restriction_blocks(f: ModForm, q0: int, e: int):
+    """The lines of P^2(F_q), q = q0^e, in _line_at order and in blocks:
+    the coordinate vectors of the restriction coefficients of f to each
+    line of a block, shape (d, n + 1, lines), and whether the line is
+    defined over a proper subfield F_{q0^e1}.
+
+    With the digits of the powers x^0..x^n of every element as rows (a
+    float64 table of q (n + 1) d entries, 56 q d bytes for a sextic, filled
+    in slices of _SEARCH_BLOCK elements), a block of lines (a, b, 1) is
+    two matrix products: the rows of a times
+    the digits of c t^k t^k', for the coefficients c of _restriction_terms,
+    give (reduced mod p) the digits of the coefficient of b^l t^k' in each
+    R_m; those times the rows of b give R_m.  The lines (a, 1, 0) take one
+    product, the rows of a times the digits of c t^k.  The products run in
+    float64: every sum has (n + 1) d terms below p^2, exact below 2^53.  An
+    element lies in F_{q0^e1} exactly when it is zero or its log is
+    divisible by (q - 1)/(q0^e1 - 1)."""
+    ctx, n = f.ctx, f.degree
+    q, p, d = ctx.q, ctx.p, ctx.d
+    if (n + 1) * d * (p - 1) ** 2 >= 1 << 53:
+        raise ValueError(f"the float64 restriction is not exact at p = {p}")
+    # subs[i][x]: the element of encoding x lies in the i-th proper
+    # subfield; those subfields need not contain each other (e = 6)
+    subs = [(ctx._log < 0) | (ctx._log % ((q - 1) // (q0 ** e1 - 1)) == 0)
+            for e1 in range(1, e) if e % e1 == 0]
+    proper = np.zeros(q, dtype=bool)
+    for sub in subs:
+        proper |= sub
+    monos, _ = _monomials(n)
+    coeffs = digits(ctx, [f.coeffs[m].to_int() if m in f.coeffs else 0
+                          for m in monos] + [0])
+    (pos1, mult1), (pos2, mult2), pos3 = _restriction_terms(n)
+    # U[(s, i), x]: digit i of t^s t^x for s <= 2d - 2, from the digits of
+    # t^s = t^k t^(s-k) in the multiplication tensor
+    M = mul_tensor(ctx)
+    deg = np.arange(2 * d - 1)
+    U = (M[np.minimum(deg, d - 1), deg - np.minimum(deg, d - 1)]
+         @ M.reshape(d, d * d)).reshape(2 * d - 1, d, d)
+    U = U.transpose(0, 2, 1).reshape((2 * d - 1) * d, d)
+    # X1[(k, j), (i, m, k', l)]: digit i of the a^j b^l coefficient of R_m
+    # times t^k t^k'; X2[(i, m), (k, j)]: of the a^j coefficient times t^k
+    C1 = (U @ (coeffs[:, pos1] * mult1 % p).reshape(d, -1) % p).reshape(
+        2 * d - 1, d, n + 1, n + 1, n + 1)[np.add.outer(deg[:d], deg[:d])]
+    X1 = C1.transpose(0, 3, 2, 4, 1, 5).reshape(
+        d * (n + 1), -1).astype(np.float64)
+    C2 = U[:d * d] @ (coeffs[:, pos2] * mult2 % p).reshape(d, -1) % p
+    X2 = C2.reshape(d, d, n + 1, n + 1).transpose(1, 3, 0, 2).reshape(
+        d * (n + 1), d * (n + 1)).astype(np.float64)
+    powers = np.empty((q, d * (n + 1)))
+    for c0 in range(0, q, _SEARCH_BLOCK):
+        enc = np.arange(c0, min(q, c0 + _SEARCH_BLOCK))
+        powers[c0:c0 + enc.size] = digit_powers(ctx, n, enc).transpose(
+            1, 0, 2).reshape(enc.size, -1)
     rows, cols = max(1, _SEARCH_BLOCK // q), min(q, _SEARCH_BLOCK)
     for r0 in range(0, q, rows):
-        P = log_horner(ctx, K, neg[r0:r0 + rows])  # P[m, l, row]
+        W = (powers[r0:r0 + rows] @ X1).astype(np.int64) % p
+        W = W.reshape(-1, d * (n + 1), d * (n + 1)).transpose(1, 0, 2).reshape(
+            -1, d * (n + 1)).astype(np.float64)
         for c0 in range(0, q, cols):
-            R = log_horner(ctx, np.moveaxis(P, 1, 0)[..., None],
-                           neg[c0:c0 + cols])
-            a, b = logs[r0:r0 + rows, None], logs[None, c0:c0 + cols]
-            skip = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
-            for s in steps:
-                skip |= sub(a, s) & sub(b, s)
-            yield R.reshape(n + 1, -1), skip.ravel()
+            R = (W @ powers[c0:c0 + cols].T).astype(np.int64) % p
+            skip = np.zeros((min(rows, q - r0), min(cols, q - c0)),
+                            dtype=bool)
+            for sub in subs:
+                skip |= sub[r0:r0 + rows, None] & sub[None, c0:c0 + cols]
+            yield R.reshape(d, n + 1, -1), skip.ravel()
     for c0 in range(0, q, _SEARCH_BLOCK):
-        a = logs[c0:c0 + _SEARCH_BLOCK]
-        skip = np.zeros(a.shape, dtype=bool)
-        for s in steps:
-            skip |= sub(a, s)
-        yield log_horner(ctx, T, neg[c0:c0 + _SEARCH_BLOCK]), skip
-    yield (np.array([[coef(0, n - m, m)] for m in range(n + 1)]),
-           np.array([e > 1]))
+        R = (X2 @ powers[c0:c0 + _SEARCH_BLOCK].T).astype(np.int64) % p
+        yield R.reshape(d, n + 1, -1), proper[c0:c0 + _SEARCH_BLOCK]
+    yield coeffs[:, pos3, None], np.array([e > 1])
 
 
 def _candidate_lines(f: ModForm, q0: int, e: int):
@@ -405,15 +481,15 @@ def _candidate_lines(f: ModForm, q0: int, e: int):
     start, pending, width = 0, [], 0
     for block in itertools.chain(_restriction_blocks(f, q0, e), [None]):
         if pending and (block is None
-                        or width + block[0].shape[1] > _SEARCH_BLOCK):
+                        or width + block[0].shape[2] > _SEARCH_BLOCK):
             ok = _unit_times_square(
-                f.ctx, np.concatenate([R for R, _ in pending], axis=1))
+                f.ctx, np.concatenate([R for R, _ in pending], axis=2))
             ok &= ~np.concatenate([skip for _, skip in pending])
             yield from (start + np.flatnonzero(ok)).tolist()
             start, pending, width = start + width, [], 0
         if block is not None:
             pending.append(block)
-            width += block[0].shape[1]
+            width += block[0].shape[2]
 
 
 def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
@@ -427,10 +503,15 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     field is checked before any is searched: the test needs Zech tables,
     so a field above the Zech limit raises BudgetExceededError, and so
     does a field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT
-    unless deep is set (the q^2 + q + 1 lines run at about 4e5 per
-    second).  A line whose restriction vanishes
-    identically (a line component of the branch locus) is skipped; that
-    configuration is singular and belongs to smoothness_check."""
+    unless deep is set (the q^2 + q + 1 lines run at about 2.5e6 per
+    second over F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
+    search holds a float64 table of 56 q d bytes (_restriction_blocks),
+    235 MB at q = 2^22 over a prime field, besides the field's own
+    tables: building the first blocks over F_4194301 peaks at 360 MB,
+    against 230 MB for the field and sextic alone.  A line whose
+    restriction vanishes identically (a line component of the branch
+    locus) is skipped; that configuration is singular and belongs to
+    smoothness_check."""
     base = f6.ctx
     for e in range(1, search_field_degree + 1):
         q = base.q ** e

@@ -1,16 +1,19 @@
-"""Exhaustive oracles shared by several test modules, and an independent
+"""Exhaustive oracles shared by several test modules; an independent
 reference for restriction and decomposition along a line: the path
 through a 3x3 change of coordinates T that sends the line to x
 (LinearChange, line_to_x, apply_linear_change, restrict_along and
-decompose_mod_line)."""
+decompose_mod_line); and the array test of the tritangent search in the
+discrete-log (Zech) representation (log_restriction_blocks and
+log_unit_times_square)."""
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from k3cert.errors import MathError
-from k3cert.ffield import FieldCtx, FieldElem
+from k3cert.ffield import FieldCtx, FieldElem, log_add, log_horner, log_mul
 from k3cert.forms import (
     BinaryForm,
     ModForm,
@@ -19,7 +22,7 @@ from k3cert.forms import (
     line_form,
     perfect_square_split,
 )
-from k3cert.geom import _sqrt_in_field
+from k3cert.geom import _SEARCH_BLOCK, _sqrt_in_field
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,3 +258,98 @@ def decompose_mod_line(f6: ModForm, line):
     assert f3 * f3 + ell * f5 == f6
     return f3, f5
 
+
+
+# ---------------------------------------------------------------------------
+# the tritangent array test on log indices (any negative value is zero)
+
+
+def log_neg(ctx: FieldCtx, a):
+    """Negatives: -1 = g^((q-1)/2)."""
+    return np.where(a < 0, -1, a + (ctx.q - 1) // 2)
+
+
+def log_equal(ctx: FieldCtx, a, b):
+    """Elementwise equality of elements given by log arrays."""
+    return np.where(a < 0, b < 0, (b >= 0) & ((a - b) % (ctx.q - 1) == 0))
+
+
+def log_unit_times_square(ctx: FieldCtx, R):
+    """Whether each column of coefficient logs, R[i] the coefficient of
+    s^(n-i) t^i, is u*h^2 with u a unit; a zero column is not.  The column
+    is shifted to start at its first nonzero coefficient, which must have
+    an even index; h_0 = 1 and h_1..h_k (k = n/2) solve the coefficients
+    1..k of R/u, and the coefficients k+1..n are compared with h^2."""
+    n = R.shape[0] - 1
+    k = n // 2
+    nonzero = R >= 0
+    first = np.argmax(nonzero, axis=0)
+    ok = nonzero.any(axis=0) & (first % 2 == 0) & (n % 2 == 0)
+    G = np.take_along_axis(np.concatenate([R, np.full_like(R, -1)]),
+                           first + np.arange(n + 1)[:, None], axis=0)
+    g = log_mul(G, -G[0] % (ctx.q - 1))
+    h = [np.zeros(R.shape[1], dtype=np.int64)]
+
+    def square_coeff(i, lo, hi):
+        # sum of h_a h_(i-a) over lo <= a <= hi
+        acc = np.int64(-1)
+        for a in range(lo, hi + 1):
+            acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
+        return acc
+
+    half = ctx.from_int(2).inverse().v
+    for j in range(1, k + 1):
+        inner = square_coeff(j, 1, j - 1)
+        h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
+    for i in range(k + 1, n + 1):
+        ok &= log_equal(ctx, g[i], square_coeff(i, i - k, k))
+    return ok
+
+
+def log_restriction_blocks(f: ModForm, q0: int, e: int):
+    """The blocks of geom._restriction_blocks with the restriction
+    coefficients as logs, shape (n + 1, lines), by Horner's rule in the
+    Zech representation: a line (a, b, 1) is parametrized as (s, t, A s +
+    B t) with A = -a and B = -b, so the coefficient of s^(n-m) t^m is sum_l
+    B^l P_ml(A) with P_ml(A) = sum_j binom(l+j, l) f_(n-m-j, m-l, l+j)
+    A^j; (a, 1, 0) as (s, A s, t) and (1, 0, 0) as (0, s, t)."""
+    ctx, n = f.ctx, f.degree
+    q = ctx.q
+    logs = ctx._log
+    neg = log_neg(ctx, logs)
+    steps = [(q - 1) // (q0 ** e1 - 1) for e1 in range(1, e) if e % e1 == 0]
+
+    def sub(x, step):
+        return (x < 0) | (x % step == 0)
+
+    def coef(a, b, c, binom=1):
+        # log of binom * f_abc; binom is read in the prime field
+        x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
+        return -1 if x is None or y < 0 else x.v + y
+
+    K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
+    T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)
+    for m in range(n + 1):
+        for j in range(n - m + 1):
+            T[j, m] = coef(n - m - j, j, m)
+            for l in range(m + 1):
+                K[j, m, l] = coef(n - m - j, m - l, l + j, math.comb(l + j, l))
+    rows, cols = max(1, _SEARCH_BLOCK // q), min(q, _SEARCH_BLOCK)
+    for r0 in range(0, q, rows):
+        P = log_horner(ctx, K, neg[r0:r0 + rows])  # P[m, l, row]
+        for c0 in range(0, q, cols):
+            R = log_horner(ctx, np.moveaxis(P, 1, 0)[..., None],
+                           neg[c0:c0 + cols])
+            a, b = logs[r0:r0 + rows, None], logs[None, c0:c0 + cols]
+            skip = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
+            for s in steps:
+                skip |= sub(a, s) & sub(b, s)
+            yield R.reshape(n + 1, -1), skip.ravel()
+    for c0 in range(0, q, _SEARCH_BLOCK):
+        a = logs[c0:c0 + _SEARCH_BLOCK]
+        skip = np.zeros(a.shape, dtype=bool)
+        for s in steps:
+            skip |= sub(a, s)
+        yield log_horner(ctx, T, neg[c0:c0 + _SEARCH_BLOCK]), skip
+    yield (np.array([[coef(0, n - m, m)] for m in range(n + 1)]),
+           np.array([e > 1]))

@@ -159,6 +159,7 @@ def test_zero_reduction_is_math_error(tmp_path, capsys):
     ("", ["count", "--dmax", "0"]),
     ("", ["zeta", "--k", "24"]),
     ("", ["certify", "--k", "24"]),
+    ("conic.1.q2: 2 0 0 2\nconic.1.q2: 2 0 0 7", []),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
                                         options):
@@ -171,7 +172,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
     assert code == 1
     assert err.startswith("usage error:") and "Traceback" not in err
     if extra_line:
-        assert repr(extra_line) in err
+        # the error names the offending line, the last one added
+        assert repr(extra_line.splitlines()[-1]) in err
 
 
 def test_unknown_stage_is_usage_error(capsys):
@@ -323,6 +325,12 @@ PINNED_DIGEST = (
     "c3302d2fe15048fb9d99ea5c7670576545d7aa23c6ad4b820bee230abd2df027")
 
 
+# sha256 of the outputs of _contact_calls, recorded before the array test
+# moved to F_p coordinates and binary_roots to one split per factor
+CONTACT_DIGEST = (
+    "f5bcabb5167c965741279a13c58e62827a1344553519ae1d4c1cb3d47925d412")
+
+
 def _pinned_calls(tmp_path):
     """obstruct on 24 seeded random dense sextics at p = 3, 5, 7 (a
     quarter built with a rational tritangent, a quarter singular) and
@@ -367,9 +375,41 @@ def _pinned_calls(tmp_path):
     return calls
 
 
-def test_pinned_outputs(tmp_path, capsys):
+def _contact_calls(tmp_path):
+    """tritangent --line-degree 2 on seeded sextics f3^2 + x f5 at p = 3,
+    5, 7 with f3(0, y, z) an irreducible cubic or a linear form times an
+    irreducible quadratic, so that contact points lie in F_(p^3) and
+    F_(p^2)."""
+    rng = random.Random(20261018)
+
+    def form(degree):
+        return IntForm({(a, b, degree - a - b): rng.randrange(-4, 5)
+                        for a in range(degree + 1)
+                        for b in range(degree + 1 - a)}, degree)
+
+    calls = []
+    for i in range(12):
+        p = (3, 5, 7)[i % 3]
+        if i % 2:  # y^3 + a y z^2 + b z^3 without a root
+            a, b = next((a, b) for a in range(p) for b in range(1, p)
+                        if all((t ** 3 + a * t + b) % p for t in range(p)))
+            cubic = {(0, 3, 0): 1, (0, 1, 2): a, (0, 0, 3): b}
+        else:  # z (y^2 - n z^2) with n a non-residue
+            n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+            cubic = {(0, 2, 1): 1, (0, 0, 3): -n}
+        f3 = IntForm(cubic, 3) + IntForm({(1, 0, 0): 1}) * form(2)
+        f6 = f3 * f3 + IntForm({(1, 0, 0): 1}) * form(5)
+        path = tmp_path / f"contact-{i}.txt"
+        path.write_text(f"name: c{i}\n" + "".join(
+            f"f6: {a} {b} {c} {v}\n" for (a, b, c), v in f6.coeffs.items()))
+        calls.append(["tritangent", "--spec", str(path), "--prime", str(p),
+                      "--json", "--line-degree", "2"])
+    return calls
+
+
+def _digest(calls, capsys):
     outputs = []
-    for argv in _pinned_calls(tmp_path):
+    for argv in calls:
         code = run(argv)
         captured = capsys.readouterr()
         report = captured.out
@@ -377,7 +417,20 @@ def test_pinned_outputs(tmp_path, capsys):
             report = json.loads(report)
             del report["timing_ms"]
         outputs.append([code, report, captured.err])
+    return outputs, hashlib.sha256(
+        json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+
+
+def test_pinned_outputs(tmp_path, capsys):
+    outputs, digest = _digest(_pinned_calls(tmp_path), capsys)
     codes = [o[0] for o in outputs]
     assert codes.count(2) >= 4 and codes.count(0) >= 15
-    text = json.dumps(outputs, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
+    assert digest == PINNED_DIGEST
+
+
+def test_pinned_contact_points_in_extensions(tmp_path, capsys):
+    outputs, digest = _digest(_contact_calls(tmp_path), capsys)
+    degrees = {c["field_degree"] for code, report, _ in outputs if code == 0
+               for cert in report["tritangents"] for c in cert["contacts"]}
+    assert {2, 3} <= degrees
+    assert digest == CONTACT_DIGEST

@@ -1,10 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from k3cert.errors import BudgetExceededError
 from k3cert.ffield import (
     Poly,
+    digit_inv,
+    digit_mul,
+    digit_powers,
+    digits,
     embed_subfield,
     factor_univariate,
     field_create,
@@ -102,6 +107,29 @@ def test_exp_log_tables_inverse_bijections():
         q1 = ctx.q - 1
         assert np.array_equal(ctx._log[ctx._exp], np.arange(q1))
         assert sorted(ctx._exp.tolist()) == list(range(1, ctx.q))
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (5, 2), (3, 3), (3, 6)])
+def test_digit_arithmetic_matches_elements(p, d):
+    # products (the multiplication tensor for d <= 2, the log tables
+    # above), inverses and powers on coordinate vectors agree with scalar
+    # field arithmetic, zero included
+    ctx = field_create(p, d)
+    rng = random.Random(10 * p + d)
+    xs = [0, 1, 0] + [rng.randrange(ctx.q) for _ in range(150)]
+    ys = [0, 0, 1] + [rng.randrange(ctx.q) for _ in range(150)]
+    x, y = digits(ctx, xs), digits(ctx, ys)
+    assert x.shape == (d, len(xs))
+    assert [ctx.from_coeffs(c.tolist()).to_int() for c in x.T] == xs
+    elems = [(ctx.from_enc(a), ctx.from_enc(b)) for a, b in zip(xs, ys)]
+    assert digit_mul(ctx, x, y).T.tolist() == [
+        list((a * b).coeffs()) for a, b in elems]
+    assert digit_inv(ctx, x).T.tolist() == [
+        list((a.inverse() if a else a).coeffs()) for a, _ in elems]
+    powers = digit_powers(ctx, 3, xs)
+    assert powers.transpose(1, 2, 0).tolist() == [
+        [list((a ** i).coeffs()) if a or i else list(ctx.one().coeffs())
+         for i in range(4)] for a, _ in elems]
 
 
 def test_poly_rep_matches_zech_rep():
