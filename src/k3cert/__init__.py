@@ -33,7 +33,6 @@ from .forms import (
     IntForm,
     ModForm,
     eval_form,
-    exact_divide,
     perfect_square_split,
     reduce_mod,
     restrict_to_line,

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetExceededError, CacheFileError, WeilBoundError
-from .ffield import FieldCtx, field_create, log_add, log_horner
+from .ffield import FieldCtx, field_create, log_horner
 from .forms import IntForm, ModForm, reduce_mod
 
 H2_DIM = 22  # second Betti number of a K3 surface
@@ -230,53 +230,6 @@ def _point_chart_sum(ctx, coef) -> int:
     n = coef.shape[0] - 1
     c = int(coef[0, n])
     return 0 if c < 0 else (1 - 2 * (c & 1))
-
-
-def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
-    """Log values of the form over one chart, for oracles and diagnostics.
-
-    chart 0: (1 : y : z), flat array in y-major order over all (y, z);
-    chart 1: (0 : 1 : z); chart 2: the single point (0 : 0 : 1).
-    Element order within a chart follows the log-index enumeration
-    (zero first, then powers of the generator).  Small fields only.
-    """
-    q = ctx.q
-    if chart == 0 and q * q > (1 << 26):
-        raise BudgetExceededError("chart materialization is for small fields")
-    coef = _coef_log_matrix(ctx, form)
-    n = coef.shape[0] - 1
-    q1 = q - 1
-    if chart == 2:
-        c = int(coef[0, n])
-        return np.array([c], dtype=np.int64)
-    if chart == 1:
-        cz = [int(coef[n - c, c]) for c in range(n + 1)]
-        return log_horner(ctx, cz, np.arange(q, dtype=np.int64) - 1)
-    ylogs = np.arange(q, dtype=np.int64) - 1
-    lc = np.stack([log_horner(ctx, coef[:, j], ylogs) for j in range(n + 1)])
-    out = np.empty((q, q), dtype=np.int64)
-    out[:, 0] = lc[0]
-    if q1:
-        k = np.arange(q1, dtype=np.int64)
-        acc = None
-        for j in range(n + 1):
-            cj = lc[j][:, None]
-            m = np.where(cj < 0, -1, cj + j * k[None, :])
-            acc = m if acc is None else log_add(ctx, acc, m)
-        out[:, 1:] = acc
-    return out.reshape(-1)
-
-
-def chart_points(ctx: FieldCtx, chart: int):
-    """The projective points of a chart in the order used by chart_value_logs."""
-    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in ctx._exp] \
-        if ctx.rep == "zech" else list(ctx.elements())
-    one, zero = ctx.one(), ctx.zero()
-    if chart == 2:
-        return [(zero, zero, one)]
-    if chart == 1:
-        return [(zero, one, z) for z in elems]
-    return [(one, y, z) for y in elems for z in elems]
 
 
 # ---------------------------------------------------------------------------

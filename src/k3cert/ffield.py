@@ -1035,24 +1035,3 @@ def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:
         if digit:
             acc = acc + pw * target.from_int(digit)
     return acc
-
-
-def minimal_polynomial(a: FieldElem) -> Poly:
-    """Minimal polynomial of a over F_p, returned over the prime field."""
-    ctx = a.ctx
-    prime = field_create(ctx.p, 1, ctx.zech_limit)
-    orbit = [a]
-    b = a.frobenius()
-    while b != a:
-        orbit.append(b)
-        b = b.frobenius()
-    poly = Poly(ctx, [ctx.one()])
-    for r in orbit:
-        poly = poly * Poly(ctx, [-r, ctx.one()])
-    ints = []
-    for coef in poly.c:
-        vec = coef.coeffs()
-        if any(vec[1:]):
-            raise AssertionError("minimal polynomial coefficient outside F_p")
-        ints.append(vec[0])
-    return Poly.from_ints(prime, ints)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import NotDivisibleError
 from .ffield import FieldCtx, FieldElem, Poly, embed_subfield, quad_char
 
 
@@ -441,67 +440,6 @@ def restrict_to_line(f: ModForm, line) -> BinaryForm:
                     idx = i + j + k
                     out[idx] = out[idx] + coef * pref * cc
     return BinaryForm(ctx, out)
-
-
-def _lead_monomial(coeffs):
-    return min(coeffs, key=_grevlex_sort_key)
-
-
-def exact_divide(f, g):
-    """Exact division f / g of forms of the same kind; errors if g does not
-    divide f (a broken decomposition upstream).  Integer forms also require
-    every coefficient quotient to be exact."""
-    if isinstance(f, IntForm) != isinstance(g, IntForm):
-        raise TypeError("operands must be the same kind of form")
-    integer = isinstance(f, IntForm)
-    if not integer and f.ctx is not g.ctx:
-        raise ValueError("field context mismatch")
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if f.is_zero():
-        if integer:
-            return IntForm({}, max(f.degree - g.degree, 0))
-        return ModForm(f.ctx, {}, max(f.degree - g.degree, 0))
-    if f.degree < g.degree:
-        raise NotDivisibleError("degree of divisor exceeds degree of dividend")
-    lead_g = _lead_monomial(g.coeffs)
-    cg = g.coeffs[lead_g]
-    rem = dict(f.coeffs)
-    quo: dict = {}
-    while rem:
-        lead_r = _lead_monomial(rem)
-        mono = tuple(lead_r[i] - lead_g[i] for i in range(3))
-        if any(e < 0 for e in mono):
-            raise NotDivisibleError(
-                f"leading monomial {lead_r} not divisible by {lead_g}")
-        cr = rem[lead_r]
-        if integer:
-            if cr % cg:
-                raise NotDivisibleError(
-                    f"coefficient {cr} not divisible by {cg}")
-            coef = cr // cg
-        else:
-            coef = cr / cg
-        quo[mono] = coef
-        for m2, c2 in g.coeffs.items():
-            m = (mono[0] + m2[0], mono[1] + m2[1], mono[2] + m2[2])
-            if integer:
-                val = rem.get(m, 0) - coef * c2
-                if val:
-                    rem[m] = val
-                else:
-                    rem.pop(m, None)
-            else:
-                val = rem.get(m)
-                val = (-(coef * c2)) if val is None else val - coef * c2
-                if val.is_zero():
-                    rem.pop(m, None)
-                else:
-                    rem[m] = val
-    deg = f.degree - g.degree
-    if integer:
-        return IntForm(quo, deg)
-    return ModForm(f.ctx, quo, deg)
 
 
 class SquareSplit:

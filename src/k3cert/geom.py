@@ -21,30 +21,44 @@ the two coordinates other than the first nonzero one of l, so the
 principal square root r h of the restriction (r the square root of the
 unit with the smaller representative in [0, p), h normalized to 1 at its
 first nonzero coefficient) is f3 written in those two coordinates, and
-f5 = (f6 - f3^2)/l.
+f5 = (f6 - f3^2)/l by synthetic division in the first nonzero
+coordinate of l.
 
 Smoothness of the sextic (good reduction of the double cover for odd p)
 is one rank computation over F_p: f6 and its partials have no common zero
 over the algebraic closure exactly when their multiples span all 120
-monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of
-degrees 6, 5, 5, 5 in three variables).  Euler's identity 6 f6 = x fx +
-y fy + z fz makes 45 of the 210 rows redundant: for p != 3 the multiples
-of f6 lie in the span of the partials' multiples, and for p = 3 (where the
-left side vanishes) the multiples x_k m f_k of the last nonzero partial
-f_k do; the matrix keeps 165 rows with the same row space.  It is reduced
-mod p with lazy reduction: only the pivot column and the pivot row are
-reduced at each step, and the rows below take unreduced updates, each
-smaller than (p-1)^2 and at most one per pivot.  Entries then stay below
-p + ncols*(p-1)^2 in magnitude, and the matrix is stored in the narrowest
-of int16, int32 and int64 that holds that bound (at the 120 columns of
-degree 14: int16 up to p = 17, int32 up to p = 4231, int64 below about
-2.7e8); larger primes reduce every update in int64.  On a rank deficit the
-witness comes from the same echelon form: with the columns of monomials
-containing z first, the rows with a z-free pivot are binary forms in the
-ideal, and a zero of their gcd lifts through the specialised system in z.
-Without such rows a singular curve is found on the line x = 0, and a
-finite singular locus off that line from the matrix in a higher degree
-(at most 30).
+monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of degrees
+6, 5, 5, 5 in three variables).  Euler's identity 6 f6 = x fx + y fy + z
+fz makes 45 of the 210 rows redundant: for p != 3 the multiples of f6 lie
+in the span of the partials' multiples, and for p = 3 (where the left
+side vanishes) the multiples x_k m f_k of the last nonzero partial f_k
+do; the matrix keeps 165 rows with the same row space.  With the columns
+in descending powers of z, a form of the least degree k with a unit
+coefficient on z^k (for p != 3 a partial with k = 5, which exists when
+a_006, a_105 or a_015 is nonzero; at p = 3, where fz has no z^5 term, fx
+or fy, else f6 with k = 6) gives a unit triangular block, its multiples
+by every monomial, with pivots at the 55 (or 45) columns of z-degree >=
+k.  The other forms' multiples by monomials divisible by z^k are
+redundant modulo the block and are dropped; the rest (80 rows for p != 3)
+are divided by the block one z-level at a time, a float64 matrix product
+per level, exact while p + k (15 - k) (p-1)^2 < 2^53 (p below about
+1.3e7).  Only the remainder on the 65 (or 75) columns of z-degree below k
+goes through the pivot loop, and the rank is the block size plus its
+rank; without a unit z-power (then (0 : 0 : 1) is singular) or above that
+bound the whole matrix does.  The pivot loop reduces mod p lazily: only
+the pivot column and the pivot row are reduced at each step, and the rows
+below take unreduced updates, each smaller than (p-1)^2 and at most one
+per pivot.  Entries then stay below p + ncols*(p-1)^2 in magnitude, and
+the matrix is stored in the narrowest of int16, int32 and int64 that
+holds that bound (at 120 columns: int16 up to p = 17, int32 up to p =
+4231, int64 below about 2.7e8); larger primes reduce every update in
+int64.  On a rank deficit the witness comes from the same echelon form:
+the rows with a z-free pivot are binary forms in the ideal (they span the
+z-free part of the full matrix's row space, as every block row has a
+pivot of z-degree >= k), and a zero of their gcd lifts through the
+specialised system in z.  Without such rows a singular curve is found on
+the line x = 0, and a finite singular locus off that line from the matrix
+in a higher degree (at most 30), reduced the same way.
 """
 
 from __future__ import annotations
@@ -78,7 +92,6 @@ from .forms import (
     IntForm,
     ModForm,
     SquareSplit,
-    exact_divide,
     line_coeffs,
     line_form,
     line_kernel_basis,
@@ -267,7 +280,11 @@ def _decompose_mod_line(f6: ModForm, line, split: SquareSplit):
     other one, so a binary form b(s, t) is the restriction of b(x_j1,
     x_j2).  Canonical choice: f3 = r h(x_j1, x_j2) with r the principal
     square root of the unit; f6 - f3^2 vanishes on the line, and the
-    quotient f5 = (f6 - f3^2)/line is unique."""
+    quotient f5 = (f6 - f3^2)/line is unique.  It comes from synthetic
+    division in the pivot variable x_v: with line = a x_v + L, the terms
+    of x_v-degree e + 1 of g = f6 - f3^2 give the quotient's terms of
+    degree e, g_(e+1) = a q_e + L q_(e+1); the identity check catches a
+    nonzero remainder."""
     ctx = f6.ctx
     r = _sqrt_in_field(split.unit)
     pivot = next(i for i, c in enumerate(line) if not c.is_zero())
@@ -275,9 +292,22 @@ def _decompose_mod_line(f6: ModForm, line, split: SquareSplit):
     f3 = ModForm(ctx, {tuple(3 - i if v == j1 else i if v == j2 else 0
                              for v in range(3)): r * c
                        for i, c in enumerate(split.h.coeffs)}, 3)
-    ell = line_form(ctx, line)
-    f5 = exact_divide(f6 - f3 * f3, ell)
-    assert f3 * f3 + ell * f5 == f6
+    g = f6 - f3 * f3
+    levels = [{} for _ in range(g.degree + 1)]  # the terms by x_v-degree
+    for m, c in g.coeffs.items():
+        levels[m[pivot]][m] = c
+    inv, zero, quotient = line[pivot].inverse(), ctx.zero(), {}
+    rest = [(j, line[j]) for j in (j1, j2) if not line[j].is_zero()]
+    for e in range(g.degree, 0, -1):
+        for m, c in levels[e].items():
+            c = c * inv
+            m = tuple(a - (v == pivot) for v, a in enumerate(m))
+            quotient[m] = c
+            for j, lj in rest:
+                mj = tuple(a + (v == j) for v, a in enumerate(m))
+                levels[e - 1][mj] = levels[e - 1].get(mj, zero) - c * lj
+    f5 = ModForm(ctx, quotient, g.degree - 1)
+    assert f3 * f3 + line_form(ctx, line) * f5 == f6
     return f3, f5
 
 
@@ -705,10 +735,95 @@ def _row_echelon(mat: np.ndarray, p: int):
     return m[:len(pivots)].astype(mat.dtype), pivots
 
 
+@functools.lru_cache(maxsize=None)
+def _block_rows(form_degrees: tuple, degree: int, skip, i: int, k: int):
+    """Rows of _macaulay_matrix for forms of these degrees: those of form
+    i, and those of the other forms whose multiplier has z-degree below
+    k."""
+    owner, zdeg = [], []
+    for j, e in enumerate(form_degrees):
+        z = np.array([m[2] for m in _monomials(degree - e)[0]], dtype=np.intp)
+        if skip is not None and j == len(form_degrees) - 1:
+            z = z[_free_of(degree - e, skip)]
+        owner.append(np.full(z.size, j))
+        zdeg.append(z)
+    owner, zdeg = np.concatenate(owner), np.concatenate(zdeg)
+    return np.flatnonzero(owner == i), np.flatnonzero((owner != i) & (zdeg < k))
+
+
+def _block_form(system, degree: int, skip):
+    """(i, k): the form system[i] of least degree k with a nonzero z^k
+    coefficient, whose multiples in `degree` are a triangular block, or
+    None.  The last form does not count when skip leaves out some of its
+    multiples, nor does any when the float64 division by the block would
+    not be exact.  A z-level has at most degree - k + 1 columns; its
+    entries are reduced into (-p, p) before they multiply the block's
+    rows (entries in [0, p)), and each column takes at most k such
+    updates, one from each of the k levels above it, so every entry stays
+    below p + k (degree - k + 1) (p-1)^2 in magnitude, an integer that
+    float64 holds exactly below 2^53 (p below about 1.3e7 in degree
+    14)."""
+    p = system[0].ctx.p
+    forms = system if skip is None else system[:-1]
+    k, i = min(((f.degree, i) for i, f in enumerate(forms)
+                if (0, 0, f.degree) in f.coeffs), default=(None, None))
+    if k is None or p + k * (degree - k + 1) * (p - 1) ** 2 >= 1 << 53:
+        return None
+    return i, k
+
+
+def _reduced_echelon(system, degree: int, skip=None):
+    """Rank of the Macaulay matrix of a system in `degree`, and the echelon
+    form of the rows that a unit triangular block leaves: (rank, rows,
+    pivots), the rows over the columns of z-degree below k.
+
+    A form g = u z^k + (terms of lower z-degree) of the system with u != 0
+    gives, times the monomials m of degree `degree` - k, rows whose first
+    column (columns run by descending z-degree) is m z^k: a triangular
+    block with pivots at every column of z-degree >= k.  A multiple m h of
+    another form with z^k dividing m is redundant modulo the block and the
+    multiples of h of lower z-degree, as z^k h = (g h - (g - u z^k) h)/u;
+    so those rows are dropped.  The others are divided by the block one
+    z-level at a time from z^degree down to z^k: the block's rows of level
+    c are the identity on the level's columns, so subtracting the level's
+    coefficients times those rows clears the level and changes only the
+    k levels below it, one float64 matrix product per level, exact by
+    _block_form; the remainder is reduced mod p once, at the end.
+    The rank is the block size plus the rank of the remainder on the
+    columns of z-degree below k, and the z-free rows of the full matrix
+    span the same space as those of the remainder, as the block has no
+    row without a pivot of z-degree >= k.  Without such a form the whole
+    matrix is eliminated."""
+    p = system[0].ctx.p
+    mat = _macaulay_matrix(system, degree, skip)
+    block_form = _block_form(system, degree, skip)
+    if block_form is None:
+        rows, pivots = _row_echelon(mat, p)
+        return len(pivots), rows, pivots
+    i, k = block_form
+    own, rest = _block_rows(tuple(f.degree for f in system), degree, skip, i, k)
+    u = system[i].coeffs[(0, 0, k)].to_int()
+    # transposed, so that a z-level is a slice of contiguous rows
+    block = (mat[own] * pow(u, -1, p) % p).T.astype(np.float64, order="C")
+    rem = mat[rest].T.astype(np.float64, order="C")
+
+    def level_end(c):  # the columns of z-degree >= c
+        return (degree - c + 1) * (degree - c + 2) // 2
+
+    for c in range(degree, k - 1, -1):
+        lo, hi, end = level_end(c + 1), level_end(c), level_end(max(c - k, 0))
+        np.fmod(rem[lo:hi], p, out=rem[lo:hi])
+        rem[hi:end] -= block[hi:end, lo:hi] @ rem[lo:hi]
+    size = level_end(k)
+    rows, pivots = _row_echelon(
+        rem[size:].T.astype(np.int64, order="C") % p, p)
+    return size + len(pivots), rows, pivots
+
+
 def _z_free_forms(ctx: FieldCtx, rows, pivots, degree: int):
     """From the echelon form of the Macaulay matrix in `degree`: a basis of
     the binary forms in (x, y) in the ideal, the rows with a z-free pivot."""
-    first = len(_monomials(degree)[0]) - (degree + 1)
+    first = rows.shape[1] - (degree + 1)
     return [BinaryForm(ctx, [ctx.from_int(int(c)) for c in row[first:]])
             for row, col in zip(rows, pivots) if col >= first]
 
@@ -762,8 +877,8 @@ def _singular_witness(system, skip, forms):
             (s0, t0), _, _ = binary_roots(g)[0]
             return s0.ctx.zero(), s0, t0
         for degree in range(_MACAULAY_DEGREE + 1, 31):
-            forms = _z_free_forms(ctx, *_row_echelon(
-                _macaulay_matrix(system, degree, skip), ctx.p), degree)
+            _, rows, pivots = _reduced_echelon(system, degree, skip)
+            forms = _z_free_forms(ctx, rows, pivots, degree)
             if forms:
                 break
         else:
@@ -783,17 +898,19 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
     f6 is smooth exactly when the degree-14 Macaulay matrix of f6 and its
     nonzero partials (less the rows that Euler's identity makes redundant,
     see _smoothness_system) has full rank 120 over F_p; rank does not change
-    under field extension.  A singular verdict carries a common zero over
-    the smallest extension that the witness search needed."""
+    under field extension.  The rank is that of the triangular block of a
+    form with a unit z-power plus that of the other rows divided by it
+    (_reduced_echelon), so the pivot loop runs over at most 75 columns when
+    such a form exists.  A singular verdict carries a common zero over the
+    smallest extension that the witness search needed."""
     ctx = f6.ctx
     if ctx.d != 1:
         raise ValueError("smoothness_check needs a form over a prime field")
     if f6.is_zero():
         raise ValueError("zero form")
     system, skip = _smoothness_system(f6)
-    rows, pivots = _row_echelon(
-        _macaulay_matrix(system, _MACAULAY_DEGREE, skip), ctx.p)
-    if len(pivots) == len(_monomials(_MACAULAY_DEGREE)[0]):
+    rank, rows, pivots = _reduced_echelon(system, _MACAULAY_DEGREE, skip)
+    if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")
     pt = _singular_witness(system, skip, _z_free_forms(ctx, rows, pivots,
                                                        _MACAULAY_DEGREE))

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CommonZeroOnLineError, NotDivisibleError
 from .ffield import field_create
-from .forms import (
-    BinaryForm,
-    IntForm,
-    exact_divide,
-    reduce_mod,
-    restrict_to_line,
-)
+from .forms import BinaryForm, IntForm, reduce_mod, restrict_to_line
 from .geom import _binary_gcd, _line_vec_over, decompose_along_line
 
 
@@ -54,18 +48,20 @@ class ObstructionReport:
 def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntForm:
     """G = (f6 - f3^2 - l*f5)/p, exact over Z.
 
-    The decomposition identity mod p is checked first; a failed division
-    signals a broken decomposition upstream."""
+    Every coefficient of the numerator must be divisible by p (the
+    decomposition identity mod p); otherwise the decomposition upstream is
+    broken."""
     ctx = field_create(p, 1)
     ell_vec = _line_vec_over(ctx, line)
     ell_int = IntForm({(1, 0, 0): ell_vec[0].to_int(),
                        (0, 1, 0): ell_vec[1].to_int(),
                        (0, 0, 1): ell_vec[2].to_int()}, 1)
     numerator = f6 - f3 * f3 - ell_int * f5
-    if not reduce_mod(numerator, ctx).is_zero():
+    if any(c % p for c in numerator.coeffs.values()):
         raise NotDivisibleError(
             "f6 - f3^2 - l*f5 is not divisible by p: invalid decomposition")
-    return exact_divide(numerator, IntForm({(0, 0, 0): p}, 0))
+    return IntForm({m: c // p for m, c in numerator.coeffs.items()},
+                   numerator.degree)
 
 
 def _solve_mod_p(matrix, rhs, p):

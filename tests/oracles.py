@@ -2,9 +2,13 @@
 reference for restriction and decomposition along a line: the path
 through a 3x3 change of coordinates T that sends the line to x
 (LinearChange, line_to_x, apply_linear_change, restrict_along and
-decompose_mod_line); and the array test of the tritangent search in the
-discrete-log (Zech) representation (log_restriction_blocks and
-log_unit_times_square)."""
+decompose_mod_line) with the generic grevlex division exact_divide; the
+array test of the tritangent search in the discrete-log (Zech)
+representation (log_restriction_blocks and log_unit_times_square); the
+smoothness test on the full Macaulay matrices without the triangular
+block (macaulay_smoothness); and the chart evaluator and minimal
+polynomials that the exhaustive singular-point scan and the field tests
+use (chart_value_logs, chart_points, minimal_polynomial)."""
 
 import functools
 import itertools
@@ -12,17 +16,39 @@ import math
 
 import numpy as np
 
-from k3cert.errors import MathError
-from k3cert.ffield import FieldCtx, FieldElem, log_add, log_horner, log_mul
+from k3cert.count import _coef_log_matrix
+from k3cert.errors import BudgetExceededError, MathError, NotDivisibleError
+from k3cert.ffield import (
+    FieldCtx,
+    FieldElem,
+    Poly,
+    field_create,
+    log_add,
+    log_horner,
+    log_mul,
+)
 from k3cert.forms import (
     BinaryForm,
+    IntForm,
     ModForm,
-    exact_divide,
+    _grevlex_sort_key,
     line_coeffs,
     line_form,
     perfect_square_split,
+    restrict_to_line,
 )
-from k3cert.geom import _SEARCH_BLOCK, _sqrt_in_field
+from k3cert.geom import (
+    _MACAULAY_DEGREE,
+    _SEARCH_BLOCK,
+    _binary_gcd,
+    _lift_through_z,
+    _macaulay_matrix,
+    _monomials,
+    _sqrt_in_field,
+    _z_free_forms,
+    binary_roots,
+    normalize_point,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,6 +284,179 @@ def decompose_mod_line(f6: ModForm, line):
     assert f3 * f3 + ell * f5 == f6
     return f3, f5
 
+
+
+def _lead_monomial(coeffs):
+    """The leading monomial in descending grevlex order."""
+    return min(coeffs, key=_grevlex_sort_key)
+
+
+def exact_divide(f, g):
+    """Exact division f / g of forms of the same kind; errors if g does not
+    divide f (a broken decomposition upstream).  Integer forms also require
+    every coefficient quotient to be exact."""
+    if isinstance(f, IntForm) != isinstance(g, IntForm):
+        raise TypeError("operands must be the same kind of form")
+    integer = isinstance(f, IntForm)
+    if not integer and f.ctx is not g.ctx:
+        raise ValueError("field context mismatch")
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero form")
+    if f.is_zero():
+        if integer:
+            return IntForm({}, max(f.degree - g.degree, 0))
+        return ModForm(f.ctx, {}, max(f.degree - g.degree, 0))
+    if f.degree < g.degree:
+        raise NotDivisibleError("degree of divisor exceeds degree of dividend")
+    lead_g = _lead_monomial(g.coeffs)
+    cg = g.coeffs[lead_g]
+    rem = dict(f.coeffs)
+    quo: dict = {}
+    while rem:
+        lead_r = _lead_monomial(rem)
+        mono = tuple(lead_r[i] - lead_g[i] for i in range(3))
+        if any(e < 0 for e in mono):
+            raise NotDivisibleError(
+                f"leading monomial {lead_r} not divisible by {lead_g}")
+        cr = rem[lead_r]
+        if integer:
+            if cr % cg:
+                raise NotDivisibleError(
+                    f"coefficient {cr} not divisible by {cg}")
+            coef = cr // cg
+        else:
+            coef = cr / cg
+        quo[mono] = coef
+        for m2, c2 in g.coeffs.items():
+            m = (mono[0] + m2[0], mono[1] + m2[1], mono[2] + m2[2])
+            if integer:
+                val = rem.get(m, 0) - coef * c2
+                if val:
+                    rem[m] = val
+                else:
+                    rem.pop(m, None)
+            else:
+                val = rem.get(m)
+                val = (-(coef * c2)) if val is None else val - coef * c2
+                if val.is_zero():
+                    rem.pop(m, None)
+                else:
+                    rem[m] = val
+    deg = f.degree - g.degree
+    if integer:
+        return IntForm(quo, deg)
+    return ModForm(f.ctx, quo, deg)
+
+
+def macaulay_smoothness(f6: ModForm):
+    """Reference for smoothness_check: (verdict, witness, field degree)
+    from the full Macaulay matrices of f6 and its nonzero partials (210
+    rows in degree 14 when no partial vanishes), reduced by row_echelon in
+    every degree, with no triangular block, no dropped rows and no Euler
+    skip.  The witness search takes the steps of geom._singular_witness
+    on those matrices."""
+    ctx = f6.ctx
+    system = [f6] + [h for h in (f6.partial(v) for v in range(3))
+                     if not h.is_zero()]
+
+    def echelon(degree):
+        rows, pivots = row_echelon(_macaulay_matrix(system, degree), ctx.p)
+        return len(pivots), _z_free_forms(ctx, rows, pivots, degree)
+
+    def witness(forms):
+        if all((0, 0, f.degree) not in f.coeffs for f in system):
+            return ctx.zero(), ctx.zero(), ctx.one()
+        if not forms:
+            x_line = (ctx.one(), ctx.zero(), ctx.zero())
+            g = functools.reduce(_binary_gcd, [restrict_to_line(f, x_line)
+                                               for f in system])
+            if g.degree > 0:
+                (s0, t0), _, _ = binary_roots(g)[0]
+                return s0.ctx.zero(), s0, t0
+            degree = _MACAULAY_DEGREE
+            while not forms:
+                degree += 1
+                assert degree <= 30, "no binary form in the ideal"
+                forms = echelon(degree)[1]
+        for (u0, v0), _, _ in binary_roots(functools.reduce(_binary_gcd,
+                                                            forms)):
+            pt = _lift_through_z(system, u0, v0)
+            if pt is not None:
+                return pt
+
+    rank, forms = echelon(_MACAULAY_DEGREE)
+    if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
+        return "smooth", None, None
+    pt = normalize_point(witness(forms))
+    return "singular", pt, pt[0].ctx.d
+
+
+def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
+    """Log values of the form over one chart, for oracles and diagnostics.
+
+    chart 0: (1 : y : z), flat array in y-major order over all (y, z);
+    chart 1: (0 : 1 : z); chart 2: the single point (0 : 0 : 1).
+    Element order within a chart follows the log-index enumeration
+    (zero first, then powers of the generator).  Small fields only.
+    """
+    q = ctx.q
+    if chart == 0 and q * q > (1 << 26):
+        raise BudgetExceededError("chart materialization is for small fields")
+    coef = _coef_log_matrix(ctx, form)
+    n = coef.shape[0] - 1
+    q1 = q - 1
+    if chart == 2:
+        c = int(coef[0, n])
+        return np.array([c], dtype=np.int64)
+    if chart == 1:
+        cz = [int(coef[n - c, c]) for c in range(n + 1)]
+        return log_horner(ctx, cz, np.arange(q, dtype=np.int64) - 1)
+    ylogs = np.arange(q, dtype=np.int64) - 1
+    lc = np.stack([log_horner(ctx, coef[:, j], ylogs) for j in range(n + 1)])
+    out = np.empty((q, q), dtype=np.int64)
+    out[:, 0] = lc[0]
+    if q1:
+        k = np.arange(q1, dtype=np.int64)
+        acc = None
+        for j in range(n + 1):
+            cj = lc[j][:, None]
+            m = np.where(cj < 0, -1, cj + j * k[None, :])
+            acc = m if acc is None else log_add(ctx, acc, m)
+        out[:, 1:] = acc
+    return out.reshape(-1)
+
+
+def chart_points(ctx: FieldCtx, chart: int):
+    """The projective points of a chart in the order used by chart_value_logs."""
+    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in ctx._exp] \
+        if ctx.rep == "zech" else list(ctx.elements())
+    one, zero = ctx.one(), ctx.zero()
+    if chart == 2:
+        return [(zero, zero, one)]
+    if chart == 1:
+        return [(zero, one, z) for z in elems]
+    return [(one, y, z) for y in elems for z in elems]
+
+
+def minimal_polynomial(a: FieldElem) -> Poly:
+    """Minimal polynomial of a over F_p, returned over the prime field."""
+    ctx = a.ctx
+    prime = field_create(ctx.p, 1, ctx.zech_limit)
+    orbit = [a]
+    b = a.frobenius()
+    while b != a:
+        orbit.append(b)
+        b = b.frobenius()
+    poly = Poly(ctx, [ctx.one()])
+    for r in orbit:
+        poly = poly * Poly(ctx, [-r, ctx.one()])
+    ints = []
+    for coef in poly.c:
+        vec = coef.coeffs()
+        if any(vec[1:]):
+            raise AssertionError("minimal polynomial coefficient outside F_p")
+        ints.append(vec[0])
+    return Poly.from_ints(prime, ints)
 
 
 # ---------------------------------------------------------------------------

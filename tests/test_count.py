@@ -5,8 +5,6 @@ import pytest
 from k3cert import count
 from k3cert.count import (
     CacheStore,
-    chart_points,
-    chart_value_logs,
     count_points,
     count_series,
     fingerprint_mod_p,
@@ -17,6 +15,7 @@ from k3cert.ffield import field_create, quad_char
 from k3cert.forms import IntForm, eval_form, reduce_mod
 
 import data
+from oracles import chart_points, chart_value_logs
 
 
 def _slow_count(f6: IntForm, p: int, d: int) -> int:

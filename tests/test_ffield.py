@@ -13,10 +13,11 @@ from k3cert.ffield import (
     embed_subfield,
     factor_univariate,
     field_create,
-    minimal_polynomial,
     poly_roots,
     quad_char,
 )
+
+from oracles import minimal_polynomial
 
 
 def test_create_prime_field():

@@ -9,7 +9,6 @@ from k3cert.forms import (
     IntForm,
     ModForm,
     eval_form,
-    exact_divide,
     perfect_square_split,
     reduce_mod,
     restrict_to_line,
@@ -19,6 +18,7 @@ import data
 from oracles import (
     LinearChange,
     apply_linear_change,
+    exact_divide,
     line_to_x,
     restrict_along,
     unit_square_products,

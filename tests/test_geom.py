@@ -34,9 +34,12 @@ import data
 from oracles import (
     LinearChange,
     apply_linear_change,
+    chart_points,
+    chart_value_logs,
     decompose_mod_line,
     log_restriction_blocks,
     log_unit_times_square,
+    macaulay_smoothness,
     row_echelon,
 )
 
@@ -569,8 +572,6 @@ def test_conic_identities_surface_c():
 def _exhaustive_singular(f6: ModForm, max_degree: int):
     """Oracle: scan P^2(F_{p^e}) directly for common zeros of f6 and its
     partials, using the vectorized chart evaluator."""
-    import numpy as np
-    from k3cert.count import chart_points, chart_value_logs
     base = f6.ctx
     polys = [f6] + [f6.partial(v) for v in range(3)]
     hits = []
@@ -919,13 +920,43 @@ def test_row_echelon_dtype_boundaries_match_oracle():
                 _assert_echelon_matches_oracle(_growth_matrix(n, p), p)
 
 
-def test_smoothness_matches_full_macaulay_oracle():
+def _float_division_primes(degree=14, k=5):
+    """The largest prime below the float64 bound of the division by a block
+    of z-power k, p + k (degree - k + 1) (p-1)^2 < 2^53, and the next
+    prime."""
+    n = k * (degree - k + 1)
+    p = math.isqrt((1 << 53) // n) + 1
+    while p + n * (p - 1) ** 2 >= 1 << 53 or not is_prime(p):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
+def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
     # smoothness_check leaves out the rows that Euler's identity makes
-    # redundant (165 of 210 rows with three nonzero partials); the full
-    # matrix reduced by the eager oracle gives the same verdict, witness
-    # and field degree
+    # redundant, takes the multiples of a form with a unit z-power as a
+    # triangular block, drops the rows that the block makes redundant and
+    # eliminates only what is left; the full matrices (210 rows in degree
+    # 14) reduced by the eager oracle in every degree give the same
+    # verdict, witness and field degree.  The pivot loop sees the 65
+    # columns of z-degree below 5 when a partial has a unit z^5 (p = 3:
+    # fx or fy), the 75 below z^6 for f6's block at p = 3, and all 120
+    # without a unit z-power (then (0 : 0 : 1) is singular) or beyond the
+    # float64 bound of the division
+    below, above = _float_division_primes()
+    widths = []
+    row_echelon_ = geom._row_echelon
+
+    def recording(mat, p):
+        widths.append(mat.shape[1])
+        return row_echelon_(mat, p)
+
+    monkeypatch.setattr(geom, "_row_echelon", recording)
     rng = random.Random(23)
-    for p in (3, 5, 7, 17, 19, 23, 4231, 4241, 1000003, (1 << 31) - 1):
+    for p in (3, 5, 7, 11, 17, 19, 23, 101, 4231, 4241, 1000003, below,
+              above, (1 << 31) - 1):
         ctx = field_create(p, 1)
 
         def form(degree, keep=lambda m: True, density=1.0):
@@ -933,36 +964,34 @@ def test_smoothness_matches_full_macaulay_oracle():
                               for m in _monomials(degree)[0]
                               if keep(m) and rng.random() < density}, degree)
 
-        # g meets x = 0 in rational points, so the witness of g^2 h is
-        # rational (over F_(p^2) beyond the Zech limit it takes seconds)
-        g = _mod(ctx, {(0, 1, 1): 1, (2, 0, 0): rng.randrange(p),
-                       (1, 1, 0): rng.randrange(p), (1, 0, 1): 1}, 2)
-        f3 = form(3)
-        sextics = [form(6), form(6, density=0.2), g * g * form(2),
-                   form(6, lambda m: m[2] < 5),  # a node at (0 : 0 : 1)
-                   f3 * f3 + form(1) * form(5),
-                   form(6, lambda m: m[0] == 0)]  # fx = 0
-        if p == 3:  # every partial of a cube vanishes
-            c = form(2)
-            sextics += [c * c * c, c * c * c + form(6, density=0.1)]
+        sextics = [_mod(ctx, {m: 1}, 6) for m in ((6, 0, 0), (0, 0, 6))]
+        for _ in range(3 if p <= 101 else 1):
+            # g meets x = 0 in rational points, so the witness of g^2 h is
+            # rational (over F_(p^2) beyond the Zech limit it takes seconds)
+            g = _mod(ctx, {(0, 1, 1): 1, (2, 0, 0): rng.randrange(p),
+                           (1, 1, 0): rng.randrange(p), (1, 0, 1): 1}, 2)
+            f3 = form(3)
+            sextics += [form(6), form(6, density=0.2), g * g * form(2),
+                        form(6, lambda m: m[2] < 5),  # a node at (0 : 0 : 1)
+                        form(6, lambda m: m[2] != 5),  # p = 3: f6's block
+                        f3 * f3 + form(1) * form(5),
+                        form(6, lambda m: m[0] == 0)]  # fx = 0
+            if p == 3:  # every partial of a cube vanishes
+                c = form(2)
+                sextics += [c * c * c, c * c * c + form(6, density=0.1)]
         for f6 in sextics:
             if f6.is_zero():
                 continue
-            partials = [(v, h) for v, h in
-                        enumerate(f6.partial(v) for v in range(3))
+            partials = [h for h in (f6.partial(v) for v in range(3))
                         if not h.is_zero()]
-            system = [f6] + [h for _, h in partials]
-            full = _macaulay_matrix(system, 14)
             if len(partials) == 3:
                 generators, skip = geom._smoothness_system(f6)
                 assert _macaulay_matrix(generators, 14, skip).shape == \
                     (165, 120)
-            rows, pivots = row_echelon(full, p)
+            widths.clear()
             rep = smoothness_check(f6)
-            if len(pivots) == 120:
-                assert rep.verdict == "smooth"
-                continue
-            pt = normalize_point(geom._singular_witness(
-                system, None, geom._z_free_forms(ctx, rows, pivots, 14)))
             assert (rep.verdict, rep.witness, rep.field_degree) == \
-                ("singular", pt, pt[0].ctx.d), (p, f6)
+                macaulay_smoothness(f6), (p, f6)
+            z5 = any((0, 0, 5) in h.coeffs for h in partials)
+            width = (65 if z5 else 75 if (0, 0, 6) in f6.coeffs else 120)
+            assert widths[0] == (120 if p >= above else width), (p, f6)
