@@ -41,7 +41,6 @@ from .errors import CacheFileError, MathError
 from .ffield import field_create, is_prime
 from .forms import IntForm, reduce_mod
 from .geom import (
-    PRIME_BOUND,
     ConicCert,
     assert_good_reduction,
     find_tritangents,
@@ -54,6 +53,12 @@ from .zeta import H2_DIM, cyclotomic_part, determine_sign, predicted_count
 
 class UsageError(ValueError):
     pass
+
+
+# Primes from here on are a usage error on every command; below it, the
+# layers refuse what they cannot do (p above the Zech table limit 2^22)
+# with BudgetExceededError, exit code 2.
+PRIME_BOUND = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +545,7 @@ def run(argv) -> int:
         if not is_prime(p):
             raise UsageError(f"{p} is not prime")
         if p >= PRIME_BOUND:
-            raise UsageError(f"p = {p} is too large: the smoothness rank "
-                             "test needs p < 2^31")
+            raise UsageError(f"p = {p} is too large: k3cert takes p < 2^31")
         if args.line_degree < 1:
             raise UsageError(f"--line-degree must be at least 1, got "
                              f"{args.line_degree}")

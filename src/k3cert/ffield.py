@@ -32,8 +32,6 @@ import functools
 
 import numpy as np
 
-from .errors import BudgetExceededError
-
 DEFAULT_ZECH_LIMIT = 1 << 22
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -144,13 +142,6 @@ def _zp_sub(a, b, p):
     return _zp_trim(out)
 
 
-def _zp_eval(a, x, p):
-    r = 0
-    for c in reversed(a):
-        r = (r * x + c) % p
-    return r
-
-
 def _is_irreducible_zp(m, p, d):
     # m monic of degree d; test x^{p^d} == x mod m and
     # gcd(x^{p^{d/r}} - x, m) == 1 for every prime r | d
@@ -175,9 +166,9 @@ def _lex_least_irreducible(p, d):
     the most significant digit.  Returns ascending tuple including the
     leading 1.
 
-    For d >= 2 an irreducible has no root in F_p, so c_0 != 0 (the scan
-    starts at the first code with c_0 = 1) and a candidate with a root in
-    F_p^* is skipped before the full irreducibility test."""
+    For d >= 2 an irreducible has no root in F_p, so c_0 != 0 and the
+    scan starts at the first code with c_0 = 1; Rabin's test then rejects
+    every reducible candidate, in time polynomial in d and log p."""
     if d == 1:
         return (0, 1)  # t itself
     for code in range(p ** (d - 1), p ** d):
@@ -189,8 +180,6 @@ def _lex_least_irreducible(p, d):
         # digits[0] is the least significant digit of code, so ascending
         # codes order (c_0, ..., c_{d-1}) lexicographically
         m = list(reversed(digits)) + [1]  # (c_0, ..., c_{d-1}, 1)
-        if any(_zp_eval(m, a, p) == 0 for a in range(1, p)):
-            continue
         if _is_irreducible_zp(m, p, d):
             return tuple(m)
     raise AssertionError("no irreducible found")  # impossible
@@ -282,7 +271,7 @@ class FieldCtx:
                  "_exp", "_log", "_zech", "_pvec", "_reduc", "_gen_cache",
                  "_key")
 
-    def __init__(self, p, d, zech_limit=DEFAULT_ZECH_LIMIT, rep="auto"):
+    def __init__(self, p, d, zech_limit=DEFAULT_ZECH_LIMIT):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:
@@ -290,20 +279,14 @@ class FieldCtx:
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** d
-        if rep == "auto":
-            rep = "zech" if q <= zech_limit else "poly"
-        if rep == "zech" and q > zech_limit:
-            raise BudgetExceededError(
-                f"q = {q} exceeds the zech table memory budget ({zech_limit})")
-        if rep not in ("zech", "poly"):
-            raise ValueError(f"unknown representation {rep!r}")
+        rep = "zech" if q <= zech_limit else "poly"
         self.p, self.d, self.q = p, d, q
         self.zech_limit = zech_limit
         self.rep = rep
         self.modulus = _lex_least_irreducible(p, d)
         self._pvec = tuple(p ** i for i in range(d))
         self._gen_cache = None
-        self._key = (p, d, zech_limit, rep)
+        self._key = (p, d, zech_limit)
         if rep == "zech":
             self._build_tables()
             self._reduc = None
@@ -548,17 +531,19 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_create_cached(p, d, zech_limit, rep):
-    return FieldCtx(p, d, zech_limit, rep)
+def _field_create_cached(p, d, zech_limit):
+    return FieldCtx(p, d, zech_limit)
 
 
-def field_create(p: int, d: int, zech_limit: int = DEFAULT_ZECH_LIMIT,
-                 rep: str = "auto") -> FieldCtx:
-    """Create (or fetch the cached) F_{p^d} context, p an odd prime.
+def field_create(p: int, d: int,
+                 zech_limit: int = DEFAULT_ZECH_LIMIT) -> FieldCtx:
+    """Create (or fetch the cached) F_{p^d} context, p an odd prime, with
+    the "zech" representation when q = p^d <= zech_limit and "poly"
+    otherwise.
 
     Equal parameters always return the identical context object, so
     element contexts can be compared by identity."""
-    return _field_create_cached(int(p), int(d), int(zech_limit), str(rep))
+    return _field_create_cached(int(p), int(d), int(zech_limit))
 
 
 def quad_char(a: FieldElem) -> int:
@@ -764,10 +749,6 @@ class Poly:
     def scale(self, k: FieldElem):
         return Poly(self.ctx, [a * k for a in self.c])
 
-    def shift(self, n: int):
-        """Multiply by t^n."""
-        return Poly(self.ctx, [self.ctx.zero()] * n + list(self.c))
-
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -821,12 +802,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()[0]
-
-    def eval(self, x: FieldElem):
-        acc = self.ctx.zero()
-        for a in reversed(self.c):
-            acc = acc * x + a
-        return acc
 
     def enc_key(self):
         """Sort key: degree, then coefficients leading-to-constant by encoding."""

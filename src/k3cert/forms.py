@@ -192,9 +192,6 @@ class ModForm:
     def square(self):
         return self * self
 
-    def eval(self, point) -> FieldElem:
-        return eval_form(self, point)
-
     def partial(self, var: int) -> "ModForm":
         """Formal partial derivative in variable var (0, 1 or 2)."""
         out = {}
@@ -299,14 +296,6 @@ class BinaryForm:
 
     def scale(self, k: FieldElem):
         return BinaryForm(self.ctx, [a * k for a in self.coeffs])
-
-    def eval(self, u: FieldElem, v: FieldElem) -> FieldElem:
-        acc = self.ctx.zero()
-        n = self.degree
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                acc = acc + c * u ** (n - i) * v ** i
-        return acc
 
     def u_multiplicity(self) -> int:
         """Largest k with u^k dividing the form (degree+1 if zero)."""

@@ -28,37 +28,41 @@ Smoothness of the sextic (good reduction of the double cover for odd p)
 is one rank computation over F_p: f6 and its partials have no common zero
 over the algebraic closure exactly when their multiples span all 120
 monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of degrees
-6, 5, 5, 5 in three variables).  Euler's identity 6 f6 = x fx + y fy + z
-fz makes 45 of the 210 rows redundant: for p != 3 the multiples of f6 lie
-in the span of the partials' multiples, and for p = 3 (where the left
-side vanishes) the multiples x_k m f_k of the last nonzero partial f_k
-do; the matrix keeps 165 rows with the same row space.  With the columns
-in descending powers of z, a form of the least degree k with a unit
-coefficient on z^k (for p != 3 a partial with k = 5, which exists when
-a_006, a_105 or a_015 is nonzero; at p = 3, where fz has no z^5 term, fx
-or fy, else f6 with k = 6) gives a unit triangular block, its multiples
-by every monomial, with pivots at the 55 (or 45) columns of z-degree >=
-k.  The other forms' multiples by monomials divisible by z^k are
-redundant modulo the block and are dropped; the rest (80 rows for p != 3)
-are divided by the block one z-level at a time, a float64 matrix product
-per level, exact while p + k (15 - k) (p-1)^2 < 2^53 (p below about
-1.3e7).  Only the remainder on the 65 (or 75) columns of z-degree below k
-goes through the pivot loop, and the rank is the block size plus its
-rank; without a unit z-power (then (0 : 0 : 1) is singular) or above that
-bound the whole matrix does.  The pivot loop reduces mod p lazily: only
-the pivot column and the pivot row are reduced at each step, and the rows
-below take unreduced updates, each smaller than (p-1)^2 and at most one
-per pivot.  Entries then stay below p + ncols*(p-1)^2 in magnitude, and
-the matrix is stored in the narrowest of int16, int32 and int64 that
-holds that bound (at 120 columns: int16 up to p = 17, int32 up to p =
-4231, int64 below about 2.7e8); larger primes reduce every update in
-int64.  On a rank deficit the witness comes from the same echelon form:
-the rows with a z-free pivot are binary forms in the ideal (they span the
-z-free part of the full matrix's row space, as every block row has a
-pivot of z-degree >= k), and a zero of their gcd lifts through the
-specialised system in z.  Without such rows a singular curve is found on
-the line x = 0, and a finite singular locus off that line from the matrix
-in a higher degree (at most 30), reduced the same way.
+6, 5, 5, 5 in three variables).  Like the point counts and the tritangent
+search, it stops at the Zech table limit: p above 2^22 raises
+BudgetExceededError before any matrix is built.  (0 : 0 : 1) is singular
+exactly when no form of the system has its z^k term (k its degree), and
+is then returned as the witness without a matrix.  Euler's identity 6 f6
+= x fx + y fy + z fz makes 45 of the 210 rows redundant: for p != 3 the
+multiples of f6 lie in the span of the partials' multiples, and for p = 3
+(where the left side vanishes) the multiples x_k m f_k of the last
+nonzero partial f_k do; the matrix keeps 165 rows with the same row
+space.  With the columns in descending powers of z, the form of least
+degree k with a unit coefficient on z^k (for p != 3 a partial with k = 5,
+which exists when a_006, a_105 or a_015 is nonzero; at p = 3, where fz
+has no z^5 term, fx or fy, else f6 with k = 6) gives a unit triangular
+block, its multiples by every monomial, with pivots at the 55 (or 45)
+columns of z-degree >= k.  The other forms' multiples by monomials
+divisible by z^k are redundant modulo the block and are dropped; the rest
+(80 rows for p != 3) are divided by the block one z-level at a time, a
+float64 matrix product per level, exact while p + k (D - k + 1) (p-1)^2 <
+2^53, which holds for p <= 2^22 in every degree D <= 30.  Only the
+remainder on the 65 (or 75) columns of z-degree below k goes through the
+pivot loop, and the rank is the block size plus its rank.  The pivot loop
+reduces mod p lazily: only the pivot column and the pivot row are reduced
+at each step, and the rows below take one unreduced slice update per
+pivot, which changes each entry by less than (p-1)^2.  Entries then stay
+below p + ncols*(p-1)^2 in magnitude, and the matrix is stored in the
+narrowest of int16, int32 and int64 that holds that bound (at 120
+columns: int16 up to p = 17, int32 up to p = 4231; int64 holds it for p
+<= 2^22 up to the 496 columns of degree 30).  On a rank deficit the
+witness comes from the same echelon form: the rows with a z-free pivot
+are binary forms in the ideal (they span the z-free part of the full
+matrix's row space, as every block row has a pivot of z-degree >= k), and
+a zero of their gcd lifts through the specialised system in z.  Without
+such rows a singular curve is found on the line x = 0, and a finite
+singular locus off that line from the matrix in a higher degree (at most
+30), reduced the same way.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ import numpy as np
 from .count import MANDATORY_Q2_LIMIT
 from .errors import BudgetExceededError, MathError, SingularReductionError
 from .ffield import (
+    DEFAULT_ZECH_LIMIT,
     FieldCtx,
     FieldElem,
     Poly,
@@ -594,10 +599,6 @@ def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
 # variables without a common projective zero generate every monomial of
 # degree 6 + 5 + 5 - 2.
 _MACAULAY_DEGREE = 14
-# Row reduction subtracts the int64 product of two residues from a third;
-# for p < 2^31 every intermediate stays below 2^62 in magnitude when each
-# update is reduced (the eager path of _row_echelon).
-PRIME_BOUND = 1 << 31
 
 
 @functools.lru_cache(maxsize=None)
@@ -656,17 +657,11 @@ def _macaulay_matrix(system, degree: int, skip=None) -> np.ndarray:
     to `degree`, as int64 coefficient vectors over F_p; with skip = v, not
     the multiples of the last form by monomials containing the variable
     v."""
-    p = system[0].ctx.p
-    if p >= PRIME_BOUND:
-        raise ValueError(f"the Macaulay rank test needs p < 2^31 for exact "
-                         f"int64 elimination, got p = {p}")
     ncols = len(_monomials(degree)[0])
     blocks = []
     for i, f in enumerate(system):
-        _, index = _monomials(f.degree)
-        coeffs = np.zeros(len(index), dtype=np.int64)
-        for m, c in f.coeffs.items():
-            coeffs[index[m]] = c.to_int()
+        coeffs = np.array([f.coeffs[m].to_int() if m in f.coeffs else 0
+                           for m in _monomials(f.degree)[0]], dtype=np.int64)
         cols = _product_columns(degree, f.degree)
         if skip is not None and i == len(system) - 1:
             cols = cols[:, _free_of(degree - f.degree, skip)]
@@ -678,11 +673,10 @@ def _macaulay_matrix(system, degree: int, skip=None) -> np.ndarray:
 
 def _elimination_dtype(p: int, ncols: int):
     """The narrowest of int16, int32 and int64 that holds p + ncols*(p-1)^2,
-    the largest magnitude a lazily reduced elimination reaches; None when
-    int64 does not hold it."""
-    bound = p + ncols * (p - 1) ** 2
-    return next((t for t in (np.int16, np.int32, np.int64)
-                 if bound <= np.iinfo(t).max), None)
+    the largest magnitude a lazily reduced elimination reaches (int64 does
+    for p <= 2^22 up to the 496 columns of degree 30)."""
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if p + ncols * (p - 1) ** 2 <= np.iinfo(t).max)
 
 
 def _row_echelon(mat: np.ndarray, p: int):
@@ -692,45 +686,27 @@ def _row_echelon(mat: np.ndarray, p: int):
 
     The elimination runs in the dtype of _elimination_dtype with lazy
     reduction: only the pivot column and the pivot row are reduced mod p at
-    each step, and the rows below take unreduced updates.  Each step
-    subtracts less than (p-1)^2 from an entry, at most once per pivot, so
-    no entry leaves the dtype.  A pivot row is reduced when it is chosen
-    and no later step touches it, so the returned rows are reduced.  When
-    no dtype holds the bound the elimination runs in int64 and reduces
-    every update."""
-    nrows, ncols = mat.shape
-    dtype = _elimination_dtype(p, ncols)
-    lazy = dtype is not None
-    m = mat.astype(dtype if lazy else np.int64)
+    each step, and the rows below take one unreduced slice update.  Each
+    step subtracts less than (p-1)^2 from an entry, at most once per pivot,
+    so no entry leaves the dtype.  A pivot row is reduced when it is chosen
+    and no later step touches it, so the returned rows are reduced."""
+    m = mat.astype(_elimination_dtype(p, mat.shape[1]))
     pivots = []
-    for c in range(ncols):
+    for c in range(m.shape[1]):
         r = len(pivots)
-        if r == nrows:
-            break
         col = m[r:, c]
-        if lazy:
-            col %= p
+        col %= p
         nz = col.nonzero()[0]
         if not nz.size:
             continue
         if nz[0]:
             m[[r, r + nz[0]], c:] = m[[r + nz[0], r], c:]
         row = m[r, c:]
-        if lazy:
-            row %= p
-        if row[0] != 1:
-            row *= pow(int(row[0]), -1, p)
-            row %= p
-        if nz.size > 1:
-            # after the swap the rows below with a nonzero in column c are
-            # still r + nz[1:]; the Macaulay rows are sparse, so updating
-            # only those beats one slice update of every row below
-            below = r + nz[1:]
-            block = m[below, c:]
-            block -= block[:, :1] * row
-            if not lazy:
-                block %= p
-            m[below, c:] = block
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        below = m[r + 1:, c:]
+        below -= below[:, :1] * row
         pivots.append(c)
     return m[:len(pivots)].astype(mat.dtype), pivots
 
@@ -740,42 +716,21 @@ def _block_rows(form_degrees: tuple, degree: int, skip, i: int, k: int):
     """Rows of _macaulay_matrix for forms of these degrees: those of form
     i, and those of the other forms whose multiplier has z-degree below
     k."""
-    owner, zdeg = [], []
-    for j, e in enumerate(form_degrees):
-        z = np.array([m[2] for m in _monomials(degree - e)[0]], dtype=np.intp)
-        if skip is not None and j == len(form_degrees) - 1:
-            z = z[_free_of(degree - e, skip)]
-        owner.append(np.full(z.size, j))
-        zdeg.append(z)
-    owner, zdeg = np.concatenate(owner), np.concatenate(zdeg)
+    zdeg = [np.array([m[2] for m in _monomials(degree - e)[0]])
+            for e in form_degrees]
+    if skip is not None:
+        zdeg[-1] = zdeg[-1][_free_of(degree - form_degrees[-1], skip)]
+    owner = np.repeat(np.arange(len(zdeg)), [z.size for z in zdeg])
+    zdeg = np.concatenate(zdeg)
     return np.flatnonzero(owner == i), np.flatnonzero((owner != i) & (zdeg < k))
-
-
-def _block_form(system, degree: int, skip):
-    """(i, k): the form system[i] of least degree k with a nonzero z^k
-    coefficient, whose multiples in `degree` are a triangular block, or
-    None.  The last form does not count when skip leaves out some of its
-    multiples, nor does any when the float64 division by the block would
-    not be exact.  A z-level has at most degree - k + 1 columns; its
-    entries are reduced into (-p, p) before they multiply the block's
-    rows (entries in [0, p)), and each column takes at most k such
-    updates, one from each of the k levels above it, so every entry stays
-    below p + k (degree - k + 1) (p-1)^2 in magnitude, an integer that
-    float64 holds exactly below 2^53 (p below about 1.3e7 in degree
-    14)."""
-    p = system[0].ctx.p
-    forms = system if skip is None else system[:-1]
-    k, i = min(((f.degree, i) for i, f in enumerate(forms)
-                if (0, 0, f.degree) in f.coeffs), default=(None, None))
-    if k is None or p + k * (degree - k + 1) * (p - 1) ** 2 >= 1 << 53:
-        return None
-    return i, k
 
 
 def _reduced_echelon(system, degree: int, skip=None):
     """Rank of the Macaulay matrix of a system in `degree`, and the echelon
     form of the rows that a unit triangular block leaves: (rank, rows,
-    pivots), the rows over the columns of z-degree below k.
+    pivots), the rows over the columns of z-degree below k.  Some form of
+    the system must have its z^k term (k its degree): smoothness_check
+    has ruled out a singular (0 : 0 : 1).
 
     A form g = u z^k + (terms of lower z-degree) of the system with u != 0
     gives, times the monomials m of degree `degree` - k, rows whose first
@@ -787,20 +742,26 @@ def _reduced_echelon(system, degree: int, skip=None):
     z-level at a time from z^degree down to z^k: the block's rows of level
     c are the identity on the level's columns, so subtracting the level's
     coefficients times those rows clears the level and changes only the
-    k levels below it, one float64 matrix product per level, exact by
-    _block_form; the remainder is reduced mod p once, at the end.
-    The rank is the block size plus the rank of the remainder on the
-    columns of z-degree below k, and the z-free rows of the full matrix
-    span the same space as those of the remainder, as the block has no
-    row without a pivot of z-degree >= k.  Without such a form the whole
-    matrix is eliminated."""
+    k levels below it, one float64 matrix product per level; the
+    remainder is reduced mod p once, at the end.  A z-level has at most
+    degree - k + 1 columns, its entries are reduced into (-p, p) before
+    they multiply the block's rows (entries in [0, p)), and each column
+    takes at most k such updates, one from each of the k levels above it,
+    so every entry stays below p + k (degree - k + 1) (p-1)^2 in magnitude,
+    which float64 holds exactly for p <= 2^22 up to degree 30.  The rank is
+    the block size plus the rank of the remainder on the columns of
+    z-degree below k, and the z-free rows of the full matrix span the same
+    space as those of the remainder, as the block has no row without a
+    pivot of z-degree >= k.
+
+    The form is the one of least (degree, index).  At p = 3 the last form
+    can lose multiples to skip, but it never has its z^5 term: with fz
+    nonzero the last form is fz, whose z^5 coefficient is 6 a_006 = 0, and
+    with fz = 0 every exponent of z in f6 is divisible by 3."""
     p = system[0].ctx.p
+    k, i = min((f.degree, i) for i, f in enumerate(system)
+               if (0, 0, f.degree) in f.coeffs)
     mat = _macaulay_matrix(system, degree, skip)
-    block_form = _block_form(system, degree, skip)
-    if block_form is None:
-        rows, pivots = _row_echelon(mat, p)
-        return len(pivots), rows, pivots
-    i, k = block_form
     own, rest = _block_rows(tuple(f.degree for f in system), degree, skip, i, k)
     u = system[i].coeffs[(0, 0, k)].to_int()
     # transposed, so that a z-level is a slice of contiguous rows
@@ -841,9 +802,8 @@ def _lift_through_z(system, u0: FieldElem, v0: FieldElem):
     """A common zero (u0 : v0 : w) of the system, or None when there is
     none over (u0 : v0).  The specialised system is not identically zero
     because (0 : 0 : 1), on the closure of that line, is not singular."""
-    gz = Poly(u0.ctx, [])
-    for f in system:
-        gz = gz.gcd(_specialize_xy(f, u0, v0))
+    gz = functools.reduce(Poly.gcd, [_specialize_xy(f, u0, v0)
+                                     for f in system], Poly(u0.ctx, []))
     if gz.degree == 0:
         return None
     (_, w), _, ctx = binary_roots(BinaryForm.from_poly(gz, gz.degree))[0]
@@ -855,19 +815,18 @@ def _singular_witness(system, skip, forms):
     matrix in degree 14 is rank deficient, given the z-free forms of its
     echelon form.
 
-    (0 : 0 : 1) is checked first, so the projection from it to the line
-    (x : y) is defined on the singular locus V.  Binary forms in the ideal
-    vanish on that projection; each zero of their gcd lifts through the
-    gcd of the system specialised at it, and some zero does.  When V is a
-    curve no nonzero binary form vanishes on its projection, but V meets
-    the line x = 0, where a zero of the gcd of the restrictions is a
-    witness.  When V is finite, f6 and a general combination G of the
-    partials have no common component, so dim (S/I)_D <= dim S/(f6, G)_D
-    = 30 for D >= 9 and the 31 binary monomials of degree 30 are
-    dependent modulo the ideal: some degree D <= 30 has z-free rows."""
+    smoothness_check has ruled out (0 : 0 : 1), so the projection from it
+    to the line (x : y) is defined on the singular locus V.  Binary forms
+    in the ideal vanish on that projection; each zero of their gcd lifts
+    through the gcd of the system specialised at it, and some zero does.
+    When V is a curve no nonzero binary form vanishes on its projection,
+    but V meets the line x = 0, where a zero of the gcd of the
+    restrictions is a witness.  When V is finite, f6 and a general
+    combination G of the partials have no common component, so dim
+    (S/I)_D <= dim S/(f6, G)_D = 30 for D >= 9 and the 31 binary monomials
+    of degree 30 are dependent modulo the ideal: some degree D <= 30 has
+    z-free rows."""
     ctx = system[0].ctx
-    if all((0, 0, f.degree) not in f.coeffs for f in system):
-        return ctx.zero(), ctx.zero(), ctx.one()
     if not forms:
         # restrict_to_line parametrizes x = 0 as (0 : s : t)
         x_line = (ctx.one(), ctx.zero(), ctx.zero())
@@ -898,17 +857,28 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
     f6 is smooth exactly when the degree-14 Macaulay matrix of f6 and its
     nonzero partials (less the rows that Euler's identity makes redundant,
     see _smoothness_system) has full rank 120 over F_p; rank does not change
-    under field extension.  The rank is that of the triangular block of a
-    form with a unit z-power plus that of the other rows divided by it
-    (_reduced_echelon), so the pivot loop runs over at most 75 columns when
-    such a form exists.  A singular verdict carries a common zero over the
-    smallest extension that the witness search needed."""
+    under field extension.  p above 2^22 (the Zech table limit
+    DEFAULT_ZECH_LIMIT, where point counting and the tritangent search stop
+    too) raises BudgetExceededError before any matrix is built; the float64
+    division and the int64 elimination below are exact up to there.  When
+    no form of the system has its z^k term (k its degree), (0 : 0 : 1) is
+    a common zero and is returned as the witness.  Otherwise the rank is
+    that of the triangular block of a form with a unit z-power plus that of
+    the other rows divided by it (_reduced_echelon), so the pivot loop runs
+    over at most 75 columns.  A singular verdict carries a common zero over
+    the smallest extension that the witness search needed."""
     ctx = f6.ctx
     if ctx.d != 1:
         raise ValueError("smoothness_check needs a form over a prime field")
     if f6.is_zero():
         raise ValueError("zero form")
+    if ctx.p > DEFAULT_ZECH_LIMIT:
+        raise BudgetExceededError(f"the smoothness test, like point counting, "
+                                  f"stops at p <= {DEFAULT_ZECH_LIMIT}")
     system, skip = _smoothness_system(f6)
+    if all((0, 0, f.degree) not in f.coeffs for f in system):
+        return SingularityReport("singular", (ctx.zero(), ctx.zero(),
+                                              ctx.one()), 1)
     rank, rows, pivots = _reduced_echelon(system, _MACAULAY_DEGREE, skip)
     if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")

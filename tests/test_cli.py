@@ -99,6 +99,18 @@ def test_prime_above_rank_test_bound_is_usage_error(capsys):
         assert "usage error" in err and "2^31" in err
 
 
+def test_prime_above_zech_limit_is_math_error(capsys):
+    # 4194319 is the least prime above 2^22: from there on the smoothness
+    # test, like counting and the tritangent search, reports the budget
+    for command in ("certify", "tritangent", "obstruct"):
+        for p in ("4194319", str((1 << 31) - 1)):
+            code = run([command, "--spec", str(SURFACES / "rank1-p3.txt"),
+                        "--prime", p])
+            err = capsys.readouterr().err
+            assert code == 2, (command, p)
+            assert "mathematical error" in err and str(1 << 22) in err
+
+
 def test_tritangent_search_beyond_desk_budget_needs_deep(capsys,
                                                         monkeypatch):
     # at p = 1000003 the search would test about 1e12 lines: tritangent

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from k3cert.errors import BudgetExceededError
 from k3cert.ffield import (
     Poly,
     digit_inv,
@@ -44,11 +43,9 @@ def test_create_rejects_composite_and_two():
 
 
 def test_zech_limit_budget():
-    with pytest.raises(BudgetExceededError):
-        field_create(5, 4, zech_limit=100, rep="zech")
-    # auto falls back to poly
-    ctx = field_create(5, 4, zech_limit=100)
-    assert ctx.rep == "poly"
+    # the representation follows from q and the limit
+    assert field_create(5, 4, zech_limit=100).rep == "poly"
+    assert field_create(5, 2, zech_limit=25).rep == "zech"
 
 
 def test_prime_field_arithmetic():
@@ -135,7 +132,8 @@ def test_digit_arithmetic_matches_elements(p, d):
 
 def test_poly_rep_matches_zech_rep():
     Fz = field_create(5, 2)
-    Fp = field_create(5, 2, rep="poly")
+    Fp = field_create(5, 2, zech_limit=24)
+    assert (Fz.rep, Fp.rep) == ("zech", "poly")
     rng = random.Random(7)
     for _ in range(200):
         x, y = rng.randrange(25), rng.randrange(25)
@@ -307,3 +305,13 @@ def test_modulus_order_and_pinned_values():
         while p ** d <= 3 ** 7:
             assert _lex_least_irreducible(p, d) == _exhaustive_modulus(p, d), (p, d)
             d += 1
+
+
+def test_quadratic_moduli_at_large_primes():
+    # t^2 + c t + 1 with the least c whose discriminant c^2 - 4 is a
+    # non-square (Euler's criterion); building F_(p^2) takes no pass over
+    # F_p, so it is quick at the largest primes the program takes
+    for p, want in ((4194301, (1, 5, 1)), ((1 << 31) - 1, (1, 0, 1))):
+        c = next(c for c in range(p)
+                 if pow(c * c - 4, (p - 1) // 2, p) == p - 1)
+        assert field_create(p, 2).modulus == want == (1, c, 1)

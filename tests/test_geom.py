@@ -6,7 +6,14 @@ import pytest
 
 from k3cert import geom
 from k3cert.errors import BudgetExceededError, MathError
-from k3cert.ffield import Poly, digits, field_create, is_prime, poly_roots
+from k3cert.ffield import (
+    DEFAULT_ZECH_LIMIT,
+    Poly,
+    digits,
+    field_create,
+    is_prime,
+    poly_roots,
+)
 from k3cert.forms import (
     BinaryForm,
     IntForm,
@@ -42,6 +49,18 @@ from oracles import (
     macaulay_smoothness,
     row_echelon,
 )
+
+
+# the largest prime below the Zech table limit 2^22, beyond which the
+# smoothness test, like counting and the tritangent search, stops
+_LARGEST_PRIME = 4194301
+
+
+def _prime_field(p):
+    """F_p; at _LARGEST_PRIME in the poly representation, which saves the
+    230 MB of its Zech tables (the elimination runs on integers either
+    way)."""
+    return field_create(p, 1, 0) if p == _LARGEST_PRIME else field_create(p, 1)
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -777,18 +796,25 @@ def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
         assert len(calls) <= 10, (p, len(calls))
 
 
-def test_smoothness_prime_bound():
-    # the int64 elimination is exact up to p = 2^31 - 1 and refuses beyond
-    p = (1 << 31) - 1
-    ctx = field_create(p, 1)
-    f6 = _mod(ctx, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1})
+def test_smoothness_prime_bound(monkeypatch):
+    # like point counting and the tritangent search, the smoothness test
+    # stops at the Zech table limit 2^22: beyond it BudgetExceededError
+    # comes before any matrix is built, and up to it a node at (0 : 0 : 1)
+    # is returned without a matrix
+    def never(*args):
+        raise AssertionError("a Macaulay matrix was built")
+
+    monkeypatch.setattr(geom, "_macaulay_matrix", never)
+    node = {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1}
+    assert is_prime(4194319)
+    f6 = _mod(_prime_field(_LARGEST_PRIME), node)
     rep = smoothness_check(f6)
     _assert_singular_witness(f6, rep)
     assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
-    big = next(n for n in range(1 << 31, (1 << 31) + 100) if is_prime(n))
-    f6 = _mod(field_create(big, 1), {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1})
-    with pytest.raises(ValueError, match=r"2\^31"):
-        smoothness_check(f6)
+    for p in (4194319, (1 << 31) - 1):
+        f6 = _mod(field_create(p, 1), node)
+        with pytest.raises(BudgetExceededError, match=str(1 << 22)):
+            smoothness_check(f6)
     # only forms over the prime field are accepted
     F25 = field_create(5, 2)
     with pytest.raises(ValueError, match="prime field"):
@@ -824,11 +850,10 @@ def _assert_echelon_matches_oracle(mat, p):
     assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
 
 
-def _lazy_threshold_primes(ncols, bits=63):
+def _lazy_threshold_primes(ncols, bits):
     """The largest prime with p + ncols*(p-1)^2 < 2^bits and the next
-    prime: for bits = 63, lazy reduction and every update reduced; for 15
-    and 31, the last primes of int16 and int32 elimination and the first
-    beyond."""
+    prime: for bits = 15 and 31, the last primes of int16 and int32
+    elimination and the first beyond."""
     p = math.isqrt(((1 << bits) - 1) // ncols) + 1
     while p + ncols * (p - 1) ** 2 >= 1 << bits or not is_prime(p):
         p -= 1
@@ -841,13 +866,13 @@ def _lazy_threshold_primes(ncols, bits=63):
 
 def test_lazy_row_echelon_matches_oracle():
     # rows and pivots equal those of the eagerly reduced elimination on
-    # Macaulay matrices of random, sparse and singular sextics, on both
-    # sides of the lazy-reduction bound, and on rank-deficient matrices
+    # Macaulay matrices of random, sparse and singular sextics, up to the
+    # largest prime below the Zech table limit, and on rank-deficient
+    # matrices
     rng = random.Random(7)
     monos = _monomials(6)[0]
-    below, above = _lazy_threshold_primes(len(_monomials(14)[0]))
-    for p in (3, 5, 7, 11, 1000003, below, above, (1 << 31) - 1):
-        ctx = field_create(p, 1)
+    for p in (3, 5, 7, 11, 1000003, _LARGEST_PRIME):
+        ctx = _prime_field(p)
 
         def rand_form(degree, density=1.0):
             return _mod(ctx, {m: rng.randrange(p) for m in _monomials(degree)[0]
@@ -876,12 +901,12 @@ def test_lazy_row_echelon_matches_oracle():
             _assert_echelon_matches_oracle(mat, p)
     # the largest growth: every pivot subtracts (p-1)^2 from the entry in
     # column n-2 of the last row, whose reduced value the last column shows
-    # after scaling; past the bound (the last two primes) these updates
-    # would leave int64 unreduced
-    n = len(_monomials(14)[0])
-    beyond = next(q for q in range(3 * 10 ** 8, 4 * 10 ** 8) if is_prime(q))
-    for p in (below, above, beyond, (1 << 31) - 1):
-        _assert_echelon_matches_oracle(_growth_matrix(n, p), p)
+    # after scaling; int64 holds it at the 120 columns of degree 14 and the
+    # 496 of degree 30
+    for degree in (14, 30):
+        n = len(_monomials(degree)[0])
+        _assert_echelon_matches_oracle(_growth_matrix(n, _LARGEST_PRIME),
+                                       _LARGEST_PRIME)
 
 
 def _growth_matrix(n, p):
@@ -901,12 +926,13 @@ def test_row_echelon_dtype_boundaries_match_oracle():
     assert [geom._elimination_dtype(p, 120) for p in (17, 19, 4231, 4241)] \
         == [np.int16, np.int32, np.int32, np.int64]
     rng = np.random.default_rng(13)
-    fixed = (3, 5, 7, 17, 19, 23, 4231, 4241, 1000003, (1 << 31) - 1)
+    fixed = (3, 5, 7, 17, 19, 23, 4231, 4241, 1000003)
     for degree in range(14, 31):
         n = len(_monomials(degree)[0])
-        # the primes on both sides of each dtype's bound at this width
-        edges = [q for bits in (15, 31, 63)
-                 for q in _lazy_threshold_primes(n, bits)]
+        # the primes on both sides of the int16 and int32 bounds at this
+        # width, and the largest prime the smoothness test takes
+        edges = [q for bits in (15, 31)
+                 for q in _lazy_threshold_primes(n, bits)] + [_LARGEST_PRIME]
         for p in edges + list(fixed if degree in (14, 30) else ()):
             # 24 rows of rank at most 10, a fifth of the entries of the
             # right factor zero
@@ -920,18 +946,20 @@ def test_row_echelon_dtype_boundaries_match_oracle():
                 _assert_echelon_matches_oracle(_growth_matrix(n, p), p)
 
 
-def _float_division_primes(degree=14, k=5):
-    """The largest prime below the float64 bound of the division by a block
-    of z-power k, p + k (degree - k + 1) (p-1)^2 < 2^53, and the next
-    prime."""
-    n = k * (degree - k + 1)
-    p = math.isqrt((1 << 53) // n) + 1
-    while p + n * (p - 1) ** 2 >= 1 << 53 or not is_prime(p):
-        p -= 1
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return p, q
+def test_elimination_is_exact_up_to_the_zech_limit():
+    # at the largest prime the smoothness test takes, in every degree it
+    # eliminates in (14 to 30): the float64 division by a block of z-power
+    # k in {5, 6} stays below 2^53, and the lazily reduced pivot loop below
+    # the int64 maximum even over all the columns of the degree
+    p = _LARGEST_PRIME
+    assert is_prime(p) and not any(is_prime(n) for n in
+                                   range(p + 1, DEFAULT_ZECH_LIMIT + 1))
+    for degree in range(14, 31):
+        for k in (5, 6):
+            assert p + k * (degree - k + 1) * (p - 1) ** 2 < 1 << 53
+        n = len(_monomials(degree)[0])
+        assert p + n * (p - 1) ** 2 <= np.iinfo(np.int64).max
+        assert geom._elimination_dtype(p, n) is np.int64
 
 
 def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
@@ -942,10 +970,8 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
     # 14) reduced by the eager oracle in every degree give the same
     # verdict, witness and field degree.  The pivot loop sees the 65
     # columns of z-degree below 5 when a partial has a unit z^5 (p = 3:
-    # fx or fy), the 75 below z^6 for f6's block at p = 3, and all 120
-    # without a unit z-power (then (0 : 0 : 1) is singular) or beyond the
-    # float64 bound of the division
-    below, above = _float_division_primes()
+    # fx or fy) and the 75 below z^6 for f6's block at p = 3; without a
+    # unit z-power (then (0 : 0 : 1) is singular) it does not run
     widths = []
     row_echelon_ = geom._row_echelon
 
@@ -955,9 +981,9 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
 
     monkeypatch.setattr(geom, "_row_echelon", recording)
     rng = random.Random(23)
-    for p in (3, 5, 7, 11, 17, 19, 23, 101, 4231, 4241, 1000003, below,
-              above, (1 << 31) - 1):
-        ctx = field_create(p, 1)
+    for p in (3, 5, 7, 11, 17, 19, 23, 101, 4231, 4241, 1000003,
+              _LARGEST_PRIME):
+        ctx = _prime_field(p)
 
         def form(degree, keep=lambda m: True, density=1.0):
             return _mod(ctx, {m: rng.randrange(p)
@@ -993,5 +1019,8 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
             assert (rep.verdict, rep.witness, rep.field_degree) == \
                 macaulay_smoothness(f6), (p, f6)
             z5 = any((0, 0, 5) in h.coeffs for h in partials)
-            width = (65 if z5 else 75 if (0, 0, 6) in f6.coeffs else 120)
-            assert widths[0] == (120 if p >= above else width), (p, f6)
+            if not z5 and (p != 3 or (0, 0, 6) not in f6.coeffs):
+                assert widths == [] and rep.witness == (ctx.zero(), ctx.zero(),
+                                                        ctx.one()), (p, f6)
+            else:
+                assert widths[0] == (65 if z5 else 75), (p, f6)
