@@ -52,7 +52,6 @@ from .zeta import (
     cyclotomic_part,
     determine_sign,
     predicted_count,
-    weil_validate,
 )
 from .geom import (
     ConicCert,

@@ -409,12 +409,17 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     report["char_poly"] = P.serialize()
     chain.append(f"determine_sign: unique consistent sign {sign:+d}")
 
-    for rec in series.records:
-        pred = predicted_count(P, rec.d)
-        if pred != rec.N:
-            raise MathError(f"char poly predicts N_{rec.d} = {pred}, "
-                            f"measured {rec.N}")
+    counts = {**spec.external_counts, **{r.d: r.N for r in series.records}}
+    for d, n in sorted(counts.items()):
+        pred = predicted_count(P, d)
+        if pred != n:
+            raise MathError(f"char poly predicts N_{d} = {pred}, measured {n}")
     chain.append("predicted_count: polynomial reproduces every measured count")
+    beyond = [str(d) for d in sorted(counts) if d > series.dmax]
+    if beyond:
+        chain.append(f"predicted_count: the polynomial, built from d <= "
+                     f"{series.dmax}, also reproduces the external count(s) "
+                     f"at d = {', '.join(beyond)}")
 
     rb = cyclotomic_part(P)
     upper = rb.cyclotomic_degree

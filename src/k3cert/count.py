@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetExceededError, CacheFileError, WeilBoundError
+from .errors import (BudgetExceededError, CacheFileError,
+                     SingularReductionError, WeilBoundError)
 from .ffield import FieldCtx, field_create, log_horner
 from .forms import IntForm, ModForm, reduce_mod
 
@@ -262,7 +263,7 @@ def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
     prime_ctx = field_create(p, 1)
     f6p = reduce_mod(f6, prime_ctx)
     if f6p.is_zero():
-        raise ValueError(f"f6 vanishes mod {p}")
+        raise SingularReductionError(f"f6 vanishes identically mod {p}")
     if f6p.degree != 6:
         raise ValueError("f6 must be a sextic")
     ctx = _require_zech(p, d, deep)

@@ -160,6 +160,16 @@ def _is_irreducible_zp(m, p, d):
     return True
 
 
+def _enc_digits(e, p, d):
+    """The d base-p digits of e, least significant first: the coefficient
+    vector (a_0, ..., a_{d-1}) of the element with encoding e."""
+    out = []
+    for _ in range(d):
+        e, r = divmod(e, p)
+        out.append(r)
+    return out
+
+
 def _lex_least_irreducible(p, d):
     """Monic irreducible t^d + c_{d-1} t^{d-1} + ... + c_0 with the
     lexicographically least (c_0, c_1, ..., c_{d-1}): the constant term is
@@ -172,14 +182,9 @@ def _lex_least_irreducible(p, d):
     if d == 1:
         return (0, 1)  # t itself
     for code in range(p ** (d - 1), p ** d):
-        digits = []
-        x = code
-        for _ in range(d):
-            digits.append(x % p)
-            x //= p
-        # digits[0] is the least significant digit of code, so ascending
-        # codes order (c_0, ..., c_{d-1}) lexicographically
-        m = list(reversed(digits)) + [1]  # (c_0, ..., c_{d-1}, 1)
+        # c_0 is the most significant digit of code, so ascending codes
+        # order (c_0, ..., c_{d-1}) lexicographically
+        m = _enc_digits(code, p, d)[::-1] + [1]  # (c_0, ..., c_{d-1}, 1)
         if _is_irreducible_zp(m, p, d):
             return tuple(m)
     raise AssertionError("no irreducible found")  # impossible
@@ -321,18 +326,9 @@ class FieldCtx:
         prime_divs = list(factorize(q - 1))
         m = list(self.modulus)
         for enc in range(2, q):
-            cand = []
-            x = enc
-            for _ in range(d):
-                cand.append(x % p)
-                x //= p
-            cand = _zp_trim(list(cand))
-            ok = True
-            for r in prime_divs:
-                if _zp_powmod(cand, (q - 1) // r, m, p) == [1]:
-                    ok = False
-                    break
-            if ok:
+            cand = _zp_trim(_enc_digits(enc, p, d))
+            if all(_zp_powmod(cand, (q - 1) // r, m, p) != [1]
+                   for r in prime_divs):
                 return cand
         raise AssertionError("no generator found")
 
@@ -466,13 +462,7 @@ class FieldCtx:
     def _coeff_vector(self, v):
         if self.rep == "poly":
             return tuple(v)
-        e = self._enc(v)
-        p = self.p
-        out = []
-        for _ in range(self.d):
-            out.append(e % p)
-            e //= p
-        return tuple(out)
+        return tuple(_enc_digits(self._enc(v), self.p, self.d))
 
     # -- element constructors ------------------------------------------------
 
@@ -492,12 +482,7 @@ class FieldCtx:
             raise ValueError("encoding out of range")
         if self.rep == "zech":
             return FieldElem(self, int(self._log[e]))
-        p = self.p
-        out = []
-        for _ in range(self.d):
-            out.append(e % p)
-            e //= p
-        return FieldElem(self, tuple(out))
+        return FieldElem(self, tuple(_enc_digits(e, self.p, self.d)))
 
     def from_coeffs(self, coeffs) -> FieldElem:
         """Element sum coeffs[i] * t^i from integer coefficients."""

@@ -32,124 +32,37 @@ def _check_homogeneous(coeffs, degree):
                 f"monomial {mono!r} has degree {sum(mono)}, expected {degree}")
 
 
-class IntForm:
-    """Homogeneous form in x, y, z with integer coefficients."""
+class _Form:
+    """Sparse form in x, y, z: the arithmetic IntForm and ModForm share.
+
+    A subclass fixes the coefficient ring: _coerce checks one coefficient,
+    _new builds a form over the same ring, and _int gives the integer a
+    coefficient serializes to.  ctx is the coefficient field, None over Z.
+    """
 
     __slots__ = ("degree", "coeffs")
     nvars = 3
+    ctx = None
 
     def __init__(self, coeffs: dict, degree: int | None = None):
-        clean = {tuple(m): int(c) for m, c in coeffs.items() if c}
-        if degree is None:
-            if not clean:
-                raise ValueError("zero form needs an explicit degree")
-            degree = sum(next(iter(clean)))
-        _check_homogeneous(clean, degree)
-        self.degree = degree
-        self.coeffs = clean
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, IntForm) and other.degree == self.degree
-                and other.coeffs == self.coeffs)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return IntForm(out, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return IntForm({m: -c for m, c in self.coeffs.items()}, self.degree)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[m] = out.get(m, 0) + c1 * c2
-        return IntForm(out, self.degree + other.degree)
-
-    def scale(self, k: int):
-        return IntForm({m: k * c for m, c in self.coeffs.items()}, self.degree)
-
-    def square(self):
-        return self * self
-
-    def apply_int_matrix(self, rows):
-        """Substitute variable i by the integer linear form rows[i]."""
-        out = IntForm({}, self.degree)
-        lin = [IntForm({(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}, 1)
-               for r in rows]
-        pows = [{0: IntForm({(0, 0, 0): 1}, 0)} for _ in range(3)]
-        for m, c in self.coeffs.items():
-            term = IntForm({(0, 0, 0): c}, 0)
-            for i, e in enumerate(m):
-                memo = pows[i]
-                if e not in memo:
-                    top = max(memo)
-                    cur = memo[top]
-                    for k in range(top + 1, e + 1):
-                        cur = cur * lin[i]
-                        memo[k] = cur
-                term = term * memo[e]
-            out = out + term
-        return out
-
-    def serialize(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b, c) in sorted(self.coeffs, key=_grevlex_sort_key):
-            parts.append(f"{self.coeffs[(a, b, c)]}*x^{a}*y^{b}*z^{c}")
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"IntForm({self.serialize()})"
-
-
-class ModForm:
-    """Homogeneous form in x, y, z with coefficients in one FieldCtx."""
-
-    __slots__ = ("ctx", "degree", "coeffs")
-    nvars = 3
-
-    def __init__(self, ctx: FieldCtx, coeffs: dict, degree: int | None = None):
         clean = {}
         for m, c in coeffs.items():
-            if not isinstance(c, FieldElem):
-                raise TypeError("ModForm coefficients must be FieldElem")
-            if c.ctx is not ctx:
-                raise ValueError("field context mismatch")
-            if not c.is_zero():
+            c = self._coerce(c)
+            if c:
                 clean[tuple(m)] = c
         if degree is None:
             if not clean:
                 raise ValueError("zero form needs an explicit degree")
             degree = sum(next(iter(clean)))
         _check_homogeneous(clean, degree)
-        self.ctx = ctx
         self.degree = degree
         self.coeffs = clean
-
-    @classmethod
-    def from_int_coeffs(cls, ctx, coeffs: dict, degree: int | None = None):
-        return cls(ctx, {m: ctx.from_int(c) for m, c in coeffs.items()}, degree)
 
     def is_zero(self):
         return not self.coeffs
 
     def __eq__(self, other):
-        return (isinstance(other, ModForm) and other.ctx is self.ctx
+        return (type(other) is type(self) and other.ctx is self.ctx
                 and other.degree == self.degree and other.coeffs == self.coeffs)
 
     __hash__ = None
@@ -166,13 +79,13 @@ class ModForm:
         for m, c in other.coeffs.items():
             s = out.get(m)
             out[m] = c if s is None else s + c
-        return ModForm(self.ctx, out, self.degree)
+        return self._new(out, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ModForm(self.ctx, {m: -c for m, c in self.coeffs.items()}, self.degree)
+        return self._new({m: -c for m, c in self.coeffs.items()}, self.degree)
 
     def __mul__(self, other):
         self._check(other)
@@ -181,30 +94,83 @@ class ModForm:
             for m2, c2 in other.coeffs.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 s = out.get(m)
-                prod = c1 * c2
-                out[m] = prod if s is None else s + prod
-        return ModForm(self.ctx, out, self.degree + other.degree)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
+        return self._new(out, self.degree + other.degree)
 
-    def scale(self, k: FieldElem):
-        return ModForm(self.ctx, {m: c * k for m, c in self.coeffs.items()},
-                       self.degree)
+    def scale(self, k):
+        return self._new({m: c * k for m, c in self.coeffs.items()}, self.degree)
 
     def square(self):
         return self * self
+
+    def serialize(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return "+".join(f"{self._int(self.coeffs[(a, b, c)])}*x^{a}*y^{b}*z^{c}"
+                        for (a, b, c) in sorted(self.coeffs, key=_grevlex_sort_key))
+
+
+class IntForm(_Form):
+    """Homogeneous form in x, y, z with integer coefficients."""
+
+    __slots__ = ()
+    _coerce = _int = staticmethod(int)
+
+    def _new(self, coeffs, degree):
+        return IntForm(coeffs, degree)
+
+    def apply_int_matrix(self, rows):
+        """Substitute variable i by the integer linear form rows[i]."""
+        out = IntForm({}, self.degree)
+        lin = [IntForm({(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}, 1)
+               for r in rows]
+        pows = [{0: IntForm({(0, 0, 0): 1}, 0)} for _ in range(3)]
+        for m, c in self.coeffs.items():
+            term = IntForm({(0, 0, 0): c}, 0)
+            for i, e in enumerate(m):
+                memo = pows[i]
+                for k in range(max(memo) + 1, e + 1):
+                    memo[k] = memo[k - 1] * lin[i]
+                term = term * memo[e]
+            out = out + term
+        return out
+
+    def __repr__(self):
+        return f"IntForm({self.serialize()})"
+
+
+class ModForm(_Form):
+    """Homogeneous form in x, y, z with coefficients in one FieldCtx."""
+
+    __slots__ = ("ctx",)
+    _int = staticmethod(FieldElem.to_int)
+
+    def __init__(self, ctx: FieldCtx, coeffs: dict, degree: int | None = None):
+        self.ctx = ctx
+        super().__init__(coeffs, degree)
+
+    def _coerce(self, c):
+        if not isinstance(c, FieldElem):
+            raise TypeError("ModForm coefficients must be FieldElem")
+        if c.ctx is not self.ctx:
+            raise ValueError("field context mismatch")
+        return c
+
+    def _new(self, coeffs, degree):
+        return ModForm(self.ctx, coeffs, degree)
+
+    @classmethod
+    def from_int_coeffs(cls, ctx, coeffs: dict, degree: int | None = None):
+        return cls(ctx, {m: ctx.from_int(c) for m, c in coeffs.items()}, degree)
 
     def partial(self, var: int) -> "ModForm":
         """Formal partial derivative in variable var (0, 1 or 2)."""
         out = {}
         for m, c in self.coeffs.items():
-            e = m[var]
-            if e == 0:
-                continue
-            coef = c * self.ctx.from_int(e)
-            if coef.is_zero():
-                continue
-            m2 = list(m)
-            m2[var] -= 1
-            out[tuple(m2)] = coef
+            if m[var]:
+                m2 = list(m)
+                m2[var] -= 1
+                out[tuple(m2)] = c * self.ctx.from_int(m[var])
         return ModForm(self.ctx, out, max(self.degree - 1, 0))
 
     def lift(self) -> IntForm:
@@ -217,14 +183,6 @@ class ModForm:
         """Coefficientwise embedding into an extension field."""
         return ModForm(target, {m: embed_subfield(c, target)
                                 for m, c in self.coeffs.items()}, self.degree)
-
-    def serialize(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b, c) in sorted(self.coeffs, key=_grevlex_sort_key):
-            parts.append(f"{self.coeffs[(a, b, c)].to_int()}*x^{a}*y^{b}*z^{c}")
-        return "+".join(parts)
 
     def __repr__(self):
         return f"ModForm(F{self.ctx.q}; {self.serialize()})"
@@ -258,8 +216,7 @@ class BinaryForm:
         """Rehomogenize a univariate polynomial g(t) = g(v/u) u^(-degree)."""
         if poly.degree > degree:
             raise ValueError("degree too small for the given polynomial")
-        ctx = poly.ctx
-        return cls(ctx, [poly[i] for i in range(degree + 1)])
+        return cls(poly.ctx, [poly[i] for i in range(degree + 1)])
 
     def to_poly(self) -> Poly:
         """Dehomogenize at u = 1: the polynomial sum coeffs[i] t^i."""
@@ -275,34 +232,25 @@ class BinaryForm:
     __hash__ = None
 
     def __mul__(self, other):
-        z = self.ctx.zero()
-        out = [z] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.ctx, out)
+        return BinaryForm.from_poly(self.to_poly() * other.to_poly(),
+                                    self.degree + other.degree)
 
     def __sub__(self, other):
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return BinaryForm(self.ctx, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm.from_poly(self.to_poly() - other.to_poly(), self.degree)
 
     def __add__(self, other):
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return BinaryForm(self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm.from_poly(self.to_poly() + other.to_poly(), self.degree)
 
     def scale(self, k: FieldElem):
         return BinaryForm(self.ctx, [a * k for a in self.coeffs])
 
     def u_multiplicity(self) -> int:
         """Largest k with u^k dividing the form (degree+1 if zero)."""
-        for i in range(self.degree, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return self.degree - i
-        return self.degree + 1
+        return self.degree - self.to_poly().degree
 
     def serialize(self) -> str:
         if self.is_zero():

@@ -7,15 +7,14 @@ reciprocity a_{n-i} = sign * q^{n-2i} * a_i (n = 22 - k).  Newton's
 identities convert the first m = n/2 power sums (traces with the known
 part removed) into the leading half of R; reciprocity supplies the rest.
 
-The reconstruction is exact over the integers.  Every division in the
-Newton recursion is asserted exact; a remainder means the traces are
-wrong and aborts immediately.  weil_validate is not exact: it ends with
-a floating-point root-modulus test, and determine_sign drops a sign whose
-polynomial fails it, so a valid polynomial with an eigenvalue of
-multiplicity 3 or more can lose its sign (ROADMAP.md, item 1, replaces
-the test by an exact one).  Each polynomial is validated once: the
-result is kept on the FrobeniusPoly instance, so cyclotomic_part and
-predicted_count reuse the check that determine_sign ran.
+Everything is exact integer arithmetic.  Every division in the Newton
+recursion is asserted exact; a remainder means the traces are wrong and
+aborts immediately.  The Weil check (FrobeniusPoly.weil_valid) decides
+whether every root of R has absolute value q by a Sturm count on integer
+pseudo-remainders, so eigenvalues of any multiplicity pass.  Each
+polynomial is validated once: the result is kept on the FrobeniusPoly
+instance, so cyclotomic_part and predicted_count reuse the check that
+determine_sign ran.
 
 The Picard rank bound is the total multiplicity of eigenvalues of the
 form q * (root of unity), found by trial division of P by the scaled
@@ -25,16 +24,13 @@ cyclotomic polynomials q^phi(n) Phi_n(t/q).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import InconsistentTracesError, MathError
 from .ffield import factorize
 
 H2_DIM = 22
-WEIL_TOL = 1e-6  # relative tolerance of the float root-modulus test
 
 
 # -- exact integer polynomials, descending coefficient lists ----------------
@@ -85,6 +81,74 @@ def poly_divmod(num, den):
 
 def _is_zero_poly(a):
     return all(c == 0 for c in a)
+
+
+def _horner(a, x):
+    acc = 0
+    for c in a:
+        acc = acc * x + c
+    return acc
+
+
+def _neg_prem(a, b):
+    """-c * (a mod b) for some integer c > 0, divided by its content:
+    pseudo-division that scales by |lc(b)|, so signs are kept."""
+    a, s = list(a), abs(b[0])
+    while len(a) >= len(b):
+        c = a.pop(0) * s // b[0]
+        a = [s * x for x in a]
+        for i, y in enumerate(b[1:]):
+            a[i] -= c * y
+    while a and a[0] == 0:
+        a.pop(0)
+    g = math.gcd(*a)
+    return [-x // g for x in a]
+
+
+def _sign_changes(seq, x):
+    signs = [v > 0 for v in (_horner(s, x) for s in seq) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _roots_on_circle(r, q) -> bool:
+    """Whether every complex root of the monic integer polynomial r
+    (descending) has absolute value q, decided exactly.
+
+    With the factors t - q and t + q divided out, such a polynomial pairs
+    each root l with q^2/l = conj(l), so it has degree 2h, satisfies
+    a_{2h-i} = q^{2h-2i} a_i, and equals t^h V(t + q^2/t) for a monic V of
+    degree h; l lies on the circle exactly when l + q^2/l is real and in
+    (-2q, 2q).  V's Sturm sequence counts its distinct roots there, and
+    they are all of V's roots when the count is h - deg gcd(V, V')."""
+    for root in (q, -q):
+        while _horner(r, root) == 0:
+            r = poly_divmod(r, [1, -root])[0]
+    n = len(r) - 1
+    h = n // 2
+    if n % 2 or any(r[n - i] != q ** (n - 2 * i) * r[i] for i in range(h)):
+        return False
+    if h == 0:
+        return True
+    # t^k + (q^2/t)^k = w_k(t + q^2/t): w_0 = 2, w_1 = u,
+    # w_(k+1) = u w_k - q^2 w_(k-1) (ascending lists)
+    w = [[2], [0, 1]]
+    for _ in range(h - 1):
+        w.append([0] + w[-1])
+        for i, c in enumerate(w[-3]):
+            w[-1][i] -= q * q * c
+    v = [0] * (h + 1)
+    v[0] = r[h]
+    for k in range(1, h + 1):
+        for i, c in enumerate(w[k]):
+            v[i] += r[h - k] * c
+    seq = [v[::-1], [i * c for i, c in enumerate(v)][:0:-1]]
+    while len(seq[-1]) > 1:
+        rem = _neg_prem(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(rem)
+    distinct = h - (len(seq[-1]) - 1)
+    return _sign_changes(seq, -2 * q) - _sign_changes(seq, 2 * q) == distinct
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +247,9 @@ class FrobeniusPoly:
 
     @functools.cached_property
     def weil_valid(self) -> bool:
-        """The result of weil_validate, computed once per instance."""
+        """Exact Weil check, computed once per instance: |P(0)| = q^degree,
+        (t - q)^k divides P, R is reciprocal with this sign, and every root
+        of R has absolute value q."""
         q, n = self.q, self.degree - self.k
         if abs(self.coeffs[-1]) != q ** self.degree:
             return False
@@ -194,15 +260,7 @@ class FrobeniusPoly:
         for i in range(n // 2 + 1):
             if r[n - i] != self.sign * q ** (n - 2 * i) * r[i]:
                 return False
-        # float root moduli on the scaled factor R(qt)/q^n, which decide
-        # the result (and so which signs determine_sign keeps); the
-        # (t - q)^k part was peeled off exactly, so its roots need no solver
-        # (a numeric solver smears multiple roots far beyond the tolerance)
-        if n == 0:
-            return True
-        scaled = [float(Fraction(c, q ** i)) for i, c in enumerate(r)]
-        roots = np.roots(scaled)
-        return bool(np.all(np.abs(np.abs(roots) - 1.0) <= WEIL_TOL))
+        return _roots_on_circle(r, q)
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -244,18 +302,9 @@ def char_poly_from_traces(traces, q: int, degree: int = H2_DIM, k: int = 0,
                          coeffs=tuple(coeffs))
 
 
-def weil_validate(P: FrobeniusPoly) -> bool:
-    """Exact checks: integrality, |P(0)| = q^degree, (t-q)^k divisibility and
-    reciprocity of R; then a floating-point test that every root has
-    modulus q within the relative tolerance WEIL_TOL, which can reject a
-    valid R with a root of multiplicity 3 or more.  The result is
-    computed once per polynomial and kept on it (FrobeniusPoly.weil_valid)."""
-    return P.weil_valid
-
-
 def determine_sign(traces, q: int, degree: int = H2_DIM, k: int = 0):
     """Try both functional-equation signs; a sign survives when the
-    reconstruction succeeds and passes weil_validate.  Returns the list of
+    reconstruction succeeds and passes the Weil check.  Returns the list of
     surviving (sign, polynomial) pairs; an empty list means the input is
     inconsistent, two entries mean more traces are needed."""
     out = []
@@ -264,7 +313,7 @@ def determine_sign(traces, q: int, degree: int = H2_DIM, k: int = 0):
             P = char_poly_from_traces(traces, q, degree, k, sign)
         except MathError:
             continue
-        if weil_validate(P):
+        if P.weil_valid:
             out.append((sign, P))
     return out
 
@@ -289,7 +338,7 @@ def cyclotomic_part(P: FrobeniusPoly) -> RankBound:
     phi(n) <= degree; the total, weighted by phi(n), bounds the Picard
     rank of the reduction from above.
     """
-    if not weil_validate(P):
+    if not P.weil_valid:
         raise MathError("polynomial fails Weil validation")
     d = P.degree
     limit = 2 * d * d + 1  # phi(n) >= sqrt(n/2), so phi(n) <= d forces n here
@@ -317,7 +366,7 @@ def cyclotomic_part(P: FrobeniusPoly) -> RankBound:
 def predicted_count(P: FrobeniusPoly, d: int) -> int:
     """N_d implied by P: recover the power sum t_d by reverse Newton and
     return 1 + t_d + q^(2d)."""
-    if not weil_validate(P):
+    if not P.weil_valid:
         raise MathError("polynomial fails Weil validation")
     t_d = power_sums_from_coeffs(list(P.coeffs), d)[-1]
     return 1 + t_d + P.q ** (2 * d)

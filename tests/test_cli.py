@@ -149,7 +149,7 @@ def test_singular_reduction_is_math_error(tmp_path, capsys):
 def test_zero_reduction_is_math_error(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("name: zero\nf6: 6 0 0 5\n")
-    for stage in ("tritangent", "obstruct", "certify"):
+    for stage in ("count", "zeta", "tritangent", "obstruct", "certify"):
         code = run([stage, "--spec", str(path), "--prime", "5"])
         assert code == 2, stage
         assert capsys.readouterr().err == (
@@ -203,6 +203,37 @@ def test_certify_all_external_counts(tmp_path, capsys):
     assert out["rank_upper_bound_reduction"] == 2
     assert out["sign"] == 1
     assert any("nonvanishing" in s for s in out["chain"])
+
+
+def test_certify_checks_external_counts_beyond_m(tmp_path, capsys):
+    # N_11 and N_12 are not used to build the polynomial (m = 10); they
+    # must still agree with the counts it predicts
+    text = (SURFACES / "rank1-p3.txt").read_text()
+    text += "".join(f"external: {d} {n}\n" for d, n in
+                    enumerate(data.COUNTS_B[:9], start=1))
+    path = tmp_path / "beyond.txt"
+    path.write_text(text + "external: 11 12345\n")
+    assert run(["certify", "--spec", str(path), "--prime", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mathematical error: char poly predicts N_11 = ")
+    assert err.endswith(", measured 12345\n")
+
+    path.write_text(text)
+    assert run(["certify", "--spec", str(path), "--prime", "3", "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    P = zeta.FrobeniusPoly(q=3, degree=22, k=2, sign=1, coeffs=tuple(
+        int(c) for c in plain["char_poly"].split(",")))
+    extra = {d: zeta.predicted_count(P, d) for d in (11, 12)}
+    path.write_text(text + "".join(f"external: {d} {n}\n"
+                                   for d, n in extra.items()))
+    assert run(["certify", "--spec", str(path), "--prime", "3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == plain["verdict"] == "rank = 1 proved"
+    i = plain["chain"].index(
+        "predicted_count: polynomial reproduces every measured count") + 1
+    assert out["chain"] == plain["chain"][:i] + [
+        "predicted_count: the polynomial, built from d <= 10, also "
+        "reproduces the external count(s) at d = 11, 12"] + plain["chain"][i:]
 
 
 def test_certify_reports_are_deterministic(tmp_path, capsys):
@@ -311,17 +342,17 @@ def test_one_decomposition_per_rational_tritangent(tmp_path, capsys,
 
 
 def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
-    # each polynomial is Weil-validated once: determine_sign solves for
-    # the roots of each sign candidate, and predicted_count and
+    # each polynomial is Weil-validated once: determine_sign runs the
+    # root-modulus test of each sign candidate, and predicted_count and
     # cyclotomic_part reuse that check
     calls = []
-    roots = zeta.np.roots
+    on_circle = zeta._roots_on_circle
 
-    def counting(coeffs):
-        calls.append(len(coeffs))
-        return roots(coeffs)
+    def counting(r, q):
+        calls.append(len(r))
+        return on_circle(r, q)
 
-    monkeypatch.setattr(zeta.np, "roots", counting)
+    monkeypatch.setattr(zeta, "_roots_on_circle", counting)
     spec = _write_fully_external_spec(tmp_path)
     assert run(["certify", "--spec", str(spec), "--prime", "3",
                 "--json"]) == 0

@@ -10,7 +10,8 @@ from k3cert.count import (
     fingerprint_mod_p,
     trace_from_count,
 )
-from k3cert.errors import BudgetExceededError, WeilBoundError
+from k3cert.errors import (BudgetExceededError, SingularReductionError,
+                           WeilBoundError)
 from k3cert.ffield import field_create, quad_char
 from k3cert.forms import IntForm, eval_form, reduce_mod
 
@@ -174,7 +175,7 @@ def test_budget_policy():
 
 def test_zero_reduction_rejected():
     f6 = IntForm({(6, 0, 0): 5})
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularReductionError):
         count_points(f6, 5, 1)
 
 

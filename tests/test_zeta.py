@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from k3cert.zeta import (
     power_sums_from_coeffs,
     predicted_count,
     scaled_cyclotomic,
-    weil_validate,
 )
 
 import data
@@ -35,7 +36,7 @@ def test_surface_a_polynomial_exact():
     P = char_poly_from_traces(data.TRACES_A, q=5, degree=22, k=2, sign=1)
     assert P.r_coeffs == tuple(data.R20_A)
     assert P.coeffs == _expected_poly(5, 2, data.R20_A)
-    assert weil_validate(P)
+    assert P.weil_valid
 
 
 def test_surface_b_polynomial_exact():
@@ -104,15 +105,32 @@ def test_determine_sign_ambiguous_zero_traces():
     assert polys == [(1, 0, -25), (1, 0, 25)]
 
 
+def _frobenius(q, k, r_desc, sign=1):
+    coeffs = poly_mul(list(r_desc), poly_pow([1, -q], k))
+    return FrobeniusPoly(q=q, degree=len(coeffs) - 1, k=k, sign=sign,
+                         coeffs=tuple(coeffs))
+
+
 def test_weil_validate_cases():
     P = char_poly_from_traces(data.TRACES_A, q=5, degree=22, k=2, sign=1)
-    assert weil_validate(P)
+    assert P.weil_valid
     P22 = FrobeniusPoly(q=5, degree=22, k=22, sign=1,
                         coeffs=tuple(poly_pow([1, -5], 22)))
-    assert weil_validate(P22)
+    assert P22.weil_valid
     bad = FrobeniusPoly(q=5, degree=22, k=21, sign=1,
                         coeffs=tuple(poly_mul(poly_pow([1, -5], 21), [1, -10])))
-    assert not weil_validate(bad)
+    assert not bad.weil_valid
+    # an eigenvalue pair of multiplicity 3, which a floating-point root
+    # test loses
+    for q in (3, 5, 27):
+        assert _frobenius(q, 16, poly_pow([1, 0, q * q], 3)).weil_valid
+    # real roots off the circle, reciprocal with sign +1 and |P(0)| = q^n:
+    # t^2 + 7t + 9 (roots (-7 +- sqrt 13)/2 at q = 3), alone and cubed next
+    # to valid factors, and (t - 1)^2 (t - 25)^2 at q = 5
+    assert not _frobenius(3, 0, [1, 7, 9]).weil_valid
+    r = poly_mul(poly_pow([1, 7, 9], 3), poly_pow([1, 0, 9], 2))
+    assert not _frobenius(3, 2, r).weil_valid
+    assert not _frobenius(5, 0, poly_pow([1, -26, 25], 2)).weil_valid
 
 
 def test_cyclotomic_part_values():
@@ -194,3 +212,55 @@ def test_cyclotomic_polynomials_sanity():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert scaled_cyclotomic(4, 3) == [1, 0, 9]
+
+
+@pytest.mark.parametrize("r_desc", [
+    # (t+3)^4 (t^2+9)^8 and (t^2+9)^3 (t^2-2t+9)^7: eigenvalues of
+    # multiplicity up to 8, which a floating-point root test loses
+    poly_mul(poly_pow([1, 3], 4), poly_pow([1, 0, 9], 8)),
+    poly_mul(poly_pow([1, 0, 9], 3), poly_pow([1, -2, 9], 7)),
+])
+def test_repeated_eigenvalues_keep_their_sign(r_desc):
+    full = poly_mul(r_desc, poly_pow([1, -3], 2))
+    traces = power_sums_from_coeffs(full, 10)
+    res = dict(determine_sign(traces, q=3, degree=22, k=2))
+    assert 1 in res
+    assert res[1].coeffs == tuple(full)
+    assert cyclotomic_part(res[1]).cyclotomic_degree >= 2
+    for d in range(1, 12):
+        assert predicted_count(res[1], d) == 1 + power_sums_from_coeffs(
+            full, d)[-1] + 9 ** d
+
+
+def test_weil_check_matches_construction():
+    # products of factors t -+ q, t^2 - a t + q^2 with |a| < 2q (roots on
+    # |t| = q) and |a| > 2q (real roots off it); valid exactly when no
+    # factor of the last kind is used
+    rng = random.Random(11)
+    for _ in range(400):
+        q = rng.choice([3, 5, 7, 9, 25])
+        r, sign, valid = [1], 1, True
+        for _ in range(rng.randrange(0, 11)):
+            u = rng.random()
+            if u < 0.7:
+                r = poly_mul(r, [1, -rng.randrange(1 - 2 * q, 2 * q), q * q])
+            elif u < 0.85:
+                root = rng.choice([q, -q])
+                r, sign = poly_mul(r, [1, -root]), sign * (-1 if root > 0 else 1)
+            else:
+                a = rng.choice([1, -1]) * (2 * q + rng.randrange(1, 5))
+                r, valid = poly_mul(r, [1, -a, q * q]), False
+        assert _frobenius(q, 0, r, sign).weil_valid == valid, (q, r)
+        assert not _frobenius(q, 0, r, -sign).weil_valid
+
+
+def test_zeta_imports_no_floating_point_code():
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "k3cert"
+                      / "zeta.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    assert not names & {"numpy", "fractions"}
