@@ -273,16 +273,32 @@ def _resolve_k(spec, args):
 
 
 def _zeta_data(spec, p, args):
+    """k, the count series for d <= m, the surviving (sign, polynomial)
+    pairs and the signs the traces allow but an external count above m
+    rules out: a sign survives only if its polynomial also predicts every
+    such count."""
     k = _resolve_k(spec, args)
     m = (H2_DIM - k) // 2
     series = _series_for(spec, p, m, args)
-    traces = series.traces()
-    survivors = determine_sign(traces, q=p, degree=H2_DIM, k=k)
-    return k, series, survivors
+    beyond = [(d, n) for d, n in sorted(spec.external_counts.items())
+              if d > series.dmax]
+    survivors, dropped, miss = [], [], None
+    for sign, P in determine_sign(series.traces(), q=p, degree=H2_DIM, k=k):
+        for d, n in beyond:
+            pred = predicted_count(P, d)
+            if pred != n:
+                miss = miss or f"char poly predicts N_{d} = {pred}, measured {n}"
+                dropped.append(sign)
+                break
+        else:
+            survivors.append((sign, P))
+    if miss and not survivors:
+        raise MathError(miss)
+    return k, series, survivors, dropped
 
 
 def _stage_zeta(spec, p, args):
-    k, series, survivors = _zeta_data(spec, p, args)
+    k, series, survivors, _ = _zeta_data(spec, p, args)
     out = {
         "stage": "zeta",
         "surface": spec.name,
@@ -385,7 +401,7 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
                  "(p odd)")
     report["smooth"] = smooth.verdict
 
-    k, series, survivors = _zeta_data(spec, p, args)
+    k, series, survivors, dropped = _zeta_data(spec, p, args)
     report["k"] = k
     report["counts"] = [{"d": r.d, "N": r.N, "trace": r.trace, "source": src}
                         for r, src in zip(series.records, series.sources)]
@@ -407,15 +423,20 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     sign, P = survivors[0]
     report["sign"] = sign
     report["char_poly"] = P.serialize()
-    chain.append(f"determine_sign: unique consistent sign {sign:+d}")
+    if dropped:
+        chain.append(f"determine_sign: sign {sign:+d}; the traces also allow "
+                     f"{', '.join(f'{s:+d}' for s in dropped)}, which the "
+                     f"external count(s) above d = {series.dmax} rule out")
+    else:
+        chain.append(f"determine_sign: unique consistent sign {sign:+d}")
 
-    counts = {**spec.external_counts, **{r.d: r.N for r in series.records}}
-    for d, n in sorted(counts.items()):
-        pred = predicted_count(P, d)
-        if pred != n:
-            raise MathError(f"char poly predicts N_{d} = {pred}, measured {n}")
+    for r in series.records:
+        pred = predicted_count(P, r.d)
+        if pred != r.N:
+            raise MathError(f"char poly predicts N_{r.d} = {pred}, "
+                            f"measured {r.N}")
     chain.append("predicted_count: polynomial reproduces every measured count")
-    beyond = [str(d) for d in sorted(counts) if d > series.dmax]
+    beyond = [str(d) for d in sorted(spec.external_counts) if d > series.dmax]
     if beyond:
         chain.append(f"predicted_count: the polynomial, built from d <= "
                      f"{series.dmax}, also reproduces the external count(s) "

@@ -3,27 +3,27 @@
 A FieldCtx fixes the prime, the extension degree d and a deterministic
 modulus: the monic irreducible of degree d over F_p whose coefficient
 vector (c_0, c_1, ..., c_{d-1}) is lexicographically least (constant term
-first; at p = 5, d = 2 this is t^2 + t + 1).  Fields with
-q = p^d below the table limit use the "zech" representation: a nonzero
-element is stored as the exponent of a fixed multiplicative generator,
-multiplication is index addition, addition goes through the Zech
-logarithm table, and the quadratic character is the parity of the index.
-The log_* functions do this arithmetic on numpy arrays of log indices,
-for the point count.  The digit_* functions work on numpy arrays of
-coordinate vectors over F_p instead (the base-p digits of the encoding):
-sums are digitwise, products go through the d x d x d multiplication
-tensor of t^k t^l for d <= 2 and through the log tables above, and
-inverses through the log tables; the tritangent search runs on them.
-Larger fields fall back to the "poly" representation (dense coefficient
-vectors reduced mod the modulus).
+first; at p = 5, d = 2 this is t^2 + t + 1).  Every element is its
+canonical integer encoding enc(a) = sum a_i p^i over its coefficient
+vector; encodings order elements deterministically.  Sums are taken digit
+by digit, and products in F_p are plain integer arithmetic mod p.
+
+Fields with q = p^d up to the table limit (the "zech" representation)
+also hold exp, log and Zech logarithm tables over a fixed multiplicative
+generator: products, powers and inverses of extension elements (and so
+the quadratic character a^((q-1)/2)) are log additions.  Larger
+fields (the "poly" representation) multiply coefficient lists and reduce
+them mod the modulus.  The log_* functions do Zech arithmetic on numpy
+arrays of log indices, for the point count.  The digit_* functions work
+on numpy arrays of coordinate vectors over F_p instead (the base-p digits
+of the encoding): sums are digitwise, products go through the d x d x d
+multiplication tensor of t^k t^l for d <= 2 and through the log tables
+above, and inverses through the log tables; the tritangent search runs on
+them.
 
 Contexts are immutable after construction and cached by field_create, so
 they can be shared across threads and forked worker processes.  Element
 operations are pure.
-
-Every element has a canonical integer encoding enc(a) = sum a_i p^i over
-its coefficient vector; encodings order elements deterministically and
-index the log table.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Z/p (plain int lists, ascending), used only for the
-# modulus search and for "poly" representation arithmetic
+# dense polynomials over Z/p (plain int lists, ascending), used for the
+# modulus search, the log tables and products without tables
 
 
 def _zp_trim(a):
@@ -170,6 +170,14 @@ def _enc_digits(e, p, d):
     return out
 
 
+def _digits_enc(a, p):
+    """Encoding sum a_i p^i of a coefficient list with entries in [0, p)."""
+    e = 0
+    for c in reversed(a):
+        e = e * p + c
+    return e
+
+
 def _lex_least_irreducible(p, d):
     """Monic irreducible t^d + c_{d-1} t^{d-1} + ... + c_0 with the
     lexicographically least (c_0, c_1, ..., c_{d-1}): the constant term is
@@ -194,8 +202,7 @@ def _lex_least_irreducible(p, d):
 
 
 class FieldElem:
-    """Element of a FieldCtx.  Value is a log index (zech, -1 for zero)
-    or a coefficient tuple (poly)."""
+    """Element of a FieldCtx, stored as its canonical encoding v in [0, q)."""
 
     __slots__ = ("ctx", "v")
 
@@ -213,10 +220,10 @@ class FieldElem:
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElem(self.ctx, self.ctx._add(self.v, self.ctx._neg(other.v)))
+        return FieldElem(self.ctx, self.ctx._add(self.v, other.v, -1))
 
     def __neg__(self):
-        return FieldElem(self.ctx, self.ctx._neg(self.v))
+        return FieldElem(self.ctx, self.ctx._add(0, self.v, -1))
 
     def __mul__(self, other):
         self._check(other)
@@ -230,15 +237,15 @@ class FieldElem:
         return FieldElem(self.ctx, self.ctx._pow(self.v, n))
 
     def inverse(self):
-        if self.is_zero():
+        if not self.v:
             raise ZeroDivisionError("inverse of zero")
-        return FieldElem(self.ctx, self.ctx._inv(self.v))
+        return self ** -1
 
     def is_zero(self):
-        return self.ctx._is_zero(self.v)
+        return not self.v
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.v)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElem) and other.ctx is self.ctx
@@ -249,32 +256,31 @@ class FieldElem:
 
     def to_int(self) -> int:
         """Canonical integer encoding sum a_i p^i of the coefficient vector."""
-        return self.ctx._enc(self.v)
+        return self.v
 
     def coeffs(self) -> tuple[int, ...]:
         """Coefficient vector (a_0, ..., a_{d-1}) over F_p."""
-        return self.ctx._coeff_vector(self.v)
+        return tuple(_enc_digits(self.v, self.ctx.p, self.ctx.d))
 
     def lift(self) -> int:
         """Integer representative in [0, p) (prime fields only)."""
         if self.ctx.d != 1:
             raise ValueError("lift is defined for prime fields only")
-        return self.to_int()
+        return self.v
 
     def frobenius(self):
         """x -> x^p."""
         return self ** self.ctx.p
 
     def __repr__(self):
-        return f"F{self.ctx.q}:{self.to_int()}"
+        return f"F{self.ctx.q}:{self.v}"
 
 
 class FieldCtx:
     """Arithmetic context for F_{p^d}; build via field_create."""
 
     __slots__ = ("p", "d", "q", "modulus", "rep", "zech_limit",
-                 "_exp", "_log", "_zech", "_pvec", "_reduc", "_gen_cache",
-                 "_key")
+                 "_exp", "_log", "_zech", "_key")
 
     def __init__(self, p, d, zech_limit=DEFAULT_ZECH_LIMIT):
         if not is_prime(p):
@@ -284,65 +290,39 @@ class FieldCtx:
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** d
-        rep = "zech" if q <= zech_limit else "poly"
         self.p, self.d, self.q = p, d, q
         self.zech_limit = zech_limit
-        self.rep = rep
+        self.rep = "zech" if q <= zech_limit else "poly"
         self.modulus = _lex_least_irreducible(p, d)
-        self._pvec = tuple(p ** i for i in range(d))
-        self._gen_cache = None
         self._key = (p, d, zech_limit)
-        if rep == "zech":
+        self._exp = self._log = self._zech = None
+        if self.rep == "zech":
             self._build_tables()
-            self._reduc = None
-        else:
-            self._exp = self._log = self._zech = None
-            # reduction rows: coefficients of t^{d+k} mod modulus, k = 0..d-2
-            rows = []
-            cur = [-c % p for c in self.modulus[:d]]  # t^d
-            rows.append(tuple(cur))
-            for _ in range(d - 2):
-                cur = self._poly_shift_reduce(cur)
-                rows.append(tuple(cur))
-            self._reduc = tuple(rows)
 
     # -- construction helpers ------------------------------------------------
 
-    def _poly_shift_reduce(self, cur):
-        # cur holds coeffs of t^k mod modulus; return t^{k+1} mod modulus
-        p, d = self.p, self.d
-        top = cur[d - 1]
-        nxt = [0] + list(cur[:d - 1])
-        if top:
-            for i in range(d):
-                nxt[i] = (nxt[i] - top * self.modulus[i]) % p
-        else:
-            nxt = [c % p for c in nxt]
-        return nxt
-
-    def _find_generator_coeffs(self):
-        """Smallest (by encoding) multiplicative generator, as coefficients."""
+    def _find_generator(self):
+        """Encoding of the smallest multiplicative generator."""
         p, d, q = self.p, self.d, self.q
         prime_divs = list(factorize(q - 1))
-        m = list(self.modulus)
         for enc in range(2, q):
-            cand = _zp_trim(_enc_digits(enc, p, d))
-            if all(_zp_powmod(cand, (q - 1) // r, m, p) != [1]
+            cand = _enc_digits(enc, p, d)
+            if all(_zp_powmod(cand, (q - 1) // r, self.modulus, p) != [1]
                    for r in prime_divs):
-                return cand
+                return enc
         raise AssertionError("no generator found")
 
     def _build_tables(self):
         p, d, q = self.p, self.d, self.q
         q1 = q - 1
-        gen = self._find_generator_coeffs()
+        gen = _enc_digits(self._find_generator(), p, d)
         # multiply-by-generator matrix: column j = gen * t^j mod modulus
         cols = []
         for j in range(d):
-            col = _zp_mod(_zp_mul(gen, [0] * j + [1], p), list(self.modulus), p)
+            col = _zp_mod(_zp_mul(gen, [0] * j + [1], p), self.modulus, p)
             cols.append(col + [0] * (d - len(col)))
         mg = np.array(cols, dtype=np.int64).T  # acts on coefficient columns
-        pvec = np.array(self._pvec, dtype=np.int64)
+        pvec = p ** np.arange(d, dtype=np.int64)
         exp = np.empty(q1, dtype=np.int64)
         block = min(q1, 4096)
         # rows of x are the coefficient vectors of g^0, ..., g^(block-1),
@@ -376,140 +356,80 @@ class FieldCtx:
         for a in (exp, log, zech):
             a.setflags(write=False)
 
-    # -- raw value operations ------------------------------------------------
+    # -- operations on encodings ---------------------------------------------
 
-    def _is_zero(self, v):
-        if self.rep == "zech":
-            return v < 0
-        return not any(v)
-
-    def _add(self, a, b):
-        if self.rep == "zech":
-            if a < 0:
-                return b
-            if b < 0:
-                return a
-            t = (a - b) % (self.q - 1)
-            z = int(self._zech[t])
-            return -1 if z < 0 else (b + z) % (self.q - 1)
+    def _add(self, a, b, sign=1):
+        """Encoding of a + sign * b, digit by digit."""
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        if self.rep == "zech":
-            if a < 0:
-                return a
-            return (a + (self.q - 1) // 2) % (self.q - 1)
-        p = self.p
-        return tuple((-x) % p for x in a)
+        if self.d == 1:
+            return (a + sign * b) % p
+        return _digits_enc([(x + sign * y) % p for x, y in
+                            zip(_enc_digits(a, p, self.d),
+                                _enc_digits(b, p, self.d))], p)
 
     def _mul(self, a, b):
+        p = self.p
+        if self.d == 1:
+            return a * b % p
+        if not a or not b:
+            return 0
         if self.rep == "zech":
-            if a < 0 or b < 0:
-                return -1
-            return (a + b) % (self.q - 1)
-        prod = _zp_mul(list(a), list(b), self.p)
-        return self._poly_canon(prod)
-
-    def _poly_canon(self, coeffs):
-        p, d = self.p, self.d
-        coeffs = list(coeffs)
-        if len(coeffs) > d:
-            out = coeffs[:d]
-            for k in range(len(coeffs) - d):
-                c = coeffs[d + k]
-                if c:
-                    row = self._reduc[k]
-                    for i in range(d):
-                        out[i] = (out[i] + c * row[i]) % p
-            coeffs = out
-        coeffs = [c % p for c in coeffs]
-        return tuple(coeffs + [0] * (d - len(coeffs)))
-
-    def _inv(self, a):
-        if self.rep == "zech":
-            return (-a) % (self.q - 1)
-        return self._pow(a, self.q - 2)
+            log = self._log
+            return self._exp.item((log.item(a) + log.item(b)) % (self.q - 1))
+        prod = _zp_mul(_enc_digits(a, p, self.d), _enc_digits(b, p, self.d), p)
+        return _digits_enc(_zp_mod(prod, self.modulus, p), p)
 
     def _pow(self, a, n):
-        if self._is_zero(a):
-            if n == 0:
-                return self._one_v()
+        if not a:
             if n < 0:
                 raise ZeroDivisionError("0 to a negative power")
-            return a
-        q1 = self.q - 1
+            return int(n == 0)
+        p, q1 = self.p, self.q - 1
+        if self.d == 1:
+            return pow(a, n, p)
         n %= q1
         if self.rep == "zech":
-            return (a * n) % q1
-        r = self._one_v()
-        base = a
-        while n:
-            if n & 1:
-                r = self._mul(r, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return r
-
-    def _one_v(self):
-        return 0 if self.rep == "zech" else (1,) + (0,) * (self.d - 1)
-
-    def _enc(self, v):
-        if self.rep == "zech":
-            return 0 if v < 0 else int(self._exp[v])
-        return sum(c * w for c, w in zip(v, self._pvec))
-
-    def _coeff_vector(self, v):
-        if self.rep == "poly":
-            return tuple(v)
-        return tuple(_enc_digits(self._enc(v), self.p, self.d))
+            return self._exp.item(n * self._log.item(a) % q1)
+        return _digits_enc(_zp_powmod(_enc_digits(a, p, self.d), n,
+                                      self.modulus, p), p)
 
     # -- element constructors ------------------------------------------------
 
     def zero(self):
-        return FieldElem(self, -1 if self.rep == "zech" else (0,) * self.d)
+        return FieldElem(self, 0)
 
     def one(self):
-        return FieldElem(self, self._one_v())
+        return FieldElem(self, 1)
 
     def from_int(self, n: int) -> FieldElem:
         """The image of the integer n (an element of the prime subfield)."""
-        return self.from_enc(n % self.p)
+        return FieldElem(self, int(n) % self.p)
 
     def from_enc(self, e: int) -> FieldElem:
         """Element with canonical encoding e in [0, q)."""
         if not 0 <= e < self.q:
             raise ValueError("encoding out of range")
-        if self.rep == "zech":
-            return FieldElem(self, int(self._log[e]))
-        return FieldElem(self, tuple(_enc_digits(e, self.p, self.d)))
+        return FieldElem(self, int(e))
 
     def from_coeffs(self, coeffs) -> FieldElem:
         """Element sum coeffs[i] * t^i from integer coefficients."""
-        coeffs = [c % self.p for c in coeffs]
         if len(coeffs) > self.d:
             raise ValueError("too many coefficients")
-        coeffs += [0] * (self.d - len(coeffs))
-        return self.from_enc(sum(c * w for c, w in zip(coeffs, self._pvec)))
+        return FieldElem(self, _digits_enc([c % self.p for c in coeffs], self.p))
 
     def gen(self) -> FieldElem:
         """The class of t (a root of the modulus); d = 1 gives 0."""
         return self.from_coeffs([0, 1]) if self.d > 1 else self.zero()
 
     def multiplicative_generator(self) -> FieldElem:
-        """Deterministic generator of the multiplicative group."""
-        if self._gen_cache is None:
-            if self.rep == "zech":
-                self._gen_cache = FieldElem(self, 1)
-            else:
-                g = self._find_generator_coeffs()
-                self._gen_cache = self.from_coeffs(g)
-        return self._gen_cache
+        """Deterministic generator of the multiplicative group: the one of
+        least encoding."""
+        return FieldElem(self, self._find_generator())
 
     def elements(self):
         """All field elements in canonical encoding order."""
         for e in range(self.q):
-            yield self.from_enc(e)
+            yield FieldElem(self, e)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, d={self.d}, rep={self.rep})"
@@ -532,18 +452,11 @@ def field_create(p: int, d: int,
 
 
 def quad_char(a: FieldElem) -> int:
-    """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares.
-
-    Under the zech representation this is the parity of the log; otherwise
-    a^((q-1)/2) compared against 1.
-    """
-    if a.is_zero():
+    """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares,
+    read from a^((q-1)/2)."""
+    if not a.v:
         return 0
-    ctx = a.ctx
-    if ctx.rep == "zech":
-        return -1 if (a.v & 1) else 1
-    r = a ** ((ctx.q - 1) // 2)
-    return 1 if r == ctx.one() else -1
+    return 1 if a.ctx._pow(a.v, (a.ctx.q - 1) // 2) == 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +501,9 @@ def mul_tensor(ctx: FieldCtx) -> np.ndarray:
     """M[k, l, i]: digit i of t^(k+l) reduced mod the modulus, so that the
     product of x and y has digits sum_(k,l) x_k y_l M[k, l, i] (mod p)."""
     d = ctx.d
-    powers = [[int(i == j) for i in range(d)] for j in range(d)]
-    for _ in range(d - 1):
-        powers.append(ctx._poly_shift_reduce(powers[-1]))
+    powers = [_zp_mod([0] * s + [1], ctx.modulus, ctx.p)
+              for s in range(2 * d - 1)]
+    powers = [r + [0] * (d - len(r)) for r in powers]
     tensor = np.array([[powers[k + l] for l in range(d)] for k in range(d)],
                       dtype=np.int64)
     tensor.setflags(write=False)

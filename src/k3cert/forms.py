@@ -252,6 +252,17 @@ class BinaryForm:
         """Largest k with u^k dividing the form (degree+1 if zero)."""
         return self.degree - self.to_poly().degree
 
+    def gcd(self, other: "BinaryForm") -> "BinaryForm":
+        """gcd over the same field (monic dehomogenization, plus the common
+        power of the first variable)."""
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        g = self.to_poly().gcd(other.to_poly())
+        u_mult = min(self.u_multiplicity(), other.u_multiplicity())
+        return BinaryForm.from_poly(g, g.degree + u_mult)
+
     def serialize(self) -> str:
         if self.is_zero():
             return "0"
@@ -264,8 +275,9 @@ class BinaryForm:
         return f"BinaryForm(F{self.ctx.q}; {self.serialize()})"
 
 
-def line_coeffs(line) -> tuple:
-    """Coefficient triple of a linear form given as ModForm or triple."""
+def line_coeffs(line, ctx: FieldCtx | None = None) -> tuple:
+    """Coefficient triple of a linear form given as a ModForm, a triple of
+    FieldElem, or a triple of integers read in ctx."""
     if isinstance(line, ModForm):
         if line.degree != 1:
             raise ValueError("not a linear form")
@@ -277,7 +289,9 @@ def line_coeffs(line) -> tuple:
     vec = tuple(line)
     if len(vec) != 3:
         raise ValueError("need three coefficients")
-    return vec
+    if isinstance(vec[0], FieldElem):
+        return vec
+    return tuple(ctx.from_int(c) for c in vec)
 
 
 def line_form(ctx, vec) -> ModForm:

@@ -166,18 +166,6 @@ def binary_roots(bf: BinaryForm):
     return out
 
 
-def _binary_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-    """gcd of binary forms over the same field (monic dehomogenization,
-    plus the common power of the first variable)."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    g = a.to_poly().gcd(b.to_poly())
-    u_mult = min(a.u_multiplicity(), b.u_multiplicity())
-    return BinaryForm.from_poly(g, g.degree + u_mult)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -316,23 +304,13 @@ def _decompose_mod_line(f6: ModForm, line, split: SquareSplit):
     return f3, f5
 
 
-def _line_vec_over(ctx, line):
-    """Coefficient triple over ctx from a ModForm, elements, or integers."""
-    if isinstance(line, ModForm):
-        return line_coeffs(line)
-    vec = tuple(line)
-    if isinstance(vec[0], FieldElem):
-        return vec
-    return tuple(ctx.from_int(int(c)) for c in vec)
-
-
 def decompose_along_line(f6: IntForm, line, p: int):
     """Integer lifts (f3, f5) in [0, p) with f6 = f3^2 + line*f5 (mod p).
 
     The line must be a tritangent of f6 mod p with rational splits."""
     ctx = field_create(p, 1)
     f6p = reduce_mod(f6, ctx)
-    vec = _line_vec_over(ctx, line)
+    vec = line_coeffs(line, ctx)
     split = perfect_square_split(restrict_to_line(f6p, vec))
     if split is None:
         raise MathError(
@@ -830,7 +808,7 @@ def _singular_witness(system, skip, forms):
     if not forms:
         # restrict_to_line parametrizes x = 0 as (0 : s : t)
         x_line = (ctx.one(), ctx.zero(), ctx.zero())
-        g = functools.reduce(_binary_gcd,
+        g = functools.reduce(BinaryForm.gcd,
                              [restrict_to_line(f, x_line) for f in system])
         if g.degree > 0:
             (s0, t0), _, _ = binary_roots(g)[0]
@@ -842,7 +820,8 @@ def _singular_witness(system, skip, forms):
                 break
         else:
             raise AssertionError("no binary form in the ideal up to degree 30")
-    for (u0, v0), _, _ in binary_roots(functools.reduce(_binary_gcd, forms)):
+    for (u0, v0), _, _ in binary_roots(functools.reduce(BinaryForm.gcd,
+                                                        forms)):
         pt = _lift_through_z(system, u0, v0)
         if pt is not None:
             return pt

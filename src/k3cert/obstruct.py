@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 from .errors import CommonZeroOnLineError, NotDivisibleError
 from .ffield import field_create
-from .forms import BinaryForm, IntForm, reduce_mod, restrict_to_line
-from .geom import _binary_gcd, _line_vec_over, decompose_along_line
+from .forms import (BinaryForm, IntForm, line_coeffs, reduce_mod,
+                    restrict_to_line)
+from .geom import decompose_along_line
 
 
 @dataclass
@@ -52,7 +53,7 @@ def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntFor
     decomposition identity mod p); otherwise the decomposition upstream is
     broken."""
     ctx = field_create(p, 1)
-    ell_vec = _line_vec_over(ctx, line)
+    ell_vec = line_coeffs(line, ctx)
     ell_int = IntForm({(1, 0, 0): ell_vec[0].to_int(),
                        (0, 1, 0): ell_vec[1].to_int(),
                        (0, 0, 1): ell_vec[2].to_int()}, 1)
@@ -100,11 +101,11 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
     the line; that configuration contradicts the smoothness the obstruction
     formula assumes and must be surfaced, not absorbed."""
     ctx = field_create(p, 1)
-    ell_vec = _line_vec_over(ctx, line)
+    ell_vec = line_coeffs(line, ctx)
     g_bar, f3_bar, f5_bar = (restrict_to_line(reduce_mod(form, ctx), ell_vec)
                              for form in (G, f3, f5))
     if not f3_bar.is_zero() and not f5_bar.is_zero():
-        common = _binary_gcd(f3_bar, f5_bar)
+        common = f3_bar.gcd(f5_bar)
         if common.degree > 0:
             raise CommonZeroOnLineError(
                 "f3 and f5 share a zero on the line; the surface would be "

@@ -40,7 +40,6 @@ from k3cert.forms import (
 from k3cert.geom import (
     _MACAULAY_DEGREE,
     _SEARCH_BLOCK,
-    _binary_gcd,
     _lift_through_z,
     _macaulay_matrix,
     _monomials,
@@ -368,8 +367,8 @@ def macaulay_smoothness(f6: ModForm):
             return ctx.zero(), ctx.zero(), ctx.one()
         if not forms:
             x_line = (ctx.one(), ctx.zero(), ctx.zero())
-            g = functools.reduce(_binary_gcd, [restrict_to_line(f, x_line)
-                                               for f in system])
+            g = functools.reduce(BinaryForm.gcd, [restrict_to_line(f, x_line)
+                                                  for f in system])
             if g.degree > 0:
                 (s0, t0), _, _ = binary_roots(g)[0]
                 return s0.ctx.zero(), s0, t0
@@ -378,8 +377,8 @@ def macaulay_smoothness(f6: ModForm):
                 degree += 1
                 assert degree <= 30, "no binary form in the ideal"
                 forms = echelon(degree)[1]
-        for (u0, v0), _, _ in binary_roots(functools.reduce(_binary_gcd,
-                                                            forms)):
+        for (u0, v0), _, _ in binary_roots(functools.reduce(BinaryForm.gcd,
+                                                               forms)):
             pt = _lift_through_z(system, u0, v0)
             if pt is not None:
                 return pt
@@ -496,7 +495,7 @@ def log_unit_times_square(ctx: FieldCtx, R):
             acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
         return acc
 
-    half = ctx.from_int(2).inverse().v
+    half = ctx._log[ctx.from_int(2).inverse().to_int()]
     for j in range(1, k + 1):
         inner = square_coeff(j, 1, j - 1)
         h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
@@ -524,7 +523,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
     def coef(a, b, c, binom=1):
         # log of binom * f_abc; binom is read in the prime field
         x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
-        return -1 if x is None or y < 0 else x.v + y
+        return -1 if x is None or y < 0 else ctx._log[x.to_int()] + y
 
     K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
     T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)

@@ -1,16 +1,21 @@
 """The benchmark's span wrappers name pipeline functions by module and
-attribute (perfbench/spans.py); a renamed or removed one breaks every
-traced benchmark run, which the test suite does not otherwise start."""
+attribute (perfbench/spans.py), and its checks (perfbench/checks.py)
+evaluate reports with the program's own field and geometry code; a renamed
+or broken one fails every benchmark run, which the test suite does not
+otherwise start."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from k3cert.cli import load_surface_file, run
+from k3cert.forms import IntForm
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -21,7 +26,7 @@ def _k3cert(name):
 
 
 def test_span_wrapper_targets_exist():
-    spans = _spans_module()
+    spans = _load(PERFBENCH / "spans.py", "perfbench_spans")
     assert spans.WRAPPED and spans.FIELD_CREATE_CALLERS
     for mod, attr, _ in spans.WRAPPED:
         assert callable(getattr(_k3cert(mod), attr, None)), (mod, attr)
@@ -30,3 +35,28 @@ def test_span_wrapper_targets_exist():
     assert callable(_k3cert("ffield")._field_create_cached.cache_info)
     store = _k3cert("cli").CacheStore
     assert callable(store) and callable(getattr(store, "put", None))
+
+
+def test_benchmark_checks_accept_obstruct_reports(tmp_path, capsys,
+                                                  monkeypatch):
+    # the benchmark's checks evaluate singular witnesses with the field
+    # arithmetic and re-derive decompositions with geom, so a change to
+    # either must still pass them on correct obstruct reports
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks imports reference
+    checks = _load(PERFBENCH / "checks.py", "perfbench_checks")
+    g = IntForm({(2, 0, 0): 3, (1, 1, 0): -2, (1, 0, 1): 5, (0, 2, 0): 1,
+                 (0, 1, 1): 1, (0, 0, 2): 2}, 2)
+    h = IntForm({(2, 0, 0): 1, (1, 1, 0): 4, (1, 0, 1): -3, (0, 2, 0): -7,
+                 (0, 1, 1): 2, (0, 0, 2): 5}, 2)
+    singular = tmp_path / "g2h.txt"  # witness (0 : 1 : 380) over F_(101^2)
+    singular.write_text("name: g2h\n" + "".join(
+        f"f6: {a} {b} {c} {n}\n" for (a, b, c), n in (g * g * h).coeffs.items()))
+    rational = PERFBENCH.parent / "surfaces" / "rank1-p5.txt"
+    for path, p, want in ((singular, 101, ["singular"]),
+                          (rational, 5, [["3*y+1*z", 1, "nonvanishing"]])):
+        rc = run(["obstruct", "--spec", str(path), "-p", str(p), "--json"])
+        out, err = capsys.readouterr()
+        assert rc == (2 if want == ["singular"] else 0), err
+        f6 = load_surface_file(str(path)).f6.coeffs
+        errors, summary = checks.check_obstruct(f6, p, rc, out, err)
+        assert errors == [] and summary == want

@@ -207,16 +207,17 @@ def test_certify_all_external_counts(tmp_path, capsys):
 
 def test_certify_checks_external_counts_beyond_m(tmp_path, capsys):
     # N_11 and N_12 are not used to build the polynomial (m = 10); they
-    # must still agree with the counts it predicts
+    # must still agree with the counts it predicts, in certify and in zeta
     text = (SURFACES / "rank1-p3.txt").read_text()
     text += "".join(f"external: {d} {n}\n" for d, n in
                     enumerate(data.COUNTS_B[:9], start=1))
     path = tmp_path / "beyond.txt"
     path.write_text(text + "external: 11 12345\n")
-    assert run(["certify", "--spec", str(path), "--prime", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("mathematical error: char poly predicts N_11 = ")
-    assert err.endswith(", measured 12345\n")
+    for stage in ("certify", "zeta"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mathematical error: char poly predicts N_11 = ")
+        assert err.endswith(", measured 12345\n")
 
     path.write_text(text)
     assert run(["certify", "--spec", str(path), "--prime", "3", "--json"]) == 0
@@ -234,6 +235,47 @@ def test_certify_checks_external_counts_beyond_m(tmp_path, capsys):
     assert out["chain"] == plain["chain"][:i] + [
         "predicted_count: the polynomial, built from d <= 10, also "
         "reproduces the external count(s) at d = 11, 12"] + plain["chain"][i:]
+    assert run(["zeta", "--spec", str(path), "--prime", "3", "--json"]) == 0
+    signs = json.loads(capsys.readouterr().out)["signs"]
+    assert [s["char_poly"] for s in signs] == [plain["char_poly"]]
+
+
+def test_external_count_beyond_m_settles_an_ambiguous_sign(tmp_path, capsys):
+    # with k = 20 (m = 1) the trace t_1 = 60 = 20q allows both signs; an
+    # external N_2 keeps the sign whose polynomial predicts it, and the
+    # chain says that the count, not the traces, made the choice
+    text = "".join(line + "\n" for line in
+                   (SURFACES / "rank1-p3.txt").read_text().splitlines()
+                   if not line.startswith(("k:", "external:")))
+    text += "k: 20\nexternal: 1 70\n"
+    both = zeta.determine_sign([60], q=3, degree=22, k=20)
+    assert sorted(s for s, _ in both) == [-1, 1]
+    path = tmp_path / "ambiguous.txt"
+    path.write_text(text)
+    assert run(["certify", "--spec", str(path), "--prime", "3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["sign"], out["verdict"]) == ("ambiguous", "evidence-only")
+
+    for sign, P in both:
+        path.write_text(text + f"external: 2 {zeta.predicted_count(P, 2)}\n")
+        assert run(["certify", "--spec", str(path), "--prime", "3",
+                    "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["sign"], out["char_poly"]) == (sign, P.serialize())
+        assert (f"determine_sign: sign {sign:+d}; the traces also allow "
+                f"{-sign:+d}, which the external count(s) above d = 1 rule "
+                "out") in out["chain"]
+        assert run(["zeta", "--spec", str(path), "--prime", "3",
+                    "--json"]) == 0
+        signs = json.loads(capsys.readouterr().out)["signs"]
+        assert [s["sign"] for s in signs] == [sign]
+
+    path.write_text(text + "external: 2 12345\n")
+    for stage in ("certify", "zeta"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mathematical error: char poly predicts N_2 = ")
+        assert err.endswith(", measured 12345\n")
 
 
 def test_certify_reports_are_deterministic(tmp_path, capsys):

@@ -131,18 +131,43 @@ def test_digit_arithmetic_matches_elements(p, d):
 
 
 def test_poly_rep_matches_zech_rep():
-    Fz = field_create(5, 2)
-    Fp = field_create(5, 2, zech_limit=24)
-    assert (Fz.rep, Fp.rep) == ("zech", "poly")
     rng = random.Random(7)
-    for _ in range(200):
-        x, y = rng.randrange(25), rng.randrange(25)
-        az, bz = Fz.from_enc(x), Fz.from_enc(y)
-        ap, bp = Fp.from_enc(x), Fp.from_enc(y)
-        assert (az + bz).to_int() == (ap + bp).to_int()
-        assert (az * bz).to_int() == (ap * bp).to_int()
-        assert (az - bz).to_int() == (ap - bp).to_int()
-        assert quad_char(az) == quad_char(ap)
+    for p, d in ((7, 1), (5, 2), (3, 3)):
+        q = p ** d
+        Fz = field_create(p, d)
+        Fp = field_create(p, d, zech_limit=q - 1)
+        assert (Fz.rep, Fp.rep) == ("zech", "poly")
+        for F in (Fz, Fp):
+            with pytest.raises(ZeroDivisionError):
+                F.zero().inverse()
+            with pytest.raises(ZeroDivisionError):
+                F.zero() ** -1
+            assert F.zero() ** 0 == F.one() and F.zero() ** 5 == F.zero()
+        for _ in range(200):
+            x, y = rng.randrange(q), rng.randrange(q)
+            az, bz = Fz.from_enc(x), Fz.from_enc(y)
+            ap, bp = Fp.from_enc(x), Fp.from_enc(y)
+            assert (az + bz).to_int() == (ap + bp).to_int()
+            assert (az * bz).to_int() == (ap * bp).to_int()
+            assert (az - bz).to_int() == (ap - bp).to_int()
+            assert (-az).to_int() == (-ap).to_int()
+            assert (-az + az).is_zero() and (-ap + ap).is_zero()
+            assert quad_char(az) == quad_char(ap)
+            for n in (0, 1, 2, q - 1, 3 * q ** 2 + 5, -1, -q - 2):
+                if x or n >= 0:
+                    assert (az ** n).to_int() == (ap ** n).to_int(), (p, d, n)
+            if x:
+                assert az.inverse().to_int() == ap.inverse().to_int()
+                assert az * az.inverse() == Fz.one()
+                assert ap * ap.inverse() == Fp.one()
+                assert (az ** -3) * (az ** 3) == Fz.one()
+            digits_x = tuple(x // p ** i % p for i in range(d))
+            assert az.coeffs() == ap.coeffs() == digits_x
+            assert Fz.from_coeffs(digits_x) == az
+            assert (az == bz) == (ap == bp) == (x == y)
+            assert az != ap  # elements of different contexts never agree
+            assert az == Fz.from_enc(x) and hash(az) == hash(Fz.from_enc(x))
+            assert hash(ap) == hash(Fp.from_enc(x))
 
 
 def test_frobenius_is_additive_and_multiplicative():

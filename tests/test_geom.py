@@ -366,7 +366,8 @@ def test_digit_square_test_matches_scalar_split():
         columns.append([zero] * 7)
         R = digits(ctx, np.array([[c.to_int() for c in col]
                                   for col in columns]).T)
-        logs = np.array([[c.v for c in col] for col in columns]).T
+        logs = np.array([[ctx._log[c.to_int()] for c in col]
+                         for col in columns]).T
         ok = geom._unit_times_square(ctx, R)
         assert np.array_equal(ok, log_unit_times_square(ctx, logs))
         want = [any(not c.is_zero() for c in col) and perfect_square_split(
