@@ -16,10 +16,9 @@ fields (the "poly" representation) multiply coefficient lists and reduce
 them mod the modulus.  The log_* functions do Zech arithmetic on numpy
 arrays of log indices, for the point count.  The digit_* functions work
 on numpy arrays of coordinate vectors over F_p instead (the base-p digits
-of the encoding): sums are digitwise, products go through the d x d x d
-multiplication tensor of t^k t^l for d <= 2 and through the log tables
-above, and inverses through the log tables; the tritangent search runs on
-them.
+of the encoding): sums are digitwise, products are x y mod p over F_p and
+go through the log tables above in every extension, as do inverses; the
+tritangent search runs on them.
 
 Contexts are immutable after construction and cached by field_create, so
 they can be shared across threads and forked worker processes.  Element
@@ -491,23 +490,9 @@ def log_horner(ctx: FieldCtx, coef_logs, xlogs):
 # array arithmetic on coordinate vectors: an element is the vector of its
 # d base-p digits (a_0, ..., a_{d-1}), the coefficients of sum a_i t^i,
 # along the first axis of an int64 array (digit i of every element is the
-# contiguous slice x[i]).  Sums are digitwise; a product is F_p-bilinear in
-# the two vectors, through the multiplication tensor, or through the log
-# and exp tables once d^2 digit products cost more than a table lookup.
-
-
-@functools.lru_cache(maxsize=None)
-def mul_tensor(ctx: FieldCtx) -> np.ndarray:
-    """M[k, l, i]: digit i of t^(k+l) reduced mod the modulus, so that the
-    product of x and y has digits sum_(k,l) x_k y_l M[k, l, i] (mod p)."""
-    d = ctx.d
-    powers = [_zp_mod([0] * s + [1], ctx.modulus, ctx.p)
-              for s in range(2 * d - 1)]
-    powers = [r + [0] * (d - len(r)) for r in powers]
-    tensor = np.array([[powers[k + l] for l in range(d)] for k in range(d)],
-                      dtype=np.int64)
-    tensor.setflags(write=False)
-    return tensor
+# contiguous slice x[i]).  Sums are digitwise; products, inverses and
+# powers in an extension go through the log and exp tables of a zech
+# context.
 
 
 def digits(ctx: FieldCtx, enc) -> np.ndarray:
@@ -523,33 +508,15 @@ def digits(ctx: FieldCtx, enc) -> np.ndarray:
 
 
 def digit_mul(ctx: FieldCtx, x, y) -> np.ndarray:
-    """Products of coordinate vectors that broadcast against each other.
-
-    For d <= 2 the d^2 digit products are summed by the degree k + l of
-    t^k t^l, and the sum of degree s >= d is folded back with the digits
-    of t^s; every partial sum stays below d^2 p^3, within int64 for any
-    zech field.  For d >= 3 that is slower than encoding both factors,
-    adding their logs and decoding the exp table entry (0.47 s against
-    0.90 s for the u*h^2 test of every line of P^2(F_(3^6)), 2-core VM)."""
-    p, d = ctx.p, ctx.d
-    if d == 1:
-        return x * y % p
-    if d > 2:
-        a, b = _digit_logs(ctx, x), _digit_logs(ctx, y)
-        return digits(ctx, np.where((a < 0) | (b < 0), 0,
-                                    ctx._exp[(a + b) % (ctx.q - 1)]))
-    M = mul_tensor(ctx)
-    conv = [None] * (2 * d - 1)
-    for k in range(d):
-        for l in range(d):
-            xy = x[k] * y[l]
-            conv[k + l] = xy if conv[k + l] is None else conv[k + l] + xy
-    out = conv[:d]
-    for s in range(d, 2 * d - 1):
-        for i, t in enumerate(M[d - 1, s - d + 1].tolist()):
-            if t:
-                out[i] = out[i] + t * conv[s]
-    return np.stack(out) % p
+    """Products of coordinate vectors that broadcast against each other:
+    x y mod p over F_p; in an extension, both factors are encoded, their
+    logs added and the exp table entry decoded (at d = 2 within a few
+    percent of summing the d^2 digit products, 2-core VM)."""
+    if ctx.d == 1:
+        return x * y % ctx.p
+    a, b = _digit_logs(ctx, x), _digit_logs(ctx, y)
+    return digits(ctx, np.where((a < 0) | (b < 0), 0,
+                                ctx._exp[(a + b) % (ctx.q - 1)]))
 
 
 def _digit_logs(ctx: FieldCtx, x) -> np.ndarray:

@@ -88,7 +88,6 @@ from .ffield import (
     embed_subfield,
     factor_univariate,
     field_create,
-    mul_tensor,
     quad_char,
     split_root,
 )
@@ -447,13 +446,12 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
     coeffs = digits(ctx, [f.coeffs[m].to_int() if m in f.coeffs else 0
                           for m in monos] + [0])
     (pos1, mult1), (pos2, mult2), pos3 = _restriction_terms(n)
-    # U[(s, i), x]: digit i of t^s t^x for s <= 2d - 2, from the digits of
-    # t^s = t^k t^(s-k) in the multiplication tensor
-    M = mul_tensor(ctx)
+    # U[(s, i), x]: digit i of t^(s+x) for s <= 2d - 2 and x < d, read
+    # from the digits of the field's powers t^0..t^(3d-3)
     deg = np.arange(2 * d - 1)
-    U = (M[np.minimum(deg, d - 1), deg - np.minimum(deg, d - 1)]
-         @ M.reshape(d, d * d)).reshape(2 * d - 1, d, d)
-    U = U.transpose(0, 2, 1).reshape((2 * d - 1) * d, d)
+    U = digits(ctx, [(ctx.gen() ** s).to_int() for s in range(3 * d - 2)])
+    U = U[:, np.add.outer(deg, deg[:d])].transpose(1, 0, 2).reshape(
+        (2 * d - 1) * d, d)
     # X1[(k, j), (i, m, k', l)]: digit i of the a^j b^l coefficient of R_m
     # times t^k t^k'; X2[(i, m), (k, j)]: of the a^j coefficient times t^k
     C1 = (U @ (coeffs[:, pos1] * mult1 % p).reshape(d, -1) % p).reshape(

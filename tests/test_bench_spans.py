@@ -11,6 +11,8 @@ from pathlib import Path
 from k3cert.cli import load_surface_file, run
 from k3cert.forms import IntForm
 
+import data
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -60,3 +62,24 @@ def test_benchmark_checks_accept_obstruct_reports(tmp_path, capsys,
         f6 = load_surface_file(str(path)).f6.coeffs
         errors, summary = checks.check_obstruct(f6, p, rc, out, err)
         assert errors == [] and summary == want
+
+
+def test_benchmark_checks_accept_certify_reports(tmp_path, capsys,
+                                                 monkeypatch):
+    # the two certify command lines of the benchmark (one count workload
+    # process, and the warm --line-degree 2 call of the screen workload)
+    # must parse and pass its certify check: a dropped option or a changed
+    # report field fails every benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks imports reference
+    checks = _load(PERFBENCH / "checks.py", "perfbench_checks")
+    spec = tmp_path / "rank1-p3.txt"
+    spec.write_text((PERFBENCH.parent / "surfaces" / "rank1-p3.txt").read_text()
+                    + "".join(f"external: {d} {n}\n" for d, n in
+                              enumerate(data.COUNTS_B[:9], start=1)))
+    for i, extra in enumerate((["--workers", "2"], ["--line-degree", "2"])):
+        cache = tmp_path / f"cache-{i}.jsonl"
+        rc = run(["certify", "--spec", str(spec), "-p", "3", "--json",
+                  "--cache", str(cache)] + extra)
+        out, err = capsys.readouterr()
+        assert checks.check_certify("rank1-p3", rc, out, ["external"] * 10,
+                                    cache_path=cache) == [], (extra, err)

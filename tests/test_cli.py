@@ -193,6 +193,39 @@ def test_unknown_stage_is_usage_error(capsys):
     assert code == 1
 
 
+_OWN_OPTIONS = {
+    "count": ["--dmax", "--cache", "--deep", "--workers"],
+    "zeta": ["--cache", "--deep", "--workers", "--k"],
+    "tritangent": ["--deep", "--line-degree"],
+    "obstruct": ["--deep"],
+    "lattice": [],
+    "certify": ["--cache", "--deep", "--workers", "--k", "--line-degree"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OWN_OPTIONS))
+def test_each_command_accepts_only_the_options_it_reads(tmp_path, capsys,
+                                                        command):
+    # an option a command would ignore (obstruct --line-degree 2 searches
+    # only F_p) is a usage error, not a silent no-op
+    values = {"--dmax": ["1"], "--cache": [str(tmp_path / "c.jsonl")],
+              "--deep": [], "--workers": ["1"], "--k": ["2"],
+              "--line-degree": ["1"]}
+    base = [command, "--spec", str(_write_fully_external_spec(tmp_path)),
+            "--prime", "3", "--json"]
+
+    def argv(options):
+        return base + [v for o in options for v in [o] + values[o]]
+
+    own = _OWN_OPTIONS[command]
+    assert run(argv(own)) == 0, command
+    assert json.loads(capsys.readouterr().out)["stage"] == command
+    for option in sorted(set(values) - set(own)):
+        assert run(argv([option])) == 1, (command, option)
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in err, (command, option)
+
+
 def test_certify_all_external_counts(tmp_path, capsys):
     path = _write_fully_external_spec(tmp_path)
     code = run(["certify", "--spec", str(path), "--prime", "3", "--json"])
@@ -231,7 +264,7 @@ def test_certify_checks_external_counts_beyond_m(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == plain["verdict"] == "rank = 1 proved"
     i = plain["chain"].index(
-        "predicted_count: polynomial reproduces every measured count") + 1
+        "determine_sign: unique consistent sign +1") + 1
     assert out["chain"] == plain["chain"][:i] + [
         "predicted_count: the polynomial, built from d <= 10, also "
         "reproduces the external count(s) at d = 11, 12"] + plain["chain"][i:]
@@ -404,10 +437,11 @@ def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of the outputs of _pinned_calls, recorded before the lazy
-# elimination and the one-pass decomposition; a certificate, witness or
-# verdict that changes changes it
+# elimination and the one-pass decomposition and re-recorded when certify
+# dropped its chain line on the counts d <= m (every other byte the same);
+# a certificate, witness or verdict that changes changes it
 PINNED_DIGEST = (
-    "c3302d2fe15048fb9d99ea5c7670576545d7aa23c6ad4b820bee230abd2df027")
+    "429cad13a0d24c6912459cbddc465ba52fb9377e651f1656211d69c0db95940b")
 
 
 # sha256 of the outputs of _contact_calls, recorded before the array test

@@ -109,9 +109,9 @@ def test_exp_log_tables_inverse_bijections():
 
 @pytest.mark.parametrize("p, d", [(7, 1), (5, 2), (3, 3), (3, 6)])
 def test_digit_arithmetic_matches_elements(p, d):
-    # products (the multiplication tensor for d <= 2, the log tables
-    # above), inverses and powers on coordinate vectors agree with scalar
-    # field arithmetic, zero included
+    # products (mod p over F_p, the log tables in every extension, d = 2
+    # included), inverses and powers on coordinate vectors agree with
+    # scalar field arithmetic, zero included
     ctx = field_create(p, d)
     rng = random.Random(10 * p + d)
     xs = [0, 1, 0] + [rng.randrange(ctx.q) for _ in range(150)]
