@@ -48,7 +48,8 @@ from .geom import (
 )
 from .lattice import gram_rank_disc
 from .obstruct import lifts_to_second_order
-from .zeta import H2_DIM, cyclotomic_part, determine_sign, predicted_count
+from .zeta import (H2_DIM, cyclotomic_part, determine_sign, newton_above_hodge,
+                   predicted_count)
 
 
 class UsageError(ValueError):
@@ -274,9 +275,9 @@ def _resolve_k(spec, args):
 
 def _zeta_data(spec, p, args):
     """k, the count series for d <= m, the surviving (sign, polynomial)
-    pairs and the signs the traces allow but an external count above m
-    rules out: a sign survives only if its polynomial also predicts every
-    such count."""
+    pairs and the (sign, reason) pairs the traces allow but a later check
+    rules out: a sign survives only if its polynomial lies on or above the
+    Hodge polygon and predicts every external count above m."""
     k = _resolve_k(spec, args)
     m = (H2_DIM - k) // 2
     series = _series_for(spec, p, m, args)
@@ -284,11 +285,18 @@ def _zeta_data(spec, p, args):
               if d > series.dmax]
     survivors, dropped, miss = [], [], None
     for sign, P in determine_sign(series.traces(), q=p, degree=H2_DIM, k=k):
+        if not newton_above_hodge(P):
+            miss = miss or (f"the polynomial of sign {sign:+d} fails "
+                            "newton_above_hodge: its Newton polygon dips "
+                            "below the Hodge polygon")
+            dropped.append((sign, "newton_above_hodge rules out"))
+            continue
         for d, n in beyond:
             pred = predicted_count(P, d)
             if pred != n:
                 miss = miss or f"char poly predicts N_{d} = {pred}, measured {n}"
-                dropped.append(sign)
+                dropped.append((sign, f"the external count(s) above d = "
+                                      f"{series.dmax} rule out"))
                 break
         else:
             survivors.append((sign, P))
@@ -408,6 +416,9 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     chain.append(f"count_series: d = 1..{series.dmax} with sources "
                  f"{{{', '.join(sorted(set(series.sources)))}}}; Weil bound "
                  "|t| <= 22q holds for every d")
+    chain.append(f"newton_above_hodge: {p}^(i-1) divides e_i for 2 <= i "
+                 "<= 21 in the polynomial of every sign kept (Mazur: its "
+                 "Newton polygon lies on or above the K3 Hodge polygon)")
 
     if not survivors:
         raise MathError("no functional-equation sign is consistent with the "
@@ -424,9 +435,9 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     report["sign"] = sign
     report["char_poly"] = P.serialize()
     if dropped:
+        other, why = dropped[0]
         chain.append(f"determine_sign: sign {sign:+d}; the traces also allow "
-                     f"{', '.join(f'{s:+d}' for s in dropped)}, which the "
-                     f"external count(s) above d = {series.dmax} rule out")
+                     f"{other:+d}, which {why}")
     else:
         chain.append(f"determine_sign: unique consistent sign {sign:+d}")
 
@@ -532,7 +543,9 @@ _OPTIONS = {
     "deep": dict(action="store_true",
                  help="allow counts and tritangent searches beyond the "
                       "desk-scale budget"),
-    "workers": dict(type=int, default=1),
+    "workers": dict(type=int, default=1,
+                    help="processes that share a large count, at most one "
+                         "per usable CPU"),
     "k": dict(type=int, default=None,
               help="known q-eigenvalue multiplicity (default 2, or the "
                    "surface file's value)"),
@@ -581,7 +594,7 @@ def run(argv) -> int:
             raise UsageError(f"{p} is not prime")
         if p >= PRIME_BOUND:
             raise UsageError(f"p = {p} is too large: k3cert takes p < 2^31")
-        for option in ("line-degree", "dmax"):
+        for option in ("line-degree", "dmax", "workers"):
             value = getattr(args, option.replace("-", "_"), None)
             if value is not None and value < 1:
                 raise UsageError(f"--{option} must be at least 1, got {value}")

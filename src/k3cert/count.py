@@ -19,15 +19,22 @@ run through a Zech table.  Everything is vectorized with numpy over
 blocks of (row, z) pairs in int32 logs; the last addition looks up only
 the quadratic character.
 
-With several workers each gets an equal share of the orbit rows (every
-row costs q - 1 points); subtotals are exact integers, so the total is
-independent of worker count and scheduling.
+With several workers, a count above _FORK_MIN_ELEMS (row, z) pairs cuts
+the orbit rows into equal shares (every row costs q - 1 points), at most
+one per CPU the process may run on.  The process sums the first share
+itself and forks one child per other share once the tables are built, so
+a child inherits them and pays no start-up beyond the fork (about 4 ms on
+a 2-core VM, against 19-27 ns per (row, z) pair of kernel work).  Each
+child writes its exact subtotal as decimal text to a pipe and leaves
+through os._exit; the total is independent of worker count and
+scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,9 +49,11 @@ from .forms import IntForm, ModForm, reduce_mod
 H2_DIM = 22  # second Betti number of a K3 surface
 MANDATORY_Q2_LIMIT = 4_000_000_000  # desk-scale policy: q^2 at most 4e9
 _BLOCK_ELEMS = 1 << 16  # (row, z) pairs per kernel block: buffers stay in cache
-# a worker pool starts only above this many (row, z) pairs, about 0.1 s of
-# single-worker kernel time; starting the pool costs 20-50 ms
-_FORK_MIN_ELEMS = 1 << 22
+# a count forks only above this many (row, z) pairs, about 20 ms of kernel
+# time: a 2-way split saves half of that and costs about as much in fork
+# and copy-on-write (2-core VM: p = 3, d = 7, 0.69M pairs, 20 ms split
+# against 18.5 ms serial; p = 5, d = 5, 1.96M pairs, 32 ms against 44 ms)
+_FORK_MIN_ELEMS = 1 << 20
 _NEG = -(1 << 30)  # a zero in the count kernel's int32 logs: any negative
 
 
@@ -251,9 +260,66 @@ def _require_zech(p, d, deep):
     return ctx
 
 
-def _count_worker(args):
-    p, d, coef, ylogs, weights = args
-    return _affine_chart_sum(field_create(p, d), coef, ylogs, weights)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _reap(pid, fd):
+    """Read a child's pipe to EOF, then wait for the child: (pid, exit
+    code, text written)."""
+    chunks = []
+    try:
+        while chunk := os.read(fd, 4096):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+        _, status = os.waitpid(pid, 0)
+    return pid, os.waitstatus_to_exitcode(status), b"".join(chunks).decode()
+
+
+def _forked_affine_sum(ctx, coef, ylogs, weights, shares) -> int:
+    """_affine_chart_sum over `shares` equal shares of the rows: this
+    process sums the first share, one forked child each of the others.
+
+    A child writes its exact subtotal as decimal text to its own pipe and
+    leaves through os._exit, with status 0 only after the write, so it
+    never returns into the caller or flushes the buffers it inherited.
+    Every child is read to EOF and waited for on every path; a child that
+    fails makes the count raise, never return a partial sum."""
+    parts = list(zip(np.array_split(ylogs, shares),
+                     np.array_split(weights, shares)))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for ys, ws in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    os.write(w, str(_affine_chart_sum(ctx, coef, ys, ws)).encode())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        total = _affine_chart_sum(ctx, coef, *parts[0])
+    finally:
+        results = [_reap(pid, r) for pid, r in children]
+    for pid, status, text in results:
+        if status != 0 or not text:
+            raise ChildProcessError(f"count worker {pid} exited with status "
+                                    f"{status} and subtotal {text!r}")
+    return total + sum(int(text) for _, _, text in results)
 
 
 def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
@@ -270,17 +336,9 @@ def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
     q = ctx.q
     coef = _coef_log_matrix(ctx, f6p)
     ylogs, weights = _affine_rows(ctx)
-    if workers > 1 and len(ylogs) * (q - 1) > _FORK_MIN_ELEMS:
-        # every row costs q - 1 points, so equal shares of the rows are
-        # equal shares of the work
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        jobs = [(p, d, coef, ys, ws) for ys, ws in
-                zip(np.array_split(ylogs, workers), np.array_split(weights, workers))
-                if len(ys)]
-        with ProcessPoolExecutor(max_workers=len(jobs),
-                                 mp_context=mp.get_context("fork")) as ex:
-            s_affine = sum(ex.map(_count_worker, jobs))
+    shares = min(workers, _usable_cpus(), len(ylogs))
+    if shares > 1 and len(ylogs) * (q - 1) > _FORK_MIN_ELEMS:
+        s_affine = _forked_affine_sum(ctx, coef, ylogs, weights, shares)
     else:
         s_affine = _affine_chart_sum(ctx, coef, ylogs, weights)
     s = s_affine + _line_chart_sum(ctx, coef) + _point_chart_sum(ctx, coef)

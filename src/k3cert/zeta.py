@@ -14,7 +14,8 @@ whether every root of R has absolute value q by a Sturm count on integer
 pseudo-remainders, so eigenvalues of any multiplicity pass.  Each
 polynomial is validated once: the result is kept on the FrobeniusPoly
 instance, so cyclotomic_part and predicted_count reuse the check that
-determine_sign ran.
+determine_sign ran.  newton_above_hodge is the exact p-adic check on P
+(Mazur's theorem): a divisibility test on each coefficient.
 
 The Picard rank bound is the total multiplicity of eigenvalues of the
 form q * (root of unity), found by trial division of P by the scaled
@@ -300,6 +301,17 @@ def char_poly_from_traces(traces, q: int, degree: int = H2_DIM, k: int = 0,
     coeffs = poly_mul(a, poly_pow([1, -q], k))
     return FrobeniusPoly(q=q, degree=degree, k=k, sign=sign,
                          coeffs=tuple(coeffs))
+
+
+def newton_above_hodge(P: FrobeniusPoly) -> bool:
+    """Mazur's theorem for a K3 surface with good reduction that lifts to
+    characteristic 0 (the double cover lifts through f6): the Newton
+    polygon of P lies on or above the Hodge polygon, slopes 0, 1, 2 with
+    multiplicities 1, 20, 1.  With P = sum (-1)^i e_i t^(22-i) that is
+    q^(i-1) | e_i for 2 <= i <= 21 (reciprocity makes i <= 11 enough, and
+    the Weil check gives |e_22| = q^22)."""
+    return all(c % P.q ** (i - 1) == 0
+               for i, c in enumerate(P.coeffs[2:-1], start=2))
 
 
 def determine_sign(traces, q: int, degree: int = H2_DIM, k: int = 0):

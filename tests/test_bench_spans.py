@@ -12,6 +12,7 @@ from k3cert.cli import load_surface_file, run
 from k3cert.forms import IntForm
 
 import data
+from test_count import _fork_for_small_counts
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,3 +84,24 @@ def test_benchmark_checks_accept_certify_reports(tmp_path, capsys,
         out, err = capsys.readouterr()
         assert checks.check_certify("rank1-p3", rc, out, ["external"] * 10,
                                     cache_path=cache) == [], (extra, err)
+
+
+def test_benchmark_checks_accept_forked_counts(tmp_path, capsys, monkeypatch):
+    # the certify-parallel command line with counts d <= 5 made by the CLI
+    # through the forked split (as if two CPUs were usable and every count
+    # large enough), the rest external, must pass the benchmark's check
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks imports reference
+    checks = _load(PERFBENCH / "checks.py", "perfbench_checks")
+    forks = _fork_for_small_counts(monkeypatch, cpus=2)
+    spec = tmp_path / "rank1-p3.txt"
+    spec.write_text((PERFBENCH.parent / "surfaces" / "rank1-p3.txt").read_text()
+                    + "".join(f"external: {d} {n}\n" for d, n in
+                              enumerate(data.COUNTS_B[5:9], start=6)))
+    cache = tmp_path / "cache.jsonl"
+    rc = run(["certify", "--spec", str(spec), "-p", "3", "--json",
+              "--cache", str(cache), "--workers", "2"])
+    out, err = capsys.readouterr()
+    assert checks.check_certify("rank1-p3", rc, out,
+                                ["computed"] * 5 + ["external"] * 5,
+                                cache_path=cache) == [], err
+    assert len(forks) == 5  # one child for each counted degree

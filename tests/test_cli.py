@@ -188,6 +188,15 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
         assert repr(extra_line.splitlines()[-1]) in err
 
 
+def test_workers_below_one_is_usage_error(capsys):
+    for stage, value in (("count", "0"), ("zeta", "-3"), ("certify", "0")):
+        code = run([stage, "--spec", str(SURFACES / "rank1-p3.txt"),
+                    "--prime", "3", "--workers", value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --workers must be at least 1, got {value}\n")
+
+
 def test_unknown_stage_is_usage_error(capsys):
     code = run(["frobenify", "--spec", "x", "--prime", "3"])
     assert code == 1
@@ -271,6 +280,23 @@ def test_certify_checks_external_counts_beyond_m(tmp_path, capsys):
     assert run(["zeta", "--spec", str(path), "--prime", "3", "--json"]) == 0
     signs = json.loads(capsys.readouterr().out)["signs"]
     assert [s["char_poly"] for s in signs] == [plain["char_poly"]]
+
+
+def test_certify_rejects_counts_below_the_hodge_polygon(tmp_path, capsys):
+    # N_6 of B moved by 6 still passes Newton and the Weil test with sign
+    # +1, with the true rank bound and a wrong char_poly; 3^5 does not
+    # divide its e_6
+    counts = list(data.COUNTS_B[:9])
+    counts[5] += 6
+    path = tmp_path / "moved.txt"
+    path.write_text((SURFACES / "rank1-p3.txt").read_text() + "".join(
+        f"external: {d} {n}\n" for d, n in enumerate(counts, start=1)))
+    for stage in ("certify", "zeta"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "mathematical error: the polynomial of sign +1 fails "
+            "newton_above_hodge: its Newton polygon dips below the Hodge "
+            "polygon\n")
 
 
 def test_external_count_beyond_m_settles_an_ambiguous_sign(tmp_path, capsys):
@@ -437,11 +463,12 @@ def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of the outputs of _pinned_calls, recorded before the lazy
-# elimination and the one-pass decomposition and re-recorded when certify
-# dropped its chain line on the counts d <= m (every other byte the same);
-# a certificate, witness or verdict that changes changes it
+# elimination and the one-pass decomposition, re-recorded when certify
+# dropped its chain line on the counts d <= m and again when it added the
+# newton_above_hodge line (every other byte the same both times); a
+# certificate, witness or verdict that changes changes it
 PINNED_DIGEST = (
-    "429cad13a0d24c6912459cbddc465ba52fb9377e651f1656211d69c0db95940b")
+    "4361894d3d798bca3dfde9043f888252a4016c5024ba5a721e30dc160ae7be12")
 
 
 # sha256 of the outputs of _contact_calls, recorded before the array test

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -120,24 +121,80 @@ def test_chart_points_align_with_chart_logs():
                 assert quad_char(val) == (1 - 2 * (int(v) & 1))
 
 
-def test_parallel_equals_serial(monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # fork for these small fields too, so that the pool path runs
+def _fork_for_small_counts(monkeypatch, cpus=4):
+    """Fork for these small fields too, as if `cpus` CPUs were usable, and
+    record the pid of every child forked."""
     monkeypatch.setattr(count, "_FORK_MIN_ELEMS", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(count, "_usable_cpus", lambda: cpus)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_parallel_equals_serial(monkeypatch):
+    pids = _fork_for_small_counts(monkeypatch)
     for f6, p, d, n in [(data.F6_A, 5, 3, data.COUNTS_A[2]),
                         (data.F6_B, 3, 5, data.COUNTS_B[4])]:
         counts = {count_points(IntForm(f6), p, d, workers=w).N for w in (1, 2, 3)}
         assert counts == {n}
-    assert pools == [2, 3, 2, 3]
+    # workers - 1 children per count: 0 + 1 + 2 for each of the two fields
+    assert len(pids) == 6
+    _assert_reaped(pids)
+
+
+def test_shares_capped_by_usable_cpus(monkeypatch):
+    # a large --workers forks one child per other usable CPU, no more
+    pids = _fork_for_small_counts(monkeypatch, cpus=2)
+    assert count_points(IntForm(data.F6_B), 3, 5, workers=1000).N == data.COUNTS_B[4]
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def _failing_share(monkeypatch, in_child):
+    """Make _affine_chart_sum raise in the forked children (in_child) or
+    in the counting process itself."""
+    parent = os.getpid()
+    kernel = count._affine_chart_sum
+
+    def share(*args, **kwargs):
+        if (os.getpid() != parent) == in_child:
+            raise RuntimeError("share failed")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(count, "_affine_chart_sum", share)
+
+
+def test_failed_child_share_raises_and_is_reaped(monkeypatch):
+    pids = _fork_for_small_counts(monkeypatch)
+    _failing_share(monkeypatch, in_child=True)
+    with pytest.raises(ChildProcessError, match="exited with status 1"):
+        count_points(IntForm(data.F6_B), 3, 5, workers=3)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_failed_parent_share_leaves_no_child(monkeypatch):
+    pids = _fork_for_small_counts(monkeypatch)
+    _failing_share(monkeypatch, in_child=False)
+    with pytest.raises(RuntimeError, match="share failed"):
+        count_points(IntForm(data.F6_B), 3, 5, workers=2)
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _random_sextic(rng):

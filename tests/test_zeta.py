@@ -12,6 +12,7 @@ from k3cert.zeta import (
     cyclotomic_polynomial,
     determine_sign,
     elementary_from_power_sums,
+    newton_above_hodge,
     poly_mul,
     poly_pow,
     power_sums_from_coeffs,
@@ -264,3 +265,43 @@ def test_zeta_imports_no_floating_point_code():
         elif isinstance(node, ast.ImportFrom) and node.module:
             names.add(node.module.split(".")[0])
     assert not names & {"numpy", "fractions"}
+
+
+def test_newton_above_hodge_rejects_perturbed_counts():
+    # every count N_d, d <= m, of the three surfaces moved by +-1 .. +-81:
+    # where a sign still passes the Weil check, its polynomial dips below
+    # the Hodge polygon; the true polynomials do not
+    survived = 0
+    for counts, q, k in ((data.COUNTS_A, 5, 2), (data.COUNTS_B, 3, 2),
+                         (data.COUNTS_C, 3, 4)):
+        m = (22 - k) // 2
+        traces = [counts[i] - 1 - q ** (2 * i + 2) for i in range(m)]
+        assert [newton_above_hodge(P) for _, P in
+                determine_sign(traces, q=q, k=k)] == [True]
+        for d in range(m):
+            for delta in (1, 2, 3, 6, 9, 18, 27, 81):
+                for moved in (delta, -delta):
+                    bad = list(traces)
+                    bad[d] += moved
+                    for _, P in determine_sign(bad, q=q, k=k):
+                        survived += 1
+                        assert not newton_above_hodge(P), (q, d + 1, moved)
+    assert survived == 39
+
+
+def test_newton_above_hodge_bound_is_exact():
+    # two unit-root pairs at q = 3: Weil-valid, e_2 a 3-adic unit, so the
+    # check fails at i = 2, where a bound of i - 2 would pass it; the
+    # repeated unit-root factor of the Weil tests fails it at i = 3
+    r = poly_mul(poly_mul([1, -1, 9], [1, -2, 9]), poly_pow([1, -3], 16))
+    P = _frobenius(3, 2, r)
+    assert P.weil_valid and P.coeffs[2] % 3
+    assert all(c % 3 ** (i - 2) == 0 for i, c in enumerate(P.coeffs[2:-1], 2))
+    assert not newton_above_hodge(P)
+    r = poly_mul(poly_pow([1, 0, 9], 3), poly_pow([1, -2, 9], 7))
+    assert _frobenius(3, 2, r).weil_valid
+    assert not newton_above_hodge(_frobenius(3, 2, r))
+    # one unit-root pair (an ordinary surface) and a supersingular one pass
+    assert newton_above_hodge(_frobenius(3, 2, poly_mul(
+        [1, -1, 9], poly_pow([1, -3], 18))))
+    assert newton_above_hodge(_frobenius(3, 16, poly_pow([1, 0, 9], 3)))
