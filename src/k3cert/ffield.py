@@ -13,12 +13,14 @@ also hold exp, log and Zech logarithm tables over a fixed multiplicative
 generator: products, powers and inverses of extension elements (and so
 the quadratic character a^((q-1)/2)) are log additions.  Larger
 fields (the "poly" representation) multiply coefficient lists and reduce
-them mod the modulus.  The log_* functions do Zech arithmetic on numpy
-arrays of log indices, for the point count.  The digit_* functions work
-on numpy arrays of coordinate vectors over F_p instead (the base-p digits
-of the encoding): sums are digitwise, products are x y mod p over F_p and
-go through the log tables above in every extension, as do inverses; the
-tritangent search runs on them.
+them mod the modulus; they invert by the extended Euclidean algorithm
+and read the quadratic character from the Legendre symbol of the norm,
+a resultant with the modulus.  The log_* functions do Zech arithmetic
+on numpy arrays of log indices, for the point count.  The digit_*
+functions work on numpy arrays of coordinate vectors over F_p instead
+(the base-p digits of the encoding): sums are digitwise, products are x
+y mod p over F_p and go through the log tables above in every
+extension, as do inverses; the tritangent search runs on them.
 
 Contexts are immutable after construction and cached by field_create, so
 they can be shared across threads and forked worker processes.  Element
@@ -77,7 +79,8 @@ def factorize(n: int) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Z/p (plain int lists, ascending), used for the
-# modulus search, the log tables and products without tables
+# modulus search, the log tables and products, inverses and norms without
+# tables
 
 
 def _zp_trim(a):
@@ -132,6 +135,49 @@ def _zp_gcd2(a, b, p):
     while b:
         a, b = b, _zp_mod(a, _zp_monic(b, p), p)
     return _zp_monic(a, p) if a else a
+
+
+def _zp_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b."""
+    a, b = list(a), _zp_trim(list(b))
+    inv, db = pow(b[-1], -1, p), len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db:
+        c = a[-1] * inv % p
+        off = len(a) - 1 - db
+        quo[off] = c
+        if c:
+            for i in range(db):
+                a[off + i] = (a[off + i] - c * b[i]) % p
+        a.pop()
+    return _zp_trim(quo), _zp_trim(a)
+
+
+def _zp_inverse(a, m, p):
+    """The inverse of a modulo m, for a coprime to m, by the extended
+    Euclidean algorithm: s a = r (mod m) is kept for each remainder r down
+    to the nonzero constant gcd."""
+    r0, r1, s0, s1 = _zp_trim(list(m)), _zp_trim(list(a)), [], [1]
+    while len(r1) > 1:
+        quo, rem = _zp_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, _zp_sub(s0, _zp_mul(quo, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _zp_resultant(f, g, p):
+    """Res(f, g) mod p by Euclid's algorithm: with n = deg f, k = deg g > 0
+    and r = f mod g, Res(f, g) = (-1)^(n k) lc(g)^(n - deg r) Res(g, r);
+    Res(f, c) = c^n for a constant c, and 0 when g = 0."""
+    f, g, out = _zp_trim(list(f)), _zp_trim(list(g)), 1
+    while len(g) > 1:
+        r = _zp_divmod(f, g, p)[1]
+        if not r:
+            return 0
+        n, k = len(f) - 1, len(g) - 1
+        out = out * (-1) ** (n * k) * pow(g[-1], n - len(r) + 1, p) % p
+        f, g = g, r
+    return out * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
 def _zp_sub(a, b, p):
@@ -386,11 +432,12 @@ class FieldCtx:
         p, q1 = self.p, self.q - 1
         if self.d == 1:
             return pow(a, n, p)
-        n %= q1
         if self.rep == "zech":
             return self._exp.item(n * self._log.item(a) % q1)
-        return _digits_enc(_zp_powmod(_enc_digits(a, p, self.d), n,
-                                      self.modulus, p), p)
+        x = _enc_digits(a, p, self.d)
+        if n < 0:  # invert by extended Euclid, not by the power q - 2
+            x, n = _zp_inverse(x, self.modulus, p), -n
+        return _digits_enc(_zp_powmod(x, n % q1, self.modulus, p), p)
 
     # -- element constructors ------------------------------------------------
 
@@ -452,10 +499,18 @@ def field_create(p: int, d: int,
 
 def quad_char(a: FieldElem) -> int:
     """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares,
-    read from a^((q-1)/2)."""
+    read from a^((q-1)/2).  In the "poly" representation that is the
+    Legendre symbol of the norm N(a) = a^((q-1)/(p-1)) in F_p, as (q-1)/2
+    = ((q-1)/(p-1)) ((p-1)/2); with the modulus m monic, N(a) = Res(m, a),
+    computed by Euclid's algorithm instead of a power of degree q."""
     if not a.v:
         return 0
-    return 1 if a.ctx._pow(a.v, (a.ctx.q - 1) // 2) == 1 else -1
+    ctx = a.ctx
+    if ctx.rep == "poly" and ctx.d > 1:
+        p = ctx.p
+        norm = _zp_resultant(ctx.modulus, _enc_digits(a.v, p, ctx.d), p)
+        return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
+    return 1 if ctx._pow(a.v, (ctx.q - 1) // 2) == 1 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,15 @@ monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of degrees
 search, it stops at the Zech table limit: p above 2^22 raises
 BudgetExceededError before any matrix is built.  (0 : 0 : 1) is singular
 exactly when no form of the system has its z^k term (k its degree), and
-is then returned as the witness without a matrix.  Euler's identity 6 f6
+is then returned as the witness without a matrix.  For p <= _SCAN_MAX_P
+(31) the system is next evaluated at every other point of P^2(F_p) in
+the witness order of the matrix path, (0 : 1 : w) by w and then (1 : v :
+w) by (v, w), by float64 products with a cached table of monomial values;
+the first common zero is the witness, without a matrix, unless a
+singular point over an extension comes first in that order, on x = 0 or
+over a smaller projection (1 : v'), which one gcd over F_p per line
+through (0 : 0 : 1) rules out.  The Macaulay rows are built from the
+integer coefficients of f6 and of its partials.  Euler's identity 6 f6
 = x fx + y fy + z fz makes 45 of the 210 rows redundant: for p != 3 the
 multiples of f6 lie in the span of the partials' multiples, and for p = 3
 (where the left side vanishes) the multiples x_k m f_k of the last
@@ -81,6 +89,7 @@ from .ffield import (
     FieldCtx,
     FieldElem,
     Poly,
+    _zp_gcd2,
     digit_inv,
     digit_mul,
     digit_powers,
@@ -609,10 +618,26 @@ def _free_of(degree: int, v: int) -> np.ndarray:
                      if m[v] == 0], dtype=np.intp)
 
 
-def _smoothness_system(f6: ModForm):
-    """Generators of the ideal of f6 and its partials for the Macaulay
-    matrix, and the `skip` argument of _macaulay_matrix.
+@functools.lru_cache(maxsize=None)
+def _partial_terms():
+    """pos[v, j] and mult[v, j]: the partial in x_v of a sextic has, on the
+    j-th monomial of degree 5, mult[v, j] times the sextic's coefficient
+    at position pos[v, j] (both in _monomials order)."""
+    index = _monomials(6)[1]
+    monos = _monomials(5)[0]
+    pos = np.array([[index[tuple(e + (i == v) for i, e in enumerate(m))]
+                     for m in monos] for v in range(3)], dtype=np.intp)
+    mult = np.array([[m[v] + 1 for m in monos] for v in range(3)],
+                    dtype=np.int64)
+    return pos, mult
 
+
+def _smoothness_system(f6: ModForm):
+    """Generators of the ideal of f6 and its partials, as (degree,
+    coefficients) pairs with the integer coefficients in [0, p) in
+    _monomials order, and the `skip` argument of _macaulay_matrix.
+
+    The partials come from f6's 28 coefficients through _partial_terms.
     Euler's identity 6 f6 = x fx + y fy + z fz makes 45 of the 210 rows in
     degree 14 redundant.  For p != 3 f6 lies in the ideal of its partials,
     so the nonzero partials alone generate it.  For p = 3 the left side
@@ -620,27 +645,31 @@ def _smoothness_system(f6: ModForm):
     x_i m f_i, so the multiples of f_k by monomials containing x_k are
     left out.  The row space, and so the rank and the z-free rows, is the
     same in every degree."""
-    partials = [(v, g) for v, g in enumerate(f6.partial(v) for v in range(3))
-                if not g.is_zero()]
+    p, index = f6.ctx.p, _monomials(6)[1]
+    c6 = np.zeros(len(index), dtype=np.int64)
+    for m, c in f6.coeffs.items():
+        c6[index[m]] = c.to_int()
+    pos, mult = _partial_terms()
+    partials = [(v, (5, g)) for v, g in enumerate(c6[pos] * mult % p)
+                if g.any()]
     generators = [g for _, g in partials]
-    if f6.ctx.p != 3:
+    if p != 3:
         return generators, None
-    return [f6] + generators, partials[-1][0] if partials else None
+    return [(6, c6)] + generators, partials[-1][0] if partials else None
 
 
 def _macaulay_matrix(system, degree: int, skip=None) -> np.ndarray:
-    """Rows: every form of the system times every monomial that brings it
-    to `degree`, as int64 coefficient vectors over F_p; with skip = v, not
+    """Rows: every form of the system, a (degree, coefficients) pair as
+    _smoothness_system gives, times every monomial that brings it to
+    `degree`, as int64 coefficient vectors over F_p; with skip = v, not
     the multiples of the last form by monomials containing the variable
     v."""
     ncols = len(_monomials(degree)[0])
     blocks = []
-    for i, f in enumerate(system):
-        coeffs = np.array([f.coeffs[m].to_int() if m in f.coeffs else 0
-                           for m in _monomials(f.degree)[0]], dtype=np.int64)
-        cols = _product_columns(degree, f.degree)
+    for i, (e, coeffs) in enumerate(system):
+        cols = _product_columns(degree, e)
         if skip is not None and i == len(system) - 1:
-            cols = cols[:, _free_of(degree - f.degree, skip)]
+            cols = cols[:, _free_of(degree - e, skip)]
         block = np.zeros((cols.shape[1], ncols), dtype=np.int64)
         block[np.arange(cols.shape[1]), cols] = coeffs[:, None]
         blocks.append(block)
@@ -701,12 +730,12 @@ def _block_rows(form_degrees: tuple, degree: int, skip, i: int, k: int):
     return np.flatnonzero(owner == i), np.flatnonzero((owner != i) & (zdeg < k))
 
 
-def _reduced_echelon(system, degree: int, skip=None):
-    """Rank of the Macaulay matrix of a system in `degree`, and the echelon
-    form of the rows that a unit triangular block leaves: (rank, rows,
-    pivots), the rows over the columns of z-degree below k.  Some form of
-    the system must have its z^k term (k its degree): smoothness_check
-    has ruled out a singular (0 : 0 : 1).
+def _reduced_echelon(system, degree: int, skip, p: int):
+    """Rank of the Macaulay matrix of a system from _smoothness_system in
+    `degree`, and the echelon form of the rows that a unit triangular
+    block leaves: (rank, rows, pivots), the rows over the columns of
+    z-degree below k.  Some form of the system must have its z^k term (k
+    its degree): smoothness_check has ruled out a singular (0 : 0 : 1).
 
     A form g = u z^k + (terms of lower z-degree) of the system with u != 0
     gives, times the monomials m of degree `degree` - k, rows whose first
@@ -734,12 +763,11 @@ def _reduced_echelon(system, degree: int, skip=None):
     can lose multiples to skip, but it never has its z^5 term: with fz
     nonzero the last form is fz, whose z^5 coefficient is 6 a_006 = 0, and
     with fz = 0 every exponent of z in f6 is divisible by 3."""
-    p = system[0].ctx.p
-    k, i = min((f.degree, i) for i, f in enumerate(system)
-               if (0, 0, f.degree) in f.coeffs)
+    # the z^e term comes first in _monomials(e)
+    k, i = min((e, i) for i, (e, coeffs) in enumerate(system) if coeffs[0])
     mat = _macaulay_matrix(system, degree, skip)
-    own, rest = _block_rows(tuple(f.degree for f in system), degree, skip, i, k)
-    u = system[i].coeffs[(0, 0, k)].to_int()
+    own, rest = _block_rows(tuple(e for e, _ in system), degree, skip, i, k)
+    u = int(system[i][1][0])
     # transposed, so that a z-level is a slice of contiguous rows
     block = (mat[own] * pow(u, -1, p) % p).T.astype(np.float64, order="C")
     rem = mat[rest].T.astype(np.float64, order="C")
@@ -786,7 +814,7 @@ def _lift_through_z(system, u0: FieldElem, v0: FieldElem):
     return embed_subfield(u0, ctx), embed_subfield(v0, ctx), w
 
 
-def _singular_witness(system, skip, forms):
+def _singular_witness(ctx: FieldCtx, system, skip, forms):
     """A common zero of a system from _smoothness_system whose Macaulay
     matrix in degree 14 is rank deficient, given the z-free forms of its
     echelon form.
@@ -801,18 +829,25 @@ def _singular_witness(system, skip, forms):
     combination G of the partials have no common component, so dim
     (S/I)_D <= dim S/(f6, G)_D = 30 for D >= 9 and the 31 binary monomials
     of degree 30 are dependent modulo the ideal: some degree D <= 30 has
-    z-free rows."""
-    ctx = system[0].ctx
+    z-free rows.
+
+    So the witness is the first singular point in this order: on x = 0
+    first, then by the projection (1 : v) over F_p by v, then over
+    extensions; over one projection, the least w over the smallest
+    field.  The restrictions and lifts run on the system as ModForms."""
+    polys = [ModForm.from_int_coeffs(ctx, dict(zip(_monomials(e)[0],
+                                                   coeffs.tolist())), e)
+             for e, coeffs in system]
     if not forms:
         # restrict_to_line parametrizes x = 0 as (0 : s : t)
         x_line = (ctx.one(), ctx.zero(), ctx.zero())
         g = functools.reduce(BinaryForm.gcd,
-                             [restrict_to_line(f, x_line) for f in system])
+                             [restrict_to_line(f, x_line) for f in polys])
         if g.degree > 0:
             (s0, t0), _, _ = binary_roots(g)[0]
             return s0.ctx.zero(), s0, t0
         for degree in range(_MACAULAY_DEGREE + 1, 31):
-            _, rows, pivots = _reduced_echelon(system, degree, skip)
+            _, rows, pivots = _reduced_echelon(system, degree, skip, ctx.p)
             forms = _z_free_forms(ctx, rows, pivots, degree)
             if forms:
                 break
@@ -820,11 +855,112 @@ def _singular_witness(system, skip, forms):
             raise AssertionError("no binary form in the ideal up to degree 30")
     for (u0, v0), _, _ in binary_roots(functools.reduce(BinaryForm.gcd,
                                                         forms)):
-        pt = _lift_through_z(system, u0, v0)
+        pt = _lift_through_z(polys, u0, v0)
         if pt is not None:
             return pt
     raise AssertionError("no singular point over the zeros of the "
                          "elimination forms")
+
+
+# smoothness_check first scans P^2(F_p) for a singular point when p is at
+# most this bound (measured in BENCH_rational_singular.json)
+_SCAN_MAX_P = 31
+
+
+def _powers_mod(p: int, n: int) -> np.ndarray:
+    """t^e mod p for t < n (rows) and e <= 6 (columns)."""
+    out = np.ones((n, 7), dtype=np.int64)
+    for e in range(1, 7):
+        out[:, e] = out[:, e - 1] * np.arange(n) % p
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _point_table(p: int) -> np.ndarray:
+    """The values mod p, in float64, of the monomials of degree 6 and then
+    of degree 5 (each in _monomials order) at the points of P^2(F_p) other
+    than (0 : 0 : 1), in the witness order of _singular_witness: (0 : 1 :
+    w) by w, then (1 : v : w) by (v, w); p^2 + p rows of 49 values."""
+    w = np.arange(p)
+    x = np.repeat([0, 1], [p, p * p])
+    y = np.concatenate([np.ones(p, dtype=np.int64), np.repeat(w, p)])
+    z = np.concatenate([w, np.tile(w, p)])
+    a, b, c = (np.array(e)[None, :]
+               for e in zip(*_monomials(6)[0], *_monomials(5)[0]))
+    powers = _powers_mod(p, p)
+    table = (powers[x[:, None], a] * powers[y[:, None], b] % p
+             * powers[z[:, None], c] % p).astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _line_terms(n: int) -> np.ndarray:
+    """pos[b, c]: the position of x^(n-b-c) y^b z^c in _monomials(n), and
+    len(_monomials(n)) where b + c > n."""
+    index = _monomials(n)[1]
+    pos = np.array([[index.get((n - b - c, b, c), len(index))
+                     for c in range(n + 1)] for b in range(n + 1)])
+    pos.setflags(write=False)
+    return pos
+
+
+def _no_common_zero_before(system, p: int, v_end: int) -> bool:
+    """Whether the system has no common zero, over any extension of F_p,
+    on the line x = 0 or on a line (1 : v : w) with v < v_end.
+
+    On each such line the forms restrict to polynomials in w (the point
+    at infinity, (0 : 0 : 1), is not a zero), and they have a common zero
+    exactly when their gcd over F_p is not 1.  The restriction of a form
+    of degree n to (1 : v : w) has the coefficient sum_b f_(n-b-c, b, c)
+    v^b on w^c, and to (0 : 1 : w) the coefficient f_(0, n-c, c)."""
+    vpow = _powers_mod(p, v_end)
+    restrictions = []
+    for e, coeffs in system:
+        terms = np.append(coeffs, 0)[_line_terms(e)]
+        on_x0 = terms[e - np.arange(e + 1), np.arange(e + 1)]
+        restrictions.append(
+            np.vstack([on_x0, vpow[:, :e + 1] @ terms % p]).tolist())
+    for line in zip(*restrictions):
+        g = []
+        for f in line:
+            g = _zp_gcd2(g, f, p)
+            if len(g) == 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rational_witness(system, p: int):
+    """The witness of _singular_witness, as integers, when a point of
+    P^2(F_p) other than (0 : 0 : 1) is a common zero of the system and
+    the order check allows it; otherwise None.
+
+    The forms are evaluated one at a time, each at the points where the
+    ones before it vanish: the first at every point of _point_table, by
+    one float64 product with its coefficients.  Every value is a sum of at
+    most 28 products below p^2, so it is exact, and value / p is an
+    integer exactly when p divides the value (a fraction keeps a distance
+    of at least 1/p from the integers, far above the rounding error at
+    p <= _SCAN_MAX_P).  The first common zero in witness order is taken.
+    On x = 0 it is the witness.  At (1 : v : w) it is the witness only
+    when no common zero over any extension lies on x = 0 or over a
+    projection (1 : v') with v' < v (_no_common_zero_before): such a point
+    would come first, as on a sextic singular along a conic that meets x
+    = 0 in a conjugate pair."""
+    table, hits = _point_table(p), None
+    for e, coeffs in system:
+        rows = table if hits is None else table[hits]
+        vals = (rows[:, :28] if e == 6 else rows[:, 28:]) @ coeffs / p
+        zeros = np.flatnonzero(vals == np.floor(vals))
+        hits = zeros if hits is None else hits[zeros]
+        if not hits.size:
+            return None
+    if hits[0] < p:
+        return 0, 1, int(hits[0])
+    v, w = divmod(int(hits[0]) - p, p)
+    return (1, v, w) if _no_common_zero_before(system, p, v) else None
 
 
 def smoothness_check(f6: ModForm) -> SingularityReport:
@@ -839,11 +975,20 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
     too) raises BudgetExceededError before any matrix is built; the float64
     division and the int64 elimination below are exact up to there.  When
     no form of the system has its z^k term (k its degree), (0 : 0 : 1) is
-    a common zero and is returned as the witness.  Otherwise the rank is
-    that of the triangular block of a form with a unit z-power plus that of
-    the other rows divided by it (_reduced_echelon), so the pivot loop runs
-    over at most 75 columns.  A singular verdict carries a common zero over
-    the smallest extension that the witness search needed."""
+    a common zero and is returned as the witness.  For p <= _SCAN_MAX_P
+    the system is then evaluated at every other point of P^2(F_p)
+    (_rational_witness), in the order in which _singular_witness ranks
+    its witnesses: (0 : 1 : w) by w, then (1 : v : w) by (v, w).  The
+    first common zero is returned without a matrix when it lies on x = 0,
+    or when no common zero over any extension lies on x = 0 or on a line
+    (1 : v' : w) with v' < v, which one gcd of the restrictions per line
+    decides; so the witness is the one the matrix path gives.  Otherwise,
+    and for larger p, the rank is that of the triangular block of a form
+    with a unit z-power plus that of the other rows divided by it
+    (_reduced_echelon), so the pivot loop runs over at most 75 columns;
+    its rows come from the integer coefficients of f6 and its partials.
+    A singular verdict carries a common zero over the smallest extension
+    that the witness search needed."""
     ctx = f6.ctx
     if ctx.d != 1:
         raise ValueError("smoothness_check needs a form over a prime field")
@@ -853,14 +998,20 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
         raise BudgetExceededError(f"the smoothness test, like point counting, "
                                   f"stops at p <= {DEFAULT_ZECH_LIMIT}")
     system, skip = _smoothness_system(f6)
-    if all((0, 0, f.degree) not in f.coeffs for f in system):
+    if not any(coeffs[0] for _, coeffs in system):  # the z^k terms
         return SingularityReport("singular", (ctx.zero(), ctx.zero(),
                                               ctx.one()), 1)
-    rank, rows, pivots = _reduced_echelon(system, _MACAULAY_DEGREE, skip)
+    if ctx.p <= _SCAN_MAX_P:
+        pt = _rational_witness(system, ctx.p)
+        if pt is not None:
+            return SingularityReport("singular",
+                                     tuple(map(ctx.from_int, pt)), 1)
+    rank, rows, pivots = _reduced_echelon(system, _MACAULAY_DEGREE, skip,
+                                          ctx.p)
     if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")
-    pt = _singular_witness(system, skip, _z_free_forms(ctx, rows, pivots,
-                                                       _MACAULAY_DEGREE))
+    pt = _singular_witness(ctx, system, skip, _z_free_forms(
+        ctx, rows, pivots, _MACAULAY_DEGREE))
     return SingularityReport("singular", normalize_point(pt), pt[0].ctx.d)
 
 

@@ -318,7 +318,12 @@ def determine_sign(traces, q: int, degree: int = H2_DIM, k: int = 0):
     """Try both functional-equation signs; a sign survives when the
     reconstruction succeeds and passes the Weil check.  Returns the list of
     surviving (sign, polynomial) pairs; an empty list means the input is
-    inconsistent, two entries mean more traces are needed."""
+    inconsistent, two entries mean more traces are needed.
+
+    Only the Weil test is applied here, so a survivor need not come from
+    a K3 surface: cli._zeta_data also drops the signs whose polynomial
+    fails newton_above_hodge (Mazur's bound), and callers that need the
+    polynomials certify keeps must apply that check too."""
     out = []
     for sign in (1, -1):
         try:

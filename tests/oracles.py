@@ -5,8 +5,9 @@ through a 3x3 change of coordinates T that sends the line to x
 decompose_mod_line) with the generic grevlex division exact_divide; the
 array test of the tritangent search in the discrete-log (Zech)
 representation (log_restriction_blocks and log_unit_times_square); the
-smoothness test on the full Macaulay matrices without the triangular
-block (macaulay_smoothness); and the chart evaluator and minimal
+smoothness test on the full Macaulay matrices, built from the forms'
+own coefficients, without the triangular block (macaulay_matrix and
+macaulay_smoothness); and the chart evaluator and minimal
 polynomials that the exhaustive singular-point scan and the field tests
 use (chart_value_logs, chart_points, minimal_polynomial)."""
 
@@ -41,7 +42,6 @@ from k3cert.geom import (
     _MACAULAY_DEGREE,
     _SEARCH_BLOCK,
     _lift_through_z,
-    _macaulay_matrix,
     _monomials,
     _sqrt_in_field,
     _z_free_forms,
@@ -347,6 +347,21 @@ def exact_divide(f, g):
     return ModForm(f.ctx, quo, deg)
 
 
+def macaulay_matrix(system, degree: int) -> np.ndarray:
+    """Rows: every form of the system (ModForms over F_p) times every
+    monomial of the complementary degree, as int64 coefficient vectors
+    over the monomials of `degree` in the column order of geom."""
+    index = _monomials(degree)[1]
+    rows = []
+    for f in system:
+        for a, b, c in _monomials(degree - f.degree)[0]:
+            row = [0] * len(index)
+            for (d, e, g), coef in f.coeffs.items():
+                row[index[(a + d, b + e, c + g)]] = coef.to_int()
+            rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
 def macaulay_smoothness(f6: ModForm):
     """Reference for smoothness_check: (verdict, witness, field degree)
     from the full Macaulay matrices of f6 and its nonzero partials (210
@@ -359,7 +374,7 @@ def macaulay_smoothness(f6: ModForm):
                      if not h.is_zero()]
 
     def echelon(degree):
-        rows, pivots = row_echelon(_macaulay_matrix(system, degree), ctx.p)
+        rows, pivots = row_echelon(macaulay_matrix(system, degree), ctx.p)
         return len(pivots), _z_free_forms(ctx, rows, pivots, degree)
 
     def witness(forms):

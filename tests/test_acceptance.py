@@ -16,7 +16,8 @@ from k3cert.forms import BinaryForm, IntForm, perfect_square_split, reduce_mod
 from k3cert.geom import ConicCert, decompose_along_line, find_tritangents, verify_conic_identity
 from k3cert.lattice import gram_rank_disc
 from k3cert.obstruct import obstruction_G, obstruction_vanishes
-from k3cert.zeta import cyclotomic_part, determine_sign, predicted_count
+from k3cert.zeta import (cyclotomic_part, determine_sign, newton_above_hodge,
+                         predicted_count)
 
 import data
 from oracles import unit_square_products
@@ -73,20 +74,27 @@ def traces_b(series_b):
     return traces
 
 
+def k3_signs(traces, q, k):
+    """The signs certify keeps: Weil-valid (determine_sign) and with the
+    Newton polygon above the Hodge polygon (newton_above_hodge)."""
+    return [(sign, P) for sign, P in determine_sign(traces, q=q, degree=22,
+                                                    k=k)
+            if newton_above_hodge(P)]
+
+
 @pytest.fixture(scope="module")
 def poly_a(traces_a):
-    survivors = determine_sign(traces_a, q=5, degree=22, k=2)
-    return survivors
+    return k3_signs(traces_a, 5, 2)
 
 
 @pytest.fixture(scope="module")
 def poly_b(traces_b):
-    return determine_sign(traces_b, q=3, degree=22, k=2)
+    return k3_signs(traces_b, 3, 2)
 
 
 @pytest.fixture(scope="module")
 def poly_c(series_c):
-    return determine_sign(series_c.traces(), q=3, degree=22, k=4)
+    return k3_signs(series_c.traces(), 3, 4)
 
 
 def test_criterion_1_counts_surface_a(series_a):

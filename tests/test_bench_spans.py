@@ -6,8 +6,10 @@ otherwise start."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
+from k3cert import geom
 from k3cert.cli import load_surface_file, run
 from k3cert.forms import IntForm
 
@@ -15,6 +17,7 @@ import data
 from test_count import _fork_for_small_counts
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+QUARTICS = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]
 
 
 def _load(path, name):
@@ -54,15 +57,35 @@ def test_benchmark_checks_accept_obstruct_reports(tmp_path, capsys,
     singular = tmp_path / "g2h.txt"  # witness (0 : 1 : 380) over F_(101^2)
     singular.write_text("name: g2h\n" + "".join(
         f"f6: {a} {b} {c} {n}\n" for (a, b, c), n in (g * g * h).coeffs.items()))
+    # a node at (1 : 2 : 3) mod 7, which smoothness_check finds by its
+    # scan of P^2(F_7), without a Macaulay matrix
+    rng = random.Random(1)
+    Y = IntForm({(1, 0, 0): -2, (0, 1, 0): 1}, 1)
+    Z = IntForm({(1, 0, 0): -3, (0, 0, 1): 1}, 1)
+    node = sum((a * b * IntForm({m: rng.randint(-3, 3) for m in QUARTICS}, 4)
+                for a, b in ((Y, Y), (Y, Z), (Z, Z))), IntForm({}, 6))
+    scanned = tmp_path / "node.txt"
+    scanned.write_text("name: node\n" + "".join(
+        f"f6: {a} {b} {c} {n}\n" for (a, b, c), n in node.coeffs.items()))
     rational = PERFBENCH.parent / "surfaces" / "rank1-p5.txt"
     for path, p, want in ((singular, 101, ["singular"]),
+                          (scanned, 7, ["singular"]),
                           (rational, 5, [["3*y+1*z", 1, "nonvanishing"]])):
-        rc = run(["obstruct", "--spec", str(path), "-p", str(p), "--json"])
+        with monkeypatch.context() as patch:
+            if path == scanned:
+                patch.setattr(geom, "_macaulay_matrix", _no_matrix)
+            rc = run(["obstruct", "--spec", str(path), "-p", str(p), "--json"])
         out, err = capsys.readouterr()
         assert rc == (2 if want == ["singular"] else 0), err
+        if path == scanned:
+            assert "witness (1, 2, 3) over F_7^1" in err
         f6 = load_surface_file(str(path)).f6.coeffs
         errors, summary = checks.check_obstruct(f6, p, rc, out, err)
         assert errors == [] and summary == want
+
+
+def _no_matrix(*args):
+    raise AssertionError("a Macaulay matrix was built")
 
 
 def test_benchmark_checks_accept_certify_reports(tmp_path, capsys,

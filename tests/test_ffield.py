@@ -5,6 +5,8 @@ import pytest
 
 from k3cert.ffield import (
     Poly,
+    _digits_enc,
+    _zp_powmod,
     digit_inv,
     digit_mul,
     digit_powers,
@@ -168,6 +170,33 @@ def test_poly_rep_matches_zech_rep():
             assert az != ap  # elements of different contexts never agree
             assert az == Fz.from_enc(x) and hash(az) == hash(Fz.from_enc(x))
             assert hash(ap) == hash(Fp.from_enc(x))
+
+
+def test_poly_rep_inverse_and_character_match_powers():
+    # above the Zech limit an inverse is an extended Euclid on coefficient
+    # lists and the quadratic character the Legendre symbol of the norm;
+    # they equal the powers a^(q-2) and a^((q-1)/2)
+    rng = random.Random(11)
+    for d in (2, 3):
+        ctx = field_create(4231, d)
+        assert ctx.rep == "poly"
+        p, q = ctx.p, ctx.q
+        with pytest.raises(ZeroDivisionError):
+            ctx.zero().inverse()
+        assert quad_char(ctx.zero()) == 0
+        chars = set()
+        for _ in range(60):
+            a = ctx.from_enc(rng.randrange(1, q))
+            x = list(a.coeffs())
+            inv = _digits_enc(_zp_powmod(x, q - 2, ctx.modulus, p), p)
+            half = _digits_enc(_zp_powmod(x, (q - 1) // 2, ctx.modulus, p), p)
+            assert a.inverse().to_int() == inv and a * a.inverse() == ctx.one()
+            assert (a ** -2).to_int() == (a.inverse() * a.inverse()).to_int()
+            assert half in (1, p - 1)  # the encodings of 1 and -1
+            assert quad_char(a) == (1 if half == 1 else -1)
+            chars.add(quad_char(a))
+            assert quad_char(a * a) == 1
+        assert chars == {1, -1}
 
 
 def test_frobenius_is_additive_and_multiplicative():

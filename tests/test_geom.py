@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -46,6 +47,7 @@ from oracles import (
     decompose_mod_line,
     log_restriction_blocks,
     log_unit_times_square,
+    macaulay_matrix,
     macaulay_smoothness,
     row_echelon,
 )
@@ -711,7 +713,7 @@ def _lines_product(ctx, lines):
 
 
 def test_smoothness_structured_singular_cases(monkeypatch):
-    macaulay_matrix = geom._macaulay_matrix
+    build = geom._macaulay_matrix
     cases = []
     # positive-dimensional singular locus: g^2 h with g, h conics
     for p in (5, 7):
@@ -737,21 +739,26 @@ def test_smoothness_structured_singular_cases(monkeypatch):
     # six lines in general position: 15 rational nodes, none on x = 0,
     # with 15 distinct projections from (0 : 0 : 1), so no binary form of
     # degree 14 vanishes on them and the witness needs the degree-15 matrix
+    # (on the Macaulay path, which the scan of P^2(F_23) otherwise spares)
     F23 = field_create(23, 1)
     f6 = _lines_product(F23, [(1, 21, 2), (1, 14, 22), (1, 17, 13),
                               (1, 12, 13), (1, 12, 4), (1, 15, 21)])
     hits = _exhaustive_singular(f6, 1)
     assert len(hits) == 15 and all(not pt[0].is_zero() for pt, _ in hits)
+    scanned = smoothness_check(f6)
     degrees = []
 
     def recording(system, degree, skip):
         degrees.append(degree)
-        return macaulay_matrix(system, degree, skip)
+        return build(system, degree, skip)
 
     monkeypatch.setattr(geom, "_macaulay_matrix", recording)
+    monkeypatch.setattr(geom, "_SCAN_MAX_P", 0)
     rep = smoothness_check(f6)
     _assert_singular_witness(f6, rep)
     assert (rep.witness, 1) in hits and degrees == [14, 15]
+    assert (scanned.witness, scanned.field_degree) == (rep.witness, 1)
+    monkeypatch.undo()
 
     # a node at (0 : 0 : 1) is returned as it is
     f6 = _mod(F7, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1, (5, 0, 1): 2})
@@ -769,6 +776,96 @@ def test_smoothness_structured_singular_cases(monkeypatch):
     rep = smoothness_check(f6)
     _assert_singular_witness(f6, rep)
     assert rep.field_degree == 2 and (rep.witness, 2) in hits
+
+
+def test_scan_witness_matches_the_macaulay_path(monkeypatch):
+    # at every prime up to the scan bound, smoothness_check gives the
+    # witness and field degree of the Macaulay path (forced by a bound of
+    # 0).  A node at an F_p-point is settled by the scan, without a matrix;
+    # a singular point over F_(p^2) that precedes the first F_p-point in
+    # witness order sends the sextic to the matrix: g^2 h with g meeting
+    # x = 0 in a conjugate pair, and a conjugate pair of nodes over the
+    # projection (1 : v0) with a rational node over (1 : v1), v0 < v1
+    bound, build = geom._SCAN_MAX_P, geom._macaulay_matrix
+    built = []
+
+    def recording(*args):
+        built.append(args[1])
+        return build(*args)
+
+    def never(*args):
+        raise AssertionError("a Macaulay matrix was built")
+
+    rng = random.Random(29)
+    cases = []
+    for p in filter(is_prime, range(3, bound + 1)):
+        ctx = field_create(p, 1)
+
+        def form(degree):
+            return _mod(ctx, {m: rng.randrange(p)
+                              for m in _monomials(degree)[0]}, degree)
+
+        def lin(a, b, c):
+            return _mod(ctx, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}, 1)
+
+        n = next(t for t in range(2, p) if pow(t, (p - 1) // 2, p) == p - 1)
+        for _ in range(2):
+            # Y and Z vanish at (1 : v : w), then at (0 : 1 : w)
+            v, w = rng.randrange(p), rng.randrange(p)
+            for Y, Z in ((lin(-v, 1, 0), lin(-w, 0, 1)),
+                         (lin(1, 0, 0), lin(0, -w, 1))):
+                cases.append(("node", None, Y * Y * form(4)
+                              + Y * Z * form(4) + Z * Z * form(4)))
+        g = _mod(ctx, {(0, 2, 0): 1, (0, 0, 2): -n, **{
+            m: rng.randrange(p) for m in ((2, 0, 0), (1, 1, 0), (1, 0, 1))}})
+        cases.append(("x = 0 pair", (0, 1), g * g * form(2)))
+        v0 = rng.randrange(p - 1)
+        v1, w1 = rng.randrange(v0 + 1, p), rng.randrange(p)
+        pair = (lin(-v0, 1, 0), _mod(ctx, {(0, 0, 2): 1, (2, 0, 0): -n}))
+        node = (lin(-v1, 1, 0), lin(-w1, 0, 1))
+        f6 = _mod(ctx, {}, 6)
+        for a, b in itertools.product(
+                (pair[0] * pair[0], pair[0] * pair[1], pair[1] * pair[1]),
+                (node[0] * node[0], node[0] * node[1], node[1] * node[1])):
+            f6 = f6 + a * b * form(6 - a.degree - b.degree)
+        cases.append(("pair before node", (1, v0), f6))
+        cases.append(("conic*quartic", None, form(2) * form(4)))
+    conic = _mod(field_create(3, 1),
+                 {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    cases.append(("conic^3", (0, 1), conic * conic * conic))
+    cases.append(("six lines", None, _lines_product(field_create(23, 1), [
+        (1, 21, 2), (1, 14, 22), (1, 17, 13), (1, 12, 13), (1, 12, 4),
+        (1, 15, 21)])))
+
+    settled, handed_over = [], []
+    for kind, projection, f6 in cases:
+        monkeypatch.setattr(geom, "_SCAN_MAX_P", 0)
+        monkeypatch.setattr(geom, "_macaulay_matrix", build)
+        want = smoothness_check(f6)
+        monkeypatch.setattr(geom, "_SCAN_MAX_P", bound)
+        # a witness over F_p is found by the scan, never by a matrix
+        monkeypatch.setattr(geom, "_macaulay_matrix",
+                            never if want.field_degree == 1 else recording)
+        built.clear()
+        rep = smoothness_check(f6)
+        assert (rep.verdict, rep.witness, rep.field_degree) == \
+            (want.verdict, want.witness, want.field_degree), (kind, f6)
+        _assert_singular_witness(f6, rep)
+        if rep.field_degree == 1:
+            settled.append(kind)
+        else:
+            assert built[:1] == [14], kind
+        if projection is not None and rep.field_degree == 2:
+            # over the expected projection, where the scan (which found a
+            # later F_p-point) handed over to the matrix
+            assert _pt_ints(rep.witness)[:2] == projection, kind
+            handed_over.append(kind)
+    # most random nodes are the first singular point, and most conjugate
+    # pairs come before the first F_p-point (10 primes up to 31)
+    primes = sum(map(is_prime, range(3, bound + 1)))
+    assert settled.count("node") >= 3 * primes
+    assert handed_over.count("pair before node") >= primes - 2
+    assert handed_over.count("x = 0 pair") >= primes - 2
 
 
 def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
@@ -822,14 +919,26 @@ def test_smoothness_prime_bound(monkeypatch):
         smoothness_check(_mod(F25, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}))
 
 
+def _int_system(forms):
+    """ModForms over F_p as the (degree, coefficients) pairs of
+    geom._smoothness_system."""
+    return [(f.degree, np.array([f.coeffs[m].to_int() if m in f.coeffs else 0
+                                 for m in _monomials(f.degree)[0]]))
+            for f in forms]
+
+
 def test_macaulay_matrix_rows_are_form_multiples():
     # each row is the coefficient vector of (monomial) * (form), with the
-    # z-free monomials x^(14-i) y^i in the last 15 columns
+    # z-free monomials x^(14-i) y^i in the last 15 columns; the integer
+    # partials of the smoothness system are those of ModForm.partial
     F7 = field_create(7, 1)
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 3, (0, 0, 6): 1, (2, 2, 2): 5,
                    (1, 0, 5): 2, (3, 3, 0): 4})
     system = [f6] + [f6.partial(v) for v in range(3)]
-    mat = _macaulay_matrix(system, 14)
+    generators, skip = geom._smoothness_system(f6)
+    assert skip is None and [(e, c.tolist()) for e, c in generators] == \
+        [(e, c.tolist()) for e, c in _int_system(system[1:])]
+    mat = _macaulay_matrix(_int_system(system), 14)
     monos, index = _monomials(14)
     assert mat.shape == (45 + 3 * 55, 120)
     assert monos[-15:] == tuple((14 - i, i, 0) for i in range(15))
@@ -889,7 +998,7 @@ def test_lazy_row_echelon_matches_oracle():
                 continue
             system = [f6] + [h for h in (f6.partial(v) for v in range(3))
                              if not h.is_zero()]
-            _assert_echelon_matches_oracle(_macaulay_matrix(system, 14), p)
+            _assert_echelon_matches_oracle(macaulay_matrix(system, 14), p)
         for nrows, ncols, rank in ((40, 30, 12), (25, 60, 25), (60, 120, 45)):
             left = np.array([[rng.randrange(p) for _ in range(rank)]
                              for _ in range(nrows)], dtype=object)
@@ -972,9 +1081,12 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
     # verdict, witness and field degree.  The pivot loop sees the 65
     # columns of z-degree below 5 when a partial has a unit z^5 (p = 3:
     # fx or fy) and the 75 below z^6 for f6's block at p = 3; without a
-    # unit z-power (then (0 : 0 : 1) is singular) it does not run
+    # unit z-power (then (0 : 0 : 1) is singular) it does not run.  The
+    # scan of P^2(F_p) for a singular point, which can settle a sextic
+    # before any matrix, must not change the witness either
     widths = []
     row_echelon_ = geom._row_echelon
+    scan_max_p = geom._SCAN_MAX_P
 
     def recording(mat, p):
         widths.append(mat.shape[1])
@@ -1015,10 +1127,15 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
                 generators, skip = geom._smoothness_system(f6)
                 assert _macaulay_matrix(generators, 14, skip).shape == \
                     (165, 120)
-            widths.clear()
-            rep = smoothness_check(f6)
-            assert (rep.verdict, rep.witness, rep.field_degree) == \
-                macaulay_smoothness(f6), (p, f6)
+            want = macaulay_smoothness(f6)
+            # with the scan of P^2(F_p) up to its bound, then on the
+            # Macaulay path alone, whose pivot widths are checked below
+            for bound in (scan_max_p, 0):
+                monkeypatch.setattr(geom, "_SCAN_MAX_P", bound)
+                widths.clear()
+                rep = smoothness_check(f6)
+                assert (rep.verdict, rep.witness, rep.field_degree) == \
+                    want, (p, bound, f6)
             z5 = any((0, 0, 5) in h.coeffs for h in partials)
             if not z5 and (p != 3 or (0, 0, 6) not in f6.coeffs):
                 assert widths == [] and rep.witness == (ctx.zero(), ctx.zero(),
