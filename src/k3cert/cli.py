@@ -111,6 +111,9 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                 f6[mono] = coeff
             elif key == "k":
                 k = int(value)
+                if not 0 <= k <= H2_DIM or (H2_DIM - k) % 2:
+                    raise UsageError(f"k = {k} must be even and between 0 "
+                                     f"and {H2_DIM}")
             elif key == "external":
                 d, n = (int(x) for x in value.split())
                 if d < 1:
@@ -142,6 +145,11 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     gram = tuple(gram_rows) if gram_rows else None
     if gram is not None and any(len(r) != len(gram) for r in gram):
         raise UsageError("gram matrix must be square")
+    for i, j in ((i, j) for i in range(len(gram or ())) for j in range(i)):
+        if gram[i][j] != gram[j][i]:
+            raise UsageError(f"gram matrix is not symmetric: entries ({j + 1}, "
+                             f"{i + 1}) and ({i + 1}, {j + 1}) are "
+                             f"{gram[j][i]} and {gram[i][j]}")
     conic_list = [ConicCert(scale=e["scale"], q2=IntForm(e["q2"], 2),
                             q3=IntForm(e["q3"], 3), q4=IntForm(e["q4"], 4))
                   for _, e in sorted(conics.items())]
@@ -197,21 +205,6 @@ def _tritangent_dict(cert):
     }
 
 
-def _obstruction_dict(rep):
-    return {
-        "p": rep.p,
-        "G": rep.G.serialize(),
-        "g_bar": rep.g_bar.serialize(),
-        "f3_bar": rep.f3_bar.serialize(),
-        "f5_bar": rep.f5_bar.serialize(),
-        "matrix": [list(r) for r in rep.matrix],
-        "rhs": list(rep.rhs),
-        "verdict": rep.verdict,
-        "witness": None if rep.witness is None else
-        [rep.witness[0].serialize(), rep.witness[1].serialize()],
-    }
-
-
 def _render_lines(obj, indent=0):
     pad = "  " * indent
     out = []
@@ -242,7 +235,9 @@ def emit_report(report: dict, as_json: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: one helper per fact, shared by the stage commands and certify;
+# each reaches its layer through this module's globals, so that a caller
+# that replaces one (perfbench/spans.py does) sees every call
 
 
 def _series_for(spec, p, dmax, args):
@@ -254,31 +249,18 @@ def _series_for(spec, p, dmax, args):
                         workers=args.workers, external=spec.external_counts)
 
 
-def _stage_count(spec, p, args):
-    series = _series_for(spec, p, args.dmax or 3, args)
-    return {
-        "stage": "count",
-        "surface": spec.name,
-        "p": p,
-        "fingerprint": series.records[0].fingerprint,
-        "counts": [{"d": r.d, "N": r.N, "trace": r.trace, "source": src}
-                   for r, src in zip(series.records, series.sources)],
-    }
-
-
-def _resolve_k(spec, args):
-    k = args.k if args.k is not None else (spec.k if spec.k is not None else 2)
-    if not 0 <= k <= H2_DIM or (H2_DIM - k) % 2:
-        raise UsageError(f"k = {k} must be even and between 0 and {H2_DIM}")
-    return k
+def _count_rows(series):
+    return [{"d": r.d, "N": r.N, "trace": r.trace, "source": src}
+            for r, src in zip(series.records, series.sources)]
 
 
 def _zeta_data(spec, p, args):
     """k, the count series for d <= m, the surviving (sign, polynomial)
     pairs and the (sign, reason) pairs the traces allow but a later check
     rules out: a sign survives only if its polynomial lies on or above the
-    Hodge polygon and predicts every external count above m."""
-    k = _resolve_k(spec, args)
+    Hodge polygon and predicts every external count above m.  Raises
+    MathError when no sign survives."""
+    k = 2 if spec.k is None else spec.k
     m = (H2_DIM - k) // 2
     series = _series_for(spec, p, m, args)
     beyond = [(d, n) for d, n in sorted(spec.external_counts.items())
@@ -300,22 +282,45 @@ def _zeta_data(spec, p, args):
                 break
         else:
             survivors.append((sign, P))
-    if miss and not survivors:
-        raise MathError(miss)
+    if not survivors:
+        raise MathError(miss or "no functional-equation sign is consistent "
+                                "with the traces; counts or k are wrong")
     return k, series, survivors, dropped
+
+
+def _tritangents(spec, p, line_degree, args):
+    return find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
+                            line_degree, deep=args.deep)
+
+
+def _obstruction(spec, p, cert):
+    """The second-order obstruction on a rational-split tritangent, from
+    the decomposition its certificate holds."""
+    rep = lifts_to_second_order(spec.f6, cert.line, p,
+                                (cert.f3.lift(), cert.f5.lift()))
+    return {
+        "p": rep.p,
+        "G": rep.G.serialize(),
+        "g_bar": rep.g_bar.serialize(),
+        "f3_bar": rep.f3_bar.serialize(),
+        "f5_bar": rep.f5_bar.serialize(),
+        "matrix": [list(r) for r in rep.matrix],
+        "rhs": list(rep.rhs),
+        "verdict": rep.verdict,
+        "witness": None if rep.witness is None else
+        [rep.witness[0].serialize(), rep.witness[1].serialize()],
+    }
+
+
+def _stage_count(spec, p, args):
+    series = _series_for(spec, p, args.dmax or 3, args)
+    return {"p": p, "fingerprint": series.records[0].fingerprint,
+            "counts": _count_rows(series)}
 
 
 def _stage_zeta(spec, p, args):
     k, series, survivors, _ = _zeta_data(spec, p, args)
-    out = {
-        "stage": "zeta",
-        "surface": spec.name,
-        "p": p,
-        "k": k,
-        "counts": [{"d": r.d, "N": r.N, "trace": r.trace, "source": src}
-                   for r, src in zip(series.records, series.sources)],
-        "signs": [],
-    }
+    out = {"p": p, "k": k, "counts": _count_rows(series), "signs": []}
     for sign, P in survivors:
         rb = cyclotomic_part(P)
         out["signs"].append({
@@ -331,45 +336,29 @@ def _stage_zeta(spec, p, args):
 
 def _stage_tritangent(spec, p, args):
     smooth = assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
-                             args.line_degree, deep=args.deep)
-    return {
-        "stage": "tritangent",
-        "surface": spec.name,
-        "p": p,
-        "smooth": smooth.verdict,
-        "search_field_degree": args.line_degree,
-        "tritangents": [_tritangent_dict(c) for c in certs],
-    }
+    certs = _tritangents(spec, p, args.line_degree, args)
+    return {"p": p, "smooth": smooth.verdict,
+            "search_field_degree": args.line_degree,
+            "tritangents": [_tritangent_dict(c) for c in certs]}
 
 
 def _stage_obstruct(spec, p, args):
     assert_good_reduction(spec.f6, p)
-    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)), 1,
-                             deep=args.deep)
     reports = []
-    for cert in certs:
+    for cert in _tritangents(spec, p, 1, args):
         entry = {"line": cert.line_str(),
                  "split_field_degree": cert.split_field_degree}
         if cert.split_field_degree != 1:
             entry["note"] = ("splits are only rational over the quadratic "
                              "extension; obstruction not computed")
         else:
-            rep = lifts_to_second_order(spec.f6, cert.line, p,
-                                        (cert.f3.lift(), cert.f5.lift()))
-            entry["obstruction"] = _obstruction_dict(rep)
+            entry["obstruction"] = _obstruction(spec, p, cert)
         reports.append(entry)
-    return {
-        "stage": "obstruct",
-        "surface": spec.name,
-        "p": p,
-        "tritangents": reports,
-    }
+    return {"p": p, "tritangents": reports}
 
 
 def _stage_lattice(spec, p, args):
-    out = {"stage": "lattice", "surface": spec.name, "conics": [],
-           "gram": None}
+    out = {"conics": [], "gram": None}
     for i, cert in enumerate(spec.conics, start=1):
         out["conics"].append({
             "index": i,
@@ -383,16 +372,6 @@ def _stage_lattice(spec, p, args):
     return out
 
 
-def cmd_stage(stage: str, spec: SurfaceSpec, p: int, args) -> dict:
-    """Run one pipeline stage and return its report dictionary."""
-    fn = {"count": _stage_count, "zeta": _stage_zeta,
-          "tritangent": _stage_tritangent, "obstruct": _stage_obstruct,
-          "lattice": _stage_lattice}.get(stage)
-    if fn is None:
-        raise UsageError(f"unknown stage {stage!r}")
-    return fn(spec, p, args)
-
-
 # ---------------------------------------------------------------------------
 # certification
 
@@ -400,7 +379,7 @@ def cmd_stage(stage: str, spec: SurfaceSpec, p: int, args) -> dict:
 def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     """Single-prime certification report with an explicit reasoning chain."""
     chain = []
-    report = {"stage": "certify", "surface": spec.name, "p": p}
+    report = {"p": p}
 
     smooth = assert_good_reduction(spec.f6, p)
     chain.append(f"smoothness_check: the degree-14 Macaulay matrix of f6 and "
@@ -411,8 +390,7 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
 
     k, series, survivors, dropped = _zeta_data(spec, p, args)
     report["k"] = k
-    report["counts"] = [{"d": r.d, "N": r.N, "trace": r.trace, "source": src}
-                        for r, src in zip(series.records, series.sources)]
+    report["counts"] = _count_rows(series)
     chain.append(f"count_series: d = 1..{series.dmax} with sources "
                  f"{{{', '.join(sorted(set(series.sources)))}}}; Weil bound "
                  "|t| <= 22q holds for every d")
@@ -420,9 +398,6 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
                  "<= 21 in the polynomial of every sign kept (Mazur: its "
                  "Newton polygon lies on or above the K3 Hodge polygon)")
 
-    if not survivors:
-        raise MathError("no functional-equation sign is consistent with the "
-                        "traces; counts or k are wrong")
     if len(survivors) > 1:
         report["sign"] = "ambiguous"
         report["verdict"] = "evidence-only"
@@ -455,8 +430,7 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     chain.append(f"cyclotomic_part: rk Pic of the reduction <= {upper} "
                  f"(parity note: bound is {'even' if rb.is_even else 'odd'})")
 
-    certs = find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
-                             args.line_degree, deep=args.deep)
+    certs = _tritangents(spec, p, args.line_degree, args)
     report["tritangents"] = [_tritangent_dict(c) for c in certs]
     rational = [c for c in certs
                 if c.line_field_degree == 1 and c.split_field_degree == 1]
@@ -467,11 +441,10 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     blocked = False
     obstruction_reports = []
     for cert in rational:
-        rep = lifts_to_second_order(spec.f6, cert.line, p,
-                                    (cert.f3.lift(), cert.f5.lift()))
+        obstruction = _obstruction(spec, p, cert)
         obstruction_reports.append({"line": cert.line_str(),
-                                    "obstruction": _obstruction_dict(rep)})
-        if not rep.vanishes:
+                                    "obstruction": obstruction})
+        if obstruction["verdict"] != "vanishes":
             blocked = True
             chain.append(
                 f"lifts_to_second_order: obstruction on {cert.line_str()} is "
@@ -481,17 +454,17 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
 
     lower = 1
     chain.append("lower bound 1: the polarization class")
+    lattice = _stage_lattice(spec, p, args)
+    for conic in lattice["conics"]:
+        if not conic["identity_verified"]:
+            raise MathError(f"conic certificate {conic['index']} fails its "
+                            "exact integer identity")
     if spec.conics:
-        for i, cert in enumerate(spec.conics, start=1):
-            if not verify_conic_identity(cert, spec.f6):
-                raise MathError(f"conic certificate {i} fails its exact "
-                                "integer identity")
         chain.append(f"verify_conic_identity: {len(spec.conics)} six-fold "
                      "tangent conic identity(ies) verified exactly over Z")
-    if spec.gram is not None:
-        rank, disc = gram_rank_disc(spec.gram)
-        report["gram_rank"] = rank
-        report["gram_disc"] = disc
+    if lattice["gram"] is not None:
+        rank = report["gram_rank"] = lattice["gram"]["rank"]
+        report["gram_disc"] = lattice["gram"]["disc"]
         if spec.conics:
             lower = max(lower, rank)
             chain.append(f"gram_rank_disc: intersection matrix of the known "
@@ -546,21 +519,19 @@ _OPTIONS = {
     "workers": dict(type=int, default=1,
                     help="processes that share a large count, at most one "
                          "per usable CPU"),
-    "k": dict(type=int, default=None,
-              help="known q-eigenvalue multiplicity (default 2, or the "
-                   "surface file's value)"),
     "line-degree": dict(type=int, default=1,
                         help="search tritangents over F_p^e up to this e"),
 }
-# the options each command reads, besides --spec, --prime and --json;
-# any other option is a usage error
-_COMMAND_OPTIONS = {
-    "count": ("dmax", "cache", "deep", "workers"),
-    "zeta": ("cache", "deep", "workers", "k"),
-    "tritangent": ("deep", "line-degree"),
-    "obstruct": ("deep",),
-    "lattice": (),
-    "certify": ("cache", "deep", "workers", "k", "line-degree"),
+# each command: the function that builds its report (run adds the stage,
+# surface and timing_ms fields), and the options it reads besides --spec,
+# --prime and --json; any other option is a usage error
+_COMMANDS = {
+    "count": (_stage_count, ("dmax", "cache", "deep", "workers")),
+    "zeta": (_stage_zeta, ("cache", "deep", "workers")),
+    "tritangent": (_stage_tritangent, ("deep", "line-degree")),
+    "obstruct": (_stage_obstruct, ("deep",)),
+    "lattice": (_stage_lattice, ()),
+    "certify": (cmd_certify, ("cache", "deep", "workers", "line-degree")),
 }
 
 
@@ -572,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Picard rank bounds and certificates for "
                                  "degree-2 K3 surfaces at one odd prime")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in _COMMAND_OPTIONS.items():
+    for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True, help="surface file")
         sp.add_argument("--prime", "-p", type=int, required=True)
@@ -600,10 +571,8 @@ def run(argv) -> int:
                 raise UsageError(f"--{option} must be at least 1, got {value}")
         spec = load_surface_file(args.spec)
         started = time.perf_counter()
-        if args.command == "certify":
-            report = cmd_certify(spec, p, args)
-        else:
-            report = cmd_stage(args.command, spec, p, args)
+        report = {"stage": args.command, "surface": spec.name,
+                  **_COMMANDS[args.command][0](spec, p, args)}
         report["timing_ms"] = round((time.perf_counter() - started) * 1e3, 3)
         print(emit_report(report, args.as_json))
         return 0

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -15,6 +16,7 @@ from k3cert.cli import (
 from k3cert.forms import IntForm
 
 import data
+from test_bench_spans import PERFBENCH, _load
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -169,8 +171,8 @@ def test_zero_reduction_is_math_error(tmp_path, capsys):
     ("gram: 1 a", []),
     ("", ["count", "--dmax", "-1"]),
     ("", ["count", "--dmax", "0"]),
-    ("", ["zeta", "--k", "24"]),
-    ("", ["certify", "--k", "24"]),
+    ("k: 24", ["zeta"]),
+    ("k: 3", ["certify"]),
     ("conic.1.q2: 2 0 0 2\nconic.1.q2: 2 0 0 7", []),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
@@ -204,11 +206,11 @@ def test_unknown_stage_is_usage_error(capsys):
 
 _OWN_OPTIONS = {
     "count": ["--dmax", "--cache", "--deep", "--workers"],
-    "zeta": ["--cache", "--deep", "--workers", "--k"],
+    "zeta": ["--cache", "--deep", "--workers"],
     "tritangent": ["--deep", "--line-degree"],
     "obstruct": ["--deep"],
     "lattice": [],
-    "certify": ["--cache", "--deep", "--workers", "--k", "--line-degree"],
+    "certify": ["--cache", "--deep", "--workers", "--line-degree"],
 }
 
 
@@ -233,6 +235,31 @@ def test_each_command_accepts_only_the_options_it_reads(tmp_path, capsys,
         assert run(argv([option])) == 1, (command, option)
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {option}" in err, (command, option)
+
+
+def test_non_symmetric_gram_is_usage_error(tmp_path, capsys):
+    text = (SURFACES / "rank3-conics.txt").read_text()
+    path = tmp_path / "asymmetric.txt"
+    path.write_text(text.replace("gram: -2 6 1 3", "gram: -2 7 1 3"))
+    for stage in ("lattice", "certify"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: gram matrix is not symmetric: entries (1, 2) and "
+            "(2, 1) are 7 and 6\n"), stage
+
+
+def test_no_consistent_sign_is_math_error(tmp_path, capsys):
+    # N_1 of B moved from 19 to 20: neither sign passes the Weil test
+    counts = list(data.COUNTS_B)
+    counts[0] += 1
+    path = tmp_path / "moved.txt"
+    path.write_text((SURFACES / "rank1-p3.txt").read_text() + "".join(
+        f"external: {d} {n}\n" for d, n in enumerate(counts, start=1)))
+    for stage in ("zeta", "certify"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 2, stage
+        assert capsys.readouterr().err == (
+            "mathematical error: no functional-equation sign is consistent "
+            "with the traces; counts or k are wrong\n"), stage
 
 
 def test_certify_all_external_counts(tmp_path, capsys):
@@ -477,6 +504,26 @@ CONTACT_DIGEST = (
     "f5bcabb5167c965741279a13c58e62827a1344553519ae1d4c1cb3d47925d412")
 
 
+# sha256 of the outputs of _all_command_calls, recorded at the commit
+# before certify and the stage commands came to share one helper per fact
+ALL_COMMANDS_DIGEST = (
+    "ccbe165808bb8d4277c88f14440c3115795c95a643b79d9c222a3d9a08607f3d")
+
+# each bundled surface: its prime and every count of the reference data
+BUNDLED = {"rank1-p5": (5, data.COUNTS_A), "rank1-p3": (3, data.COUNTS_B),
+           "rank3-conics": (3, data.COUNTS_C)}
+
+
+def _with_all_counts(tmp_path, name):
+    """A copy of bundled surface `name` with every count of the reference
+    data supplied as an external: line."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text((SURFACES / f"{name}.txt").read_text() + "".join(
+        f"external: {d} {n}\n"
+        for d, n in enumerate(BUNDLED[name][1], start=1)))
+    return str(path)
+
+
 def _pinned_calls(tmp_path):
     """obstruct on 24 seeded random dense sextics at p = 3, 5, 7 (a
     quarter built with a rational tritangent, a quarter singular) and
@@ -510,14 +557,9 @@ def _pinned_calls(tmp_path):
                 for (a, b, c), v in f6.coeffs.items()))))
         calls.append(["obstruct", "--spec", str(path),
                       "--prime", str((3, 5, 7)[i % 3]), "--json"])
-    counts = {"rank1-p5": (5, data.COUNTS_A), "rank1-p3": (3, data.COUNTS_B),
-              "rank3-conics": (3, data.COUNTS_C)}
-    for name, (p, series) in counts.items():
-        path = tmp_path / f"{name}.txt"
-        path.write_text((SURFACES / f"{name}.txt").read_text() + "".join(
-            f"external: {d} {n}\n" for d, n in enumerate(series, start=1)))
-        calls.append(["certify", "--spec", str(path), "--prime", str(p),
-                      "--json", "--line-degree", "2"])
+    for name, (p, _) in BUNDLED.items():
+        calls.append(["certify", "--spec", _with_all_counts(tmp_path, name),
+                      "--prime", str(p), "--json", "--line-degree", "2"])
     return calls
 
 
@@ -553,15 +595,37 @@ def _contact_calls(tmp_path):
     return calls
 
 
+def _all_command_calls(tmp_path):
+    """Every command, in text and --json form, on the three bundled
+    surfaces: count --dmax 2 on the files as they are, the others with
+    every count supplied, tritangent and certify at --line-degree 2."""
+    calls = []
+    for name, (p, _) in BUNDLED.items():
+        supplied = _with_all_counts(tmp_path, name)
+        for argv in (["count", "--spec", str(SURFACES / f"{name}.txt"),
+                      "--dmax", "2"],
+                     ["zeta", "--spec", supplied],
+                     ["tritangent", "--spec", supplied, "--line-degree", "2"],
+                     ["obstruct", "--spec", supplied],
+                     ["lattice", "--spec", supplied],
+                     ["certify", "--spec", supplied, "--line-degree", "2"]):
+            for form in ([], ["--json"]):
+                calls.append(argv + ["--prime", str(p)] + form)
+    return calls
+
+
 def _digest(calls, capsys):
     outputs = []
     for argv in calls:
         code = run(argv)
         captured = capsys.readouterr()
         report = captured.out
-        if code == 0:
+        if code == 0 and "--json" in argv:
             report = json.loads(report)
             del report["timing_ms"]
+        elif code == 0:  # the text form: drop the top-level timing line
+            report = [line for line in report.splitlines()
+                      if not line.startswith("timing_ms: ")]
         outputs.append([code, report, captured.err])
     return outputs, hashlib.sha256(
         json.dumps(outputs, sort_keys=True).encode()).hexdigest()
@@ -580,3 +644,44 @@ def test_pinned_contact_points_in_extensions(tmp_path, capsys):
                for cert in report["tritangents"] for c in cert["contacts"]}
     assert {2, 3} <= degrees
     assert digest == CONTACT_DIGEST
+
+
+def test_pinned_outputs_of_every_command(tmp_path, capsys):
+    outputs, digest = _digest(_all_command_calls(tmp_path), capsys)
+    assert [o[0] for o in outputs] == [0] * len(outputs)
+    assert digest == ALL_COMMANDS_DIGEST
+
+
+def test_one_layer_call_per_fact(tmp_path, capsys, monkeypatch):
+    # certify and obstruct run each layer as often as the facts need it,
+    # and reach it through the cli names the benchmark's span wrappers
+    # replace: a layer function captured elsewhere would go uncounted
+    spans = _load(PERFBENCH / "spans.py", "perfbench_spans")
+    names = [attr for mod, attr, _ in spans.WRAPPED if mod == "cli"]
+    calls = collections.Counter()
+    for name in names + ["field_create", "CacheStore"]:
+        def counting(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    zeta_facts = {"CacheStore": 1, "count_series": 1, "determine_sign": 1,
+                  "cyclotomic_part": 1}
+    search = {"assert_good_reduction": 1, "field_create": 1,
+              "find_tritangents": 1}
+    expected = {
+        "rank1-p5": {**zeta_facts, **search, "lifts_to_second_order": 1},
+        "rank1-p3": {**zeta_facts, **search, "lifts_to_second_order": 1},
+        "rank3-conics": {**zeta_facts, **search, "lifts_to_second_order": 1,
+                         "verify_conic_identity": 2, "gram_rank_disc": 1},
+    }
+    for name, (p, _) in BUNDLED.items():
+        calls.clear()
+        assert run(["certify", "--spec", _with_all_counts(tmp_path, name),
+                    "--prime", str(p), "--line-degree", "2",
+                    "--cache", str(tmp_path / "counts.jsonl")]) == 0
+        assert dict(calls) == expected[name], name
+    calls.clear()
+    assert run(["obstruct", "--spec", str(SURFACES / "rank1-p3.txt"),
+                "--prime", "3"]) == 0
+    assert dict(calls) == {**search, "lifts_to_second_order": 1}
+    capsys.readouterr()
