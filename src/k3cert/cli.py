@@ -94,6 +94,14 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     external: dict = {}
     gram_rows = []
     conics: dict = {}
+    given: dict = {}  # single-valued entries read so far, with their value
+
+    def once(entry, value):  # a repeat must restate the value
+        if given.setdefault(entry, value) != value:
+            raise UsageError(f"{entry} is given twice, as {given[entry]!r} "
+                             f"and {value!r}")
+        return value
+
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,14 +111,14 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
         key, value = (s.strip() for s in line.split(":", 1))
         try:
             if key == "name":
-                name = value
+                name = once(key, value)
             elif key == "f6":
                 mono, coeff = _parse_monomial_line(value, 6)
                 if mono in f6:
                     raise UsageError(f"duplicate monomial {mono} in f6")
                 f6[mono] = coeff
             elif key == "k":
-                k = int(value)
+                k = once(key, int(value))
                 if not 0 <= k <= H2_DIM or (H2_DIM - k) % 2:
                     raise UsageError(f"k = {k} must be even and between 0 "
                                      f"and {H2_DIM}")
@@ -118,7 +126,7 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                 d, n = (int(x) for x in value.split())
                 if d < 1:
                     raise UsageError(f"count degree {d} is below 1")
-                external[d] = n
+                external[d] = once(f"external count {d}", n)
             elif key == "gram":
                 gram_rows.append(tuple(int(x) for x in value.split()))
             elif key.startswith("conic."):
@@ -126,7 +134,7 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                 entry = conics.setdefault(int(idx), {"scale": 1, "q2": {},
                                                      "q3": {}, "q4": {}})
                 if fld == "scale":
-                    entry["scale"] = int(value)
+                    entry["scale"] = once(key, int(value))
                 elif fld in ("q2", "q3", "q4"):
                     mono, coeff = _parse_monomial_line(value, int(fld[1]))
                     if mono in entry[fld]:

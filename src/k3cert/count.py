@@ -12,12 +12,12 @@ evaluates the row y = 0 and one row per orbit of y -> y^p on F_q^*
 (k -> p*k mod (q - 1) on log indices), each weighted by its orbit size:
 about q/d rows instead of q.
 
-The hot loop works entirely in the discrete-log domain of the zech
-representation: for fixed y the sextic f6(1, y, z) collapses to seven
-per-y coefficients, each z-monomial value is a log gather, and additions
-run through a Zech table.  Everything is vectorized with numpy over
-blocks of (row, z) pairs in int32 logs; the last addition looks up only
-the quadratic character.
+The hot loop works entirely in the discrete-log domain of the field's
+tables (FieldCtx.tables): for fixed y the sextic f6(1, y, z) collapses
+to seven per-y coefficients, each z-monomial value is a log gather, and
+additions run through a Zech table.  Everything is vectorized with
+numpy over blocks of (row, z) pairs in int32 logs; the last addition
+looks up only the quadratic character.
 
 With several workers, a count above _FORK_MIN_ELEMS (row, z) pairs cuts
 the orbit rows into equal shares (every row costs q - 1 points), at most
@@ -116,8 +116,9 @@ def _coef_log_matrix(ctx: FieldCtx, f: ModForm) -> np.ndarray:
         raise ValueError("form is not defined over this field or its prime subfield")
     n = f.degree
     m = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    log = ctx.tables()[1]
     for (a, b, c), coef in f.coeffs.items():
-        m[b, c] = ctx._log[coef.to_int()]
+        m[b, c] = log[coef.to_int()]
     return m
 
 
@@ -162,7 +163,7 @@ def _kernel_tables(ctx):
     P[0] = 1 its character."""
     q1 = ctx.q - 1
     off = 2 * q1
-    zech = ctx._zech[(np.arange(5 * q1) - off) % q1]
+    zech = ctx.tables()[2][(np.arange(5 * q1) - off) % q1]
     T = np.where(zech < 0, _NEG, zech + off).astype(np.int32)
     P = np.where(zech < 0, 0, 1 - 2 * (zech & 1)).astype(np.int8)
     T[0], P[0] = off, 1
@@ -253,10 +254,7 @@ def _require_zech(p, d, deep):
             f"q^2 = {q * q} exceeds the desk-scale budget; pass deep=True "
             "(--deep) or inject the count as an external value")
     ctx = field_create(p, d)
-    if ctx.rep != "zech":
-        raise BudgetExceededError(
-            f"q = {q} exceeds the zech table limit; counting this deep is "
-            "not supported")
+    ctx.tables()  # raises above the Zech limit; forked workers inherit them
     return ctx
 
 

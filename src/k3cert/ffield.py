@@ -8,22 +8,23 @@ canonical integer encoding enc(a) = sum a_i p^i over its coefficient
 vector; encodings order elements deterministically.  Sums are taken digit
 by digit, and products in F_p are plain integer arithmetic mod p.
 
-Fields with q = p^d up to the table limit (the "zech" representation)
-also hold exp, log and Zech logarithm tables over a fixed multiplicative
-generator: products, powers and inverses of extension elements (and so
-the quadratic character a^((q-1)/2)) are log additions.  Larger
-fields (the "poly" representation) multiply coefficient lists and reduce
-them mod the modulus; they invert by the extended Euclidean algorithm
-and read the quadratic character from the Legendre symbol of the norm,
-a resultant with the modulus.  The log_* functions do Zech arithmetic
-on numpy arrays of log indices, for the point count.  The digit_*
-functions work on numpy arrays of coordinate vectors over F_p instead
-(the base-p digits of the encoding): sums are digitwise, products are x
-y mod p over F_p and go through the log tables above in every
-extension, as do inverses; the tritangent search runs on them.
+Products, powers and inverses in an extension multiply coefficient
+lists and reduce them mod the modulus; inverses take the extended
+Euclidean algorithm, and the quadratic character is the Legendre symbol
+of the norm, a resultant with the modulus.  A field also has exp, log and
+Zech logarithm tables over a fixed multiplicative generator, built on
+the first call to FieldCtx.tables (up to q = DEFAULT_ZECH_LIMIT): only
+the array kernels read them.  The log_* functions do Zech arithmetic on
+numpy arrays of log indices, for the point count.  The digit_* functions
+work on numpy arrays of coordinate vectors over F_p instead (the base-p
+digits of the encoding): sums are digitwise, products are x y mod p over
+F_p and go through the log tables in every extension, as do inverses;
+the tritangent search runs on them.
 
-Contexts are immutable after construction and cached by field_create, so
-they can be shared across threads and forked worker processes.  Element
+Contexts are cached by field_create.  Their only state besides the
+field's parameters is the tables, a pure function of those: two threads
+that ask for them first at once build equal tables.  count_points builds
+them before it forks, so that its workers inherit them.  Element
 operations are pure.
 """
 
@@ -32,6 +33,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import BudgetExceededError
 
 DEFAULT_ZECH_LIMIT = 1 << 22
 
@@ -79,8 +82,8 @@ def factorize(n: int) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Z/p (plain int lists, ascending), used for the
-# modulus search, the log tables and products, inverses and norms without
-# tables
+# modulus search, the log tables and the products, inverses and norms of
+# extension elements
 
 
 def _zp_trim(a):
@@ -324,25 +327,32 @@ class FieldElem:
 class FieldCtx:
     """Arithmetic context for F_{p^d}; build via field_create."""
 
-    __slots__ = ("p", "d", "q", "modulus", "rep", "zech_limit",
-                 "_exp", "_log", "_zech", "_key")
+    __slots__ = ("p", "d", "q", "modulus", "_tables")
 
-    def __init__(self, p, d, zech_limit=DEFAULT_ZECH_LIMIT):
+    def __init__(self, p, d):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:
             raise ValueError("p = 2 is excluded (the method requires an odd prime)")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p ** d
-        self.p, self.d, self.q = p, d, q
-        self.zech_limit = zech_limit
-        self.rep = "zech" if q <= zech_limit else "poly"
+        self.p, self.d, self.q = p, d, p ** d
         self.modulus = _lex_least_irreducible(p, d)
-        self._key = (p, d, zech_limit)
-        self._exp = self._log = self._zech = None
-        if self.rep == "zech":
-            self._build_tables()
+        self._tables = None
+
+    def tables(self):
+        """(exp, log, zech) over the generator g of least encoding, built
+        on the first call: exp[k] is the encoding of g^k, log[x] the log of
+        the element of encoding x (-1 at zero) and zech[k] the log of 1 +
+        g^k.  Only the array kernels need them; above DEFAULT_ZECH_LIMIT
+        they raise BudgetExceededError."""
+        if self._tables is None:
+            if self.q > DEFAULT_ZECH_LIMIT:
+                raise BudgetExceededError(
+                    f"F_{self.q} needs Zech tables, which stop at "
+                    f"q <= {DEFAULT_ZECH_LIMIT}")
+            self._tables = self._build_tables()
+        return self._tables
 
     # -- construction helpers ------------------------------------------------
 
@@ -395,11 +405,9 @@ class FieldCtx:
         c0 = exp % p
         e_plus = np.where(c0 == p - 1, exp - (p - 1), exp + 1)
         zech = log[e_plus].copy()
-        self._exp = exp
-        self._log = log
-        self._zech = zech
         for a in (exp, log, zech):
             a.setflags(write=False)
+        return exp, log, zech
 
     # -- operations on encodings ---------------------------------------------
 
@@ -416,11 +424,6 @@ class FieldCtx:
         p = self.p
         if self.d == 1:
             return a * b % p
-        if not a or not b:
-            return 0
-        if self.rep == "zech":
-            log = self._log
-            return self._exp.item((log.item(a) + log.item(b)) % (self.q - 1))
         prod = _zp_mul(_enc_digits(a, p, self.d), _enc_digits(b, p, self.d), p)
         return _digits_enc(_zp_mod(prod, self.modulus, p), p)
 
@@ -432,8 +435,6 @@ class FieldCtx:
         p, q1 = self.p, self.q - 1
         if self.d == 1:
             return pow(a, n, p)
-        if self.rep == "zech":
-            return self._exp.item(n * self._log.item(a) % q1)
         x = _enc_digits(a, p, self.d)
         if n < 0:  # invert by extended Euclid, not by the power q - 2
             x, n = _zp_inverse(x, self.modulus, p), -n
@@ -478,43 +479,39 @@ class FieldCtx:
             yield FieldElem(self, e)
 
     def __repr__(self):
-        return f"FieldCtx(p={self.p}, d={self.d}, rep={self.rep})"
+        return f"FieldCtx(p={self.p}, d={self.d})"
 
 
 @functools.lru_cache(maxsize=None)
-def _field_create_cached(p, d, zech_limit):
-    return FieldCtx(p, d, zech_limit)
+def _field_create_cached(p, d):
+    return FieldCtx(p, d)
 
 
-def field_create(p: int, d: int,
-                 zech_limit: int = DEFAULT_ZECH_LIMIT) -> FieldCtx:
-    """Create (or fetch the cached) F_{p^d} context, p an odd prime, with
-    the "zech" representation when q = p^d <= zech_limit and "poly"
-    otherwise.
+def field_create(p: int, d: int) -> FieldCtx:
+    """Create (or fetch the cached) F_{p^d} context, p an odd prime.
 
     Equal parameters always return the identical context object, so
     element contexts can be compared by identity."""
-    return _field_create_cached(int(p), int(d), int(zech_limit))
+    return _field_create_cached(int(p), int(d))
 
 
 def quad_char(a: FieldElem) -> int:
-    """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares,
-    read from a^((q-1)/2).  In the "poly" representation that is the
-    Legendre symbol of the norm N(a) = a^((q-1)/(p-1)) in F_p, as (q-1)/2
-    = ((q-1)/(p-1)) ((p-1)/2); with the modulus m monic, N(a) = Res(m, a),
-    computed by Euclid's algorithm instead of a power of degree q."""
+    """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares.
+
+    a^((q-1)/2) is the Legendre symbol of the norm N(a) = a^((q-1)/(p-1))
+    in F_p, as (q-1)/2 = ((q-1)/(p-1)) ((p-1)/2); with the modulus m
+    monic, N(a) = Res(m, a), computed by Euclid's algorithm instead of a
+    power of degree q (over F_p, m = t and N(a) = a)."""
     if not a.v:
         return 0
     ctx = a.ctx
-    if ctx.rep == "poly" and ctx.d > 1:
-        p = ctx.p
-        norm = _zp_resultant(ctx.modulus, _enc_digits(a.v, p, ctx.d), p)
-        return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
-    return 1 if ctx._pow(a.v, (ctx.q - 1) // 2) == 1 else -1
+    p = ctx.p
+    norm = _zp_resultant(ctx.modulus, _enc_digits(a.v, p, ctx.d), p)
+    return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
 
 
 # ---------------------------------------------------------------------------
-# array arithmetic on log indices of a zech context: any negative value is
+# array arithmetic on log indices (FieldCtx.tables): any negative value is
 # zero, and results are log indices modulo q - 1 but not reduced
 
 
@@ -526,7 +523,7 @@ def log_mul(a, b):
 def log_add(ctx: FieldCtx, a, b):
     """Sums through the Zech table."""
     q1 = ctx.q - 1
-    zt = ctx._zech[(a - b) % q1]
+    zt = ctx.tables()[2][(a - b) % q1]
     r = np.where(zt < 0, -1, b + zt)
     r = np.where(a < 0, b, r)
     return np.where(b < 0, a, r)
@@ -545,9 +542,8 @@ def log_horner(ctx: FieldCtx, coef_logs, xlogs):
 # array arithmetic on coordinate vectors: an element is the vector of its
 # d base-p digits (a_0, ..., a_{d-1}), the coefficients of sum a_i t^i,
 # along the first axis of an int64 array (digit i of every element is the
-# contiguous slice x[i]).  Sums are digitwise; products, inverses and
-# powers in an extension go through the log and exp tables of a zech
-# context.
+# contiguous slice x[i]).  Sums are digitwise; products in an extension,
+# inverses and powers go through the log and exp tables of the field.
 
 
 def digits(ctx: FieldCtx, enc) -> np.ndarray:
@@ -571,7 +567,7 @@ def digit_mul(ctx: FieldCtx, x, y) -> np.ndarray:
         return x * y % ctx.p
     a, b = _digit_logs(ctx, x), _digit_logs(ctx, y)
     return digits(ctx, np.where((a < 0) | (b < 0), 0,
-                                ctx._exp[(a + b) % (ctx.q - 1)]))
+                                ctx.tables()[0][(a + b) % (ctx.q - 1)]))
 
 
 def _digit_logs(ctx: FieldCtx, x) -> np.ndarray:
@@ -579,21 +575,22 @@ def _digit_logs(ctx: FieldCtx, x) -> np.ndarray:
     enc = x[-1]
     for digit in x[-2::-1]:
         enc = enc * ctx.p + digit
-    return ctx._log[enc]
+    return ctx.tables()[1][enc]
 
 
 def digit_inv(ctx: FieldCtx, x) -> np.ndarray:
-    """Inverses of coordinate vectors through the log and exp tables of a
-    zech context; zero maps to zero."""
+    """Inverses of coordinate vectors through the log and exp tables;
+    zero maps to zero."""
     logs = _digit_logs(ctx, x)
-    return digits(ctx, np.where(logs < 0, 0, ctx._exp[-logs]))
+    return digits(ctx, np.where(logs < 0, 0, ctx.tables()[0][-logs]))
 
 
 def digit_powers(ctx: FieldCtx, n: int, enc) -> np.ndarray:
-    """Coordinate vectors of x^0, ..., x^n for the elements x of a zech
-    context with encodings enc: shape (d, len(enc), n + 1), with 0^0 = 1."""
-    logs = ctx._log[np.asarray(enc)][:, None]
-    enc = ctx._exp[logs * np.arange(n + 1) % (ctx.q - 1)]
+    """Coordinate vectors of x^0, ..., x^n for the elements x with
+    encodings enc: shape (d, len(enc), n + 1), with 0^0 = 1."""
+    exp, log, _ = ctx.tables()
+    logs = log[np.asarray(enc)][:, None]
+    enc = exp[logs * np.arange(n + 1) % (ctx.q - 1)]
     return digits(ctx, np.where(logs < 0, np.arange(n + 1) == 0, enc))
 
 
@@ -886,25 +883,19 @@ def poly_roots(f: Poly) -> list[tuple[FieldElem, int]]:
 # subfield embeddings
 
 
-_EMBED_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _embedding_powers(src: FieldCtx, target: FieldCtx):
-    key = (src._key, target._key)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # root of the source modulus inside the target, least by encoding
-    mod_poly = Poly.from_ints(target, src.modulus)
-    roots = poly_roots(mod_poly)
+    """The images 1, beta, ..., beta^(d-1) in target of the powers of t in
+    src (d = src.d), beta the least root of the source modulus by
+    encoding; field_create makes both contexts singletons."""
+    roots = poly_roots(Poly.from_ints(target, src.modulus))
     if not roots:
         raise AssertionError("source modulus has no root in target field")
     beta = roots[0][0]
     powers = [target.one()]
     for _ in range(src.d - 1):
         powers.append(powers[-1] * beta)
-    _EMBED_CACHE[key] = tuple(powers)
-    return _EMBED_CACHE[key]
+    return tuple(powers)
 
 
 def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:

@@ -164,7 +164,7 @@ def binary_roots(bf: BinaryForm):
                 root = -irr[0]
                 out.append(((ctx.one(), root), mult, ctx))
             else:
-                ext = field_create(ctx.p, ctx.d * e, ctx.zech_limit)
+                ext = field_create(ctx.p, ctx.d * e)
                 root = split_root(
                     Poly(ext, [embed_subfield(c, ext) for c in irr.c]))
                 for _ in range(e):
@@ -446,7 +446,8 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
         raise ValueError(f"the float64 restriction is not exact at p = {p}")
     # subs[i][x]: the element of encoding x lies in the i-th proper
     # subfield; those subfields need not contain each other (e = 6)
-    subs = [(ctx._log < 0) | (ctx._log % ((q - 1) // (q0 ** e1 - 1)) == 0)
+    log = ctx.tables()[1]
+    subs = [(log < 0) | (log % ((q - 1) // (q0 ** e1 - 1)) == 0)
             for e1 in range(1, e) if e % e1 == 0]
     proper = np.zeros(q, dtype=bool)
     for sub in subs:
@@ -526,19 +527,19 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     unless deep is set (the q^2 + q + 1 lines run at about 2.5e6 per
     second over F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
     search holds a float64 table of 56 q d bytes (_restriction_blocks),
-    235 MB at q = 2^22 over a prime field, besides the field's own
-    tables: building the first blocks over F_4194301 peaks at 360 MB,
-    against 230 MB for the field and sextic alone.  A line whose
+    235 MB at q = 2^22 over a prime field, besides the field's tables,
+    which the search builds: the first blocks over F_4194301 peak at 360
+    MB, against 34 MB for the field and sextic alone.  A line whose
     restriction vanishes identically (a line component of the branch
     locus) is skipped; that configuration is singular and belongs to
     smoothness_check."""
     base = f6.ctx
     for e in range(1, search_field_degree + 1):
         q = base.q ** e
-        if q > base.zech_limit:
+        if q > DEFAULT_ZECH_LIMIT:
             raise BudgetExceededError(
                 f"the tritangent search over F_{q} needs Zech tables, which "
-                f"stop at q <= {base.zech_limit}")
+                f"stop at q <= {DEFAULT_ZECH_LIMIT}")
         if q * q > MANDATORY_Q2_LIMIT and not deep:
             raise BudgetExceededError(
                 f"the tritangent search over F_{q} tests q^2 + q + 1 lines, "
@@ -546,7 +547,7 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
                 "pass deep=True (--deep) to run it")
     out = []
     for e in range(1, search_field_degree + 1):
-        ctx = field_create(base.p, base.d * e, base.zech_limit)
+        ctx = field_create(base.p, base.d * e)
         f = f6 if ctx is base else f6.embed(ctx)
         for index in _candidate_lines(f, base.q, e):
             vec = _line_at(ctx, index)

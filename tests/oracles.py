@@ -442,8 +442,7 @@ def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
 
 def chart_points(ctx: FieldCtx, chart: int):
     """The projective points of a chart in the order used by chart_value_logs."""
-    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in ctx._exp] \
-        if ctx.rep == "zech" else list(ctx.elements())
+    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in ctx.tables()[0]]
     one, zero = ctx.one(), ctx.zero()
     if chart == 2:
         return [(zero, zero, one)]
@@ -455,7 +454,7 @@ def chart_points(ctx: FieldCtx, chart: int):
 def minimal_polynomial(a: FieldElem) -> Poly:
     """Minimal polynomial of a over F_p, returned over the prime field."""
     ctx = a.ctx
-    prime = field_create(ctx.p, 1, ctx.zech_limit)
+    prime = field_create(ctx.p, 1)
     orbit = [a]
     b = a.frobenius()
     while b != a:
@@ -510,7 +509,7 @@ def log_unit_times_square(ctx: FieldCtx, R):
             acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
         return acc
 
-    half = ctx._log[ctx.from_int(2).inverse().to_int()]
+    half = ctx.tables()[1][ctx.from_int(2).inverse().to_int()]
     for j in range(1, k + 1):
         inner = square_coeff(j, 1, j - 1)
         h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
@@ -528,7 +527,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
     A^j; (a, 1, 0) as (s, A s, t) and (1, 0, 0) as (0, s, t)."""
     ctx, n = f.ctx, f.degree
     q = ctx.q
-    logs = ctx._log
+    logs = ctx.tables()[1]
     neg = log_neg(ctx, logs)
     steps = [(q - 1) // (q0 ** e1 - 1) for e1 in range(1, e) if e % e1 == 0]
 
@@ -538,7 +537,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
     def coef(a, b, c, binom=1):
         # log of binom * f_abc; binom is read in the prime field
         x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
-        return -1 if x is None or y < 0 else ctx._log[x.to_int()] + y
+        return -1 if x is None or y < 0 else logs[x.to_int()] + y
 
     K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
     T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)

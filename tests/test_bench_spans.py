@@ -43,6 +43,28 @@ def test_span_wrapper_targets_exist():
     assert callable(store) and callable(getattr(store, "put", None))
 
 
+def test_field_create_span_per_built_field(monkeypatch):
+    # the benchmark's wrapper keys a field_create span by the first two
+    # arguments and spans only calls that build a field; a change to
+    # field_create's signature must fail here before a traced run
+    spans = _load(PERFBENCH / "spans.py", "perfbench_spans")
+    mods = {m: _k3cert(m) for m in ("cli", "count", "geom")}
+    for mod, attr, _ in spans.WRAPPED:
+        monkeypatch.setattr(mods[mod], attr, getattr(mods[mod], attr))
+    monkeypatch.setattr(mods["cli"], "CacheStore", mods["cli"].CacheStore)
+    for mod in spans.FIELD_CREATE_CALLERS:
+        monkeypatch.setattr(mods[mod], "field_create",
+                            mods[mod].field_create)
+    recorder = spans.Recorder()
+    spans.install(recorder)
+    recorder.enabled = True
+    p, d = 8191, 2  # a field that no other test builds
+    ctx = mods["cli"].field_create(p, d)
+    assert mods["cli"].field_create(p, d) is ctx  # a cache hit: no span
+    assert [(s["name"], s["key"]) for s in recorder.spans] == [
+        ("ffield.field_create", f"p{p}d{d}")]
+
+
 def test_benchmark_checks_accept_obstruct_reports(tmp_path, capsys,
                                                   monkeypatch):
     # the benchmark's checks evaluate singular witnesses with the field

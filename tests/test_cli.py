@@ -13,6 +13,7 @@ from k3cert.cli import (
     run,
     serialize_surface_spec,
 )
+from k3cert.ffield import FieldCtx
 from k3cert.forms import IntForm
 
 import data
@@ -430,6 +431,28 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("line, repeat", [
+    ("name: rank3-conics", "name: other"),
+    ("k: 4", "k: 2"),
+    ("conic.1.scale: 1", "conic.1.scale: 3"),
+    ("external: 1 19", "external: 1 20"),
+])
+def test_repeated_entry_must_restate_its_value(tmp_path, capsys, line,
+                                               repeat):
+    # a single-valued entry may be repeated with its value (a copy of a
+    # file plus its counts restates them); another value is a usage error
+    # that quotes the line, never a silent replacement
+    text = (SURFACES / "rank3-conics.txt").read_text() + "external: 1 19\n"
+    assert serialize_surface_spec(parse_surface_spec(text + line + "\n")) \
+        == serialize_surface_spec(parse_surface_spec(text))
+    path = tmp_path / "surface.txt"
+    path.write_text(text + repeat + "\n")
+    code = run(["count", "--spec", str(path), "--prime", "3", "--dmax", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and repr(repeat) in err and "twice" in err
+
+
 def test_parser_is_reused_after_a_usage_error(capsys):
     # the parser is built once per process; a usage error must not leave
     # it in a state that breaks the next call
@@ -644,6 +667,22 @@ def test_pinned_contact_points_in_extensions(tmp_path, capsys):
                for cert in report["tritangents"] for c in cert["contacts"]}
     assert {2, 3} <= degrees
     assert digest == CONTACT_DIGEST
+
+
+def test_contact_points_ask_for_no_tables(tmp_path, capsys, monkeypatch):
+    # contact points over F_(p^3) are found with scalar arithmetic: only
+    # the fields the search runs over, F_p and F_(p^2), ask for Zech tables
+    # (recorded, as other tests count over F_125 in this process)
+    asked = []
+    tables = FieldCtx.tables
+    monkeypatch.setattr(FieldCtx, "tables",
+                        lambda ctx: asked.append((ctx.p, ctx.d)) or tables(ctx))
+    call = _contact_calls(tmp_path)[1]
+    assert call[call.index("--prime") + 1] == "5" and run(call) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 3 in {c["field_degree"] for cert in report["tritangents"]
+                 for c in cert["contacts"]}
+    assert set(asked) == {(5, 1), (5, 2)}
 
 
 def test_pinned_outputs_of_every_command(tmp_path, capsys):

@@ -3,7 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from k3cert.errors import BudgetExceededError
 from k3cert.ffield import (
+    DEFAULT_ZECH_LIMIT,
+    FieldCtx,
     Poly,
     _digits_enc,
     _zp_powmod,
@@ -45,9 +48,22 @@ def test_create_rejects_composite_and_two():
 
 
 def test_zech_limit_budget():
-    # the representation follows from q and the limit
-    assert field_create(5, 4, zech_limit=100).rep == "poly"
-    assert field_create(5, 2, zech_limit=25).rep == "zech"
+    # a fresh context holds no tables until an array kernel asks for them,
+    # and scalar arithmetic never does; above the limit asking raises
+    ctx = FieldCtx(5, 4)
+    a, b = ctx.from_enc(7), ctx.from_enc(311)
+    assert (a * b / a == b and quad_char(a) in (1, -1)
+            and a ** 624 == ctx.one())
+    assert ctx._tables is None
+    digit_mul(ctx, digits(ctx, [7]), digits(ctx, [311]))
+    assert ctx._tables is not None
+    big = FieldCtx(2053, 2)  # q = 4214809, the least p^2 above 2^22
+    assert big.q > DEFAULT_ZECH_LIMIT
+    c = big.from_enc(123456)
+    assert c * c.inverse() == big.one() and quad_char(c * c) == 1
+    with pytest.raises(BudgetExceededError, match=str(DEFAULT_ZECH_LIMIT)):
+        big.tables()
+    assert big._tables is None
 
 
 def test_prime_field_arithmetic():
@@ -103,10 +119,9 @@ def test_quad_char_multiplicative(p, d):
 def test_exp_log_tables_inverse_bijections():
     import numpy as np
     for p, d in [(3, 3), (5, 2), (7, 1)]:
-        ctx = field_create(p, d)
-        q1 = ctx.q - 1
-        assert np.array_equal(ctx._log[ctx._exp], np.arange(q1))
-        assert sorted(ctx._exp.tolist()) == list(range(1, ctx.q))
+        exp, log, _ = field_create(p, d).tables()
+        assert np.array_equal(log[exp], np.arange(len(exp)))
+        assert sorted(exp.tolist()) == list(range(1, p ** d))
 
 
 @pytest.mark.parametrize("p, d", [(7, 1), (5, 2), (3, 3), (3, 6)])
@@ -133,53 +148,52 @@ def test_digit_arithmetic_matches_elements(p, d):
 
 
 def test_poly_rep_matches_zech_rep():
+    # scalar products, powers, inverses and characters on coefficient
+    # lists agree with the lookups in the field's log tables
     rng = random.Random(7)
     for p, d in ((7, 1), (5, 2), (3, 3)):
         q = p ** d
-        Fz = field_create(p, d)
-        Fp = field_create(p, d, zech_limit=q - 1)
-        assert (Fz.rep, Fp.rep) == ("zech", "poly")
-        for F in (Fz, Fp):
-            with pytest.raises(ZeroDivisionError):
-                F.zero().inverse()
-            with pytest.raises(ZeroDivisionError):
-                F.zero() ** -1
-            assert F.zero() ** 0 == F.one() and F.zero() ** 5 == F.zero()
+        q1 = q - 1
+        F = field_create(p, d)
+        exp, log, _ = F.tables()
+        with pytest.raises(ZeroDivisionError):
+            F.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            F.zero() ** -1
+        assert F.zero() ** 0 == F.one() and F.zero() ** 5 == F.zero()
+        other = FieldCtx(p, d)  # an equal field that field_create did not make
         for _ in range(200):
             x, y = rng.randrange(q), rng.randrange(q)
-            az, bz = Fz.from_enc(x), Fz.from_enc(y)
-            ap, bp = Fp.from_enc(x), Fp.from_enc(y)
-            assert (az + bz).to_int() == (ap + bp).to_int()
-            assert (az * bz).to_int() == (ap * bp).to_int()
-            assert (az - bz).to_int() == (ap - bp).to_int()
-            assert (-az).to_int() == (-ap).to_int()
-            assert (-az + az).is_zero() and (-ap + ap).is_zero()
-            assert quad_char(az) == quad_char(ap)
+            a, b = F.from_enc(x), F.from_enc(y)
+            assert (a * b).to_int() == (
+                exp[(log[x] + log[y]) % q1] if x and y else 0)
+            assert (a + b) - b == a and (a - b) + b == a
+            assert (-a + a).is_zero() and -a == F.from_int(-1) * a
+            assert quad_char(a) == (
+                0 if not x else 1 if exp[q1 // 2 * log[x] % q1] == 1 else -1)
             for n in (0, 1, 2, q - 1, 3 * q ** 2 + 5, -1, -q - 2):
-                if x or n >= 0:
-                    assert (az ** n).to_int() == (ap ** n).to_int(), (p, d, n)
+                if x:
+                    assert (a ** n).to_int() == exp[n * log[x] % q1], (p, d, n)
+                elif n >= 0:
+                    assert (a ** n).to_int() == int(n == 0)
             if x:
-                assert az.inverse().to_int() == ap.inverse().to_int()
-                assert az * az.inverse() == Fz.one()
-                assert ap * ap.inverse() == Fp.one()
-                assert (az ** -3) * (az ** 3) == Fz.one()
+                assert a.inverse().to_int() == exp[-log[x] % q1]
+                assert a * a.inverse() == F.one()
+                assert (a ** -3) * (a ** 3) == F.one()
             digits_x = tuple(x // p ** i % p for i in range(d))
-            assert az.coeffs() == ap.coeffs() == digits_x
-            assert Fz.from_coeffs(digits_x) == az
-            assert (az == bz) == (ap == bp) == (x == y)
-            assert az != ap  # elements of different contexts never agree
-            assert az == Fz.from_enc(x) and hash(az) == hash(Fz.from_enc(x))
-            assert hash(ap) == hash(Fp.from_enc(x))
+            assert a.coeffs() == digits_x and F.from_coeffs(digits_x) == a
+            assert (a == b) == (x == y)
+            assert a != other.from_enc(x)  # different contexts never agree
+            assert a == F.from_enc(x) and hash(a) == hash(F.from_enc(x))
 
 
 def test_poly_rep_inverse_and_character_match_powers():
-    # above the Zech limit an inverse is an extended Euclid on coefficient
-    # lists and the quadratic character the Legendre symbol of the norm;
-    # they equal the powers a^(q-2) and a^((q-1)/2)
+    # an inverse is an extended Euclid on coefficient lists and the
+    # quadratic character the Legendre symbol of the norm; they equal the
+    # powers a^(q-2) and a^((q-1)/2), above the Zech limit too
     rng = random.Random(11)
     for d in (2, 3):
         ctx = field_create(4231, d)
-        assert ctx.rep == "poly"
         p, q = ctx.p, ctx.q
         with pytest.raises(ZeroDivisionError):
             ctx.zero().inverse()

@@ -9,6 +9,7 @@ from k3cert import geom
 from k3cert.errors import BudgetExceededError, MathError
 from k3cert.ffield import (
     DEFAULT_ZECH_LIMIT,
+    FieldCtx,
     Poly,
     digits,
     field_create,
@@ -56,13 +57,6 @@ from oracles import (
 # the largest prime below the Zech table limit 2^22, beyond which the
 # smoothness test, like counting and the tritangent search, stops
 _LARGEST_PRIME = 4194301
-
-
-def _prime_field(p):
-    """F_p; at _LARGEST_PRIME in the poly representation, which saves the
-    230 MB of its Zech tables (the elimination runs on integers either
-    way)."""
-    return field_create(p, 1, 0) if p == _LARGEST_PRIME else field_create(p, 1)
 
 
 def _mod(ctx, coeffs, degree=None):
@@ -273,7 +267,8 @@ def test_array_search_matches_per_line_oracle():
 
 def _log_digits(ctx, logs):
     """Coordinate vectors, digit axis first, of elements given by logs."""
-    return digits(ctx, np.where(logs < 0, 0, ctx._exp[logs % (ctx.q - 1)]))
+    exp = ctx.tables()[0]
+    return digits(ctx, np.where(logs < 0, 0, exp[logs % (ctx.q - 1)]))
 
 
 def test_digit_array_test_matches_log_oracle():
@@ -368,7 +363,8 @@ def test_digit_square_test_matches_scalar_split():
         columns.append([zero] * 7)
         R = digits(ctx, np.array([[c.to_int() for c in col]
                                   for col in columns]).T)
-        logs = np.array([[ctx._log[c.to_int()] for c in col]
+        log = ctx.tables()[1]
+        logs = np.array([[log[c.to_int()] for c in col]
                          for col in columns]).T
         ok = geom._unit_times_square(ctx, R)
         assert np.array_equal(ok, log_unit_times_square(ctx, logs))
@@ -378,12 +374,20 @@ def test_digit_square_test_matches_scalar_split():
         assert 0 < ok.sum() < len(columns)
 
 
-def test_search_above_zech_limit_raises():
-    small = field_create(5, 1, zech_limit=24)  # F_25 gets no Zech tables
-    f6 = _mod(small, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6)
-    assert find_tritangents(f6, 1)
-    with pytest.raises(BudgetExceededError, match="q <= 24"):
-        find_tritangents(f6, 2)
+def test_search_above_zech_limit_raises(monkeypatch):
+    # every field is checked before any is searched: F_2053 is within the
+    # limit, F_(2053^2) (q = 4214809) is not, and nothing is built
+    def never(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(geom, "_candidate_lines", never)
+    base = FieldCtx(2053, 1)
+    f6 = _mod(base, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6)
+    with pytest.raises(AssertionError, match="search started"):
+        find_tritangents(f6, 1)
+    with pytest.raises(BudgetExceededError, match="F_4214809.*4194304"):
+        find_tritangents(f6, 2, deep=True)
+    assert base._tables is None
     big = field_create(4194319, 1)  # a prime above the default limit 2^22
     with pytest.raises(BudgetExceededError, match=str(1 << 22)):
         find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6), 1)
@@ -894,6 +898,29 @@ def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
         assert len(calls) <= 10, (p, len(calls))
 
 
+def test_witness_over_a_large_extension_asks_for_no_tables(monkeypatch):
+    # binary_roots splits an irreducible factor over F_(p^e) with scalar
+    # arithmetic: a witness over F_(5^9) leaves that field, with its
+    # 1953124 units, without tables
+    asked = []
+    tables = FieldCtx.tables
+    monkeypatch.setattr(FieldCtx, "tables",
+                        lambda ctx: asked.append((ctx.p, ctx.d)) or tables(ctx))
+    rng = random.Random(1)
+
+    def form(degree):
+        return IntForm({(a, b, degree - a - b): rng.randint(-4, 4)
+                        for a in range(degree + 1)
+                        for b in range(degree + 1 - a)}, degree)
+
+    sextics = [form(3) * form(3) for _ in range(17)]
+    rep = smoothness_check(reduce_mod(sextics[16], field_create(5, 1)))
+    assert rep.verdict == "singular" and rep.field_degree == 9
+    assert _pt_ints(rep.witness) == (1, 180324, 1431381)
+    assert rep.witness[0].ctx is field_create(5, 9)
+    assert asked == [] and field_create(5, 9)._tables is None
+
+
 def test_smoothness_prime_bound(monkeypatch):
     # like point counting and the tritangent search, the smoothness test
     # stops at the Zech table limit 2^22: beyond it BudgetExceededError
@@ -905,7 +932,7 @@ def test_smoothness_prime_bound(monkeypatch):
     monkeypatch.setattr(geom, "_macaulay_matrix", never)
     node = {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1}
     assert is_prime(4194319)
-    f6 = _mod(_prime_field(_LARGEST_PRIME), node)
+    f6 = _mod(field_create(_LARGEST_PRIME, 1), node)
     rep = smoothness_check(f6)
     _assert_singular_witness(f6, rep)
     assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
@@ -982,7 +1009,7 @@ def test_lazy_row_echelon_matches_oracle():
     rng = random.Random(7)
     monos = _monomials(6)[0]
     for p in (3, 5, 7, 11, 1000003, _LARGEST_PRIME):
-        ctx = _prime_field(p)
+        ctx = field_create(p, 1)
 
         def rand_form(degree, density=1.0):
             return _mod(ctx, {m: rng.randrange(p) for m in _monomials(degree)[0]
@@ -1096,7 +1123,7 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
     rng = random.Random(23)
     for p in (3, 5, 7, 11, 17, 19, 23, 101, 4231, 4241, 1000003,
               _LARGEST_PRIME):
-        ctx = _prime_field(p)
+        ctx = field_create(p, 1)
 
         def form(degree, keep=lambda m: True, density=1.0):
             return _mod(ctx, {m: rng.randrange(p)
