@@ -7,21 +7,26 @@ keys accumulating monomials:
     # coefficient of x^a y^b z^c as "a b c coeff"
     f6: 6 0 0 4
     f6: 5 1 0 2
-    k: 2                      # known q-eigenvalue multiplicity (optional)
+    k: 2                      # claimed q-eigenvalue multiplicity (optional)
     external: 10 3486675052   # published deep count (optional, repeatable)
-    gram: -2 6 1 3            # intersection matrix rows (optional)
+    gram: -2 6 2 2            # claimed C+- intersection rows (optional)
     conic.1.scale: 1          # conic certificates (optional, grouped)
     conic.1.q2: 2 0 0 2
     ...
 
 Verdicts rest exclusively on exact integer checks.  The certification
 rule set mirrors two patterns: a rank upper bound U from the cyclotomic
-part of the Frobenius polynomial, a lower bound from provided
-intersection data (or the hyperplane class alone), and a nonvanishing
-second-order obstruction on a rational-split tritangent, which forces
-the geometric rank strictly below the rank of the reduction and hence
-caps it at U - 1.  When bounds meet, the rank is proved; otherwise the
-report carries bounds plus explicitly-labelled evidence.
+part of the Frobenius polynomial, a lower bound from the intersection
+matrix of the classes certify exhibits itself (the hyperplane class H
+and the components of the verified conics; with the components of the
+rational-split tritangents it also fixes k, the known multiplicity of
+t = p in the polynomial), and a nonvanishing second-order obstruction on
+a rational-split tritangent, which forces the geometric rank strictly
+below the rank of the reduction and hence caps it at U - 1.  When bounds
+meet, the rank is proved; otherwise the report carries bounds plus
+explicitly-labelled evidence.  `k:` and `gram:` are claims: a `k:` above
+the derived k is refused, and a `gram:` is compared with the derived
+conic block in the report but read by no bound.
 
 Exit codes: 0 verdict or report emitted, 1 usage problem, 2 mathematical
 precondition failure (for example singular reduction).
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -42,14 +48,16 @@ from .ffield import field_create, is_prime
 from .forms import IntForm, reduce_mod
 from .geom import (
     ConicCert,
+    SplitCurve,
     assert_good_reduction,
+    class_matrix,
     find_tritangents,
     verify_conic_identity,
 )
-from .lattice import gram_rank_disc
+from .lattice import gram_rank_disc, row_basis, square_class_equal
 from .obstruct import lifts_to_second_order
-from .zeta import (H2_DIM, cyclotomic_part, determine_sign, newton_above_hodge,
-                   predicted_count)
+from .zeta import (H2_DIM, artin_tate_value, cyclotomic_part, determine_sign,
+                   newton_above_hodge, predicted_count)
 
 
 class UsageError(ValueError):
@@ -262,13 +270,19 @@ def _count_rows(series):
             for r, src in zip(series.records, series.sources)]
 
 
-def _zeta_data(spec, p, args):
+def _zeta_data(spec, p, args, lattice):
     """k, the count series for d <= m, the surviving (sign, polynomial)
     pairs and the (sign, reason) pairs the traces allow but a later check
     rules out: a sign survives only if its polynomial lies on or above the
-    Hodge polygon and predicts every external count above m.  Raises
-    MathError when no sign survives."""
-    k = 2 if spec.k is None else spec.k
+    Hodge polygon and predicts every external count above m.  k is the
+    largest even number at most the rank r of the F_p-rational classes of
+    the class lattice (their r eigenvalues t = q are known); a `k:` claim
+    above it is refused.  Raises MathError when no sign survives."""
+    r = lattice["rational_rank"]
+    k = r - r % 2
+    if spec.k is not None and spec.k > k:
+        raise MathError(f"k: {spec.k} claims more than the derived k = {k}: "
+                        f"the F_{p}-rational classes have rank {r}")
     m = (H2_DIM - k) // 2
     series = _series_for(spec, p, m, args)
     beyond = [(d, n) for d, n in sorted(spec.external_counts.items())
@@ -296,9 +310,64 @@ def _zeta_data(spec, p, args):
     return k, series, survivors, dropped
 
 
-def _tritangents(spec, p, line_degree, args):
+def _tritangents(spec, p, line_degree, deep):
     return find_tritangents(reduce_mod(spec.f6, field_create(p, 1)),
-                            line_degree, deep=args.deep)
+                            line_degree, deep=deep)
+
+
+def _class_lattice(spec, p, certs):
+    """The classes at p from verified objects only: H, the components C+-
+    of each conic certificate (its identity checked over Z) and D+- of
+    each tritangent over F_p with rational splits among `certs`, with
+    their intersection matrix (geom.class_matrix); the rank of the classes
+    over the closure of Q (H and the C+-, H = (C+ + C-)/2); and a basis of
+    the F_p-rational classes (H, the D+- and the C+- of a conic whose
+    scale is a square mod p) with its determinant.  A `gram:` claim is
+    compared with the C+- block up to the +- labels of each conic; no
+    bound reads it."""
+    for i, cert in enumerate(spec.conics, start=1):
+        if not verify_conic_identity(cert, spec.f6):
+            raise MathError(f"conic certificate {i} fails its exact integer "
+                            "identity")
+    curves = [SplitCurve.from_conic(f"C{i}", cert, p)
+              for i, cert in enumerate(spec.conics, start=1)]
+    curves += [SplitCurve.from_tritangent(f"D[{c.line_str()}]", c)
+               for c in certs
+               if c.line_field_degree == 1 and c.split_field_degree == 1]
+    G = class_matrix(curves)
+    labels = ["H"] + [c.name + sign for c in curves for sign in "+-"]
+    closure = range(1 + 2 * len(spec.conics))
+    rational = [0] + [a for i, c in enumerate(curves) if c.root[1] == 1
+                      for a in (1 + 2 * i, 2 + 2 * i)]
+
+    def block(idx):
+        return [[G[i][j] for j in idx] for i in idx]
+
+    basis = [rational[i] for i in row_basis(block(rational))]
+    out = {"classes": labels, "matrix": G,
+           "rank_over_closure": gram_rank_disc(block(closure))[0],
+           "rational_classes": [labels[i] for i in rational],
+           "rational_rank": len(basis),
+           "rational_basis": [labels[i] for i in basis],
+           "rational_disc": gram_rank_disc(block(basis))[1]}
+    if spec.gram is not None:
+        out["gram_claim"] = ("matches" if _same_up_to_labels(
+            spec.gram, block(closure[1:])) else "differs")
+    return out
+
+
+def _same_up_to_labels(claim, derived):
+    """Whether a claimed matrix on C1+, C1-, C2+, ... equals the derived
+    one once the +- labels of some conics are swapped."""
+    n = len(derived)
+    if len(claim) != n:
+        return False
+    for swaps in itertools.product((0, 1), repeat=n // 2):
+        perm = [i ^ swaps[i // 2] for i in range(n)]
+        if all(claim[i][j] == derived[perm[i]][perm[j]]
+               for i in range(n) for j in range(n)):
+            return True
+    return False
 
 
 def _obstruction(spec, p, cert):
@@ -327,8 +396,11 @@ def _stage_count(spec, p, args):
 
 
 def _stage_zeta(spec, p, args):
-    k, series, survivors, _ = _zeta_data(spec, p, args)
-    out = {"p": p, "k": k, "counts": _count_rows(series), "signs": []}
+    assert_good_reduction(spec.f6, p)
+    lattice = _class_lattice(spec, p, _tritangents(spec, p, 1, args.deep))
+    k, series, survivors, _ = _zeta_data(spec, p, args, lattice)
+    out = {"p": p, "k": k, "rational_basis": lattice["rational_basis"],
+           "counts": _count_rows(series), "signs": []}
     for sign, P in survivors:
         rb = cyclotomic_part(P)
         out["signs"].append({
@@ -337,14 +409,13 @@ def _stage_zeta(spec, p, args):
             "factor": ",".join(str(c) for c in P.r_coeffs),
             "rank_upper_bound": rb.cyclotomic_degree,
             "cyclotomic_multiplicities": [list(x) for x in rb.per_n],
-            "bound_is_even": rb.is_even,
         })
     return out
 
 
 def _stage_tritangent(spec, p, args):
     smooth = assert_good_reduction(spec.f6, p)
-    certs = _tritangents(spec, p, args.line_degree, args)
+    certs = _tritangents(spec, p, args.line_degree, args.deep)
     return {"p": p, "smooth": smooth.verdict,
             "search_field_degree": args.line_degree,
             "tritangents": [_tritangent_dict(c) for c in certs]}
@@ -353,7 +424,7 @@ def _stage_tritangent(spec, p, args):
 def _stage_obstruct(spec, p, args):
     assert_good_reduction(spec.f6, p)
     reports = []
-    for cert in _tritangents(spec, p, 1, args):
+    for cert in _tritangents(spec, p, 1, args.deep):
         entry = {"line": cert.line_str(),
                  "split_field_degree": cert.split_field_degree}
         if cert.split_field_degree != 1:
@@ -366,18 +437,9 @@ def _stage_obstruct(spec, p, args):
 
 
 def _stage_lattice(spec, p, args):
-    out = {"conics": [], "gram": None}
-    for i, cert in enumerate(spec.conics, start=1):
-        out["conics"].append({
-            "index": i,
-            "scale": cert.scale,
-            "identity_verified": verify_conic_identity(cert, spec.f6),
-        })
-    if spec.gram is not None:
-        rank, disc = gram_rank_disc(spec.gram)
-        out["gram"] = {"matrix": [list(r) for r in spec.gram],
-                       "rank": rank, "disc": disc}
-    return out
+    assert_good_reduction(spec.f6, p)
+    return {"p": p, **_class_lattice(spec, p, _tritangents(spec, p, 1,
+                                                           False))}
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +458,29 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
                  "(p odd)")
     report["smooth"] = smooth.verdict
 
-    k, series, survivors, dropped = _zeta_data(spec, p, args)
+    certs = _tritangents(spec, p, args.line_degree, args.deep)
+    report["tritangents"] = [_tritangent_dict(c) for c in certs]
+    rational = [c for c in certs
+                if c.line_field_degree == 1 and c.split_field_degree == 1]
+    chain.append(f"find_tritangents: {len(certs)} tritangent line(s) over "
+                 f"F_{p}^e, e <= {args.line_degree}; "
+                 f"{len(rational)} with rational splits")
+    lattice = report["lattice"] = _class_lattice(spec, p, certs)
+    if spec.conics:
+        chain.append(f"verify_conic_identity: {len(spec.conics)} six-fold "
+                     "tangent conic identity(ies) verified exactly over Z")
+    chain.append(f"class_matrix: intersection matrix of "
+                 f"{', '.join(lattice['classes'])} at p = {p}, a "
+                 "split_pairing for each pair of curves")
+    basis = ", ".join(lattice["rational_basis"])
+    r = lattice["rational_rank"]
+
+    k, series, survivors, dropped = _zeta_data(spec, p, args, lattice)
     report["k"] = k
     report["counts"] = _count_rows(series)
+    chain.append(f"gram_rank_disc: the F_{p}-rational classes have rank {r} "
+                 f"(basis {basis}, det {lattice['rational_disc']}), so P has "
+                 f"t = {p} at least {r} times; k = {k}")
     chain.append(f"count_series: d = 1..{series.dmax} with sources "
                  f"{{{', '.join(sorted(set(series.sources)))}}}; Weil bound "
                  "|t| <= 22q holds for every d")
@@ -434,17 +516,22 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
     upper = rb.cyclotomic_degree
     report["rank_upper_bound_reduction"] = upper
     report["cyclotomic_multiplicities"] = [list(x) for x in rb.per_n]
-    report["bound_is_even"] = rb.is_even
-    chain.append(f"cyclotomic_part: rk Pic of the reduction <= {upper} "
-                 f"(parity note: bound is {'even' if rb.is_even else 'odd'})")
+    chain.append(f"cyclotomic_part: rk Pic of the reduction <= {upper}")
 
-    certs = _tritangents(spec, p, args.line_degree, args)
-    report["tritangents"] = [_tritangent_dict(c) for c in certs]
-    rational = [c for c in certs
-                if c.line_field_degree == 1 and c.split_field_degree == 1]
-    chain.append(f"find_tritangents: {len(certs)} tritangent line(s) over "
-                 f"F_{p}^e, e <= {args.line_degree}; "
-                 f"{len(rational)} with rational splits")
+    if dict(rb.per_n).get(1) == r:
+        num, den = artin_tate_value(P, r)
+        value = report["artin_tate"] = str(num) if den == 1 else f"{num}/{den}"
+        disc = abs(lattice["rational_disc"])
+        if not square_class_equal(disc, num * den):
+            raise MathError(
+                f"artin_tate: t = {p} has multiplicity {r} in P, but |det| = "
+                f"{disc} of the F_{p}-rational classes {basis} and q R1(q) / "
+                f"q^(22 - {r}) = {value} lie in different square classes")
+        chain.append(f"artin_tate: t = {p} has multiplicity {r} in P, the "
+                     f"rank of the F_{p}-rational classes, and |det| = {disc} "
+                     f"of {basis} lies in the square class of q R1(q) / "
+                     f"q^(22 - {r}) = {value} = |Br| |disc NS|: the classes "
+                     f"have finite index in NS of the reduction")
 
     blocked = False
     obstruction_reports = []
@@ -460,23 +547,11 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
                 "not lift to the second-order thickening")
     report["obstructions"] = obstruction_reports
 
-    lower = 1
-    chain.append("lower bound 1: the polarization class")
-    lattice = _stage_lattice(spec, p, args)
-    for conic in lattice["conics"]:
-        if not conic["identity_verified"]:
-            raise MathError(f"conic certificate {conic['index']} fails its "
-                            "exact integer identity")
-    if spec.conics:
-        chain.append(f"verify_conic_identity: {len(spec.conics)} six-fold "
-                     "tangent conic identity(ies) verified exactly over Z")
-    if lattice["gram"] is not None:
-        rank = report["gram_rank"] = lattice["gram"]["rank"]
-        report["gram_disc"] = lattice["gram"]["disc"]
-        if spec.conics:
-            lower = max(lower, rank)
-            chain.append(f"gram_rank_disc: intersection matrix of the known "
-                         f"classes has rank {rank}; rk Pic >= {rank}")
+    lower = lattice["rank_over_closure"]
+    closure = lattice["classes"][:1 + 2 * len(spec.conics)]
+    chain.append(f"gram_rank_disc: the classes over the closure of Q "
+                 f"({', '.join(closure)}) have rank {lower}; rk Pic >= "
+                 f"{lower}")
 
     if blocked:
         upper_geo = upper - 1

@@ -347,12 +347,17 @@ class FieldCtx:
         g^k.  Only the array kernels need them; above DEFAULT_ZECH_LIMIT
         they raise BudgetExceededError."""
         if self._tables is None:
-            if self.q > DEFAULT_ZECH_LIMIT:
-                raise BudgetExceededError(
-                    f"F_{self.q} needs Zech tables, which stop at "
-                    f"q <= {DEFAULT_ZECH_LIMIT}")
+            self.check_table_budget()
             self._tables = self._build_tables()
         return self._tables
+
+    def check_table_budget(self):
+        """Raise BudgetExceededError when the field is above the Zech
+        table limit, without building anything."""
+        if self.q > DEFAULT_ZECH_LIMIT:
+            raise BudgetExceededError(
+                f"F_{self.q} needs Zech tables, which stop at "
+                f"q <= {DEFAULT_ZECH_LIMIT}")
 
     # -- construction helpers ------------------------------------------------
 
@@ -467,11 +472,6 @@ class FieldCtx:
     def gen(self) -> FieldElem:
         """The class of t (a root of the modulus); d = 1 gives 0."""
         return self.from_coeffs([0, 1]) if self.d > 1 else self.zero()
-
-    def multiplicative_generator(self) -> FieldElem:
-        """Deterministic generator of the multiplicative group: the one of
-        least encoding."""
-        return FieldElem(self, self._find_generator())
 
     def elements(self):
         """All field elements in canonical encoding order."""

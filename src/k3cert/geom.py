@@ -89,7 +89,10 @@ from .ffield import (
     FieldCtx,
     FieldElem,
     Poly,
+    _zp_divmod,
     _zp_gcd2,
+    _zp_mul,
+    _zp_trim,
     digit_inv,
     digit_mul,
     digit_powers,
@@ -522,7 +525,8 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     the lines it finds go, once each, through restrict_to_line and
     perfect_square_split, whose split also gives the decomposition.  Every
     field is checked before any is searched: the test needs Zech tables,
-    so a field above the Zech limit raises BudgetExceededError, and so
+    so a field above the Zech limit raises BudgetExceededError
+    (FieldCtx.check_table_budget, the check FieldCtx.tables makes), and so
     does a field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT
     unless deep is set (the q^2 + q + 1 lines run at about 2.5e6 per
     second over F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
@@ -534,20 +538,17 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     locus) is skipped; that configuration is singular and belongs to
     smoothness_check."""
     base = f6.ctx
-    for e in range(1, search_field_degree + 1):
-        q = base.q ** e
-        if q > DEFAULT_ZECH_LIMIT:
+    fields = [field_create(base.p, base.d * e)
+              for e in range(1, search_field_degree + 1)]
+    for ctx in fields:
+        ctx.check_table_budget()
+        if ctx.q ** 2 > MANDATORY_Q2_LIMIT and not deep:
             raise BudgetExceededError(
-                f"the tritangent search over F_{q} needs Zech tables, which "
-                f"stop at q <= {DEFAULT_ZECH_LIMIT}")
-        if q * q > MANDATORY_Q2_LIMIT and not deep:
-            raise BudgetExceededError(
-                f"the tritangent search over F_{q} tests q^2 + q + 1 lines, "
-                f"beyond the desk-scale budget q^2 <= {MANDATORY_Q2_LIMIT}; "
-                "pass deep=True (--deep) to run it")
+                f"the tritangent search over F_{ctx.q} tests q^2 + q + 1 "
+                f"lines, beyond the desk-scale budget q^2 <= "
+                f"{MANDATORY_Q2_LIMIT}; pass deep=True (--deep) to run it")
     out = []
-    for e in range(1, search_field_degree + 1):
-        ctx = field_create(base.p, base.d * e)
+    for e, ctx in enumerate(fields, start=1):
         f = f6 if ctx is base else f6.embed(ctx)
         for index in _candidate_lines(f, base.q, e):
             vec = _line_at(ctx, index)
@@ -576,6 +577,218 @@ def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
     rhs = IntForm({m: cert.scale * c for m, c in rhs.coeffs.items()},
                   rhs.degree) + cert.q2 * cert.q4
     return rhs == f6
+
+
+# ---------------------------------------------------------------------------
+# split curves and their intersection numbers, in plain integers mod p
+
+
+@dataclass
+class SplitCurve:
+    """A line or conic Q = 0 over F_p with f6 = s h^2 + Q Q' (mod p): its
+    preimage on w^2 = f6 splits into the components X+ (w = sqrt(s) h)
+    and X- (w = -sqrt(s) h), which are F_p-rational when s is a square
+    mod p.  A tritangent with rational splits has s = 1, h = f3 and Q' =
+    f5; a conic certificate has its scale, h = q3 and Q' = q4.  Forms are
+    {monomial: int in [0, p)}.
+
+    sqrt(s) is c sqrt(n) with n = 1 when s is a square mod p and else the
+    least non-square, and c the principal root of s/n in F_p: that fixes
+    which component is X+."""
+
+    name: str
+    p: int
+    degree: int
+    curve: dict
+    cofactor: dict
+    half: dict
+    scale: int
+
+    @classmethod
+    def from_tritangent(cls, name, cert: TritangentCert):
+        def ints(form):
+            return {m: c.to_int() for m, c in form.coeffs.items()}
+
+        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                        (c.to_int() for c in cert.line)))
+        return cls(name, cert.unit.ctx.p, 1, line, ints(cert.f5),
+                   ints(cert.f3), 1)
+
+    @classmethod
+    def from_conic(cls, name, cert: ConicCert, p: int):
+        def ints(form):
+            return {m: c % p for m, c in form.coeffs.items()}
+
+        return cls(name, p, 2, ints(cert.q2), ints(cert.q4), ints(cert.q3),
+                   cert.scale % p)
+
+    @functools.cached_property
+    def root(self):
+        """(c, n) with sqrt(s) = c sqrt(n)."""
+        ctx = field_create(self.p, 1)
+        n = 1 if quad_char(ctx.from_int(self.scale)) >= 0 else next(
+            n for n in range(2, self.p) if quad_char(ctx.from_int(n)) < 0)
+        return _sqrt_in_field(ctx.from_int(self.scale) / ctx.from_int(n)
+                              ).to_int(), n
+
+    @functools.cached_property
+    def phi(self):
+        """A parametrization P^1 -> curve: three binary forms of degree
+        deg Q, as coefficient lists ascending in t.  A line takes
+        line_kernel_basis; a conic, phi(V) = q2(V) P0 - (grad q2(P0) . V)
+        V, the second point of the conic on the line through P0 and V,
+        for V = s e_i + t e_j on a coordinate line x_k = 0 with P0_k != 0.
+        P0 is (0 : 0 : 1) when it lies on the conic, else the first
+        F_p-point on a line through it and (1 : u : 0) by u; a smooth
+        conic has p + 1 points, at most two of them on x = 0.  None when
+        the conic is singular mod p."""
+        p, q2 = self.p, self.curve
+        ctx = field_create(p, 1)
+        if self.degree == 1:
+            basis = line_kernel_basis(tuple(
+                ctx.from_int(q2.get(m, 0))
+                for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+            return [[v1.to_int(), v2.to_int()] for v1, v2 in zip(*basis)]
+        a = [[0] * 3 for _ in range(3)]  # q2(v) = v^T a v / 2
+        for m, c in q2.items():
+            i, j = (v for v in range(3) for _ in range(m[v]))
+            a[i][j] += c
+            a[j][i] += c
+        det = sum(a[0][v] * (a[1][v - 2] * a[2][v - 1]
+                             - a[1][v - 1] * a[2][v - 2]) for v in range(3))
+        if det % p == 0:
+            return None
+        P0, C = None, q2.get((0, 0, 2), 0)  # C = q2(0, 0, 1)
+        if C == 0:
+            P0 = (0, 0, 1)
+        for u in range(p if P0 is None else 0):
+            # q2(1, u, t) = A + B t + C t^2
+            A = sum(c * u ** m[1] for m, c in q2.items() if m[2] == 0)
+            B = a[0][2] + u * a[1][2]
+            disc = ctx.from_int(B * B - 4 * A * C)
+            if quad_char(disc) >= 0:
+                t = (_sqrt_in_field(disc).to_int() - B) * pow(2 * C, -1, p)
+                P0 = (1, u, t % p)
+                break
+        k = next(v for v in range(3) if P0[v])
+        i, j = (v for v in range(3) if v != k)
+        g = [sum(a[v][w] * P0[w] for w in range(3)) for v in range(3)]
+        quad = [a[i][i] // 2, a[i][j], a[j][j] // 2]  # q2(s e_i + t e_j)
+        return [[(P0[v] * x - y) % p for x, y in zip(quad, (
+            g[i] * (v == i), g[i] * (v == j) + g[j] * (v == i),
+            g[j] * (v == j)))] for v in range(3)]
+
+    @functools.cached_property
+    def _images(self):
+        return {(0, 0, 0): [1]}
+
+    def image(self, form: dict, n: int):
+        """form(phi) for a form of degree n, as a binary form of degree n
+        deg Q: its coefficient list ascending in t, untrimmed.  The images
+        of the monomials are built degree by degree, one product each, and
+        kept for the next form."""
+        p, phi, images = self.p, self.phi, self._images
+        if (0, 0, n) not in images:
+            for m in _monomials(n)[0]:
+                v = 0 if m[0] else 1 if m[1] else 2
+                lower = (m[0] - (v == 0), m[1] - (v == 1), m[2] - (v == 2))
+                if lower not in images:
+                    self.image({}, n - 1)
+                images[m] = _zp_mul(images[lower], phi[v], p)
+        out = [0] * (n * self.degree + 1)
+        for m, c in form.items():
+            for i, x in enumerate(images[m]):
+                out[i] = (out[i] + c * x) % p
+        return out
+
+
+def _order_sum(sigma, g, p: int) -> int:
+    """The sum of the orders of the nonzero binary form sigma at the roots
+    of the binary form g on P^1, infinity (s = 0, a trailing zero of the
+    coefficient list) included, by repeated gcds."""
+    a, gp = _zp_trim(list(sigma)), _zp_trim(list(g))
+    total = len(sigma) - len(a) if len(gp) < len(g) else 0
+    while True:
+        d = _zp_gcd2(a, gp, p)
+        if len(d) < 2:
+            return total
+        total += len(d) - 1
+        a = _zp_divmod(a, d, p)[0]
+
+
+def _form_gcd(a, b, p: int):
+    """The gcd of two binary forms, in the coefficient lists of
+    _order_sum: the gcd of the polynomials in t, times s to the smaller
+    order at infinity."""
+    at, bt = _zp_trim(list(a)), _zp_trim(list(b))
+    return _zp_gcd2(at, bt, p) + [0] * min(len(a) - len(at), len(b) - len(bt))
+
+
+def split_pairing(X: SplitCurve, Y: SplitCurve):
+    """X+ . Y+ on the double cover, or None when X is a conic that is
+    singular mod p (or lies on Y).
+
+    When sqrt(s_X) and sqrt(s_Y) are c sqrt(n) with different n, Frobenius
+    swaps the components of one curve and fixes those of the other, so
+    X+ . Y+ = X+ . Y- = deg X deg Y / 2.  Otherwise X+ is parametrized by
+    phi and sigma = (c_X h_X - c_Y h_Y)(phi) is the difference of the two
+    sheets over it, up to the unit sqrt(n), so X+ meets Y+ at the roots
+    of g = Q_Y(phi) where sigma vanishes.  Where Q_Y' is a unit, w -
+    sqrt(s_Y) h_Y is a local equation of Y+ (its product with w + sqrt(s_Y)
+    h_Y is Q_Y Q_Y'), and the point counts the order of sigma.  Where Q_Y'
+    vanishes too, h_Y does not (f6 would be singular there), so w +
+    sqrt(s_Y) h_Y is a unit, Q_Y is a local equation, and the point counts
+    the order of g.  With c the gcd of g and Q_Y'(phi), that is the
+    orders of sigma at the roots of g, less those at the roots of c, plus
+    the orders of g at the common roots of c and sigma.  A sigma that
+    vanishes identically meets Y+ at every root of g, by Q_Y'(phi) = 0."""
+    p, (cx, nx), (cy, ny) = X.p, X.root, Y.root
+    if nx != ny:
+        return X.degree * Y.degree // 2
+    if X.phi is None:
+        return None
+    g = X.image(Y.curve, Y.degree)
+    if not any(g):
+        return None
+    sigma = [(cx * a - cy * b) % p for a, b in
+             zip(X.image(X.half, 3), X.image(Y.half, 3))]
+    if not any(sigma):
+        return len(g) - 1
+    c = _form_gcd(g, X.image(Y.cofactor, 6 - Y.degree), p)
+    return (_order_sum(sigma, g, p) - _order_sum(sigma, c, p)
+            + _order_sum(g, _form_gcd(c, sigma, p), p))
+
+
+def class_matrix(curves):
+    """The intersection matrix of H and the components X+, X- of each
+    split curve, in that order: H^2 = 2, H . X = deg X, X^2 = -2, X+ . X-
+    = deg X^2 + 2, and for two curves X+ . Y+ = X- . Y- from split_pairing
+    (in the direction Y, X when X, Y does not decide it) and X+ . Y- = X-
+    . Y+ = deg X deg Y - X+ . Y+.  Raises MathError naming a pair that
+    neither direction decides."""
+    n = 1 + 2 * len(curves)
+    G = [[0] * n for _ in range(n)]
+    G[0][0] = 2
+    for i, X in enumerate(curves):
+        a = 1 + 2 * i
+        G[0][a] = G[a][0] = G[0][a + 1] = G[a + 1][0] = X.degree
+        G[a][a] = G[a + 1][a + 1] = -2
+        G[a][a + 1] = G[a + 1][a] = X.degree ** 2 + 2
+        for j, Y in enumerate(curves[:i]):
+            same = split_pairing(X, Y)
+            if same is None:
+                same = split_pairing(Y, X)
+            if same is None:
+                raise MathError(
+                    f"the pairing of {X.name} and {Y.name} is not decided "
+                    f"mod {X.p}: each is a conic singular mod p or lies on "
+                    "the other")
+            b = 1 + 2 * j
+            for r, c, v in ((a, b, same), (a + 1, b + 1, same),
+                            (a, b + 1, X.degree * Y.degree - same),
+                            (a + 1, b, X.degree * Y.degree - same)):
+                G[r][c] = G[c][r] = v
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,26 @@ def gram_rank_disc(m):
     return rank, sign * prev
 
 
+def row_basis(m):
+    """Indices of the first maximal set of linearly independent rows of an
+    integer matrix: each row is kept when it is not in the span of the
+    rows kept before it (fraction-free elimination against them, each
+    row divided by its content).  For a symmetric matrix the principal
+    submatrix on these indices is nonsingular."""
+    kept, echelon = [], []  # echelon: (pivot column, reduced row)
+    for i, row in enumerate(_as_matrix(m)):
+        for col, piv in echelon:
+            if row[col]:
+                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
+                g = math.gcd(*row)
+                row = [x // g for x in row] if g else row
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            kept.append(i)
+            echelon.append((col, row))
+    return kept
+
+
 def square_class_equal(d1: int, d2: int) -> bool:
     """Whether two nonzero integers lie in the same rational square class."""
     if d1 == 0 or d2 == 0:

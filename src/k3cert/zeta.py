@@ -342,11 +342,6 @@ class RankBound:
     cyclotomic_degree: int
     per_n: tuple  # ((n, multiplicity of Phi_n), ...) with multiplicity > 0
 
-    @property
-    def is_even(self) -> bool:
-        # the bound from one prime is expected even; reported, not enforced
-        return self.cyclotomic_degree % 2 == 0
-
 
 def cyclotomic_part(P: FrobeniusPoly) -> RankBound:
     """Multiplicity of eigenvalues q * (root of unity) in P.
@@ -378,6 +373,22 @@ def cyclotomic_part(P: FrobeniusPoly) -> RankBound:
             per_n.append((n, mult))
             total += phi * mult
     return RankBound(cyclotomic_degree=total, per_n=tuple(per_n))
+
+
+def artin_tate_value(P: FrobeniusPoly, rho: int):
+    """q R1(q) / q^(22 - rho) with R1 = P / (t - q)^rho, as a fraction
+    (numerator, denominator) in lowest terms.  When rho is the multiplicity
+    of t = q in P, the Artin-Tate formula (Milne 1975; Tate's conjecture
+    holds for these surfaces) makes it |Br(X)| |disc NS(X)|, with |Br(X)|
+    a square (Liu-Lorenzini-Raynaud 2005)."""
+    rem = list(P.coeffs)
+    for _ in range(rho):
+        rem, r = poly_divmod(rem, [1, -P.q])
+        if rem is None or not _is_zero_poly(r):
+            raise MathError(f"(t - q)^{rho} does not divide the polynomial")
+    num, den = P.q * _horner(rem, P.q), P.q ** (P.degree - rho)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def predicted_count(P: FrobeniusPoly, d: int) -> int:

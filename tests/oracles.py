@@ -7,9 +7,11 @@ array test of the tritangent search in the discrete-log (Zech)
 representation (log_restriction_blocks and log_unit_times_square); the
 smoothness test on the full Macaulay matrices, built from the forms'
 own coefficients, without the triangular block (macaulay_matrix and
-macaulay_smoothness); and the chart evaluator and minimal
+macaulay_smoothness); the chart evaluator and minimal
 polynomials that the exhaustive singular-point scan and the field tests
-use (chart_value_logs, chart_points, minimal_polynomial)."""
+use (chart_value_logs, chart_points, minimal_polynomial); and the
+intersection number of two split curves over F_(p^2), where every scale
+has its square roots, by root finding (split_pairing_oracle)."""
 
 import functools
 import itertools
@@ -23,6 +25,7 @@ from k3cert.ffield import (
     FieldCtx,
     FieldElem,
     Poly,
+    embed_subfield,
     field_create,
     log_add,
     log_horner,
@@ -565,3 +568,44 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
         yield log_horner(ctx, T, neg[c0:c0 + _SEARCH_BLOCK]), skip
     yield (np.array([[coef(0, n - m, m)] for m in range(n + 1)]),
            np.array([e > 1]))
+
+
+def split_pairing_oracle(X, Y):
+    """X+ . Y+ for two geom.SplitCurve over F_(p^2), where sqrt(s) = c
+    sqrt(n) with sqrt(n) the principal root: at each root of Q_Y(phi) that
+    binary_roots finds where sigma = (sqrt(s_X) h_X - sqrt(s_Y) h_Y)(phi)
+    vanishes, the order of sigma, or of Q_Y(phi) where Q_Y'(phi) vanishes
+    too, by repeated division by the root's linear factor."""
+    ctx = field_create(X.p, 2)
+    phi = [Poly(ctx, [ctx.from_int(c) for c in f]) for f in X.phi]
+
+    def image(form, n):
+        out = Poly(ctx, [])
+        for m, c in form.items():
+            term = Poly(ctx, [ctx.from_int(c)])
+            for v in range(3):
+                for _ in range(m[v]):
+                    term = term * phi[v]
+            out = out + term
+        return BinaryForm.from_poly(out, n * X.degree)
+
+    def sheet(curve):
+        c, n = curve.root
+        return image(curve.half, 3).scale(
+            ctx.from_int(c) * _sqrt_in_field(ctx.from_int(n)))
+
+    def order(form, root):
+        (u0, v0), _, rctx = root
+        if u0.is_zero():
+            return form.u_multiplicity()
+        f = Poly(rctx, [embed_subfield(c, rctx) for c in form.coeffs])
+        factor, k = Poly(rctx, [-v0 / u0, rctx.one()]), 0
+        while (f % factor).is_zero():
+            f, k = f // factor, k + 1
+        return k
+
+    g, sigma = image(Y.curve, Y.degree), sheet(X) - sheet(Y)
+    cofactor = image(Y.cofactor, 6 - Y.degree)
+    return sum(order(sigma, r) and (order(g, r) if order(cofactor, r)
+                                    else order(sigma, r))
+               for r in binary_roots(g))

@@ -129,6 +129,22 @@ def test_benchmark_checks_accept_certify_reports(tmp_path, capsys,
         out, err = capsys.readouterr()
         assert checks.check_certify("rank1-p3", rc, out, ["external"] * 10,
                                     cache_path=cache) == [], (extra, err)
+    # the benchmark's own surface files, read as they are (rank3-conics
+    # keeps its old gram: rows, and each its k: line), with every count
+    # external: a claim that became fatal, or a k that moved, fails here
+    reference = _load(PERFBENCH / "reference.py", "perfbench_reference")
+    for path in sorted((PERFBENCH / "surfaces").glob("*.txt")):
+        name = path.stem
+        p = reference.SURFACES[name][0]
+        spec = tmp_path / path.name
+        spec.write_text(path.read_text() + "".join(
+            f"external: {d} {n}\n"
+            for d, n in enumerate(reference.COUNTS[name], start=1)))
+        rc = run(["certify", "--spec", str(spec), "-p", str(p), "--json"])
+        out, err = capsys.readouterr()
+        m = (22 - reference.SURFACES[name][1]) // 2
+        assert checks.check_certify(name, rc, out, ["external"] * m) == [], \
+            (name, err)
 
 
 def test_benchmark_checks_accept_forked_counts(tmp_path, capsys, monkeypatch):

@@ -241,7 +241,7 @@ def test_each_command_accepts_only_the_options_it_reads(tmp_path, capsys,
 def test_non_symmetric_gram_is_usage_error(tmp_path, capsys):
     text = (SURFACES / "rank3-conics.txt").read_text()
     path = tmp_path / "asymmetric.txt"
-    path.write_text(text.replace("gram: -2 6 1 3", "gram: -2 7 1 3"))
+    path.write_text(text.replace("gram: -2 6 2 2", "gram: -2 7 2 2"))
     for stage in ("lattice", "certify"):
         assert run([stage, "--spec", str(path), "--prime", "3"]) == 1
         assert capsys.readouterr().err == (
@@ -327,10 +327,17 @@ def test_certify_rejects_counts_below_the_hodge_polygon(tmp_path, capsys):
             "polygon\n")
 
 
-def test_external_count_beyond_m_settles_an_ambiguous_sign(tmp_path, capsys):
+def test_external_count_beyond_m_settles_an_ambiguous_sign(tmp_path, capsys,
+                                                          monkeypatch):
     # with k = 20 (m = 1) the trace t_1 = 60 = 20q allows both signs; an
     # external N_2 keeps the sign whose polynomial predicts it, and the
-    # chain says that the count, not the traces, made the choice
+    # chain says that the count, not the traces, made the choice.  No
+    # bundled surface exhibits 20 classes over F_3, so the derived lattice
+    # is given rank 20 and determinant -6, the Artin-Tate value q R1(q) /
+    # q^2 of the sign +1 polynomial (t - 3)^20 (t^2 + 9)
+    derive = cli._class_lattice
+    monkeypatch.setattr(cli, "_class_lattice", lambda *args: {
+        **derive(*args), "rational_rank": 20, "rational_disc": -6})
     text = "".join(line + "\n" for line in
                    (SURFACES / "rank1-p3.txt").read_text().splitlines()
                    if not line.startswith(("k:", "external:")))
@@ -395,8 +402,109 @@ def test_lattice_stage(capsys):
                 "--prime", "3", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert all(c["identity_verified"] for c in out["conics"])
-    assert out["gram"]["rank"] == 3
+    assert out["classes"] == ["H", "C1+", "C1-", "C2+", "C2-",
+                              "D[1*x+1*y+1*z]+", "D[1*x+1*y+1*z]-"]
+    assert [row[1:5] for row in out["matrix"][1:5]] == data.GRAM_C
+    assert out["rank_over_closure"] == 3 and out["gram_claim"] == "matches"
+    assert (out["rational_rank"], out["rational_disc"]) == (4, -72)
+
+
+def _certify_json(argv, capsys):
+    code = run(["certify"] + argv + ["--json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if code == 0 else captured.err
+
+
+@pytest.mark.parametrize("rows, claim", [
+    (["2 0 0", "0 -2 0", "0 0 -2"], "differs"),
+    (["-2 6 2 2", "6 -2 2 2", "2 2 -2 5", "2 2 5 -2"], "differs"),
+    ([], None),
+])
+def test_no_verdict_reads_gram(tmp_path, capsys, rows, claim):
+    # diag(2, -2, -2) once proved rank 3 with gram_disc 8, and the 6 -> 5
+    # change (rank 4) crossed the bounds; the lower bound is the rank of
+    # the derived conic block, and the report says whether a claim matches
+    path = tmp_path / "claims.txt"
+    path.write_text("".join(
+        line + "\n" for line in Path(_with_all_counts(
+            tmp_path, "rank3-conics")).read_text().splitlines()
+        if not line.startswith("gram:")) + "".join(f"gram: {r}\n"
+                                                    for r in rows))
+    code, out = _certify_json(["--spec", str(path), "--prime", "3"], capsys)
+    assert code == 0
+    assert out["verdict"] == "rank = 3 proved"
+    assert (out["rank_lower_bound"], out["k"]) == (3, 4)
+    assert out["lattice"].get("gram_claim") == claim
+
+
+@pytest.mark.parametrize("name, claim", [
+    ("rank3-conics", 6), ("rank3-conics", 8), ("rank3-conics", 10),
+    ("rank3-conics", 22), ("rank1-p5", 4), ("rank1-p3", 4), ("rank1-p5", 22),
+    ("rank1-p3", 22),
+])
+def test_k_claim_above_the_derived_k_is_refused(tmp_path, capsys, name,
+                                                claim):
+    # k: 22 once skipped every count; k: 6, 8 and 10 on rank3-conics and
+    # k: 4 on the rank-1 surfaces failed only as traces without a sign
+    p, derived = BUNDLED[name][0], 4 if name == "rank3-conics" else 2
+    path = Path(_with_all_counts(tmp_path, name))
+    path.write_text(path.read_text().replace(f"k: {derived}\n",
+                                             f"k: {claim}\n"))
+    for stage in ("zeta", "certify"):
+        assert run([stage, "--spec", str(path), "--prime", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"mathematical error: k: {claim} claims more than the derived "
+            f"k = {derived}: the F_{p}-rational classes have rank "
+            f"{derived}\n"), stage
+
+
+def test_bundled_classes_derive_k_and_the_artin_tate_value(tmp_path, capsys):
+    expected = {"rank1-p5": (2, "H, D[3*y+1*z]+", "5"),
+                "rank1-p3": (2, "H, D[1*x]+", "5"),
+                "rank3-conics": (4, "H, C1+, C2+, D[1*x+1*y+1*z]+", "72")}
+    for name, (p, _) in BUNDLED.items():
+        path = Path(_with_all_counts(tmp_path, name))
+        path.write_text("".join(line + "\n" for line in
+                                path.read_text().splitlines()
+                                if not line.startswith("k:")))
+        code, out = _certify_json(["--spec", str(path), "--prime", str(p)],
+                                  capsys)
+        k, basis, value = expected[name]
+        assert code == 0 and out["k"] == k
+        assert ", ".join(out["lattice"]["rational_basis"]) == basis
+        assert out["artin_tate"] == value
+        assert (f"artin_tate: t = {p} has multiplicity {k} in P, the rank of "
+                f"the F_{p}-rational classes, and |det| = {value} of {basis} "
+                f"lies in the square class of q R1(q) / q^(22 - {k}) = "
+                f"{value} = |Br| |disc NS|: the classes have finite index in "
+                "NS of the reduction") in out["chain"]
+
+
+def test_artin_tate_mismatch_is_math_error(tmp_path, capsys, monkeypatch):
+    derive = cli._class_lattice
+    monkeypatch.setattr(cli, "_class_lattice", lambda *args: {
+        **derive(*args), "rational_disc": -7})
+    assert run(["certify", "--spec", _with_all_counts(tmp_path, "rank1-p3"),
+                "--prime", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "mathematical error: artin_tate: t = 3 has multiplicity 2 in P, but "
+        "|det| = 7 of the F_3-rational classes H, D[1*x]+ and q R1(q) / "
+        "q^(22 - 2) = 5 lie in different square classes\n")
+
+
+def test_undecided_pair_is_math_error(tmp_path, capsys):
+    # conic 1 restated as conic 3: a curve lies on the other in both
+    # directions, so their pairing is not decided
+    path = Path(_with_all_counts(tmp_path, "rank3-conics"))
+    text = path.read_text()
+    path.write_text(text + "".join(line.replace("conic.1.", "conic.3.") + "\n"
+                                   for line in text.splitlines()
+                                   if line.startswith("conic.1.")))
+    for stage in ("lattice", "certify"):
+        assert run([stage, "--spec", str(path), "--prime", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "mathematical error: the pairing of C3 and C1 is not decided mod "
+            "3: each is a conic singular mod p or lies on the other\n"), stage
 
 
 def test_cache_roundtrip_via_cli(tmp_path, capsys):
@@ -514,11 +622,14 @@ def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
 
 # sha256 of the outputs of _pinned_calls, recorded before the lazy
 # elimination and the one-pass decomposition, re-recorded when certify
-# dropped its chain line on the counts d <= m and again when it added the
-# newton_above_hodge line (every other byte the same both times); a
-# certificate, witness or verdict that changes changes it
+# dropped its chain line on the counts d <= m, again when it added the
+# newton_above_hodge line, and again when certify derived its classes
+# (the lattice and artin_tate fields and their chain lines in, the
+# bound_is_even and gram_rank fields out; every verdict, polynomial,
+# count, certificate and obstruction the same); a certificate, witness or
+# verdict that changes changes it
 PINNED_DIGEST = (
-    "4361894d3d798bca3dfde9043f888252a4016c5024ba5a721e30dc160ae7be12")
+    "b4453164e6ea5af3fd4380532f7cbc07b737dbb85a08a268179da5bf59329475")
 
 
 # sha256 of the outputs of _contact_calls, recorded before the array test
@@ -528,9 +639,12 @@ CONTACT_DIGEST = (
 
 
 # sha256 of the outputs of _all_command_calls, recorded at the commit
-# before certify and the stage commands came to share one helper per fact
+# before certify and the stage commands came to share one helper per fact,
+# and re-recorded when the classes came to be derived: the lattice
+# command reports the class lattice, zeta its rational basis and no
+# bound_is_even, certify as in PINNED_DIGEST
 ALL_COMMANDS_DIGEST = (
-    "ccbe165808bb8d4277c88f14440c3115795c95a643b79d9c222a3d9a08607f3d")
+    "80fff1d2077bbfb02c92b4f6856e2a6ebf262ef8ab7f8bd9a4785bde73824aff")
 
 # each bundled surface: its prime and every count of the reference data
 BUNDLED = {"rank1-p5": (5, data.COUNTS_A), "rank1-p3": (3, data.COUNTS_B),
@@ -707,11 +821,16 @@ def test_one_layer_call_per_fact(tmp_path, capsys, monkeypatch):
                   "cyclotomic_part": 1}
     search = {"assert_good_reduction": 1, "field_create": 1,
               "find_tritangents": 1}
+    # one rank over the closure of Q, one determinant of the F_p basis
+    lattice = {"gram_rank_disc": 2}
     expected = {
-        "rank1-p5": {**zeta_facts, **search, "lifts_to_second_order": 1},
-        "rank1-p3": {**zeta_facts, **search, "lifts_to_second_order": 1},
-        "rank3-conics": {**zeta_facts, **search, "lifts_to_second_order": 1,
-                         "verify_conic_identity": 2, "gram_rank_disc": 1},
+        "rank1-p5": {**zeta_facts, **search, **lattice,
+                     "lifts_to_second_order": 1},
+        "rank1-p3": {**zeta_facts, **search, **lattice,
+                     "lifts_to_second_order": 1},
+        "rank3-conics": {**zeta_facts, **search, **lattice,
+                         "lifts_to_second_order": 1,
+                         "verify_conic_identity": 2},
     }
     for name, (p, _) in BUNDLED.items():
         calls.clear()

@@ -32,7 +32,7 @@ def test_create_prime_field():
 
 def test_create_f25_generator_order():
     F25 = field_create(5, 2)
-    g = F25.multiplicative_generator()
+    g = F25.from_enc(int(F25.tables()[0][1]))  # exp[1]
     assert g ** 24 == F25.one()
     for k in range(1, 24):
         assert g ** k != F25.one()
@@ -234,7 +234,7 @@ def test_embed_constant():
 def test_embed_preserves_multiplicative_order():
     F9 = field_create(3, 2)
     F81 = field_create(3, 4)
-    g = F9.multiplicative_generator()
+    g = F9.from_enc(int(F9.tables()[0][1]))  # exp[1]
     img = embed_subfield(g, F81)
     assert img ** 8 == F81.one()
     for k in range(1, 8):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -15,6 +17,7 @@ from k3cert.ffield import (
     field_create,
     is_prime,
     poly_roots,
+    quad_char,
 )
 from k3cert.forms import (
     BinaryForm,
@@ -28,14 +31,17 @@ from k3cert.forms import (
 )
 from k3cert.geom import (
     ConicCert,
+    SplitCurve,
     _macaulay_matrix,
     _monomials,
     _row_echelon,
     assert_good_reduction,
+    class_matrix,
     decompose_along_line,
     find_tritangents,
     normalize_point,
     smoothness_check,
+    split_pairing,
     verify_conic_identity,
 )
 
@@ -51,6 +57,7 @@ from oracles import (
     macaulay_matrix,
     macaulay_smoothness,
     row_echelon,
+    split_pairing_oracle,
 )
 
 
@@ -330,7 +337,7 @@ def test_search_keeps_lines_over_two_unnested_subfields():
     # only: the search over F_729 from the base F_3 must test it
     rng = random.Random(606)
     ctx = field_create(3, 6)
-    g = ctx.multiplicative_generator()
+    g = ctx.from_enc(int(ctx.tables()[0][1]))  # exp[1]
     vec = (g ** 91, g ** 28, ctx.one())  # of orders 8 and 26
     f = (_random_form(ctx, 3, rng).square()
          + line_form(ctx, vec) * _random_form(ctx, 5, rng))
@@ -590,6 +597,125 @@ def test_conic_identities_surface_c():
     perturbed = ConicCert(scale=c1.scale, q2=c1.q2, q3=c1.q3,
                           q4=c1.q4 + IntForm({(0, 0, 4): 1}, 4))
     assert not verify_conic_identity(perturbed, f6)
+
+
+# -- split curves and their intersection numbers ------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _split_surfaces():
+    """Seeded f6 = s q3^2 + q2 q4 at p = 5 and 7, smooth mod p, with q2
+    smooth mod p and a tritangent over F_p with rational splits, four with
+    s a square mod p and four with s a non-square: (p, conic certificate,
+    f6)."""
+    rng = random.Random(2026)
+    found = {1: [], -1: []}
+    while min(map(len, found.values())) < 4:
+        p = rng.choice((5, 7))
+        ctx = field_create(p, 1)
+        s = rng.randrange(1, p)
+        q2, q3, q4 = (_random_int_form(rng, d) for d in (2, 3, 4))
+        f6 = IntForm({m: s * c for m, c in (q3 * q3).coeffs.items()}, 6) \
+            + q2 * q4
+        f = reduce_mod(f6, ctx)
+        if (not f.is_zero() and smoothness_check(f).verdict == "smooth"
+                and SplitCurve.from_conic("C", ConicCert(s, q2, q3, q4),
+                                          p).phi is not None
+                and any(c.split_field_degree == 1
+                        for c in find_tritangents(f, 1))):
+            found[quad_char(ctx.from_int(s))].append(
+                (p, ConicCert(s, q2, q3, q4), f6))
+    return found[1][:4] + found[-1][:4]
+
+
+def _random_int_form(rng, degree):
+    return IntForm({(a, b, degree - a - b): rng.randrange(-3, 4)
+                    for a in range(degree + 1)
+                    for b in range(degree + 1 - a)}, degree)
+
+
+def _split_curves(p, conic, f6):
+    certs = find_tritangents(reduce_mod(f6, field_create(p, 1)), 1)
+    return [SplitCurve.from_conic("C", conic, p)] + [
+        SplitCurve.from_tritangent(c.line_str(), c) for c in certs
+        if c.split_field_degree == 1]
+
+
+def _flipped(curve):
+    """The same curve with its components swapped."""
+    return dataclasses.replace(curve, half={m: -c % curve.p
+                                            for m, c in curve.half.items()})
+
+
+def test_split_pairing_matches_oracle_over_the_quadratic_extension():
+    # the integer-list pairing against root finding over F_(p^2); when one
+    # scale is a square mod p and the other is not, Frobenius swaps the
+    # components of one curve, so the oracle's X+ . Y+ and X+ . Y- agree
+    decided = 0
+    for p, conic, f6 in _split_surfaces():
+        for X, Y in itertools.permutations(_split_curves(p, conic, f6), 2):
+            fast, slow = split_pairing(X, Y), split_pairing_oracle(X, Y)
+            if X.root[1] == Y.root[1]:
+                assert fast == slow, (X.name, Y.name)
+            elif slow is not None:
+                assert fast == slow == split_pairing_oracle(X, _flipped(Y))
+            decided += slow is not None
+    assert decided >= 16
+
+
+def test_split_pairing_sum_rule_and_symmetry():
+    for p, conic, f6 in _split_surfaces():
+        curves = _split_curves(p, conic, f6)
+        for X, Y in itertools.combinations(curves, 2):
+            same = split_pairing(X, Y)
+            if same is not None:
+                assert same + split_pairing(X, _flipped(Y)) == \
+                    X.degree * Y.degree
+                assert split_pairing(Y, X) in (None, same)
+        G = class_matrix(curves)
+        assert all(sum(G[0][1 + 2 * i:3 + 2 * i]) == 2 * X.degree
+                   for i, X in enumerate(curves))
+
+
+def _pair_invariants(curves, key):
+    """For each pair of curves, by their keys: the unordered pair (X+ . Y+,
+    X+ . Y-), which does not depend on the +- labels."""
+    G = class_matrix(curves)
+    return {frozenset((key(X), key(Y))): sorted(G[1 + 2 * i][1 + 2 * j:
+                                                              3 + 2 * j])
+            for i, X in enumerate(curves) for j, Y in enumerate(curves[:i])}
+
+
+def test_class_matrix_invariant_under_coordinate_changes():
+    # f6(M v) and the conic q2(M v), q3(M v), q4(M v) have the same
+    # intersection numbers, the line l of f6 going to M^T l
+    rng = random.Random(77)
+    for n in range(20):
+        p, conic, f6 = _split_surfaces()[n % 8]
+        while True:
+            M = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
+            det = round(np.linalg.det(np.array(M)))
+            if det % p:
+                break
+
+        def key(curve, T=None):
+            if curve.degree == 2:
+                return "C"
+            line = [curve.curve.get(m, 0) for m in ((1, 0, 0), (0, 1, 0),
+                                                    (0, 0, 1))]
+            if T is not None:
+                line = [sum(T[j][i] * line[j] for j in range(3)) % p
+                        for i in range(3)]
+            last = max(i for i in range(3) if line[i])
+            return tuple(c * pow(line[last], -1, p) % p for c in line)
+
+        moved = ConicCert(conic.scale, *(f.apply_int_matrix(M) for f in
+                                         (conic.q2, conic.q3, conic.q4)))
+        before = _pair_invariants(_split_curves(p, conic, f6),
+                                  functools.partial(key, T=M))
+        after = _pair_invariants(_split_curves(p, moved,
+                                               f6.apply_int_matrix(M)), key)
+        assert before == after, n
 
 
 # -- smoothness ---------------------------------------------------------------

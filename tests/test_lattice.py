@@ -11,6 +11,7 @@ from k3cert.lattice import (
     lattice_contains,
     mat_identity,
     mat_mul,
+    row_basis,
     smith_normal_form,
     square_class_equal,
     verify_chain,
@@ -60,6 +61,22 @@ def test_snf_random_rectangular():
             for x in diag:
                 prod *= x
             assert prod == abs(bareiss_det(m))
+
+
+def test_row_basis_keeps_isotropic_pairs():
+    # [[0, 1], [1, 0]] has no nonsingular 1x1 principal minor, so growing
+    # a nonsingular principal block one index at a time would stop at none
+    assert row_basis([[0, 1], [1, 0]]) == [0, 1]
+    assert row_basis([[0, 0], [0, 0]]) == []
+    # H, C1+-, C2+- and D+- of rank3-conics: C1- = 2H - C1+, C2- = 2H -
+    # C2+ and D- = H - D+ leave out
+    G = [[2, 2, 2, 2, 2, 1, 1], [2, -2, 6, 2, 2, 1, 1], [2, 6, -2, 2, 2, 1, 1],
+         [2, 2, 2, -2, 6, 0, 2], [2, 2, 2, 6, -2, 2, 0],
+         [1, 1, 1, 0, 2, -2, 3], [1, 1, 1, 2, 0, 3, -2]]
+    basis = row_basis(G)
+    assert basis == [0, 1, 3, 5]
+    assert gram_rank_disc([[G[i][j] for j in basis] for i in basis]) == \
+        (4, -72)
 
 
 def test_gram_rank_disc_examples():

@@ -7,6 +7,7 @@ import pytest
 from k3cert.errors import InconsistentTracesError, MathError
 from k3cert.zeta import (
     FrobeniusPoly,
+    artin_tate_value,
     char_poly_from_traces,
     cyclotomic_part,
     cyclotomic_polynomial,
@@ -139,7 +140,6 @@ def test_cyclotomic_part_values():
     ra = cyclotomic_part(Pa)
     assert ra.cyclotomic_degree == 2
     assert ra.per_n == ((1, 2),)
-    assert ra.is_even
 
     traces_b = [data.COUNTS_B[i] - 1 - 9 ** (i + 1) for i in range(10)]
     Pb = char_poly_from_traces(traces_b, q=3, degree=22, k=2, sign=1)
@@ -151,6 +151,24 @@ def test_cyclotomic_part_values():
     P22 = FrobeniusPoly(q=5, degree=22, k=22, sign=1,
                         coeffs=tuple(poly_pow([1, -5], 22)))
     assert cyclotomic_part(P22).cyclotomic_degree == 22
+
+
+def test_artin_tate_values_of_the_bundled_surfaces():
+    # q R1(q) / q^(22 - rho) at rho = the multiplicity of t = q: 5 for A
+    # and B, det [[2, 1], [1, -2]] up to sign, and 72 for C
+    Pa = char_poly_from_traces(data.TRACES_A, q=5, degree=22, k=2, sign=1)
+    traces_b = [data.COUNTS_B[i] - 1 - 9 ** (i + 1) for i in range(10)]
+    Pb = char_poly_from_traces(traces_b, q=3, degree=22, k=2, sign=1)
+    Pc = char_poly_from_traces(data.TRACES_C, q=3, degree=22, k=4, sign=1)
+    assert [artin_tate_value(P, rho) for P, rho in
+            ((Pa, 2), (Pb, 2), (Pc, 4))] == [(5, 1), (5, 1), (72, 1)]
+    # (t - 5)^2 (t + 5)^20: 5 * 10^20 / 5^20 = 5 * 2^20; t = 5 is not a
+    # triple root
+    P = FrobeniusPoly(q=5, degree=22, k=2, sign=1, coeffs=tuple(
+        poly_mul(poly_pow([1, -5], 2), poly_pow([1, 5], 20))))
+    assert artin_tate_value(P, 2) == (5 * 2 ** 20, 1)
+    with pytest.raises(MathError):
+        artin_tate_value(P, 3)
 
 
 def test_cyclotomic_part_rejects_invalid():
