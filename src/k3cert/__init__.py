@@ -24,7 +24,6 @@ from .ffield import (
     FieldElem,
     Poly,
     embed_subfield,
-    factor_univariate,
     field_create,
     quad_char,
 )

@@ -173,26 +173,6 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                        external_counts=external, conics=conic_list, gram=gram)
 
 
-def serialize_surface_spec(spec: SurfaceSpec) -> str:
-    out = [f"name: {spec.name}"]
-    for (a, b, c) in sorted(spec.f6.coeffs):
-        out.append(f"f6: {a} {b} {c} {spec.f6.coeffs[(a, b, c)]}")
-    if spec.k is not None:
-        out.append(f"k: {spec.k}")
-    for d in sorted(spec.external_counts):
-        out.append(f"external: {d} {spec.external_counts[d]}")
-    if spec.gram is not None:
-        for row in spec.gram:
-            out.append("gram: " + " ".join(str(x) for x in row))
-    for i, cert in enumerate(spec.conics, start=1):
-        out.append(f"conic.{i}.scale: {cert.scale}")
-        for fld in ("q2", "q3", "q4"):
-            form = getattr(cert, fld)
-            for (a, b, c) in sorted(form.coeffs):
-                out.append(f"conic.{i}.{fld}: {a} {b} {c} {form.coeffs[(a, b, c)]}")
-    return "\n".join(out) + "\n"
-
-
 def load_surface_file(path: str) -> SurfaceSpec:
     try:
         with open(path) as fh:
@@ -439,7 +419,7 @@ def _stage_obstruct(spec, p, args):
 def _stage_lattice(spec, p, args):
     assert_good_reduction(spec.f6, p)
     return {"p": p, **_class_lattice(spec, p, _tritangents(spec, p, 1,
-                                                           False))}
+                                                           args.deep))}
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +593,7 @@ _COMMANDS = {
     "zeta": (_stage_zeta, ("cache", "deep", "workers")),
     "tritangent": (_stage_tritangent, ("deep", "line-degree")),
     "obstruct": (_stage_obstruct, ("deep",)),
-    "lattice": (_stage_lattice, ()),
+    "lattice": (_stage_lattice, ("deep",)),
     "certify": (cmd_certify, ("cache", "deep", "workers", "line-degree")),
 }
 

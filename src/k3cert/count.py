@@ -32,7 +32,6 @@ scheduling.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -40,6 +39,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+# one SHA-256 per count series, for the cache fingerprint: CPython's own
+# module, as hashlib's would map OpenSSL's libcrypto, 3.4 MB resident per
+# process (and the same digest)
+try:
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12 and later, other interpreters
+    from hashlib import sha256
 
 from .errors import (BudgetExceededError, CacheFileError,
                      SingularReductionError, WeilBoundError)
@@ -61,7 +68,7 @@ def fingerprint_mod_p(f6: IntForm, p: int) -> str:
     """SHA-256 of the canonical serialization of f6 mod p, so cache entries
     survive equivalent integer lifts."""
     ctx = field_create(p, 1)
-    return hashlib.sha256(reduce_mod(f6, ctx).serialize().encode()).hexdigest()
+    return sha256(reduce_mod(f6, ctx).serialize().encode()).hexdigest()
 
 
 @dataclass(frozen=True)

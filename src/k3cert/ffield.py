@@ -11,7 +11,12 @@ by digit, and products in F_p are plain integer arithmetic mod p.
 Products, powers and inverses in an extension multiply coefficient
 lists and reduce them mod the modulus; inverses take the extended
 Euclidean algorithm, and the quadratic character is the Legendre symbol
-of the norm, a resultant with the modulus.  A field also has exp, log and
+of the norm, a resultant with the modulus.  FieldCtx's scalar
+operations (_add, _mul, _dot, _pow, _chi) act on encodings, with the
+prime-field case first; FieldElem wraps them, and the _fq_* functions
+build on them the arithmetic of polynomials over the field as lists of
+encodings, down to their roots over the smallest extensions that hold
+them (_fq_roots).  A field also has exp, log and
 Zech logarithm tables over a fixed multiplicative generator, built on
 the first call to FieldCtx.tables (up to q = DEFAULT_ZECH_LIMIT): only
 the array kernels read them.  The log_* functions do Zech arithmetic on
@@ -31,10 +36,12 @@ operations are pure.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, MathError
 
 DEFAULT_ZECH_LIMIT = 1 << 22
 
@@ -98,23 +105,22 @@ def _zp_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _zp_trim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _zp_trim([c % p for c in out])
 
 
 def _zp_mod(a, m, p):
-    # m monic
+    # m monic; the entries are reduced mod p once, at the end
     a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
+    while len(a) > dm:
+        c = a.pop() % p
         if c:
-            off = len(a) - 1 - dm
+            off = len(a) - dm
             for i in range(dm):
-                a[off + i] = (a[off + i] - c * m[i]) % p
-        a.pop()
-    return _zp_trim(a)
+                a[off + i] -= c * m[i]
+    return _zp_trim([c % p for c in a])
 
 
 def _zp_powmod(a, n, m, p):
@@ -421,16 +427,27 @@ class FieldCtx:
         p = self.p
         if self.d == 1:
             return (a + sign * b) % p
-        return _digits_enc([(x + sign * y) % p for x, y in
-                            zip(_enc_digits(a, p, self.d),
-                                _enc_digits(b, p, self.d))], p)
+        out, unit = 0, 1
+        for _ in range(self.d):
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * unit
+            unit *= p
+        return out
 
     def _mul(self, a, b):
-        p = self.p
-        if self.d == 1:
+        p, d = self.p, self.d
+        if d == 1:
             return a * b % p
-        prod = _zp_mul(_enc_digits(a, p, self.d), _enc_digits(b, p, self.d), p)
-        return _digits_enc(_zp_mod(prod, self.modulus, p), p)
+        if not (a and b):
+            return 0
+        acc = [0] * (2 * d - 1)
+        dy = _enc_digits(b, p, d)
+        for i, x in enumerate(_enc_digits(a, p, d)):
+            if x:
+                for j, y in enumerate(dy, i):
+                    acc[j] += x * y
+        return self._reduce(acc)
 
     def _pow(self, a, n):
         if not a:
@@ -444,6 +461,50 @@ class FieldCtx:
         if n < 0:  # invert by extended Euclid, not by the power q - 2
             x, n = _zp_inverse(x, self.modulus, p), -n
         return _digits_enc(_zp_powmod(x, n % q1, self.modulus, p), p)
+
+    def _dot(self, xs, ys):
+        """Encoding of the sum of the products x y over two sequences of
+        encodings: the products are summed unreduced and reduced once,
+        mod p over F_p; in an extension the digit products are summed into
+        one integer list, which is reduced mod the modulus from the top and
+        then mod p."""
+        p, d = self.p, self.d
+        if d == 1:
+            return sum(map(operator.mul, xs, ys)) % p
+        acc = [0] * (2 * d - 1)
+        for x, y in zip(xs, ys):
+            if x and y:
+                dy = _enc_digits(y, p, d)
+                for i, a in enumerate(_enc_digits(x, p, d)):
+                    if a:
+                        for j, b in enumerate(dy, i):
+                            acc[j] += a * b
+        return self._reduce(acc)
+
+    def _reduce(self, acc):
+        """Encoding of sum acc[i] t^i for an unreduced integer list of
+        length 2d - 1 (d > 1), reduced mod the modulus from the top and
+        then mod p."""
+        p, d, m = self.p, self.d, self.modulus
+        for k in range(2 * d - 2, d - 1, -1):
+            c = acc[k] % p
+            if c:
+                for i in range(k - d, k):
+                    acc[i] -= c * m[i - k + d]
+        e = 0
+        for c in reversed(acc[:d]):
+            e = e * p + c % p
+        return e
+
+    def _chi(self, a):
+        """Quadratic character of the element of encoding a (see
+        quad_char)."""
+        if not a:
+            return 0
+        p = self.p
+        norm = a if self.d == 1 else _zp_resultant(
+            self.modulus, _enc_digits(a, p, self.d), p)
+        return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
 
     # -- element constructors ------------------------------------------------
 
@@ -502,12 +563,7 @@ def quad_char(a: FieldElem) -> int:
     in F_p, as (q-1)/2 = ((q-1)/(p-1)) ((p-1)/2); with the modulus m
     monic, N(a) = Res(m, a), computed by Euclid's algorithm instead of a
     power of degree q (over F_p, m = t and N(a) = a)."""
-    if not a.v:
-        return 0
-    ctx = a.ctx
-    p = ctx.p
-    norm = _zp_resultant(ctx.modulus, _enc_digits(a.v, p, ctx.d), p)
-    return 1 if pow(norm, (p - 1) // 2, p) == 1 else -1
+    return a.ctx._chi(a.v)
 
 
 # ---------------------------------------------------------------------------
@@ -731,151 +787,199 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _pth_root_poly(f: Poly) -> Poly:
-    """For f with f' = 0, the g with g^p = f."""
-    ctx = f.ctx
-    p = ctx.p
-    root_exp = p ** (ctx.d - 1)  # inverse of Frobenius on F_{p^d}
+# ---------------------------------------------------------------------------
+# dense polynomials over a FieldCtx on encodings (plain int lists,
+# ascending): the _zp_* arithmetic through the context's scalar
+# operations, and the roots of a polynomial with their fields (the
+# contact points of a tritangent, the singular witness, the subfield
+# embeddings)
+
+
+def _fq_mul(ctx, a, b):
+    """The product of two coefficient lists, one dot product per
+    coefficient, untrimmed."""
+    if not a or not b:
+        return []
+    rb = b[::-1]
     out = []
-    for i in range(0, f.degree + 1, p):
-        out.append(f[i] ** root_exp)
-    return Poly(ctx, out)
-
-
-def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    # f monic; classic characteristic-p algorithm
-    ctx = f.ctx
-    p = ctx.p
-    one = Poly(ctx, [ctx.one()])
-    out: list[tuple[Poly, int]] = []
-    fp = f.derivative()
-    if fp.is_zero():
-        for g, m in _squarefree_decomposition(_pth_root_poly(f)):
-            out.append((g, m * p))
-        return out
-    c = f.gcd(fp)
-    w = (f // c).monic()[0]
-    i = 1
-    while w != one:
-        y = w.gcd(c)
-        z = (w // y).monic()[0]
-        if z != one:
-            out.append((z, i))
-        i += 1
-        w = y
-        c = (c // y).monic()[0]
-    if c != one:
-        for g, m in _squarefree_decomposition(_pth_root_poly(c)):
-            out.append((g, m * p))
+    for i in range(len(a) + len(b) - 1):
+        lo, hi = max(0, i - len(b) + 1), min(i, len(a) - 1)
+        out.append(ctx._dot(a[lo:hi + 1],
+                            rb[len(b) - 1 - i + lo:len(b) - i + hi]))
     return out
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    # f monic squarefree; returns (product of irreducibles of degree e, e)
-    ctx = f.ctx
-    out = []
-    x = Poly.x(ctx)
-    h = x
-    rest = f
-    e = 0
-    while rest.degree > 0:
-        e += 1
-        if 2 * e > rest.degree:
-            out.append((rest, rest.degree))
-            break
-        h = h.pow_mod(ctx.q, rest)
-        g = (h - x).gcd(rest)
-        if g.degree > 0:
-            out.append((g, e))
-            rest = (rest // g).monic()[0]
-            h = h % rest
-    return out
+def _fq_divmod(ctx, a, b):
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    a, db = list(a), len(b) - 1
+    inv = 1 if b[-1] == 1 else ctx._pow(b[-1], -1)
+    quo = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        c = ctx._mul(a.pop(), inv)
+        off = len(a) - db
+        quo[off] = c
+        if c:
+            for i in range(db):
+                a[off + i] = ctx._add(a[off + i], ctx._mul(c, b[i]), -1)
+    return _zp_trim(quo), _zp_trim(a)
 
 
-def _counter_poly(ctx, n: int) -> Poly:
-    """n-th polynomial in the deterministic candidate sequence: base-q digits
-    of n, coefficients decoded through the canonical encoding."""
-    digits = []
+def _fq_gcd(ctx, a, b):
+    """The monic gcd; [] when both are zero."""
+    a, b = _zp_trim(list(a)), _zp_trim(list(b))
+    while b:
+        a, b = b, _fq_divmod(ctx, a, b)[1]
+    if not a:
+        return a
+    inv = ctx._pow(a[-1], -1)
+    return [ctx._mul(c, inv) for c in a]
+
+
+def _fq_powmod(ctx, a, n, m):
+    """a^n mod m, for m of positive degree."""
+    r, a = [1], _fq_divmod(ctx, a, m)[1]
     while n:
-        digits.append(ctx.from_enc(n % ctx.q))
-        n //= ctx.q
-    return Poly(ctx, digits)
+        if n & 1:
+            r = _fq_divmod(ctx, _fq_mul(ctx, r, a), m)[1]
+        a = _fq_divmod(ctx, _fq_mul(ctx, a, a), m)[1]
+        n >>= 1
+    return r
 
 
-def _split(f: Poly, e: int) -> Poly:
-    """A proper monic factor of f (monic squarefree, every irreducible
-    factor of degree e, at least two of them).
-
-    The candidates u run through the counter sequence from x + t, t the
-    class of the field generator (from x itself over a prime field):
-    either gcd(u, f) or gcd(u^((q^e-1)/2) - 1, f) splits f with
-    probability about 1/2 each.  The candidates x + c with c in F_p are
-    left out: they never split an f whose roots are Frobenius conjugates
-    over F_p, such as an irreducible over F_p lifted to an extension, as
-    u(r^p) = u(r)^p has the same quadratic character as u(r)."""
-    ctx = f.ctx
-    exp = (ctx.q ** e - 1) // 2
-    one = Poly(ctx, [ctx.one()])
-    n = ctx.q + (ctx.p if ctx.d > 1 else 0)
-    while True:
-        u = _counter_poly(ctx, n)
-        n += 1
-        g = u.gcd(f)
-        if not 0 < g.degree < f.degree:
-            g = (u.pow_mod(exp, f) - one).gcd(f)
-        if 0 < g.degree < f.degree:
-            return g
+def _fq_sub(ctx, a, b):
+    """a - b, trimmed."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _zp_trim([ctx._add(x, y, -1) for x, y in zip(a, b)])
 
 
-def _equal_degree(f: Poly, e: int) -> list[Poly]:
-    # f monic squarefree, all irreducible factors of degree e
-    if f.degree == e:
-        return [f]
-    g = _split(f, e)
-    rest = (f // g).monic()[0]
-    return sorted(_equal_degree(g, e) + _equal_degree(rest, e),
-                  key=Poly.enc_key)
+def _sqrt_in_field(ctx: FieldCtx, u: int) -> int:
+    """Principal square root of the element of encoding u: the root whose
+    encoding is smaller.
+
+    One root is u^((q+1)/4) when q = 3 (mod 4); otherwise Tonelli-Shanks
+    with q - 1 = 2^s t (t odd) and the first non-square by encoding, from p
+    on when the field is not prime (every element of F_p is a square in
+    an even-degree extension, and F_p's non-squares stay non-squares in an
+    odd-degree one)."""
+    chi = ctx._chi(u)
+    if chi == 0:
+        return u
+    if chi < 0:
+        raise MathError("element is not a square")
+    q, mul, power = ctx.q, ctx._mul, ctx._pow
+    if q % 4 == 3:
+        r = power(u, (q + 1) // 4)
+    else:
+        s, t = 0, q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        candidates = range(2 if ctx.d == 1 else ctx.p, q)
+        z = next(z for z in candidates if ctx._chi(z) < 0)
+        c, r, b = power(z, t), power(u, (t + 1) // 2), power(u, t)
+        # invariant: r^2 = u b, and b has order 2^i < 2^s
+        while b != 1:
+            i, b2 = 0, b
+            while b2 != 1:
+                i, b2 = i + 1, mul(b2, b2)
+            g = power(c, 1 << (s - i - 1))
+            r, c, s = mul(r, g), mul(g, g), i
+            b = mul(b, c)
+    return min(r, ctx._add(0, r, -1))
 
 
-def split_root(f: Poly) -> FieldElem:
-    """One root of a monic f that is a product of distinct linear factors:
-    f is split, and the smaller factor kept, until it is linear."""
-    while f.degree > 1:
-        g = _split(f, 1)
-        rest = (f // g).monic()[0]
-        f = min(g, rest, key=lambda h: h.degree)
-    return -f[0]
+def _fq_factor(ctx, g):
+    """A proper monic factor of a monic g of degree at least 2 that is a
+    product of distinct linear factors over ctx: gcd(g, u) or gcd(g,
+    u^((q-1)/2) - 1) for the candidates u = t + c, c by encoding from p on
+    and then below p.  The elements of F_p come last, as they never
+    separate roots that are conjugate over a subfield (u(r^p) = u(r)^p has
+    the same quadratic character as u(r)), and some c = -r makes gcd(g,
+    u) a proper factor."""
+    half = (ctx.q - 1) // 2
+    for c in itertools.chain(range(ctx.p, ctx.q), range(ctx.p)):
+        u = [c, 1]
+        for w in (u, _fq_sub(ctx, _fq_powmod(ctx, u, half, g), [1])):
+            d = _fq_gcd(ctx, g, w)
+            if 2 <= len(d) < len(g):
+                return d
+    raise AssertionError("no candidate splits a product of linear factors")
 
 
-def factor_univariate(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor a nonzero univariate polynomial into monic irreducibles.
+def _fq_split(ctx, g):
+    """The roots of a monic g that is a product of distinct linear factors
+    over ctx: a quadratic t^2 + b t + c by the quadratic formula (-b +- s)/2,
+    s the principal square root of b^2 - 4c; a higher degree by
+    _fq_factor."""
+    if len(g) < 3:
+        return [ctx._add(0, g[0], -1)] if len(g) == 2 else []
+    if len(g) == 3:
+        mul, add = ctx._mul, ctx._add
+        disc = add(mul(g[1], g[1]), mul(4 % ctx.p, g[0]), -1)
+        s = _sqrt_in_field(ctx, disc)
+        half = ctx._pow(2, -1)
+        return [mul(add(s, g[1], -1), half),
+                mul(add(add(0, s, -1), g[1], -1), half)]
+    d = _fq_factor(ctx, g)
+    return _fq_split(ctx, d) + _fq_split(ctx, _fq_divmod(ctx, g, d)[0])
 
-    Squarefree decomposition, then distinct-degree, then equal-degree
-    splitting driven by a counter-based deterministic candidate sequence.
-    Output sorted by degree, then by coefficients (leading to constant,
-    compared through the canonical integer encoding).
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    fm, _ = f.monic()
-    out: list[tuple[Poly, int]] = []
-    if fm.degree == 0:
-        return out
-    for g, m in _squarefree_decomposition(fm):
-        for prod, e in _distinct_degree(g):
-            for irr in _equal_degree(prod, e):
-                out.append((irr, m))
-    out.sort(key=lambda fm_: fm_[0].enc_key())
+
+def _fq_pth_root(ctx, f):
+    """The g with g^p = f, for f with f' = 0: the coefficients of the
+    powers t^(p i), each to the power q/p (the inverse of Frobenius)."""
+    return [ctx._pow(c, ctx.q // ctx.p) for c in f[::ctx.p]]
+
+
+def _fq_squarefree(ctx, f):
+    """[(g, m), ...] with f = prod g^m for a monic f, each g monic,
+    squarefree and coprime to the others: the characteristic-p algorithm,
+    gcds with the derivative, and a p-th root where the derivative
+    vanishes."""
+    p = ctx.p
+    fp = _zp_trim([ctx._mul(c, i % p) for i, c in enumerate(f)][1:])
+    if not fp:
+        return [(g, m * p)
+                for g, m in _fq_squarefree(ctx, _fq_pth_root(ctx, f))]
+    out = []
+    c = _fq_gcd(ctx, f, fp)
+    w, i = _fq_divmod(ctx, f, c)[0], 1
+    while len(w) > 1:
+        y = _fq_gcd(ctx, w, c)
+        z = _fq_divmod(ctx, w, y)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, c, i = y, _fq_divmod(ctx, c, y)[0], i + 1
+    if len(c) > 1:
+        out += [(g, m * p)
+                for g, m in _fq_squarefree(ctx, _fq_pth_root(ctx, c))]
     return out
 
 
-def poly_roots(f: Poly) -> list[tuple[FieldElem, int]]:
-    """Roots of f in its own field, with multiplicities, sorted by encoding."""
+def _fq_roots(ctx, f):
+    """The roots of a monic f of positive degree with multiplicities, each
+    over the smallest extension F_(q^e) of ctx that holds it, as (field,
+    encoding, multiplicity).  Each squarefree part is split by degree, the
+    product of its irreducible factors of degree e being gcd(g, t^(q^e) -
+    t) (the rest of g is irreducible once its degree is below 2e), and
+    that product splits into distinct linear factors over F_(q^e)
+    (_fq_split)."""
     out = []
-    for g, m in factor_univariate(f):
-        if g.degree == 1:
-            out.append((-g[0], m))
-    out.sort(key=lambda rm: rm[0].to_int())
+    for g, m in _fq_squarefree(ctx, f):
+        h, e = [0, 1], 0
+        while len(g) > 1:
+            e += 1
+            if 2 * e > len(g) - 1:
+                d, e, g = g, len(g) - 1, [1]
+            else:
+                h = _fq_powmod(ctx, h, ctx.q, g)
+                d = _fq_gcd(ctx, g, _fq_sub(ctx, h, [0, 1]))
+                if len(d) > 1:
+                    g = _fq_divmod(ctx, g, d)[0]
+                    h = _fq_divmod(ctx, h, g)[1]
+            if len(d) > 1:
+                ext = field_create(ctx.p, ctx.d * e)
+                out += [(ext, r, m) for r in _fq_split(
+                    ext, [_embed_enc(ctx, ext, c) for c in d])]
     return out
 
 
@@ -885,17 +989,23 @@ def poly_roots(f: Poly) -> list[tuple[FieldElem, int]]:
 
 @functools.lru_cache(maxsize=None)
 def _embedding_powers(src: FieldCtx, target: FieldCtx):
-    """The images 1, beta, ..., beta^(d-1) in target of the powers of t in
-    src (d = src.d), beta the least root of the source modulus by
-    encoding; field_create makes both contexts singletons."""
-    roots = poly_roots(Poly.from_ints(target, src.modulus))
-    if not roots:
-        raise AssertionError("source modulus has no root in target field")
-    beta = roots[0][0]
-    powers = [target.one()]
+    """The encodings in target of the images 1, beta, ..., beta^(d-1) of
+    the powers of t in src (d = src.d), beta the least root of the source
+    modulus by encoding; field_create makes both contexts singletons."""
+    beta = min(r for _, r, _ in _fq_roots(target, list(src.modulus)))
+    powers = [1]
     for _ in range(src.d - 1):
-        powers.append(powers[-1] * beta)
+        powers.append(target._mul(powers[-1], beta))
     return tuple(powers)
+
+
+def _embed_enc(src: FieldCtx, target: FieldCtx, a: int) -> int:
+    """The encoding in target of the image of the element of encoding a in
+    src under embed_subfield's map."""
+    if src is target or src.d == 1:  # F_p has the same encodings in target
+        return a
+    return target._dot(_enc_digits(a, src.p, src.d),
+                       _embedding_powers(src, target))
 
 
 def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:
@@ -906,18 +1016,9 @@ def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:
     same minimal polynomial over F_p.
     """
     src = a.ctx
-    if src is target:
-        return a
     if target.p != src.p:
         raise ValueError("different characteristic")
     if target.d % src.d:
         raise ValueError(
             f"F_p^{src.d} does not embed into F_p^{target.d}: degree not divisible")
-    if src.d == 1:
-        return target.from_int(a.to_int())
-    powers = _embedding_powers(src, target)
-    acc = target.zero()
-    for digit, pw in zip(a.coeffs(), powers):
-        if digit:
-            acc = acc + pw * target.from_int(digit)
-    return acc
+    return FieldElem(target, _embed_enc(src, target, a.v))

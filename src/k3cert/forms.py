@@ -12,9 +12,10 @@ and cache fingerprints, so it must never change.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from .ffield import FieldCtx, FieldElem, Poly, embed_subfield, quad_char
+from .ffield import FieldCtx, FieldElem, Poly, _fq_mul, embed_subfield
 
 
 def _grevlex_sort_key(mono):
@@ -25,7 +26,7 @@ def _grevlex_sort_key(mono):
 
 def _check_homogeneous(coeffs, degree):
     for mono in coeffs:
-        if len(mono) != 3 or any(e < 0 for e in mono):
+        if len(mono) != 3 or min(mono) < 0:
             raise ValueError(f"bad exponent triple {mono!r}")
         if sum(mono) != degree:
             raise ValueError(
@@ -163,6 +164,16 @@ class ModForm(_Form):
     def from_int_coeffs(cls, ctx, coeffs: dict, degree: int | None = None):
         return cls(ctx, {m: ctx.from_int(c) for m, c in coeffs.items()}, degree)
 
+    @classmethod
+    def from_encs(cls, ctx, encs: dict, degree: int):
+        """The form with these coefficient encodings."""
+        return cls(ctx, {m: FieldElem(ctx, c) for m, c in encs.items()},
+                   degree)
+
+    def encodings(self) -> dict:
+        """The coefficient encodings, by monomial."""
+        return {m: c.v for m, c in self.coeffs.items()}
+
     def partial(self, var: int) -> "ModForm":
         """Formal partial derivative in variable var (0, 1 or 2)."""
         out = {}
@@ -210,6 +221,11 @@ class BinaryForm:
     @classmethod
     def from_ints(cls, ctx, ints):
         return cls(ctx, [ctx.from_int(n) for n in ints])
+
+    @classmethod
+    def from_encs(cls, ctx, encs):
+        """The form with these coefficient encodings."""
+        return cls(ctx, [FieldElem(ctx, c) for c in encs])
 
     @classmethod
     def from_poly(cls, poly: Poly, degree: int):
@@ -330,23 +346,65 @@ def reduce_mod(f: IntForm, ctx: FieldCtx) -> ModForm:
     return ModForm.from_int_coeffs(ctx, f.coeffs, f.degree)
 
 
-def line_kernel_basis(line):
-    """Reduced echelon basis (v1, v2) of the kernel of the line's coefficients."""
-    vec = line_coeffs(line)
-    ctx = vec[0].ctx
-    pivot = next((i for i, c in enumerate(vec) if not c.is_zero()), None)
-    if pivot is None:
+def line_encs(line, ctx: FieldCtx) -> tuple:
+    """The coefficient encodings in ctx of a line given as line_coeffs
+    takes it."""
+    vec = line_coeffs(line, ctx)
+    if any(c.ctx is not ctx for c in vec):
+        raise ValueError("field context mismatch")
+    return tuple(c.v for c in vec)
+
+
+def _pivot_split(line):
+    """The pivot (the first nonzero coordinate of a line's coefficient
+    encodings) and the two other coordinates in order."""
+    v = next((i for i, c in enumerate(line) if c), None)
+    if v is None:
         raise ValueError("zero linear form")
-    inv = vec[pivot].inverse()
-    basis = []
-    for j in range(3):
-        if j == pivot:
-            continue
-        v = [ctx.zero()] * 3
-        v[j] = ctx.one()
-        v[pivot] = -(vec[j] * inv)
-        basis.append(tuple(v))
-    return tuple(basis)
+    j1, j2 = (j for j in range(3) if j != v)
+    return v, j1, j2
+
+
+def _restrict(ctx, coeffs: dict, n: int, line) -> list:
+    """The restriction f(s w1 + t w2) of a form of degree n, given by its
+    coefficient encodings, to the line with coefficient encodings `line`,
+    as the encodings of its coefficients of s^(n-i) t^i.
+
+    (w1, w2) is the reduced echelon basis of the line's kernel: with v the
+    pivot and j1 < j2 the other coordinates, x_j1 = s, x_j2 = t and x_v =
+    A s + B t with A = -l_j1/l_v and B = -l_j2/l_v.  A monomial x_v^a
+    x_j1^b x_j2^c contributes binom(a, k) A^(a-k) B^k to the coefficient of
+    index c + k; each coefficient is one dot product."""
+    v, _, j2 = _pivot_split(line)
+    mul = ctx._mul
+    A, B = (w[v] for w in _kernel_basis(ctx, line))
+    apow, bpow = [1], [1]
+    for _ in range(n):
+        apow.append(mul(apow[-1], A))
+        bpow.append(mul(bpow[-1], B))
+    P = [[mul(mul(apow[a - k], bpow[k]), math.comb(a, k) % ctx.p)
+          for k in range(a + 1)] for a in range(n + 1)]
+    xs, ys = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    for m, c in coeffs.items():
+        a, low = m[v], m[j2]
+        for k in range(a + 1):
+            xs[low + k].append(c)
+            ys[low + k].append(P[a][k])
+    return [ctx._dot(x, y) for x, y in zip(xs, ys)]
+
+
+def _kernel_basis(ctx, line):
+    """The reduced echelon basis (w1, w2) of the kernel of a line's
+    coefficient encodings, as encoding triples (the parametrization of
+    _restrict)."""
+    v, j1, j2 = _pivot_split(line)
+    inv = ctx._pow(line[v], -1)
+    out = []
+    for j in (j1, j2):
+        w = [0, 0, 0]
+        w[j], w[v] = 1, ctx._mul(ctx._add(0, line[j], -1), inv)
+        out.append(tuple(w))
+    return tuple(out)
 
 
 def restrict_to_line(f: ModForm, line) -> BinaryForm:
@@ -354,43 +412,10 @@ def restrict_to_line(f: ModForm, line) -> BinaryForm:
 
     The line is parametrized by the reduced echelon basis (w1, w2) of its
     kernel; the result is f(s w1 + t w2), a binary form of the same degree
-    (identically zero exactly when the line divides f).
-    """
-    w1, w2 = line_kernel_basis(line)
+    (identically zero exactly when the line divides f)."""
     ctx = f.ctx
-    zero = ctx.zero()
-    out = [zero] * (f.degree + 1)
-    # per-coordinate binomial expansions of (s w1[i] + t w2[i])^e, cached
-    memo = [{0: (ctx.one(),)} for _ in range(3)]
-
-    def expand(i, e):
-        m = memo[i]
-        if e not in m:
-            prev = expand(i, e - 1)
-            cur = [zero] * (e + 1)
-            for k, c in enumerate(prev):
-                if c.is_zero():
-                    continue
-                cur[k] = cur[k] + c * w1[i]
-                cur[k + 1] = cur[k + 1] + c * w2[i]
-            m[e] = tuple(cur)
-        return m[e]
-
-    for (a, b, c), coef in f.coeffs.items():
-        ea, eb, ec = expand(0, a), expand(1, b), expand(2, c)
-        for i, ca in enumerate(ea):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(eb):
-                if cb.is_zero():
-                    continue
-                pref = ca * cb
-                for k, cc in enumerate(ec):
-                    if cc.is_zero():
-                        continue
-                    idx = i + j + k
-                    out[idx] = out[idx] + coef * pref * cc
-    return BinaryForm(ctx, out)
+    return BinaryForm.from_encs(ctx, _restrict(
+        ctx, f.encodings(), f.degree, line_encs(line, ctx)))
 
 
 class SquareSplit:
@@ -408,6 +433,32 @@ class SquareSplit:
                 f"e={self.split_field_degree}, h={self.h.serialize()})")
 
 
+def _square_split(ctx, g):
+    """(h, u) with g = u h^2, h normalized to 1 at its first nonzero
+    coefficient, for the coefficient encodings of a binary form g; None
+    when g is zero or not of this shape.
+
+    With i0 = 2 j0 the index of the first nonzero coefficient (odd: None)
+    and u = g_i0, h_j for j > j0 solves g_(j + j0)/u = 2 h_j + (the
+    products h_a h_b with j0 < a, b < j), one dot product each; then u h^2
+    is compared with g on every coefficient."""
+    n = len(g) - 1
+    i0 = next((i for i, c in enumerate(g) if c), 1)
+    if n % 2 or i0 % 2:
+        return None
+    k, j0, u = n // 2, i0 // 2, g[i0]
+    mul, dot = ctx._mul, ctx._dot
+    uinv, half = ctx._pow(u, -1), ctx._pow(2, -1)
+    h = [0] * (k + 1)
+    h[j0] = 1
+    for j in range(j0 + 1, k + 1):
+        inner = dot(h[j0 + 1:j], h[j - 1:j0:-1])
+        h[j] = mul(ctx._add(mul(g[j + j0], uinv), inner, -1), half)
+    if [mul(c, u) for c in _fq_mul(ctx, h, h)] != list(g):
+        return None
+    return h, u
+
+
 def perfect_square_split(g: BinaryForm):
     """Decide whether g = u * h^2 for a unit u and a binary form h.
 
@@ -415,46 +466,15 @@ def perfect_square_split(g: BinaryForm):
     split_field_degree 1 when u is a square in the coefficient field
     (rational splits) or 2 otherwise; returns None when g is not of this
     shape.  Solved coefficient by coefficient from the leading end, then
-    verified by exact re-expansion, so the cost is quadratic in the degree.
+    verified by exact re-expansion (_square_split), so the cost is
+    quadratic in the degree.
     """
     if g.is_zero():
         raise ValueError("zero form")
     ctx = g.ctx
-    n = g.degree
-    if n % 2:
+    split = _square_split(ctx, [c.v for c in g.coeffs])
+    if split is None:
         return None
-    k = n // 2
-    c = g.coeffs
-    i0 = next(i for i in range(n + 1) if not c[i].is_zero())
-    if i0 % 2:
-        return None
-    j0 = i0 // 2
-    u = c[i0]
-    uinv = u.inverse()
-    two_inv = (ctx.from_int(2)).inverse()
-    zero = ctx.zero()
-    h = [zero] * (k + 1)
-    h[j0] = ctx.one()
-    for j in range(j0 + 1, k + 1):
-        i = j + j0
-        inner = zero
-        for a in range(j0 + 1, j):
-            b = i - a
-            if j0 < b <= k:
-                inner = inner + h[a] * h[b]
-        # g_i / u = 2 h_j + (terms strictly between j0 and j)
-        h[j] = (c[i] * uinv - inner) * two_inv
-    # verify u * h^2 == g on all coefficients
-    hh = [zero] * (n + 1)
-    for a in range(k + 1):
-        if h[a].is_zero():
-            continue
-        for b in range(k + 1):
-            if h[b].is_zero():
-                continue
-            hh[a + b] = hh[a + b] + h[a] * h[b]
-    for i in range(n + 1):
-        if hh[i] * u != c[i]:
-            return None
-    e = 1 if quad_char(u) == 1 else 2
-    return SquareSplit(BinaryForm(ctx, h), u, e)
+    h, u = split
+    return SquareSplit(BinaryForm.from_encs(ctx, h), FieldElem(ctx, u),
+                       1 if ctx._chi(u) == 1 else 2)

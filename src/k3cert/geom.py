@@ -12,11 +12,14 @@ sextic's coefficients (exact, as every sum stays below 2^53), and the
 u*h^2 test (the formal square root from the leading coefficient, with
 one inverse per line from the log tables) runs on those arrays.  Only
 the lines that pass are restricted and split once more in scalar
-arithmetic, which builds their certificates.  A field above the Zech
-table limit raises BudgetExceededError.
+arithmetic on coefficient encodings (plain integers, through FieldCtx's
+scalar operations, in every field alike), which also gives their
+decomposition and contact points; FieldElem and ModForm objects are
+built only for the certificates.  A field above the Zech table limit
+raises BudgetExceededError.
 
 The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l happens
-in the line's own coordinates: restrict_to_line parametrizes l = 0 by
+in the line's own coordinates: _restrict parametrizes l = 0 by
 the two coordinates other than the first nonzero one of l, so the
 principal square root r h of the restriction (r the square root of the
 unit with the smaller representative in [0, p), h normalized to 1 at its
@@ -89,6 +92,9 @@ from .ffield import (
     FieldCtx,
     FieldElem,
     Poly,
+    _embed_enc,
+    _fq_roots,
+    _sqrt_in_field,
     _zp_divmod,
     _zp_gcd2,
     _zp_mul,
@@ -98,20 +104,17 @@ from .ffield import (
     digit_powers,
     digits,
     embed_subfield,
-    factor_univariate,
     field_create,
-    quad_char,
-    split_root,
 )
 from .forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    SquareSplit,
-    line_coeffs,
-    line_form,
-    line_kernel_basis,
-    perfect_square_split,
+    _kernel_basis,
+    _pivot_split,
+    _restrict,
+    _square_split,
+    line_encs,
     reduce_mod,
     restrict_to_line,
 )
@@ -131,15 +134,36 @@ def normalize_point(pt):
 
 
 def _line_at(ctx: FieldCtx, index: int):
-    """The line of P^2(F_q) with this index in dual-point order, its last
-    nonzero coefficient 1: (a, b, 1) has index q*enc(a) + enc(b), then
-    (a, 1, 0) has index q^2 + enc(a), and (1, 0, 0) comes last."""
-    q, one, zero = ctx.q, ctx.one(), ctx.zero()
+    """The coefficient encodings of the line of P^2(F_q) with this index in
+    dual-point order, its last nonzero coefficient 1: (a, b, 1) has index
+    q*enc(a) + enc(b), then (a, 1, 0) has index q^2 + enc(a), and (1, 0,
+    0) comes last."""
+    q = ctx.q
     if index < q * q:
-        return ctx.from_enc(index // q), ctx.from_enc(index % q), one
+        return index // q, index % q, 1
     if index < q * q + q:
-        return ctx.from_enc(index - q * q), one, zero
-    return one, zero, zero
+        return index - q * q, 1, 0
+    return 1, 0, 0
+
+
+def _binary_roots(ctx: FieldCtx, coeffs):
+    """The projective roots of a nonzero binary form with multiplicities,
+    from its coefficient encodings (coeffs[i] of u^(n-i) v^i), as (field,
+    u0, v0, multiplicity) with u0 and v0 encodings over the smallest
+    extension of ctx that holds the root, sorted by field degree and then
+    (u0, v0).  The root (0 : 1) shows up through the degree drop of the
+    dehomogenization; the other roots are (1 : r) for the roots r of the
+    monic dehomogenization (ffield._fq_roots)."""
+    f = _zp_trim(list(coeffs))
+    if not f:
+        raise ValueError("zero binary form has no well-defined roots")
+    out = [(ctx, 0, 1, len(coeffs) - len(f))] if len(f) < len(coeffs) else []
+    if len(f) > 1:
+        inv = ctx._pow(f[-1], -1)
+        out += [(ext, 1, r, m) for ext, r, m in
+                _fq_roots(ctx, [ctx._mul(c, inv) for c in f])]
+    out.sort(key=lambda r: (r[0].d, r[1], r[2]))
+    return out
 
 
 def binary_roots(bf: BinaryForm):
@@ -147,34 +171,10 @@ def binary_roots(bf: BinaryForm):
 
     Returns a list of ((u0, v0), multiplicity, root_ctx) with the points
     living over the smallest extension of the coefficient field that
-    contains them, sorted deterministically.  The root at (0 : 1) shows up
-    through the degree drop of the dehomogenization.  An irreducible
-    factor of degree e > 1 over F_q is split over F_(q^e) only until one
-    root r is found; its other roots are r^(q^i).
-    """
-    ctx = bf.ctx
-    if bf.is_zero():
-        raise ValueError("zero binary form has no well-defined roots")
-    poly = bf.to_poly()
-    out = []
-    inf_mult = bf.degree - poly.degree  # u-multiplicity: the root (0 : 1)
-    if inf_mult > 0:
-        out.append(((ctx.zero(), ctx.one()), inf_mult, ctx))
-    if poly.degree > 0:
-        for irr, mult in factor_univariate(poly):
-            e = irr.degree
-            if e == 1:
-                root = -irr[0]
-                out.append(((ctx.one(), root), mult, ctx))
-            else:
-                ext = field_create(ctx.p, ctx.d * e)
-                root = split_root(
-                    Poly(ext, [embed_subfield(c, ext) for c in irr.c]))
-                for _ in range(e):
-                    out.append(((ext.one(), root), mult, ext))
-                    root = root ** ctx.q
-    out.sort(key=lambda r: (r[2].d, r[0][0].to_int(), r[0][1].to_int()))
-    return out
+    contains them, sorted deterministically (_binary_roots)."""
+    return [((FieldElem(ext, u0), FieldElem(ext, v0)), m, ext)
+            for ext, u0, v0, m in _binary_roots(bf.ctx,
+                                                [c.v for c in bf.coeffs])]
 
 
 # ---------------------------------------------------------------------------
@@ -225,94 +225,71 @@ class SingularityReport:
 # tritangent search and decomposition
 
 
-def _contact_points(split_h: BinaryForm, line, ctx):
-    """Map the roots of h through the line parametrization, normalized."""
-    v1, v2 = line_kernel_basis(line)
+def _contact_points(ctx: FieldCtx, h, line):
+    """The contact points of a tritangent with multiplicities: the roots of
+    the binary form h (coefficient encodings) from _binary_roots, mapped
+    through the line's parametrization (_kernel_basis) and normalized, as
+    cert-ready ((x, y, z), multiplicity) pairs."""
+    roots = _binary_roots(ctx, h)
+    basis = {ext: [[_embed_enc(ctx, ext, c) for c in w]
+                   for w in _kernel_basis(ctx, line)] for ext, *_ in roots}
     out = []
-    for (u0, v0), mult, root_ctx in binary_roots(split_h):
-        if root_ctx is ctx:
-            w1, w2 = v1, v2
-        else:
-            w1 = tuple(embed_subfield(c, root_ctx) for c in v1)
-            w2 = tuple(embed_subfield(c, root_ctx) for c in v2)
-        pt = tuple(u0 * w1[i] + v0 * w2[i] for i in range(3))
-        out.append((normalize_point(pt), mult))
+    for ext, u0, v0, mult in roots:
+        pt = [ext._add(ext._mul(u0, a), ext._mul(v0, b))
+              for a, b in zip(*basis[ext])]
+        inv = ext._pow(next(c for c in pt if c), -1)
+        out.append((tuple(FieldElem(ext, ext._mul(c, inv)) for c in pt),
+                    mult))
     return tuple(out)
 
 
-def _sqrt_in_field(u: FieldElem) -> FieldElem:
-    """Principal square root: the root whose encoding is smaller.
+def _decompose_mod_line(ctx: FieldCtx, f6: dict, line, h, unit: int):
+    """f6 = f3^2 + line*f5 over ctx, on coefficient encodings (f6 and the
+    results by monomial, the line and h as lists), from the rational
+    square split unit * h^2 of the restriction of f6 to the line.
 
-    One root is u^((q+1)/4) when q = 3 (mod 4); otherwise Tonelli-Shanks
-    with q - 1 = 2^s t (t odd) and the first non-square by encoding, from p
-    on when the field is not prime (every element of F_p is a square in
-    an even-degree extension, and F_p's non-squares stay non-squares in an
-    odd-degree one)."""
-    ctx = u.ctx
-    chi = quad_char(u)
-    if chi == 0:
-        return u
-    if chi < 0:
-        raise MathError("element is not a square")
-    q, one = ctx.q, ctx.one()
-    if q % 4 == 3:
-        r = u ** ((q + 1) // 4)
-    else:
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s, t = s + 1, t // 2
-        candidates = range(2 if ctx.d == 1 else ctx.p, q)
-        z = next(z for z in map(ctx.from_enc, candidates) if quad_char(z) < 0)
-        c, r, b = z ** t, u ** ((t + 1) // 2), u ** t
-        # invariant: r^2 = u b, and b has order 2^i < 2^s
-        while b != one:
-            i, b2 = 0, b
-            while b2 != one:
-                i, b2 = i + 1, b2 * b2
-            g = c ** (1 << (s - i - 1))
-            r, c, s = r * g, g * g, i
-            b = b * c
-    return min(r, -r, key=FieldElem.to_int)
-
-
-def _decompose_mod_line(f6: ModForm, line, split: SquareSplit):
-    """f6 = f3^2 + line*f5 over the coefficient field of the line, from the
-    rational square split of the restriction of f6 to the line.
-
-    restrict_to_line parametrizes the line as s v1 + t v2, where v1 and v2
-    are 1 in the non-pivot coordinates j1 and j2 respectively and 0 in the
-    other one, so a binary form b(s, t) is the restriction of b(x_j1,
-    x_j2).  Canonical choice: f3 = r h(x_j1, x_j2) with r the principal
-    square root of the unit; f6 - f3^2 vanishes on the line, and the
-    quotient f5 = (f6 - f3^2)/line is unique.  It comes from synthetic
-    division in the pivot variable x_v: with line = a x_v + L, the terms
-    of x_v-degree e + 1 of g = f6 - f3^2 give the quotient's terms of
-    degree e, g_(e+1) = a q_e + L q_(e+1); the identity check catches a
-    nonzero remainder."""
-    ctx = f6.ctx
-    r = _sqrt_in_field(split.unit)
-    pivot = next(i for i, c in enumerate(line) if not c.is_zero())
-    j1, j2 = (j for j in range(3) if j != pivot)
-    f3 = ModForm(ctx, {tuple(3 - i if v == j1 else i if v == j2 else 0
-                             for v in range(3)): r * c
-                       for i, c in enumerate(split.h.coeffs)}, 3)
-    g = f6 - f3 * f3
-    levels = [{} for _ in range(g.degree + 1)]  # the terms by x_v-degree
-    for m, c in g.coeffs.items():
+    _restrict parametrizes the line as s w1 + t w2, where w1 and w2 are 1
+    in the non-pivot coordinates j1 and j2 respectively and 0 in the other
+    one, so a binary form b(s, t) is the restriction of b(x_j1, x_j2).
+    Canonical choice: f3 = r h(x_j1, x_j2) with r the principal square root
+    of the unit; f6 - f3^2 vanishes on the line, and the quotient f5 =
+    (f6 - f3^2)/line is unique.  It comes from synthetic division in the
+    pivot variable x_v: with line = a x_v + L, the terms of x_v-degree e +
+    1 of g = f6 - f3^2 give the quotient's terms of degree e, g_(e+1) = a
+    q_e + L q_(e+1), and the terms left in x_v-degree 0 are the remainder,
+    which must vanish."""
+    mul, add = ctx._mul, ctx._add
+    r = _sqrt_in_field(ctx, unit)
+    pivot, j1, j2 = _pivot_split(line)
+    f3 = {tuple(3 - i if v == j1 else i if v == j2 else 0
+                for v in range(3)): mul(r, c)
+          for i, c in enumerate(h) if c}
+    n = 2 * (len(h) - 1)
+    levels = [{} for _ in range(n + 1)]  # the terms of g by x_v-degree
+    for m, c in f6.items():
         levels[m[pivot]][m] = c
-    inv, zero, quotient = line[pivot].inverse(), ctx.zero(), {}
-    rest = [(j, line[j]) for j in (j1, j2) if not line[j].is_zero()]
-    for e in range(g.degree, 0, -1):
+    for m1, c1 in f3.items():
+        for m2, c2 in f3.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            level = levels[m[pivot]]
+            level[m] = add(level.get(m, 0), mul(c1, c2), -1)
+    inv, quotient = ctx._pow(line[pivot], -1), {}
+    axis = [tuple(int(v == j) for v in range(3)) for j in range(3)]
+    dv = axis[pivot]
+    rest = [(axis[j], line[j]) for j in (j1, j2) if line[j]]
+    for e in range(n, 0, -1):
+        lower = levels[e - 1]
         for m, c in levels[e].items():
-            c = c * inv
-            m = tuple(a - (v == pivot) for v, a in enumerate(m))
+            if not c:
+                continue
+            c = mul(c, inv)
+            m = (m[0] - dv[0], m[1] - dv[1], m[2] - dv[2])
             quotient[m] = c
-            for j, lj in rest:
-                mj = tuple(a + (v == j) for v, a in enumerate(m))
-                levels[e - 1][mj] = levels[e - 1].get(mj, zero) - c * lj
-    f5 = ModForm(ctx, quotient, g.degree - 1)
-    assert f3 * f3 + line_form(ctx, line) * f5 == f6
-    return f3, f5
+            for dj, lj in rest:
+                mj = (m[0] + dj[0], m[1] + dj[1], m[2] + dj[2])
+                lower[mj] = add(lower.get(mj, 0), mul(c, lj), -1)
+    assert not any(levels[0].values()), "the line does not divide f6 - f3^2"
+    return f3, quotient
 
 
 def decompose_along_line(f6: IntForm, line, p: int):
@@ -320,18 +297,18 @@ def decompose_along_line(f6: IntForm, line, p: int):
 
     The line must be a tritangent of f6 mod p with rational splits."""
     ctx = field_create(p, 1)
-    f6p = reduce_mod(f6, ctx)
-    vec = line_coeffs(line, ctx)
-    split = perfect_square_split(restrict_to_line(f6p, vec))
+    f6p = {m: c % p for m, c in f6.coeffs.items()}
+    vec = line_encs(line, ctx)
+    split = _square_split(ctx, _restrict(ctx, f6p, f6.degree, vec))
     if split is None:
         raise MathError(
             "restriction to the line is not a perfect square: not a tritangent")
-    if split.split_field_degree != 1:
+    if ctx._chi(split[1]) != 1:
         raise MathError(
             "tritangent splits only over the quadratic extension "
             "(non-square unit); the decomposition needs a rational split")
-    f3m, f5m = _decompose_mod_line(f6p, vec, split)
-    return f3m.lift(), f5m.lift()
+    f3, f5 = _decompose_mod_line(ctx, f6p, vec, *split)
+    return IntForm(f3, 3), IntForm(f5, f6.degree - 1)
 
 
 def _unit_times_square(ctx: FieldCtx, R):
@@ -342,7 +319,7 @@ def _unit_times_square(ctx: FieldCtx, R):
     The index of the first nonzero coefficient must be even, 2*j0.  The
     coefficients are shifted to start there: that divides by t^(2 j0) and
     multiplies by s^(2 j0), both squares, so the shifted form is u*h^2
-    exactly when the form is.  As in perfect_square_split, h_0 = 1 and
+    exactly when the form is.  As in _square_split, h_0 = 1 and
     h_1, ..., h_k (k = n/2) solve the coefficients 1..k of g = R/u; those
     hold by construction, and the coefficients k+1..n are compared with
     the expansion of h^2, k+1 on every line and the others on the lines
@@ -522,8 +499,9 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     degree, with contact data; exhaustive over the dual plane.
 
     Each field is searched with the array test of _candidate_lines; only
-    the lines it finds go, once each, through restrict_to_line and
-    perfect_square_split, whose split also gives the decomposition.  Every
+    the lines it finds go, once each, through _restrict and _square_split
+    on coefficient encodings, whose split also gives the decomposition
+    and the contact points; the certificate is built from them.  Every
     field is checked before any is searched: the test needs Zech tables,
     so a field above the Zech limit raises BudgetExceededError
     (FieldCtx.check_table_budget, the check FieldCtx.tables makes), and so
@@ -550,21 +528,26 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     out = []
     for e, ctx in enumerate(fields, start=1):
         f = f6 if ctx is base else f6.embed(ctx)
+        coeffs = f.encodings()
         for index in _candidate_lines(f, base.q, e):
             vec = _line_at(ctx, index)
-            split = perfect_square_split(restrict_to_line(f, vec))
+            split = _square_split(ctx, _restrict(ctx, coeffs, f.degree, vec))
             if split is None:
                 raise AssertionError(f"line {index} passed the array test "
                                      "but is not a tritangent")
+            h, unit = split
+            rational = ctx._chi(unit) == 1
             f3 = f5 = None
-            if split.split_field_degree == 1:
-                f3, f5 = _decompose_mod_line(f, vec, split)
+            if rational:
+                f3, f5 = _decompose_mod_line(ctx, coeffs, vec, h, unit)
+                f3 = ModForm.from_encs(ctx, f3, 3)
+                f5 = ModForm.from_encs(ctx, f5, f.degree - 1)
             out.append(TritangentCert(
-                line=vec,
+                line=tuple(FieldElem(ctx, c) for c in vec),
                 line_field_degree=e,
-                split_field_degree=split.split_field_degree,
-                unit=split.unit,
-                contact_points=_contact_points(split.h, vec, ctx),
+                split_field_degree=1 if rational else 2,
+                unit=FieldElem(ctx, unit),
+                contact_points=_contact_points(ctx, h, vec),
                 f3=f3,
                 f5=f5,
             ))
@@ -572,11 +555,17 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
 
 
 def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
-    """Exact check of f6 = scale * q3^2 + q2 * q4 over Z."""
-    rhs = cert.q3 * cert.q3
-    rhs = IntForm({m: cert.scale * c for m, c in rhs.coeffs.items()},
-                  rhs.degree) + cert.q2 * cert.q4
-    return rhs == f6
+    """Exact check of f6 = scale * q3^2 + q2 * q4 over Z, on the
+    coefficient dicts."""
+    if not 2 * cert.q3.degree == cert.q2.degree + cert.q4.degree == f6.degree:
+        return False
+    rhs: dict = {}
+    for a, b, scale in ((cert.q3, cert.q3, cert.scale), (cert.q2, cert.q4, 1)):
+        for m1, c1 in a.coeffs.items():
+            for m2, c2 in b.coeffs.items():
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                rhs[m] = rhs.get(m, 0) + scale * c1 * c2
+    return {m: c for m, c in rhs.items() if c} == f6.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +614,17 @@ class SplitCurve:
     @functools.cached_property
     def root(self):
         """(c, n) with sqrt(s) = c sqrt(n)."""
-        ctx = field_create(self.p, 1)
-        n = 1 if quad_char(ctx.from_int(self.scale)) >= 0 else next(
-            n for n in range(2, self.p) if quad_char(ctx.from_int(n)) < 0)
-        return _sqrt_in_field(ctx.from_int(self.scale) / ctx.from_int(n)
-                              ).to_int(), n
+        p = self.p
+        ctx = field_create(p, 1)
+        n = 1 if ctx._chi(self.scale) >= 0 else next(
+            n for n in range(2, p) if ctx._chi(n) < 0)
+        return _sqrt_in_field(ctx, self.scale * pow(n, -1, p) % p), n
 
     @functools.cached_property
     def phi(self):
         """A parametrization P^1 -> curve: three binary forms of degree
         deg Q, as coefficient lists ascending in t.  A line takes
-        line_kernel_basis; a conic, phi(V) = q2(V) P0 - (grad q2(P0) . V)
+        _kernel_basis; a conic, phi(V) = q2(V) P0 - (grad q2(P0) . V)
         V, the second point of the conic on the line through P0 and V,
         for V = s e_i + t e_j on a coordinate line x_k = 0 with P0_k != 0.
         P0 is (0 : 0 : 1) when it lies on the conic, else the first
@@ -645,10 +634,9 @@ class SplitCurve:
         p, q2 = self.p, self.curve
         ctx = field_create(p, 1)
         if self.degree == 1:
-            basis = line_kernel_basis(tuple(
-                ctx.from_int(q2.get(m, 0))
-                for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-            return [[v1.to_int(), v2.to_int()] for v1, v2 in zip(*basis)]
+            basis = _kernel_basis(ctx, tuple(
+                q2.get(m, 0) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+            return [list(w) for w in zip(*basis)]
         a = [[0] * 3 for _ in range(3)]  # q2(v) = v^T a v / 2
         for m, c in q2.items():
             i, j = (v for v in range(3) for _ in range(m[v]))
@@ -665,9 +653,9 @@ class SplitCurve:
             # q2(1, u, t) = A + B t + C t^2
             A = sum(c * u ** m[1] for m, c in q2.items() if m[2] == 0)
             B = a[0][2] + u * a[1][2]
-            disc = ctx.from_int(B * B - 4 * A * C)
-            if quad_char(disc) >= 0:
-                t = (_sqrt_in_field(disc).to_int() - B) * pow(2 * C, -1, p)
+            disc = (B * B - 4 * A * C) % p
+            if ctx._chi(disc) >= 0:
+                t = (_sqrt_in_field(ctx, disc) - B) * pow(2 * C, -1, p)
                 P0 = (1, u, t % p)
                 break
         k = next(v for v in range(3) if P0[v])
@@ -698,8 +686,8 @@ class SplitCurve:
         out = [0] * (n * self.degree + 1)
         for m, c in form.items():
             for i, x in enumerate(images[m]):
-                out[i] = (out[i] + c * x) % p
-        return out
+                out[i] += c * x
+        return [c % p for c in out]
 
 
 def _order_sum(sigma, g, p: int) -> int:

@@ -4,7 +4,7 @@ Given integer lifts with f6 = f3^2 + l*f5 (mod p), the integer form
 G = (f6 - f3^2 - l*f5)/p decides whether the split class extends to the
 thickening mod p^2: it does exactly when G lies in the ideal
 (p, l, f3, f5).  Restricted to the line l = 0 mod p, in the line's own
-parametrization (restrict_to_line), membership collapses to the degree-6
+parametrization (forms._restrict), membership collapses to the degree-6
 graded piece in two variables: is Gbar a combination f3bar*b3 +
 f5bar*c1 with b3 a binary cubic and c1 a binary linear form?  That is a
 linear system of seven equations (the binary sextic's coefficients) in
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 from .errors import CommonZeroOnLineError, NotDivisibleError
 from .ffield import field_create
-from .forms import (BinaryForm, IntForm, line_coeffs, reduce_mod,
-                    restrict_to_line)
-from .geom import decompose_along_line
+from .forms import BinaryForm, IntForm, _restrict, line_encs
+from .geom import _form_gcd, decompose_along_line
 
 
 @dataclass
@@ -47,22 +46,28 @@ class ObstructionReport:
 
 
 def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntForm:
-    """G = (f6 - f3^2 - l*f5)/p, exact over Z.
+    """G = (f6 - f3^2 - l*f5)/p, exact over Z, with l the line's
+    coefficients in [0, p).
 
     Every coefficient of the numerator must be divisible by p (the
     decomposition identity mod p); otherwise the decomposition upstream is
     broken."""
-    ctx = field_create(p, 1)
-    ell_vec = line_coeffs(line, ctx)
-    ell_int = IntForm({(1, 0, 0): ell_vec[0].to_int(),
-                       (0, 1, 0): ell_vec[1].to_int(),
-                       (0, 0, 1): ell_vec[2].to_int()}, 1)
-    numerator = f6 - f3 * f3 - ell_int * f5
-    if any(c % p for c in numerator.coeffs.values()):
+    numerator = dict(f6.coeffs)
+
+    def sub(m, c):
+        numerator[m] = numerator.get(m, 0) - c
+
+    for m1, c1 in f3.coeffs.items():
+        for m2, c2 in f3.coeffs.items():
+            sub((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]), c1 * c2)
+    for (x, y, z), lv in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             line_encs(line, field_create(p, 1))):
+        for m, c in f5.coeffs.items():
+            sub((m[0] + x, m[1] + y, m[2] + z), lv * c)
+    if any(c % p for c in numerator.values()):
         raise NotDivisibleError(
             "f6 - f3^2 - l*f5 is not divisible by p: invalid decomposition")
-    return IntForm({m: c // p for m, c in numerator.coeffs.items()},
-                   numerator.degree)
+    return IntForm({m: c // p for m, c in numerator.items()}, f6.degree)
 
 
 def _solve_mod_p(matrix, rhs, p):
@@ -97,25 +102,24 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
                          p: int) -> ObstructionReport:
     """Decide membership of G in (p, l, f3, f5) by the 7x6 linear system.
 
-    Raises CommonZeroOnLineError when f3 and f5 share a projective zero on
-    the line; that configuration contradicts the smoothness the obstruction
-    formula assumes and must be surfaced, not absorbed."""
+    Runs on integers mod p: the restrictions to the line (forms._restrict
+    over F_p), the gcd of those of f3 and f5 (geom._form_gcd) and the
+    re-verification of a witness; the report's binary forms are built
+    from the results.  Raises CommonZeroOnLineError when f3 and f5 share
+    a projective zero on the line; that configuration contradicts the
+    smoothness the obstruction formula assumes and must be surfaced, not
+    absorbed."""
     ctx = field_create(p, 1)
-    ell_vec = line_coeffs(line, ctx)
-    g_bar, f3_bar, f5_bar = (restrict_to_line(reduce_mod(form, ctx), ell_vec)
-                             for form in (G, f3, f5))
-    if not f3_bar.is_zero() and not f5_bar.is_zero():
-        common = f3_bar.gcd(f5_bar)
-        if common.degree > 0:
-            raise CommonZeroOnLineError(
-                "f3 and f5 share a zero on the line; the surface would be "
-                "singular there and the obstruction formula does not apply")
-    elif f3_bar.is_zero() or f5_bar.is_zero():
+    vec = line_encs(line, ctx)
+    g, a3, a5 = (_restrict(ctx, {m: c % p for m, c in form.coeffs.items()},
+                           form.degree, vec) for form in (G, f3, f5))
+    if not any(a3) or not any(a5):
         raise CommonZeroOnLineError(
             "f3 or f5 vanishes identically on the line")
-    a3 = [c.to_int() for c in f3_bar.coeffs]
-    a5 = [c.to_int() for c in f5_bar.coeffs]
-    g = [c.to_int() for c in g_bar.coeffs]
+    if len(_form_gcd(a3, a5, p)) > 1:
+        raise CommonZeroOnLineError(
+            "f3 and f5 share a zero on the line; the surface would be "
+            "singular there and the obstruction formula does not apply")
     # unknowns: 4 coefficients of a binary cubic b3, 2 of a linear c1
     matrix = [[0] * 6 for _ in range(7)]
     for j in range(4):
@@ -132,11 +136,16 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
     verdict = "nonvanishing"
     if sol is not None:
         verdict = "vanishes"
-        b3 = BinaryForm.from_ints(ctx, sol[:4])
-        c1 = BinaryForm.from_ints(ctx, sol[4:])
-        recombined = f3_bar * b3 + f5_bar * c1
-        assert recombined == g_bar, "witness failed exact re-verification"
-        witness = (b3, c1)
+        recombined = [0] * 7
+        for form, part in ((a3, sol[:4]), (a5, sol[4:])):
+            for i, a in enumerate(form):
+                for j, b in enumerate(part):
+                    recombined[i + j] += a * b
+        assert [c % p for c in recombined] == g, \
+            "witness failed exact re-verification"
+        witness = (BinaryForm.from_encs(ctx, sol[:4]),
+                   BinaryForm.from_encs(ctx, sol[4:]))
+    g_bar, f3_bar, f5_bar = (BinaryForm.from_encs(ctx, c) for c in (g, a3, a5))
     return ObstructionReport(
         p=p, G=G, g_bar=g_bar, f3_bar=f3_bar, f5_bar=f5_bar,
         matrix=tuple(tuple(r) for r in matrix), rhs=tuple(g),

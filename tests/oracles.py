@@ -11,7 +11,18 @@ macaulay_smoothness); the chart evaluator and minimal
 polynomials that the exhaustive singular-point scan and the field tests
 use (chart_value_logs, chart_points, minimal_polynomial); and the
 intersection number of two split curves over F_(p^2), where every scale
-has its square roots, by root finding (split_pairing_oracle)."""
+has its square roots, by root finding (split_pairing_oracle).
+
+The FieldElem, Poly and IntForm versions of the certificate steps that
+the program runs on coefficient encodings are kept here as differential
+references: the restriction to a line (line_kernel_basis,
+restrict_to_line_ref), the square split (perfect_square_split_ref), the
+principal square root by factoring (sqrt_ref, poly_roots), the roots of
+binary forms and the contact points through the general factoriser on
+Poly objects (factor_univariate, split_root, binary_roots_ref,
+contact_points_ref), the
+obstruction (obstruction_ref) and the cyclotomic part by trial division
+alone (cyclotomic_part_ref)."""
 
 import functools
 import itertools
@@ -20,7 +31,8 @@ import math
 import numpy as np
 
 from k3cert.count import _coef_log_matrix
-from k3cert.errors import BudgetExceededError, MathError, NotDivisibleError
+from k3cert.errors import (BudgetExceededError, CommonZeroOnLineError,
+                           MathError, NotDivisibleError)
 from k3cert.ffield import (
     FieldCtx,
     FieldElem,
@@ -30,27 +42,29 @@ from k3cert.ffield import (
     log_add,
     log_horner,
     log_mul,
+    quad_char,
 )
 from k3cert.forms import (
     BinaryForm,
     IntForm,
     ModForm,
+    SquareSplit,
     _grevlex_sort_key,
     line_coeffs,
     line_form,
-    perfect_square_split,
-    restrict_to_line,
+    reduce_mod,
 )
 from k3cert.geom import (
     _MACAULAY_DEGREE,
     _SEARCH_BLOCK,
     _lift_through_z,
     _monomials,
-    _sqrt_in_field,
     _z_free_forms,
-    binary_roots,
     normalize_point,
 )
+from k3cert.obstruct import ObstructionReport, _solve_mod_p
+from k3cert.zeta import (RankBound, _is_zero_poly, euler_phi, poly_divmod,
+                         scaled_cyclotomic)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,6 +262,328 @@ def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
     return BinaryForm(ctx, out)
 
 
+def line_kernel_basis(line):
+    """Reduced echelon basis (v1, v2) of the kernel of the line's
+    coefficients, as FieldElem triples."""
+    vec = line_coeffs(line)
+    ctx = vec[0].ctx
+    pivot = next((i for i, c in enumerate(vec) if not c.is_zero()), None)
+    if pivot is None:
+        raise ValueError("zero linear form")
+    inv = vec[pivot].inverse()
+    basis = []
+    for j in range(3):
+        if j == pivot:
+            continue
+        v = [ctx.zero()] * 3
+        v[j] = ctx.one()
+        v[pivot] = -(vec[j] * inv)
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def restrict_to_line_ref(f: ModForm, line) -> BinaryForm:
+    """forms.restrict_to_line in FieldElem arithmetic: f(s v1 + t v2) for
+    the kernel basis of line_kernel_basis."""
+    return restrict_along(f, *line_kernel_basis(line))
+
+
+def perfect_square_split_ref(g: BinaryForm):
+    """forms.perfect_square_split in FieldElem arithmetic: h solved
+    coefficient by coefficient from the first nonzero one, then u h^2
+    re-expanded and compared with g."""
+    if g.is_zero():
+        raise ValueError("zero form")
+    ctx, n, c = g.ctx, g.degree, g.coeffs
+    if n % 2:
+        return None
+    k = n // 2
+    i0 = next(i for i in range(n + 1) if not c[i].is_zero())
+    if i0 % 2:
+        return None
+    j0, u = i0 // 2, c[i0]
+    uinv, two_inv, zero = u.inverse(), ctx.from_int(2).inverse(), ctx.zero()
+    h = [zero] * (k + 1)
+    h[j0] = ctx.one()
+    for j in range(j0 + 1, k + 1):
+        i = j + j0
+        inner = zero
+        for a in range(j0 + 1, j):
+            if j0 < i - a <= k:
+                inner = inner + h[a] * h[i - a]
+        h[j] = (c[i] * uinv - inner) * two_inv
+    hh = [zero] * (n + 1)
+    for a in range(k + 1):
+        for b in range(k + 1):
+            hh[a + b] = hh[a + b] + h[a] * h[b]
+    if any(hh[i] * u != c[i] for i in range(n + 1)):
+        return None
+    return SquareSplit(BinaryForm(ctx, h), u, 1 if quad_char(u) == 1 else 2)
+
+
+# ---------------------------------------------------------------------------
+# the general factoriser on Poly objects: squarefree, distinct-degree and
+# equal-degree factorization, and the roots of binary forms through it
+
+
+def _pth_root_poly(f: Poly) -> Poly:
+    """For f with f' = 0, the g with g^p = f."""
+    ctx = f.ctx
+    p = ctx.p
+    root_exp = p ** (ctx.d - 1)  # inverse of Frobenius on F_{p^d}
+    out = []
+    for i in range(0, f.degree + 1, p):
+        out.append(f[i] ** root_exp)
+    return Poly(ctx, out)
+
+
+def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
+    # f monic; classic characteristic-p algorithm
+    ctx = f.ctx
+    p = ctx.p
+    one = Poly(ctx, [ctx.one()])
+    out: list[tuple[Poly, int]] = []
+    fp = f.derivative()
+    if fp.is_zero():
+        for g, m in _squarefree_decomposition(_pth_root_poly(f)):
+            out.append((g, m * p))
+        return out
+    c = f.gcd(fp)
+    w = (f // c).monic()[0]
+    i = 1
+    while w != one:
+        y = w.gcd(c)
+        z = (w // y).monic()[0]
+        if z != one:
+            out.append((z, i))
+        i += 1
+        w = y
+        c = (c // y).monic()[0]
+    if c != one:
+        for g, m in _squarefree_decomposition(_pth_root_poly(c)):
+            out.append((g, m * p))
+    return out
+
+
+def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
+    # f monic squarefree; returns (product of irreducibles of degree e, e)
+    ctx = f.ctx
+    out = []
+    x = Poly.x(ctx)
+    h = x
+    rest = f
+    e = 0
+    while rest.degree > 0:
+        e += 1
+        if 2 * e > rest.degree:
+            out.append((rest, rest.degree))
+            break
+        h = h.pow_mod(ctx.q, rest)
+        g = (h - x).gcd(rest)
+        if g.degree > 0:
+            out.append((g, e))
+            rest = (rest // g).monic()[0]
+            h = h % rest
+    return out
+
+
+def _counter_poly(ctx, n: int) -> Poly:
+    """n-th polynomial in the deterministic candidate sequence: base-q digits
+    of n, coefficients decoded through the canonical encoding."""
+    digits = []
+    while n:
+        digits.append(ctx.from_enc(n % ctx.q))
+        n //= ctx.q
+    return Poly(ctx, digits)
+
+
+def _split(f: Poly, e: int) -> Poly:
+    """A proper monic factor of f (monic squarefree, every irreducible
+    factor of degree e, at least two of them).
+
+    The candidates u run through the counter sequence from x + t, t the
+    class of the field generator (from x itself over a prime field):
+    either gcd(u, f) or gcd(u^((q^e-1)/2) - 1, f) splits f with
+    probability about 1/2 each.  The candidates x + c with c in F_p are
+    left out: they never split an f whose roots are Frobenius conjugates
+    over F_p, such as an irreducible over F_p lifted to an extension, as
+    u(r^p) = u(r)^p has the same quadratic character as u(r)."""
+    ctx = f.ctx
+    exp = (ctx.q ** e - 1) // 2
+    one = Poly(ctx, [ctx.one()])
+    n = ctx.q + (ctx.p if ctx.d > 1 else 0)
+    while True:
+        u = _counter_poly(ctx, n)
+        n += 1
+        g = u.gcd(f)
+        if not 0 < g.degree < f.degree:
+            g = (u.pow_mod(exp, f) - one).gcd(f)
+        if 0 < g.degree < f.degree:
+            return g
+
+
+def _equal_degree(f: Poly, e: int) -> list[Poly]:
+    # f monic squarefree, all irreducible factors of degree e
+    if f.degree == e:
+        return [f]
+    g = _split(f, e)
+    rest = (f // g).monic()[0]
+    return sorted(_equal_degree(g, e) + _equal_degree(rest, e),
+                  key=Poly.enc_key)
+
+
+def split_root(f: Poly) -> FieldElem:
+    """One root of a monic f that is a product of distinct linear factors:
+    f is split, and the smaller factor kept, until it is linear."""
+    while f.degree > 1:
+        g = _split(f, 1)
+        rest = (f // g).monic()[0]
+        f = min(g, rest, key=lambda h: h.degree)
+    return -f[0]
+
+
+def factor_univariate(f: Poly) -> list[tuple[Poly, int]]:
+    """Factor a nonzero univariate polynomial into monic irreducibles.
+
+    Squarefree decomposition, then distinct-degree, then equal-degree
+    splitting driven by a counter-based deterministic candidate sequence.
+    Output sorted by degree, then by coefficients (leading to constant,
+    compared through the canonical integer encoding).
+    """
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    fm, _ = f.monic()
+    out: list[tuple[Poly, int]] = []
+    if fm.degree == 0:
+        return out
+    for g, m in _squarefree_decomposition(fm):
+        for prod, e in _distinct_degree(g):
+            for irr in _equal_degree(prod, e):
+                out.append((irr, m))
+    out.sort(key=lambda fm_: fm_[0].enc_key())
+    return out
+
+
+def binary_roots_ref(bf: BinaryForm):
+    """geom.binary_roots through factor_univariate: the root (0 : 1) from
+    the degree drop, each linear factor's root, and for an irreducible
+    factor of degree e > 1 one root over F_(q^e) by split_root and its
+    conjugates r^(q^i); sorted by field degree, then by encoding."""
+    ctx = bf.ctx
+    if bf.is_zero():
+        raise ValueError("zero binary form has no well-defined roots")
+    poly = bf.to_poly()
+    out = []
+    inf_mult = bf.degree - poly.degree
+    if inf_mult > 0:
+        out.append(((ctx.zero(), ctx.one()), inf_mult, ctx))
+    if poly.degree > 0:
+        for irr, mult in factor_univariate(poly):
+            e = irr.degree
+            if e == 1:
+                out.append(((ctx.one(), -irr[0]), mult, ctx))
+                continue
+            ext = field_create(ctx.p, ctx.d * e)
+            root = split_root(Poly(ext, [embed_subfield(c, ext)
+                                         for c in irr.c]))
+            for _ in range(e):
+                out.append(((ext.one(), root), mult, ext))
+                root = root ** ctx.q
+    out.sort(key=lambda r: (r[2].d, r[0][0].to_int(), r[0][1].to_int()))
+    return out
+
+
+def poly_roots(f: Poly) -> list[tuple[FieldElem, int]]:
+    """Roots of f in its own field, with multiplicities, sorted by encoding."""
+    out = []
+    for g, m in factor_univariate(f):
+        if g.degree == 1:
+            out.append((-g[0], m))
+    out.sort(key=lambda rm: rm[0].to_int())
+    return out
+
+
+def sqrt_ref(u: FieldElem) -> FieldElem:
+    """The principal square root, the root of t^2 - u with the smaller
+    encoding, by factoring."""
+    roots = poly_roots(Poly(u.ctx, [-u, u.ctx.zero(), u.ctx.one()]))
+    if not roots:
+        raise MathError("element is not a square")
+    return roots[0][0]
+
+
+def contact_points_ref(split_h: BinaryForm, line, ctx):
+    """geom._contact_points through the general factoriser: the roots of h
+    from binary_roots_ref mapped through line_kernel_basis, normalized."""
+    v1, v2 = line_kernel_basis(line)
+    out = []
+    for (u0, v0), mult, root_ctx in binary_roots_ref(split_h):
+        w1 = tuple(embed_subfield(c, root_ctx) for c in v1)
+        w2 = tuple(embed_subfield(c, root_ctx) for c in v2)
+        pt = tuple(u0 * w1[i] + v0 * w2[i] for i in range(3))
+        out.append((normalize_point(pt), mult))
+    return tuple(out)
+
+
+def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
+    """obstruct.obstruction_G and obstruction_vanishes in IntForm and
+    BinaryForm arithmetic: G from the form products, the restrictions of
+    G, f3 and f5 by restrict_to_line_ref, their gcd as binary forms, the
+    7x6 system, and the witness recombined as binary forms."""
+    ctx = field_create(p, 1)
+    vec = line_coeffs(line, ctx)
+    ell = IntForm({(1, 0, 0): vec[0].to_int(), (0, 1, 0): vec[1].to_int(),
+                   (0, 0, 1): vec[2].to_int()}, 1)
+    numerator = f6 - f3 * f3 - ell * f5
+    if any(c % p for c in numerator.coeffs.values()):
+        raise NotDivisibleError("f6 - f3^2 - l*f5 is not divisible by p")
+    G = IntForm({m: c // p for m, c in numerator.coeffs.items()}, 6)
+    g_bar, f3_bar, f5_bar = (restrict_to_line_ref(reduce_mod(form, ctx), vec)
+                             for form in (G, f3, f5))
+    if f3_bar.is_zero() or f5_bar.is_zero() or f3_bar.gcd(f5_bar).degree:
+        raise CommonZeroOnLineError("f3 and f5 share a zero on the line")
+    a3, a5 = ([c.to_int() for c in f.coeffs] for f in (f3_bar, f5_bar))
+    matrix = [[0] * 6 for _ in range(7)]
+    for m in range(7):
+        for j in range(4):
+            if 0 <= m - j <= 3:
+                matrix[m][j] = a3[m - j]
+        matrix[m][4] = a5[m] if m <= 5 else 0
+        matrix[m][5] = a5[m - 1] if m >= 1 else 0
+    g = [c.to_int() for c in g_bar.coeffs]
+    sol = _solve_mod_p(matrix, g, p)
+    witness = None
+    if sol is not None:
+        b3, c1 = (BinaryForm.from_ints(ctx, x) for x in (sol[:4], sol[4:]))
+        assert f3_bar * b3 + f5_bar * c1 == g_bar
+        witness = (b3, c1)
+    return ObstructionReport(
+        p=p, G=G, g_bar=g_bar, f3_bar=f3_bar, f5_bar=f5_bar,
+        matrix=tuple(tuple(r) for r in matrix), rhs=tuple(g),
+        verdict="nonvanishing" if sol is None else "vanishes",
+        witness=witness)
+
+
+def cyclotomic_part_ref(P):
+    """zeta.cyclotomic_part by trial division alone, over every n below 2
+    d^2 + 1 with phi(n) <= d."""
+    d, cur, per_n, total = P.degree, list(P.coeffs), [], 0
+    for n in range(1, 2 * d * d + 1):
+        phi = euler_phi(n)
+        if phi > d:
+            continue
+        div, mult = scaled_cyclotomic(n, P.q), 0
+        while len(cur) > len(div) - 1:
+            quo, rem = poly_divmod(cur, div)
+            if quo is None or not _is_zero_poly(rem):
+                break
+            mult, cur = mult + 1, quo
+        if mult:
+            per_n.append((n, mult))
+            total += phi * mult
+    return RankBound(cyclotomic_degree=total, per_n=tuple(per_n))
+
+
 def decompose_mod_line(f6: ModForm, line):
     """f6 = f3^2 + line*f5 over the coefficient field of the line.
 
@@ -260,7 +596,7 @@ def decompose_mod_line(f6: ModForm, line):
     vec = line_coeffs(line)
     T = line_to_x(vec)
     restriction = restrict_along(f6, T.column(1), T.column(2))
-    split = perfect_square_split(restriction)
+    split = perfect_square_split_ref(restriction)
     if split is None:
         raise MathError(
             "restriction to the line is not a perfect square: not a tritangent")
@@ -268,7 +604,7 @@ def decompose_mod_line(f6: ModForm, line):
         raise MathError(
             "tritangent splits only over the quadratic extension "
             "(non-square unit); the decomposition needs a rational split")
-    s = _sqrt_in_field(split.unit)
+    s = sqrt_ref(split.unit)
     # pick the square root of the restriction with the smaller leading
     # coefficient representative
     lead_pos = next(i for i in range(split.h.degree + 1)
@@ -385,17 +721,18 @@ def macaulay_smoothness(f6: ModForm):
             return ctx.zero(), ctx.zero(), ctx.one()
         if not forms:
             x_line = (ctx.one(), ctx.zero(), ctx.zero())
-            g = functools.reduce(BinaryForm.gcd, [restrict_to_line(f, x_line)
-                                                  for f in system])
+            g = functools.reduce(BinaryForm.gcd, [
+                restrict_to_line_ref(f, x_line) for f in system])
             if g.degree > 0:
-                (s0, t0), _, _ = binary_roots(g)[0]
+                (s0, t0), _, _ = binary_roots_ref(g)[0]
                 return s0.ctx.zero(), s0, t0
             degree = _MACAULAY_DEGREE
             while not forms:
                 degree += 1
                 assert degree <= 30, "no binary form in the ideal"
                 forms = echelon(degree)[1]
-        for (u0, v0), _, _ in binary_roots(functools.reduce(BinaryForm.gcd,
+        for (u0, v0), _, _ in binary_roots_ref(functools.reduce(
+                BinaryForm.gcd,
                                                                forms)):
             pt = _lift_through_z(system, u0, v0)
             if pt is not None:
@@ -592,7 +929,7 @@ def split_pairing_oracle(X, Y):
     def sheet(curve):
         c, n = curve.root
         return image(curve.half, 3).scale(
-            ctx.from_int(c) * _sqrt_in_field(ctx.from_int(n)))
+            ctx.from_int(c) * sqrt_ref(ctx.from_int(n)))
 
     def order(form, root):
         (u0, v0), _, rctx = root
@@ -608,4 +945,4 @@ def split_pairing_oracle(X, Y):
     cofactor = image(Y.cofactor, 6 - Y.degree)
     return sum(order(sigma, r) and (order(g, r) if order(cofactor, r)
                                     else order(sigma, r))
-               for r in binary_roots(g))
+               for r in binary_roots_ref(g))

@@ -7,12 +7,7 @@ from pathlib import Path
 import pytest
 
 from k3cert import cli, geom, zeta
-from k3cert.cli import (
-    load_surface_file,
-    parse_surface_spec,
-    run,
-    serialize_surface_spec,
-)
+from k3cert.cli import load_surface_file, parse_surface_spec, run
 from k3cert.ffield import FieldCtx
 from k3cert.forms import IntForm
 
@@ -31,6 +26,27 @@ def _write_fully_external_spec(tmp_path, name="all-external"):
     path = tmp_path / "surface.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def serialize_surface_spec(spec) -> str:
+    """A surface file that parses back to spec."""
+    out = [f"name: {spec.name}"]
+    for (a, b, c) in sorted(spec.f6.coeffs):
+        out.append(f"f6: {a} {b} {c} {spec.f6.coeffs[(a, b, c)]}")
+    if spec.k is not None:
+        out.append(f"k: {spec.k}")
+    for d in sorted(spec.external_counts):
+        out.append(f"external: {d} {spec.external_counts[d]}")
+    for row in spec.gram or ():
+        out.append("gram: " + " ".join(str(x) for x in row))
+    for i, cert in enumerate(spec.conics, start=1):
+        out.append(f"conic.{i}.scale: {cert.scale}")
+        for fld in ("q2", "q3", "q4"):
+            form = getattr(cert, fld)
+            for (a, b, c) in sorted(form.coeffs):
+                out.append(f"conic.{i}.{fld}: {a} {b} {c} "
+                           f"{form.coeffs[(a, b, c)]}")
+    return "\n".join(out) + "\n"
 
 
 def test_parse_serialize_roundtrip():
@@ -210,7 +226,7 @@ _OWN_OPTIONS = {
     "zeta": ["--cache", "--deep", "--workers"],
     "tritangent": ["--deep", "--line-degree"],
     "obstruct": ["--deep"],
-    "lattice": [],
+    "lattice": ["--deep"],
     "certify": ["--cache", "--deep", "--workers", "--line-degree"],
 }
 
@@ -236,6 +252,21 @@ def test_each_command_accepts_only_the_options_it_reads(tmp_path, capsys,
         assert run(argv([option])) == 1, (command, option)
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {option}" in err, (command, option)
+
+
+@pytest.mark.parametrize("command", [c for c in _OWN_OPTIONS if c != "count"])
+def test_search_refusal_names_an_option_the_command_accepts(
+        tmp_path, capsys, monkeypatch, command):
+    # a tritangent search above the desk-scale budget exits 2 and asks for
+    # --deep; every command that searches must then accept --deep and run
+    monkeypatch.setattr(geom, "MANDATORY_Q2_LIMIT", 8)  # q^2 = 9 at p = 3
+    base = [command, "--spec", str(_write_fully_external_spec(tmp_path)),
+            "--prime", "3", "--json"]
+    assert run(base) == 2
+    err = capsys.readouterr().err
+    assert "(--deep)" in err and "--deep" in _OWN_OPTIONS[command], err
+    assert run(base + ["--deep"]) == 0
+    assert json.loads(capsys.readouterr().out)["stage"] == command
 
 
 def test_non_symmetric_gram_is_usage_error(tmp_path, capsys):

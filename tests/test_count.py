@@ -1,5 +1,10 @@
+import hashlib
+import importlib.util
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +247,24 @@ def test_fingerprint_survives_equivalent_lifts():
     assert fingerprint_mod_p(f6, 5) == fingerprint_mod_p(g6, 5)
     assert fingerprint_mod_p(f6, 5) != fingerprint_mod_p(f6, 3)
     assert count_points(g6, 5, 1).N == 41
+
+
+def test_fingerprint_is_sha256_and_maps_no_openssl():
+    # the fingerprint is the SHA-256 of the serialization mod p; where
+    # CPython has its own SHA-256 module, importing the program loads no
+    # OpenSSL (hashlib's would add 3.4 MB of resident memory)
+    f6 = IntForm(data.F6_A)
+    text = reduce_mod(f6, field_create(5, 1)).serialize().encode()
+    assert fingerprint_mod_p(f6, 5) == hashlib.sha256(text).hexdigest()
+    if importlib.util.find_spec("_sha256") is None:
+        return
+    src = str(Path(count.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, k3cert.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert probe.stdout.strip() == "False"
 
 
 def test_series_cache_and_external(tmp_path):

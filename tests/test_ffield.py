@@ -15,13 +15,11 @@ from k3cert.ffield import (
     digit_powers,
     digits,
     embed_subfield,
-    factor_univariate,
     field_create,
-    poly_roots,
     quad_char,
 )
 
-from oracles import minimal_polynomial
+from oracles import factor_univariate, minimal_polynomial, poly_roots
 
 
 def test_create_prime_field():

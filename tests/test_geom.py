@@ -16,7 +16,6 @@ from k3cert.ffield import (
     digits,
     field_create,
     is_prime,
-    poly_roots,
     quad_char,
 )
 from k3cert.forms import (
@@ -51,11 +50,15 @@ from oracles import (
     apply_linear_change,
     chart_points,
     chart_value_logs,
+    contact_points_ref,
     decompose_mod_line,
     log_restriction_blocks,
     log_unit_times_square,
     macaulay_matrix,
     macaulay_smoothness,
+    perfect_square_split_ref,
+    poly_roots,
+    restrict_to_line_ref,
     row_echelon,
     split_pairing_oracle,
 )
@@ -185,7 +188,8 @@ def test_find_tritangents_extension_field():
 
 def _oracle_tritangents(f6, max_e):
     """The per-line search: every line of P^2(F_{p^e}) in dual-point order
-    through restrict_to_line and perfect_square_split, skipping zero
+    through the FieldElem references of restrict_to_line,
+    perfect_square_split and the contact points, skipping zero
     restrictions and lines defined over a proper subfield."""
     p = f6.ctx.p
     out = []
@@ -200,10 +204,10 @@ def _oracle_tritangents(f6, max_e):
             if any(e % e1 == 0 and all(c ** (p ** e1) == c for c in vec)
                    for e1 in range(1, e)):
                 continue
-            r = restrict_to_line(f, vec)
+            r = restrict_to_line_ref(f, vec)
             if r.is_zero():
                 continue
-            split = perfect_square_split(r)
+            split = perfect_square_split_ref(r)
             if split is None:
                 continue
             f3 = f5 = None
@@ -212,7 +216,7 @@ def _oracle_tritangents(f6, max_e):
             out.append(geom.TritangentCert(
                 line=vec, line_field_degree=e,
                 split_field_degree=split.split_field_degree, unit=split.unit,
-                contact_points=geom._contact_points(split.h, vec, ctx),
+                contact_points=contact_points_ref(split.h, vec, ctx),
                 f3=f3, f5=f5))
     return out
 
@@ -341,8 +345,8 @@ def test_search_keeps_lines_over_two_unnested_subfields():
     vec = (g ** 91, g ** 28, ctx.one())  # of orders 8 and 26
     f = (_random_form(ctx, 3, rng).square()
          + line_form(ctx, vec) * _random_form(ctx, 5, rng))
-    assert vec in [geom._line_at(ctx, i)
-                   for i in geom._candidate_lines(f, 3, 6)]
+    assert tuple(c.v for c in vec) in [
+        geom._line_at(ctx, i) for i in geom._candidate_lines(f, 3, 6)]
 
 
 def test_digit_square_test_matches_scalar_split():
@@ -537,13 +541,13 @@ def test_one_square_split_per_tritangent(monkeypatch):
     # find_tritangents restricts and splits each line that the array test
     # finds once; the decomposition reuses that split
     calls = []
-    split = geom.perfect_square_split
+    split = geom._square_split
 
-    def counting(g):
+    def counting(ctx, g):
         calls.append(g)
-        return split(g)
+        return split(ctx, g)
 
-    monkeypatch.setattr(geom, "perfect_square_split", counting)
+    monkeypatch.setattr(geom, "_square_split", counting)
     cases = [(reduce_mod(IntForm(f), field_create(p, 1)), 2)
              for f, p in ((data.F6_A, 5), (data.F6_B, 3), (data.F6_C, 3))]
     F7 = field_create(7, 1)
@@ -570,17 +574,19 @@ def test_principal_square_root_matches_factoring():
         squares = {x * x for x in ctx.elements()}
         for u in ctx.elements():
             if u in squares:
-                assert geom._sqrt_in_field(u) == by_factoring(u), (p, d, u)
+                assert geom._sqrt_in_field(ctx, u.v) == by_factoring(u).v, (
+                    p, d, u)
             else:
                 with pytest.raises(MathError, match="not a square"):
-                    geom._sqrt_in_field(u)
+                    geom._sqrt_in_field(ctx, u.v)
     rng = random.Random(41)
     # 1000033 = 1 (mod 4) takes the Tonelli-Shanks path at a large prime
     for p in (1000003, 1000033, (1 << 31) - 1):
         ctx = field_create(p, 1)
         for _ in range(10):
             x = ctx.from_enc(rng.randrange(1, p))
-            assert geom._sqrt_in_field(x * x) == by_factoring(x * x), p
+            assert geom._sqrt_in_field(ctx, (x * x).v) == by_factoring(
+                x * x).v, p
 
 
 # -- conic identities ---------------------------------------------------------
