@@ -190,8 +190,9 @@ def _affine_chart_sum(ctx, coef, ylogs, weights, block_elems=_BLOCK_ELEMS) -> in
     only the character, through P."""
     n = coef.shape[0] - 1
     q1 = ctx.q - 1
-    # per-y coefficient logs of f(1, y, z) as a polynomial in z
-    lc = np.stack([log_horner(ctx, coef[:, j], ylogs) for j in range(n + 1)])
+    # per-y coefficient logs of f(1, y, z) as a polynomial in z, lc[j, row]:
+    # one Horner pass in y over the columns of coef at once
+    lc = log_horner(ctx, coef[:, :, None], ylogs[None, :])
     nonzero = lc >= 0
     total = int(np.dot(weights, nonzero[0] * (1 - 2 * (lc[0] & 1))))  # z = 0
     lc = np.where(nonzero, lc % q1, -1).astype(np.int32)
@@ -357,7 +358,12 @@ def count_points(f6: IntForm, p: int, d: int, *, deep: bool = False,
 
 class CacheStore:
     """Append-only newline-delimited count cache keyed by
-    (fingerprint, p, d); values are exact decimal integers."""
+    (fingerprint, p, d); values are exact decimal integers.
+
+    Reading accepts only a JSON integer N (not a float, a string or a
+    bool), and a key that comes again only with the same N: any other
+    line makes the file corrupt (CacheFileError naming the line), as a
+    count read from it would be a guess."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -371,10 +377,19 @@ class CacheStore:
                 try:
                     rec = json.loads(line)
                     key = (rec["fingerprint"], rec["p"], rec["d"])
-                    self._mem[key] = int(rec["N"])
+                    N, known = rec["N"], self._mem.get(key)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheFileError(f"{self.path}, line {lineno}: not a "
                                          f"count record ({exc})") from None
+                if type(N) is not int:
+                    raise CacheFileError(f"{self.path}, line {lineno}: N = "
+                                         f"{N!r} is not an integer")
+                if known is not None and known != N:
+                    raise CacheFileError(
+                        f"{self.path}, line {lineno}: N = {N} contradicts "
+                        f"N = {known} recorded earlier for the same surface, "
+                        "p and d")
+                self._mem[key] = N
 
     def get(self, fingerprint: str, p: int, d: int):
         return self._mem.get((fingerprint, p, d))

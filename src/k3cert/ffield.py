@@ -497,8 +497,14 @@ class FieldCtx:
         return e
 
     def _chi(self, a):
-        """Quadratic character of the element of encoding a (see
-        quad_char)."""
+        """Quadratic character of the element of encoding a: 0 at zero, +1
+        on squares, -1 on non-squares.
+
+        a^((q-1)/2) is the Legendre symbol of the norm N(a) =
+        a^((q-1)/(p-1)) in F_p, as (q-1)/2 = ((q-1)/(p-1)) ((p-1)/2); with
+        the modulus m monic, N(a) = Res(m, a), computed by Euclid's
+        algorithm instead of a power of degree q (over F_p, m = t and N(a)
+        = a)."""
         if not a:
             return 0
         p = self.p
@@ -554,16 +560,6 @@ def field_create(p: int, d: int) -> FieldCtx:
     Equal parameters always return the identical context object, so
     element contexts can be compared by identity."""
     return _field_create_cached(int(p), int(d))
-
-
-def quad_char(a: FieldElem) -> int:
-    """Quadratic character: 0 at zero, +1 on squares, -1 on non-squares.
-
-    a^((q-1)/2) is the Legendre symbol of the norm N(a) = a^((q-1)/(p-1))
-    in F_p, as (q-1)/2 = ((q-1)/(p-1)) ((p-1)/2); with the modulus m
-    monic, N(a) = Res(m, a), computed by Euclid's algorithm instead of a
-    power of degree q (over F_p, m = t and N(a) = a)."""
-    return a.ctx._chi(a.v)
 
 
 # ---------------------------------------------------------------------------
@@ -648,143 +644,6 @@ def digit_powers(ctx: FieldCtx, n: int, enc) -> np.ndarray:
     logs = log[np.asarray(enc)][:, None]
     enc = exp[logs * np.arange(n + 1) % (ctx.q - 1)]
     return digits(ctx, np.where(logs < 0, np.arange(n + 1) == 0, enc))
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials over a FieldCtx
-
-
-class Poly:
-    """Dense univariate polynomial over a FieldCtx, ascending coefficients.
-
-    Immutable; the zero polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.ctx = ctx
-        self.c = tuple(cs)
-
-    @classmethod
-    def from_ints(cls, ctx, ints):
-        return cls(ctx, [ctx.from_int(n) for n in ints])
-
-    @classmethod
-    def x(cls, ctx):
-        return cls(ctx, [ctx.zero(), ctx.one()])
-
-    @property
-    def degree(self):
-        return len(self.c) - 1
-
-    def is_zero(self):
-        return not self.c
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.c):
-            return self.c[i]
-        return self.ctx.zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and other.ctx is self.ctx
-                and other.c == self.c)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.c))
-
-    def __add__(self, other):
-        n = max(len(self.c), len(other.c))
-        return Poly(self.ctx, [self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.c), len(other.c))
-        return Poly(self.ctx, [self[i] - other[i] for i in range(n)])
-
-    def __neg__(self):
-        return Poly(self.ctx, [-a for a in self.c])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly(self.ctx, [])
-        z = self.ctx.zero()
-        out = [z] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.c):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
-
-    def scale(self, k: FieldElem):
-        return Poly(self.ctx, [a * k for a in self.c])
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(self.ctx, []), self
-        inv = other.c[-1].inverse()
-        rem = list(self.c)
-        out = [self.ctx.zero()] * (len(self.c) - len(other.c) + 1)
-        db = other.degree
-        for i in range(len(rem) - 1, db - 1, -1):
-            coef = rem[i] * inv
-            if not coef.is_zero():
-                out[i - db] = coef
-                for j, b in enumerate(other.c):
-                    rem[i - db + j] = rem[i - db + j] - coef * b
-        return Poly(self.ctx, out), Poly(self.ctx, rem[:db])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def monic(self):
-        """(monic multiple, leading coefficient)."""
-        if self.is_zero():
-            return self, self.ctx.one()
-        lead = self.c[-1]
-        if lead == self.ctx.one():
-            return self, lead
-        return self.scale(lead.inverse()), lead
-
-    def derivative(self):
-        out = []
-        for i in range(1, len(self.c)):
-            out.append(self.c[i] * self.ctx.from_int(i))
-        return Poly(self.ctx, out)
-
-    def pow_mod(self, n: int, mod: "Poly"):
-        r = Poly(self.ctx, [self.ctx.one()])
-        base = self % mod
-        while n:
-            if n & 1:
-                r = (r * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return r
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()[0]
-
-    def enc_key(self):
-        """Sort key: degree, then coefficients leading-to-constant by encoding."""
-        return (self.degree, tuple(a.to_int() for a in reversed(self.c)))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = [f"{a.to_int()}*t^{i}" for i, a in enumerate(self.c) if not a.is_zero()]
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 # ---------------------------------------------------------------------------

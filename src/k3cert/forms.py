@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .ffield import FieldCtx, FieldElem, Poly, _fq_mul, embed_subfield
+from .ffield import FieldCtx, FieldElem, _fq_mul, embed_subfield
 
 
 def _grevlex_sort_key(mono):
@@ -174,16 +174,6 @@ class ModForm(_Form):
         """The coefficient encodings, by monomial."""
         return {m: c.v for m, c in self.coeffs.items()}
 
-    def partial(self, var: int) -> "ModForm":
-        """Formal partial derivative in variable var (0, 1 or 2)."""
-        out = {}
-        for m, c in self.coeffs.items():
-            if m[var]:
-                m2 = list(m)
-                m2[var] -= 1
-                out[tuple(m2)] = c * self.ctx.from_int(m[var])
-        return ModForm(self.ctx, out, max(self.degree - 1, 0))
-
     def lift(self) -> IntForm:
         """Integer lift with coefficients in [0, p); prime-field forms only."""
         if self.ctx.d != 1:
@@ -227,17 +217,6 @@ class BinaryForm:
         """The form with these coefficient encodings."""
         return cls(ctx, [FieldElem(ctx, c) for c in encs])
 
-    @classmethod
-    def from_poly(cls, poly: Poly, degree: int):
-        """Rehomogenize a univariate polynomial g(t) = g(v/u) u^(-degree)."""
-        if poly.degree > degree:
-            raise ValueError("degree too small for the given polynomial")
-        return cls(poly.ctx, [poly[i] for i in range(degree + 1)])
-
-    def to_poly(self) -> Poly:
-        """Dehomogenize at u = 1: the polynomial sum coeffs[i] t^i."""
-        return Poly(self.ctx, list(self.coeffs))
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
@@ -246,38 +225,6 @@ class BinaryForm:
                 and other.coeffs == self.coeffs)
 
     __hash__ = None
-
-    def __mul__(self, other):
-        return BinaryForm.from_poly(self.to_poly() * other.to_poly(),
-                                    self.degree + other.degree)
-
-    def __sub__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm.from_poly(self.to_poly() - other.to_poly(), self.degree)
-
-    def __add__(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm.from_poly(self.to_poly() + other.to_poly(), self.degree)
-
-    def scale(self, k: FieldElem):
-        return BinaryForm(self.ctx, [a * k for a in self.coeffs])
-
-    def u_multiplicity(self) -> int:
-        """Largest k with u^k dividing the form (degree+1 if zero)."""
-        return self.degree - self.to_poly().degree
-
-    def gcd(self, other: "BinaryForm") -> "BinaryForm":
-        """gcd over the same field (monic dehomogenization, plus the common
-        power of the first variable)."""
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        g = self.to_poly().gcd(other.to_poly())
-        u_mult = min(self.u_multiplicity(), other.u_multiplicity())
-        return BinaryForm.from_poly(g, g.degree + u_mult)
 
     def serialize(self) -> str:
         if self.is_zero():
@@ -316,27 +263,6 @@ def line_form(ctx, vec) -> ModForm:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def eval_form(f: ModForm, point) -> FieldElem:
-    """Evaluate f at a projective point given as a triple of FieldElem."""
-    x, y, z = point
-    if x.ctx is not f.ctx or y.ctx is not f.ctx or z.ctx is not f.ctx:
-        raise ValueError("field context mismatch")
-    if x.is_zero() and y.is_zero() and z.is_zero():
-        raise ValueError("(0, 0, 0) is not a projective point")
-    ctx = f.ctx
-    maxes = [max((m[i] for m in f.coeffs), default=0) for i in range(3)]
-    pows = []
-    for var, e_max in zip(point, maxes):
-        cur = [ctx.one()]
-        for _ in range(e_max):
-            cur.append(cur[-1] * var)
-        pows.append(cur)
-    acc = ctx.zero()
-    for (a, b, c), coef in f.coeffs.items():
-        acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
-    return acc
 
 
 def reduce_mod(f: IntForm, ctx: FieldCtx) -> ModForm:
@@ -407,32 +333,6 @@ def _kernel_basis(ctx, line):
     return tuple(out)
 
 
-def restrict_to_line(f: ModForm, line) -> BinaryForm:
-    """Restriction of f to the projective line {line = 0}.
-
-    The line is parametrized by the reduced echelon basis (w1, w2) of its
-    kernel; the result is f(s w1 + t w2), a binary form of the same degree
-    (identically zero exactly when the line divides f)."""
-    ctx = f.ctx
-    return BinaryForm.from_encs(ctx, _restrict(
-        ctx, f.encodings(), f.degree, line_encs(line, ctx)))
-
-
-class SquareSplit:
-    """Result of perfect_square_split: g = unit * h^2."""
-
-    __slots__ = ("h", "unit", "split_field_degree")
-
-    def __init__(self, h: BinaryForm, unit: FieldElem, split_field_degree: int):
-        self.h = h
-        self.unit = unit
-        self.split_field_degree = split_field_degree
-
-    def __repr__(self):
-        return (f"SquareSplit(unit={self.unit.to_int()}, "
-                f"e={self.split_field_degree}, h={self.h.serialize()})")
-
-
 def _square_split(ctx, g):
     """(h, u) with g = u h^2, h normalized to 1 at its first nonzero
     coefficient, for the coefficient encodings of a binary form g; None
@@ -457,24 +357,3 @@ def _square_split(ctx, g):
     if [mul(c, u) for c in _fq_mul(ctx, h, h)] != list(g):
         return None
     return h, u
-
-
-def perfect_square_split(g: BinaryForm):
-    """Decide whether g = u * h^2 for a unit u and a binary form h.
-
-    Returns a SquareSplit with h normalized to leading coefficient 1 and
-    split_field_degree 1 when u is a square in the coefficient field
-    (rational splits) or 2 otherwise; returns None when g is not of this
-    shape.  Solved coefficient by coefficient from the leading end, then
-    verified by exact re-expansion (_square_split), so the cost is
-    quadratic in the degree.
-    """
-    if g.is_zero():
-        raise ValueError("zero form")
-    ctx = g.ctx
-    split = _square_split(ctx, [c.v for c in g.coeffs])
-    if split is None:
-        return None
-    h, u = split
-    return SquareSplit(BinaryForm.from_encs(ctx, h), FieldElem(ctx, u),
-                       1 if ctx._chi(u) == 1 else 2)

@@ -91,8 +91,8 @@ from .ffield import (
     DEFAULT_ZECH_LIMIT,
     FieldCtx,
     FieldElem,
-    Poly,
     _embed_enc,
+    _fq_gcd,
     _fq_roots,
     _sqrt_in_field,
     _zp_divmod,
@@ -103,11 +103,9 @@ from .ffield import (
     digit_mul,
     digit_powers,
     digits,
-    embed_subfield,
     field_create,
 )
 from .forms import (
-    BinaryForm,
     IntForm,
     ModForm,
     _kernel_basis,
@@ -116,21 +114,11 @@ from .forms import (
     _square_split,
     line_encs,
     reduce_mod,
-    restrict_to_line,
 )
 
 
 # ---------------------------------------------------------------------------
 # lines and binary-form utilities
-
-
-def normalize_point(pt):
-    """Scale a projective point so its first nonzero coordinate is 1."""
-    first = next((i for i in range(3) if not pt[i].is_zero()), None)
-    if first is None:
-        raise ValueError("(0,0,0) is not a projective point")
-    inv = pt[first].inverse()
-    return tuple(c * inv for c in pt)
 
 
 def _line_at(ctx: FieldCtx, index: int):
@@ -164,17 +152,6 @@ def _binary_roots(ctx: FieldCtx, coeffs):
                 _fq_roots(ctx, [ctx._mul(c, inv) for c in f])]
     out.sort(key=lambda r: (r[0].d, r[1], r[2]))
     return out
-
-
-def binary_roots(bf: BinaryForm):
-    """Projective roots of a nonzero binary form with multiplicities.
-
-    Returns a list of ((u0, v0), multiplicity, root_ctx) with the points
-    living over the smallest extension of the coefficient field that
-    contains them, sorted deterministically (_binary_roots)."""
-    return [((FieldElem(ext, u0), FieldElem(ext, v0)), m, ext)
-            for ext, u0, v0, m in _binary_roots(bf.ctx,
-                                                [c.v for c in bf.coeffs])]
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +771,7 @@ def _monomials(degree: int):
 
     Monomials containing z come first (descending power of z); the z-free
     ones x^(degree-i) y^i end the list in order of i, so the tail of a
-    row is the coefficient vector of a BinaryForm in (x, y)."""
+    row is the coefficient list of a binary form in (x, y)."""
     monos = tuple((degree - c - b, b, c)
                   for c in range(degree, -1, -1) for b in range(degree - c + 1))
     return monos, {m: i for i, m in enumerate(monos)}
@@ -987,39 +964,52 @@ def _reduced_echelon(system, degree: int, skip, p: int):
     return size + len(pivots), rows, pivots
 
 
-def _z_free_forms(ctx: FieldCtx, rows, pivots, degree: int):
+def _z_free_forms(rows, pivots, degree: int):
     """From the echelon form of the Macaulay matrix in `degree`: a basis of
-    the binary forms in (x, y) in the ideal, the rows with a z-free pivot."""
+    the binary forms in (x, y) in the ideal, the rows with a z-free pivot,
+    as coefficient lists (entry i of x^(degree-i) y^i)."""
     first = rows.shape[1] - (degree + 1)
-    return [BinaryForm(ctx, [ctx.from_int(int(c)) for c in row[first:]])
-            for row, col in zip(rows, pivots) if col >= first]
+    return [row[first:].tolist() for row, col in zip(rows, pivots)
+            if col >= first]
 
 
-def _specialize_xy(f: ModForm, u0: FieldElem, v0: FieldElem) -> Poly:
-    """f(u0, v0, z) as a polynomial in z over the field of u0 and v0."""
-    ctx = u0.ctx
-    out = [ctx.zero()] * (f.degree + 1)
-    for (a, b, c), coef in f.coeffs.items():
-        out[c] = out[c] + embed_subfield(coef, ctx) * u0 ** a * v0 ** b
-    return Poly(ctx, out)
+def _binary_gcd(forms, p: int):
+    """The gcd of binary forms over F_p given as coefficient lists (_form_gcd
+    folded over them)."""
+    return functools.reduce(lambda a, b: _form_gcd(a, b, p), forms)
 
 
-def _lift_through_z(system, u0: FieldElem, v0: FieldElem):
-    """A common zero (u0 : v0 : w) of the system, or None when there is
-    none over (u0 : v0).  The specialised system is not identically zero
-    because (0 : 0 : 1), on the closure of that line, is not singular."""
-    gz = functools.reduce(Poly.gcd, [_specialize_xy(f, u0, v0)
-                                     for f in system], Poly(u0.ctx, []))
-    if gz.degree == 0:
-        return None
-    (_, w), _, ctx = binary_roots(BinaryForm.from_poly(gz, gz.degree))[0]
-    return embed_subfield(u0, ctx), embed_subfield(v0, ctx), w
+def _lift_through_z(system, ext: FieldCtx, u0: int, v0: int):
+    """A common zero (u0 : v0 : w) of the system, for encodings u0 and v0
+    over ext, as (field, encodings) over the smallest extension of ext that
+    holds w (the least w first), or None when there is none over (u0 :
+    v0).  Each form specialises to the polynomial in z whose coefficient of
+    z^c is the sum of f_abc u0^a v0^b, one dot product each; the
+    specialised system is not identically zero because (0 : 0 : 1), on the
+    closure of that line, is not singular."""
+    upow, vpow = [1], [1]
+    for _ in range(max(e for e, _ in system)):
+        upow.append(ext._mul(upow[-1], u0))
+        vpow.append(ext._mul(vpow[-1], v0))
+    gz = []
+    for e, coeffs in system:
+        xs, ys = [[] for _ in range(e + 1)], [[] for _ in range(e + 1)]
+        for (a, b, c), coef in zip(_monomials(e)[0], coeffs.tolist()):
+            if coef:  # in [0, p): the same encoding in every extension
+                xs[c].append(coef)
+                ys[c].append(ext._mul(upow[a], vpow[b]))
+        gz = _fq_gcd(ext, gz, [ext._dot(x, y) for x, y in zip(xs, ys)])
+        if len(gz) == 1:
+            return None
+    field, _, w, _ = _binary_roots(ext, gz)[0]
+    return field, (_embed_enc(ext, field, u0), _embed_enc(ext, field, v0), w)
 
 
 def _singular_witness(ctx: FieldCtx, system, skip, forms):
     """A common zero of a system from _smoothness_system whose Macaulay
     matrix in degree 14 is rank deficient, given the z-free forms of its
-    echelon form.
+    echelon form, as (field, encodings): the point comes with its first
+    nonzero coordinate 1, as _binary_roots gives (1 : r) or (0 : 1).
 
     smoothness_check has ruled out (0 : 0 : 1), so the projection from it
     to the line (x : y) is defined on the singular locus V.  Binary forms
@@ -1036,28 +1026,27 @@ def _singular_witness(ctx: FieldCtx, system, skip, forms):
     So the witness is the first singular point in this order: on x = 0
     first, then by the projection (1 : v) over F_p by v, then over
     extensions; over one projection, the least w over the smallest
-    field.  The restrictions and lifts run on the system as ModForms."""
-    polys = [ModForm.from_int_coeffs(ctx, dict(zip(_monomials(e)[0],
-                                                   coeffs.tolist())), e)
-             for e, coeffs in system]
+    field.  Everything runs on coefficient encodings: the gcds over F_p
+    by _form_gcd, the roots by _binary_roots and the lifts over their
+    fields by _fq_gcd."""
+    p = ctx.p
     if not forms:
-        # restrict_to_line parametrizes x = 0 as (0 : s : t)
-        x_line = (ctx.one(), ctx.zero(), ctx.zero())
-        g = functools.reduce(BinaryForm.gcd,
-                             [restrict_to_line(f, x_line) for f in polys])
-        if g.degree > 0:
-            (s0, t0), _, _ = binary_roots(g)[0]
-            return s0.ctx.zero(), s0, t0
+        # _restrict parametrizes x = 0 as (0 : s : t)
+        g = _binary_gcd([_restrict(ctx, dict(zip(_monomials(e)[0],
+                                                 coeffs.tolist())), e,
+                                   (1, 0, 0)) for e, coeffs in system], p)
+        if len(g) > 1:
+            ext, s0, t0, _ = _binary_roots(ctx, g)[0]
+            return ext, (0, s0, t0)
         for degree in range(_MACAULAY_DEGREE + 1, 31):
-            _, rows, pivots = _reduced_echelon(system, degree, skip, ctx.p)
-            forms = _z_free_forms(ctx, rows, pivots, degree)
+            _, rows, pivots = _reduced_echelon(system, degree, skip, p)
+            forms = _z_free_forms(rows, pivots, degree)
             if forms:
                 break
         else:
             raise AssertionError("no binary form in the ideal up to degree 30")
-    for (u0, v0), _, _ in binary_roots(functools.reduce(BinaryForm.gcd,
-                                                        forms)):
-        pt = _lift_through_z(polys, u0, v0)
+    for ext, u0, v0, _ in _binary_roots(ctx, _binary_gcd(forms, p)):
+        pt = _lift_through_z(system, ext, u0, v0)
         if pt is not None:
             return pt
     raise AssertionError("no singular point over the zeros of the "
@@ -1212,9 +1201,10 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
                                           ctx.p)
     if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")
-    pt = _singular_witness(ctx, system, skip, _z_free_forms(
-        ctx, rows, pivots, _MACAULAY_DEGREE))
-    return SingularityReport("singular", normalize_point(pt), pt[0].ctx.d)
+    ext, pt = _singular_witness(ctx, system, skip, _z_free_forms(
+        rows, pivots, _MACAULAY_DEGREE))
+    return SingularityReport("singular", tuple(FieldElem(ext, c) for c in pt),
+                             ext.d)
 
 
 def assert_good_reduction(f6: IntForm, p: int) -> SingularityReport:

@@ -20,10 +20,15 @@ restrict_to_line_ref), the square split (perfect_square_split_ref), the
 principal square root by factoring (sqrt_ref, poly_roots), the roots of
 binary forms and the contact points through the general factoriser on
 Poly objects (factor_univariate, split_root, binary_roots_ref,
-contact_points_ref), the
+contact_points_ref), the singular witness (singular_witness_ref, with
+z_free_forms_ref, specialize_xy and lift_through_z_ref), the
 obstruction (obstruction_ref) and the cyclotomic part by trial division
-alone (cyclotomic_part_ref)."""
+alone (cyclotomic_part_ref).  They build on an object layer of their
+own: Poly, binary form arithmetic through it (bf_mul, bf_add, bf_sub,
+bf_scale, bf_gcd), eval_form, partial, normalize_point and the
+quadratic character by Euler's criterion (quad_char)."""
 
+import collections
 import functools
 import itertools
 import math
@@ -36,19 +41,16 @@ from k3cert.errors import (BudgetExceededError, CommonZeroOnLineError,
 from k3cert.ffield import (
     FieldCtx,
     FieldElem,
-    Poly,
     embed_subfield,
     field_create,
     log_add,
     log_horner,
     log_mul,
-    quad_char,
 )
 from k3cert.forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    SquareSplit,
     _grevlex_sort_key,
     line_coeffs,
     line_form,
@@ -57,14 +59,249 @@ from k3cert.forms import (
 from k3cert.geom import (
     _MACAULAY_DEGREE,
     _SEARCH_BLOCK,
-    _lift_through_z,
     _monomials,
-    _z_free_forms,
-    normalize_point,
 )
 from k3cert.obstruct import ObstructionReport, _solve_mod_p
 from k3cert.zeta import (RankBound, _is_zero_poly, euler_phi, poly_divmod,
                          scaled_cyclotomic)
+
+
+# ---------------------------------------------------------------------------
+# the object layer of FieldElem arithmetic that the references below build
+# on: univariate polynomials (Poly), binary form arithmetic through them,
+# evaluation and partial derivatives of ModForms, the quadratic character
+# by Euler's criterion and the normalization of projective points
+
+
+class Poly:
+    """Dense univariate polynomial over a FieldCtx, ascending coefficients.
+
+    Immutable; the zero polynomial has an empty coefficient tuple.
+    """
+
+    __slots__ = ("ctx", "c")
+
+    def __init__(self, ctx, coeffs):
+        cs = list(coeffs)
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.ctx = ctx
+        self.c = tuple(cs)
+
+    @classmethod
+    def from_ints(cls, ctx, ints):
+        return cls(ctx, [ctx.from_int(n) for n in ints])
+
+    @classmethod
+    def x(cls, ctx):
+        return cls(ctx, [ctx.zero(), ctx.one()])
+
+    @property
+    def degree(self):
+        return len(self.c) - 1
+
+    def is_zero(self):
+        return not self.c
+
+    def __getitem__(self, i):
+        if 0 <= i < len(self.c):
+            return self.c[i]
+        return self.ctx.zero()
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and other.ctx is self.ctx
+                and other.c == self.c)
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.c))
+
+    def __add__(self, other):
+        n = max(len(self.c), len(other.c))
+        return Poly(self.ctx, [self[i] + other[i] for i in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.c), len(other.c))
+        return Poly(self.ctx, [self[i] - other[i] for i in range(n)])
+
+    def __neg__(self):
+        return Poly(self.ctx, [-a for a in self.c])
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return Poly(self.ctx, [])
+        z = self.ctx.zero()
+        out = [z] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.c):
+                out[i + j] = out[i + j] + a * b
+        return Poly(self.ctx, out)
+
+    def scale(self, k: FieldElem):
+        return Poly(self.ctx, [a * k for a in self.c])
+
+    def __divmod__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.degree < other.degree:
+            return Poly(self.ctx, []), self
+        inv = other.c[-1].inverse()
+        rem = list(self.c)
+        out = [self.ctx.zero()] * (len(self.c) - len(other.c) + 1)
+        db = other.degree
+        for i in range(len(rem) - 1, db - 1, -1):
+            coef = rem[i] * inv
+            if not coef.is_zero():
+                out[i - db] = coef
+                for j, b in enumerate(other.c):
+                    rem[i - db + j] = rem[i - db + j] - coef * b
+        return Poly(self.ctx, out), Poly(self.ctx, rem[:db])
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def monic(self):
+        """(monic multiple, leading coefficient)."""
+        if self.is_zero():
+            return self, self.ctx.one()
+        lead = self.c[-1]
+        if lead == self.ctx.one():
+            return self, lead
+        return self.scale(lead.inverse()), lead
+
+    def derivative(self):
+        out = []
+        for i in range(1, len(self.c)):
+            out.append(self.c[i] * self.ctx.from_int(i))
+        return Poly(self.ctx, out)
+
+    def pow_mod(self, n: int, mod: "Poly"):
+        r = Poly(self.ctx, [self.ctx.one()])
+        base = self % mod
+        while n:
+            if n & 1:
+                r = (r * base) % mod
+            base = (base * base) % mod
+            n >>= 1
+        return r
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()[0]
+
+    def enc_key(self):
+        """Sort key: degree, then coefficients leading-to-constant by encoding."""
+        return (self.degree, tuple(a.to_int() for a in reversed(self.c)))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "Poly(0)"
+        terms = [f"{a.to_int()}*t^{i}" for i, a in enumerate(self.c) if not a.is_zero()]
+        return "Poly(" + " + ".join(terms) + ")"
+
+
+def bf_to_poly(bf: BinaryForm) -> Poly:
+    """Dehomogenize at u = 1: the polynomial sum coeffs[i] t^i."""
+    return Poly(bf.ctx, list(bf.coeffs))
+
+
+def bf_from_poly(poly: Poly, degree: int) -> BinaryForm:
+    """Rehomogenize a univariate polynomial g(t) = g(v/u) u^(-degree)."""
+    if poly.degree > degree:
+        raise ValueError("degree too small for the given polynomial")
+    return BinaryForm(poly.ctx, [poly[i] for i in range(degree + 1)])
+
+
+def bf_mul(a: BinaryForm, b: BinaryForm) -> BinaryForm:
+    return bf_from_poly(bf_to_poly(a) * bf_to_poly(b), a.degree + b.degree)
+
+
+def bf_add(a: BinaryForm, b: BinaryForm) -> BinaryForm:
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch")
+    return bf_from_poly(bf_to_poly(a) + bf_to_poly(b), a.degree)
+
+
+def bf_sub(a: BinaryForm, b: BinaryForm) -> BinaryForm:
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch")
+    return bf_from_poly(bf_to_poly(a) - bf_to_poly(b), a.degree)
+
+
+def bf_scale(bf: BinaryForm, k: FieldElem) -> BinaryForm:
+    return BinaryForm(bf.ctx, [a * k for a in bf.coeffs])
+
+
+def u_multiplicity(bf: BinaryForm) -> int:
+    """Largest k with u^k dividing the form (degree+1 if zero)."""
+    return bf.degree - bf_to_poly(bf).degree
+
+
+def bf_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
+    """gcd over the same field (monic dehomogenization, plus the common
+    power of the first variable)."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    g = bf_to_poly(a).gcd(bf_to_poly(b))
+    return bf_from_poly(g, g.degree + min(u_multiplicity(a),
+                                          u_multiplicity(b)))
+
+
+def eval_form(f: ModForm, point) -> FieldElem:
+    """Evaluate f at a projective point given as a triple of FieldElem."""
+    x, y, z = point
+    if x.ctx is not f.ctx or y.ctx is not f.ctx or z.ctx is not f.ctx:
+        raise ValueError("field context mismatch")
+    if x.is_zero() and y.is_zero() and z.is_zero():
+        raise ValueError("(0, 0, 0) is not a projective point")
+    ctx = f.ctx
+    maxes = [max((m[i] for m in f.coeffs), default=0) for i in range(3)]
+    pows = []
+    for var, e_max in zip(point, maxes):
+        cur = [ctx.one()]
+        for _ in range(e_max):
+            cur.append(cur[-1] * var)
+        pows.append(cur)
+    acc = ctx.zero()
+    for (a, b, c), coef in f.coeffs.items():
+        acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
+    return acc
+
+
+def partial(f: ModForm, var: int) -> ModForm:
+    """Formal partial derivative of f in variable var (0, 1 or 2)."""
+    out = {}
+    for m, c in f.coeffs.items():
+        if m[var]:
+            m2 = list(m)
+            m2[var] -= 1
+            out[tuple(m2)] = c * f.ctx.from_int(m[var])
+    return ModForm(f.ctx, out, max(f.degree - 1, 0))
+
+
+def quad_char(a: FieldElem) -> int:
+    """The quadratic character by Euler's criterion: 0 at zero, else +1
+    when a^((q-1)/2) = 1 and -1 otherwise."""
+    if a.is_zero():
+        return 0
+    return 1 if a ** ((a.ctx.q - 1) // 2) == a.ctx.one() else -1
+
+
+def normalize_point(pt):
+    """Scale a projective point so its first nonzero coordinate is 1."""
+    first = next((i for i in range(3) if not pt[i].is_zero()), None)
+    if first is None:
+        raise ValueError("(0,0,0) is not a projective point")
+    inv = pt[first].inverse()
+    return tuple(c * inv for c in pt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,10 +525,16 @@ def restrict_to_line_ref(f: ModForm, line) -> BinaryForm:
     return restrict_along(f, *line_kernel_basis(line))
 
 
+# g = unit * h^2, rational splits (split_field_degree 1) exactly when the
+# unit is a square
+SquareSplit = collections.namedtuple("SquareSplit",
+                                     "h unit split_field_degree")
+
+
 def perfect_square_split_ref(g: BinaryForm):
-    """forms.perfect_square_split in FieldElem arithmetic: h solved
-    coefficient by coefficient from the first nonzero one, then u h^2
-    re-expanded and compared with g."""
+    """forms._square_split in FieldElem arithmetic, as a SquareSplit: h
+    solved coefficient by coefficient from the first nonzero one, then u
+    h^2 re-expanded and compared with g."""
     if g.is_zero():
         raise ValueError("zero form")
     ctx, n, c = g.ctx, g.degree, g.coeffs
@@ -319,6 +562,7 @@ def perfect_square_split_ref(g: BinaryForm):
     if any(hh[i] * u != c[i] for i in range(n + 1)):
         return None
     return SquareSplit(BinaryForm(ctx, h), u, 1 if quad_char(u) == 1 else 2)
+
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +709,14 @@ def factor_univariate(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def binary_roots_ref(bf: BinaryForm):
-    """geom.binary_roots through factor_univariate: the root (0 : 1) from
+    """geom._binary_roots through factor_univariate: the root (0 : 1) from
     the degree drop, each linear factor's root, and for an irreducible
     factor of degree e > 1 one root over F_(q^e) by split_root and its
     conjugates r^(q^i); sorted by field degree, then by encoding."""
     ctx = bf.ctx
     if bf.is_zero():
         raise ValueError("zero binary form has no well-defined roots")
-    poly = bf.to_poly()
+    poly = bf_to_poly(bf)
     out = []
     inf_mult = bf.degree - poly.degree
     if inf_mult > 0:
@@ -540,7 +784,7 @@ def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
     G = IntForm({m: c // p for m, c in numerator.coeffs.items()}, 6)
     g_bar, f3_bar, f5_bar = (restrict_to_line_ref(reduce_mod(form, ctx), vec)
                              for form in (G, f3, f5))
-    if f3_bar.is_zero() or f5_bar.is_zero() or f3_bar.gcd(f5_bar).degree:
+    if f3_bar.is_zero() or f5_bar.is_zero() or bf_gcd(f3_bar, f5_bar).degree:
         raise CommonZeroOnLineError("f3 and f5 share a zero on the line")
     a3, a5 = ([c.to_int() for c in f.coeffs] for f in (f3_bar, f5_bar))
     matrix = [[0] * 6 for _ in range(7)]
@@ -555,7 +799,7 @@ def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
     witness = None
     if sol is not None:
         b3, c1 = (BinaryForm.from_ints(ctx, x) for x in (sol[:4], sol[4:]))
-        assert f3_bar * b3 + f5_bar * c1 == g_bar
+        assert bf_add(bf_mul(f3_bar, b3), bf_mul(f5_bar, c1)) == g_bar
         witness = (b3, c1)
     return ObstructionReport(
         p=p, G=G, g_bar=g_bar, f3_bar=f3_bar, f5_bar=f5_bar,
@@ -706,43 +950,86 @@ def macaulay_smoothness(f6: ModForm):
     from the full Macaulay matrices of f6 and its nonzero partials (210
     rows in degree 14 when no partial vanishes), reduced by row_echelon in
     every degree, with no triangular block, no dropped rows and no Euler
-    skip.  The witness search takes the steps of geom._singular_witness
-    on those matrices."""
+    skip; the witness by singular_witness_ref on those matrices."""
     ctx = f6.ctx
-    system = [f6] + [h for h in (f6.partial(v) for v in range(3))
+    system = [f6] + [h for h in (partial(f6, v) for v in range(3))
                      if not h.is_zero()]
 
-    def echelon(degree):
+    def z_free(degree):
         rows, pivots = row_echelon(macaulay_matrix(system, degree), ctx.p)
-        return len(pivots), _z_free_forms(ctx, rows, pivots, degree)
+        return len(pivots), z_free_forms_ref(ctx, rows, pivots, degree)
 
-    def witness(forms):
-        if all((0, 0, f.degree) not in f.coeffs for f in system):
-            return ctx.zero(), ctx.zero(), ctx.one()
-        if not forms:
-            x_line = (ctx.one(), ctx.zero(), ctx.zero())
-            g = functools.reduce(BinaryForm.gcd, [
-                restrict_to_line_ref(f, x_line) for f in system])
-            if g.degree > 0:
-                (s0, t0), _, _ = binary_roots_ref(g)[0]
-                return s0.ctx.zero(), s0, t0
-            degree = _MACAULAY_DEGREE
-            while not forms:
-                degree += 1
-                assert degree <= 30, "no binary form in the ideal"
-                forms = echelon(degree)[1]
-        for (u0, v0), _, _ in binary_roots_ref(functools.reduce(
-                BinaryForm.gcd,
-                                                               forms)):
-            pt = _lift_through_z(system, u0, v0)
-            if pt is not None:
-                return pt
-
-    rank, forms = echelon(_MACAULAY_DEGREE)
+    rank, forms = z_free(_MACAULAY_DEGREE)
     if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return "smooth", None, None
-    pt = normalize_point(witness(forms))
+    if all((0, 0, f.degree) not in f.coeffs for f in system):
+        return "singular", (ctx.zero(), ctx.zero(), ctx.one()), 1
+    pt = normalize_point(singular_witness_ref(
+        system, forms, lambda degree: z_free(degree)[1]))
     return "singular", pt, pt[0].ctx.d
+
+
+# ---------------------------------------------------------------------------
+# the singular witness on ModForm, BinaryForm and Poly objects, as
+# geom._singular_witness took it before it moved to coefficient encodings
+
+
+def z_free_forms_ref(ctx, rows, pivots, degree: int):
+    """geom._z_free_forms as BinaryForms: the rows of an echelon form of
+    the Macaulay matrix in `degree` with a z-free pivot."""
+    first = rows.shape[1] - (degree + 1)
+    return [BinaryForm(ctx, [ctx.from_int(int(c)) for c in row[first:]])
+            for row, col in zip(rows, pivots) if col >= first]
+
+
+def specialize_xy(f: ModForm, u0: FieldElem, v0: FieldElem) -> Poly:
+    """f(u0, v0, z) as a polynomial in z over the field of u0 and v0."""
+    ctx = u0.ctx
+    out = [ctx.zero()] * (f.degree + 1)
+    for (a, b, c), coef in f.coeffs.items():
+        out[c] = out[c] + embed_subfield(coef, ctx) * u0 ** a * v0 ** b
+    return Poly(ctx, out)
+
+
+def lift_through_z_ref(system, u0: FieldElem, v0: FieldElem):
+    """A common zero (u0 : v0 : w) of the ModForms of the system, the
+    least w over the smallest field, or None when there is none over (u0
+    : v0)."""
+    gz = functools.reduce(Poly.gcd, [specialize_xy(f, u0, v0)
+                                     for f in system], Poly(u0.ctx, []))
+    if gz.degree == 0:
+        return None
+    (_, w), _, ctx = binary_roots_ref(bf_from_poly(gz, gz.degree))[0]
+    return embed_subfield(u0, ctx), embed_subfield(v0, ctx), w
+
+
+def singular_witness_ref(system, forms, z_free):
+    """geom._singular_witness on objects: the first common zero of the
+    ModForms of the system on x = 0 (the gcd of their restrictions) when
+    the z-free forms of degree 14 are empty, else, or when there is none
+    there, the first zero of the gcd of the z-free forms of the least
+    degree that has them (z_free(degree) gives them above 14) that lifts
+    through the system specialised at it.  The point is not normalized."""
+    ctx = system[0].ctx
+    if not forms:
+        x_line = (ctx.one(), ctx.zero(), ctx.zero())
+        g = functools.reduce(bf_gcd, [restrict_to_line_ref(f, x_line)
+                                      for f in system])
+        if g.degree > 0:
+            (s0, t0), _, _ = binary_roots_ref(g)[0]
+            return s0.ctx.zero(), s0, t0
+        for degree in range(_MACAULAY_DEGREE + 1, 31):
+            forms = z_free(degree)
+            if forms:
+                break
+        else:
+            raise AssertionError("no binary form in the ideal up to degree 30")
+    for (u0, v0), _, _ in binary_roots_ref(functools.reduce(bf_gcd, forms)):
+        pt = lift_through_z_ref(system, u0, v0)
+        if pt is not None:
+            return pt
+    raise AssertionError("no singular point over the zeros of the "
+                         "elimination forms")
 
 
 def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
@@ -910,9 +1197,9 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
 def split_pairing_oracle(X, Y):
     """X+ . Y+ for two geom.SplitCurve over F_(p^2), where sqrt(s) = c
     sqrt(n) with sqrt(n) the principal root: at each root of Q_Y(phi) that
-    binary_roots finds where sigma = (sqrt(s_X) h_X - sqrt(s_Y) h_Y)(phi)
-    vanishes, the order of sigma, or of Q_Y(phi) where Q_Y'(phi) vanishes
-    too, by repeated division by the root's linear factor."""
+    binary_roots_ref finds where sigma = (sqrt(s_X) h_X - sqrt(s_Y)
+    h_Y)(phi) vanishes, the order of sigma, or of Q_Y(phi) where Q_Y'(phi)
+    vanishes too, by repeated division by the root's linear factor."""
     ctx = field_create(X.p, 2)
     phi = [Poly(ctx, [ctx.from_int(c) for c in f]) for f in X.phi]
 
@@ -924,24 +1211,24 @@ def split_pairing_oracle(X, Y):
                 for _ in range(m[v]):
                     term = term * phi[v]
             out = out + term
-        return BinaryForm.from_poly(out, n * X.degree)
+        return bf_from_poly(out, n * X.degree)
 
     def sheet(curve):
         c, n = curve.root
-        return image(curve.half, 3).scale(
-            ctx.from_int(c) * sqrt_ref(ctx.from_int(n)))
+        return bf_scale(image(curve.half, 3),
+                        ctx.from_int(c) * sqrt_ref(ctx.from_int(n)))
 
     def order(form, root):
         (u0, v0), _, rctx = root
         if u0.is_zero():
-            return form.u_multiplicity()
+            return u_multiplicity(form)
         f = Poly(rctx, [embed_subfield(c, rctx) for c in form.coeffs])
         factor, k = Poly(rctx, [-v0 / u0, rctx.one()]), 0
         while (f % factor).is_zero():
             f, k = f // factor, k + 1
         return k
 
-    g, sigma = image(Y.curve, Y.degree), sheet(X) - sheet(Y)
+    g, sigma = image(Y.curve, Y.degree), bf_sub(sheet(X), sheet(Y))
     cofactor = image(Y.cofactor, 6 - Y.degree)
     return sum(order(sigma, r) and (order(g, r) if order(cofactor, r)
                                     else order(sigma, r))

@@ -12,7 +12,7 @@ from k3cert.cli import run
 from k3cert.count import CacheStore, count_points, count_series, trace_from_count
 from k3cert.errors import CommonZeroOnLineError
 from k3cert.ffield import field_create
-from k3cert.forms import BinaryForm, IntForm, perfect_square_split, reduce_mod
+from k3cert.forms import IntForm, _square_split, reduce_mod
 from k3cert.geom import ConicCert, decompose_along_line, find_tritangents, verify_conic_identity
 from k3cert.lattice import gram_rank_disc
 from k3cert.obstruct import obstruction_G, obstruction_vanishes
@@ -283,11 +283,9 @@ def test_criterion_10_property_suites(series_a, series_b, series_c,
             ctx = field_create(p, 1)
             for _ in range(15):
                 k = rng.randrange(1, 4)
-                g = BinaryForm(ctx, [ctx.from_enc(rng.randrange(ctx.q))
-                                     for _ in range(2 * k + 1)])
-                if g.is_zero():
+                g = [rng.randrange(p) for _ in range(2 * k + 1)]
+                if not any(g):
                     continue
-                split = perfect_square_split(g)
-                found = tuple(c.to_int() for c in g.coeffs) in \
-                    unit_square_products(p, k)
-                assert (split is not None) == found
+                split = _square_split(ctx, g)
+                assert (split is not None) == (tuple(g) in
+                                               unit_square_products(p, k))

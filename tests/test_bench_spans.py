@@ -6,11 +6,13 @@ otherwise start."""
 
 import importlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
 from k3cert import geom
 from k3cert.cli import load_surface_file, run
+from k3cert.count import CacheStore, fingerprint_mod_p
 from k3cert.forms import IntForm
 
 import data
@@ -166,3 +168,26 @@ def test_benchmark_checks_accept_forked_counts(tmp_path, capsys, monkeypatch):
                                 ["computed"] * 5 + ["external"] * 5,
                                 cache_path=cache) == [], err
     assert len(forks) == 5  # one child for each counted degree
+
+
+def test_benchmark_setup_writes_every_workload(tmp_path, monkeypatch):
+    # perfbench/child.py's setup, at smoke size, writes inputs that the
+    # program reads back: a surface file per bundled surface (and for screen
+    # six sextics and a count cache); a deletion or rename in the program
+    # that breaks the benchmark's set-up fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # child imports its siblings
+    child = _load(PERFBENCH / "child.py", "perfbench_child")
+    for workload in ("certify-cold", "certify-parallel", "screen"):
+        out = tmp_path / workload
+        child.setup(workload, 1, out, True)
+        for name, (p, *_) in child.SURFACES.items():
+            f6 = load_surface_file(str(out / f"{name}.txt")).f6
+            if workload == "screen":
+                store = CacheStore(out / "cache.jsonl")
+                assert store.get(fingerprint_mod_p(f6, p), p, 1) == \
+                    child.COUNTS[name][0]
+        if workload == "screen":
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert len(manifest) == 6
+            for entry in manifest:
+                load_surface_file(str(out / entry["file"]))

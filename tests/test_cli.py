@@ -565,6 +565,38 @@ def test_truncated_cache_line_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case, line", [
+    ("repeated", None), ("contradicting", 3), ("float", 1), ("bool", 1)])
+def test_cache_reads_only_consistent_integer_counts(tmp_path, capsys, case,
+                                                    line):
+    # a count read from the cache is a JSON integer ("N": 41.75 was read as
+    # 41, "N": true as 1), and a key that comes again repeats its N (a
+    # second record with N = 801 against the computed 751 was read, the
+    # last one winning); a record repeated as it is stays readable
+    cache = tmp_path / "counts.jsonl"
+    args = ["count", "--spec", str(SURFACES / "rank1-p5.txt"), "--prime", "5",
+            "--dmax", "2", "--cache", str(cache), "--json"]
+    assert run(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    records = [json.loads(text) for text in cache.read_text().splitlines()]
+    if case == "repeated":
+        records.append(records[1])
+    elif case == "contradicting":
+        records.append(dict(records[1], N=records[1]["N"] + 50))
+    else:
+        records[0]["N"] = records[0]["N"] + 0.75 if case == "float" else True
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    rc = run(args)
+    out, err = capsys.readouterr()
+    if line is None:
+        assert rc == 0, err
+        assert [(c["N"], c["source"]) for c in json.loads(out)["counts"]] == \
+            [(c["N"], "cached") for c in first["counts"]]
+    else:
+        assert rc == 1 and f"{cache}, line {line}" in err, err
+        assert "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code = run(["count", "--spec", "/nonexistent/file.txt", "--prime", "5"])
     assert code == 1
@@ -664,7 +696,7 @@ PINNED_DIGEST = (
 
 
 # sha256 of the outputs of _contact_calls, recorded before the array test
-# moved to F_p coordinates and binary_roots to one split per factor
+# moved to F_p coordinates and the root finder to one split per factor
 CONTACT_DIGEST = (
     "f5bcabb5167c965741279a13c58e62827a1344553519ae1d4c1cb3d47925d412")
 

@@ -18,11 +18,11 @@ from k3cert.count import (
 )
 from k3cert.errors import (BudgetExceededError, SingularReductionError,
                            WeilBoundError)
-from k3cert.ffield import field_create, quad_char
-from k3cert.forms import IntForm, eval_form, reduce_mod
+from k3cert.ffield import field_create
+from k3cert.forms import IntForm, reduce_mod
 
 import data
-from oracles import chart_points, chart_value_logs
+from oracles import chart_points, chart_value_logs, eval_form, quad_char
 
 
 def _slow_count(f6: IntForm, p: int, d: int) -> int:

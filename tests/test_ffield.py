@@ -7,7 +7,6 @@ from k3cert.errors import BudgetExceededError
 from k3cert.ffield import (
     DEFAULT_ZECH_LIMIT,
     FieldCtx,
-    Poly,
     _digits_enc,
     _zp_powmod,
     digit_inv,
@@ -16,10 +15,14 @@ from k3cert.ffield import (
     digits,
     embed_subfield,
     field_create,
-    quad_char,
 )
 
-from oracles import factor_univariate, minimal_polynomial, poly_roots
+from oracles import Poly, factor_univariate, minimal_polynomial, poly_roots
+
+
+def quad_char(a):
+    """The program's quadratic character (FieldCtx._chi) of an element."""
+    return a.ctx._chi(a.v)
 
 
 def test_create_prime_field():

@@ -3,21 +3,24 @@ import random
 import pytest
 
 from k3cert.errors import NotDivisibleError
-from k3cert.ffield import field_create, quad_char
+from k3cert.ffield import field_create
 from k3cert.forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    eval_form,
-    perfect_square_split,
+    _restrict,
+    _square_split,
+    line_encs,
     reduce_mod,
-    restrict_to_line,
 )
 
 import data
 from oracles import (
     LinearChange,
     apply_linear_change,
+    bf_mul,
+    bf_scale,
+    eval_form,
     exact_divide,
     line_to_x,
     restrict_along,
@@ -27,6 +30,20 @@ from oracles import (
 
 def _mod(ctx, coeffs, degree=None):
     return ModForm.from_int_coeffs(ctx, coeffs, degree)
+
+
+def _restriction(f, line):
+    """forms._restrict of a ModForm as a BinaryForm."""
+    return BinaryForm.from_encs(f.ctx, _restrict(
+        f.ctx, f.encodings(), f.degree, line_encs(line, f.ctx)))
+
+
+def _split(g):
+    """forms._square_split of a BinaryForm: (h as a BinaryForm, unit) or
+    None."""
+    split = _square_split(g.ctx, [c.v for c in g.coeffs])
+    return split and (BinaryForm.from_encs(g.ctx, split[0]),
+                      g.ctx.from_enc(split[1]))
 
 
 def _random_form(ctx, degree, rng, sparsity=0.6):
@@ -130,15 +147,14 @@ def test_surface_c_transported_is_square_mod_x():
     f6 = reduce_mod(IntForm(data.F6_C), F3)
     ell = _mod(F3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     g = apply_linear_change(f6, line_to_x(ell))
-    restriction = restrict_to_line(g, _mod(F3, {(1, 0, 0): 1}))
-    split = perfect_square_split(restriction)
-    assert split is not None
+    restriction = _restriction(g, _mod(F3, {(1, 0, 0): 1}))
+    assert _split(restriction) is not None
 
 
 def test_restrict_along_matches_change_then_restrict_to_x():
     # f(s T e_1 + t T e_2) is the restriction of f o T to x = 0, for random
     # invertible T over F_p and F_{p^2}, forms of degree 3, 5 and 6; and
-    # restrict_to_line(f, l) is that restriction for T = line_to_x(l)
+    # _restriction(f, l) is that restriction for T = line_to_x(l)
     rng = random.Random(17)
     for p, d in ((3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)):
         ctx = field_create(p, d)
@@ -148,12 +164,12 @@ def test_restrict_along_matches_change_then_restrict_to_x():
                 f = _random_form(ctx, degree, rng)
                 T = _random_invertible(ctx, rng)
                 assert (restrict_along(f, T.column(1), T.column(2))
-                        == restrict_to_line(apply_linear_change(f, T), x_form))
+                        == _restriction(apply_linear_change(f, T), x_form))
                 ell = T.rows[0]
                 T = line_to_x(ell)
-                assert (restrict_to_line(f, ell)
+                assert (_restriction(f, ell)
                         == restrict_along(f, T.column(1), T.column(2))
-                        == restrict_to_line(apply_linear_change(f, T), x_form))
+                        == _restriction(apply_linear_change(f, T), x_form))
 
 
 def test_restriction_keeps_powers_of_unrestricted_variable():
@@ -163,7 +179,7 @@ def test_restriction_keeps_powers_of_unrestricted_variable():
     z3 = _mod(F5, {(0, 0, 3): 1})
     f = z3 * g
     line_y = _mod(F5, {(0, 1, 0): 1})
-    r = restrict_to_line(f, line_y)
+    r = _restriction(f, line_y)
     # parametrization of {y = 0} is (s, 0, t); the t-degree is at least 3
     assert all(r.coeffs[i].is_zero() for i in range(3))
 
@@ -172,21 +188,19 @@ def test_restriction_of_tritangent_is_square_with_expected_contacts():
     F5 = field_create(5, 1)
     f6 = _mod(F5, data.F6_A)
     line = _mod(F5, {(0, 1, 0): 3, (0, 0, 1): 1})  # z - 2y = z + 3y
-    r = restrict_to_line(f6, line)
-    split = perfect_square_split(r)
-    assert split is not None
-    assert split.unit == F5.one()
-    assert split.split_field_degree == 1
+    r = _restriction(f6, line)
+    h, unit = _split(r)
+    assert unit == F5.one()
     # h = s^2 t + 4 s t^2 = st(s + 4t): roots (1:0), (0:1), (1:1)
-    assert [c.to_int() for c in split.h.coeffs] == [0, 1, 4, 0]
+    assert [c.to_int() for c in h.coeffs] == [0, 1, 4, 0]
 
 
 def test_restriction_generic_line_not_square():
     F5 = field_create(5, 1)
     f6 = _mod(F5, data.F6_A)
     line_x = _mod(F5, {(1, 0, 0): 1})
-    r = restrict_to_line(f6, line_x)
-    assert perfect_square_split(r) is None
+    r = _restriction(f6, line_x)
+    assert _split(r) is None
 
 
 def test_restriction_vanishes_iff_line_divides():
@@ -197,9 +211,9 @@ def test_restriction_vanishes_iff_line_divides():
     while g.is_zero():
         g = _random_form(F3, 5, rng)
     f = ell * g
-    assert restrict_to_line(f, ell).is_zero()
+    assert _restriction(f, ell).is_zero()
     h = _random_form(F3, 6, rng)
-    if not restrict_to_line(h, ell).is_zero():
+    if not _restriction(h, ell).is_zero():
         # h not divisible: exact_divide must fail
         with pytest.raises(NotDivisibleError):
             exact_divide(h, ell)
@@ -252,16 +266,14 @@ def test_exact_divide_random_products():
 def test_perfect_square_split_examples():
     F5 = field_create(5, 1)
     h = BinaryForm.from_ints(F5, [1, 0, 0, 1])  # s^3 + t^3
-    g = h * h
-    split = perfect_square_split(g)
-    assert split is not None and split.unit == F5.one()
-    assert split.split_field_degree == 1
-    assert split.h == h
-    g2 = g.scale(F5.from_int(2))
-    split2 = perfect_square_split(g2)
-    assert split2 is not None
-    assert split2.unit.to_int() == 2
-    assert split2.split_field_degree == 2  # 2 is a non-residue mod 5
+    g = bf_mul(h, h)
+    assert _split(g) == (h, F5.one())
+    # 2 is a non-residue mod 5: the unit is kept, not absorbed into h
+    assert _split(bf_scale(g, F5.from_int(2))) == (h, F5.from_int(2))
+    # h is normalized to 1 at its first nonzero coefficient
+    t3 = BinaryForm.from_ints(F5, [0, 0, 0, 3])  # 3 t^3
+    assert _split(bf_mul(t3, t3)) == (
+        BinaryForm.from_ints(F5, [0, 0, 0, 1]), F5.from_int(4))
 
 
 def test_perfect_square_split_reexpands():
@@ -275,13 +287,9 @@ def test_perfect_square_split_reexpands():
             if h.is_zero():
                 continue
             u = ctx.from_enc(rng.randrange(1, ctx.q))
-            g = (h * h).scale(u)
-            split = perfect_square_split(g)
-            assert split is not None
-            assert split.h.scale(split.unit).is_zero() or True
-            re = (split.h * split.h).scale(split.unit)
-            assert re == g
-            assert (quad_char(split.unit) == 1) == (split.split_field_degree == 1)
+            g = bf_scale(bf_mul(h, h), u)
+            split_h, unit = _split(g)
+            assert bf_scale(bf_mul(split_h, split_h), unit) == g
 
 
 def test_perfect_square_split_not_square_matches_exhaustive():
@@ -295,10 +303,9 @@ def test_perfect_square_split_not_square_matches_exhaustive():
                                  for _ in range(2 * k + 1)])
             if g.is_zero():
                 continue
-            split = perfect_square_split(g)
             found = tuple(c.to_int() for c in g.coeffs) in \
                 unit_square_products(p, k)
-            assert (split is None) == (not found)
+            assert (_split(g) is None) == (not found)
 
 
 def test_serialization_is_grevlex_descending():

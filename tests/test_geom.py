@@ -7,26 +7,22 @@ import random
 import numpy as np
 import pytest
 
-from k3cert import geom
+from k3cert import ffield, geom
 from k3cert.errors import BudgetExceededError, MathError
 from k3cert.ffield import (
     DEFAULT_ZECH_LIMIT,
     FieldCtx,
-    Poly,
     digits,
     field_create,
     is_prime,
-    quad_char,
 )
 from k3cert.forms import (
     BinaryForm,
     IntForm,
     ModForm,
-    eval_form,
+    _square_split,
     line_form,
-    perfect_square_split,
     reduce_mod,
-    restrict_to_line,
 )
 from k3cert.geom import (
     ConicCert,
@@ -38,7 +34,6 @@ from k3cert.geom import (
     class_matrix,
     decompose_along_line,
     find_tritangents,
-    normalize_point,
     smoothness_check,
     split_pairing,
     verify_conic_identity,
@@ -47,20 +42,29 @@ from k3cert.geom import (
 import data
 from oracles import (
     LinearChange,
+    Poly,
     apply_linear_change,
+    bf_mul,
+    bf_scale,
     chart_points,
     chart_value_logs,
     contact_points_ref,
     decompose_mod_line,
+    eval_form,
     log_restriction_blocks,
     log_unit_times_square,
     macaulay_matrix,
     macaulay_smoothness,
+    normalize_point,
+    partial,
     perfect_square_split_ref,
     poly_roots,
+    quad_char,
     restrict_to_line_ref,
     row_echelon,
+    singular_witness_ref,
     split_pairing_oracle,
+    z_free_forms_ref,
 )
 
 
@@ -172,10 +176,10 @@ def test_find_tritangents_extension_field():
     f = f6.embed(F49)
     for cert in certs:
         # the scalar oracle: the restriction is unit * h^2 ...
-        r = restrict_to_line(f, cert.line)
-        split = perfect_square_split(r)
+        r = restrict_to_line_ref(f, cert.line)
+        split = perfect_square_split_ref(r)
         assert split is not None and split.unit == cert.unit
-        assert (split.h * split.h).scale(cert.unit) == r
+        assert bf_scale(bf_mul(split.h, split.h), cert.unit) == r
         # ... on a line not defined over F_7 ...
         assert not all(c ** 7 == c for c in cert.line)
         # ... touching f6 at the contact points
@@ -352,7 +356,7 @@ def test_search_keeps_lines_over_two_unnested_subfields():
 def test_digit_square_test_matches_scalar_split():
     # on restrictions built as u (t^j h)^2, with their coefficients
     # perturbed, as t times a square and at random, the u*h^2 verdicts equal
-    # the log reference and perfect_square_split
+    # the log reference and the scalar split _square_split
     rng = random.Random(89)
     for p, d in ((3, 1), (7, 1), (101, 1), (3, 2), (5, 2), (3, 4), (11, 2)):
         ctx = field_create(p, d)
@@ -365,7 +369,7 @@ def test_digit_square_test_matches_scalar_split():
             for _ in range(6):
                 h = BinaryForm(ctx, [zero] * j
                                + [rand() for _ in range(4 - j)])
-                c = list((h * h).scale(rand(True)).coeffs)
+                c = list(bf_scale(bf_mul(h, h), rand(True)).coeffs)
                 columns.append(c)
                 i = rng.randrange(7)
                 columns.append(c[:i] + [c[i] + rand(True)] + c[i + 1:])
@@ -379,8 +383,8 @@ def test_digit_square_test_matches_scalar_split():
                          for col in columns]).T
         ok = geom._unit_times_square(ctx, R)
         assert np.array_equal(ok, log_unit_times_square(ctx, logs))
-        want = [any(not c.is_zero() for c in col) and perfect_square_split(
-            BinaryForm(ctx, col)) is not None for col in columns]
+        want = [any(not c.is_zero() for c in col) and _square_split(
+            ctx, [c.v for c in col]) is not None for col in columns]
         assert ok.tolist() == want, (p, d)
         assert 0 < ok.sum() < len(columns)
 
@@ -485,7 +489,8 @@ def test_decompose_synthetic_roundtrip():
         # two valid decompositions differ by the line dividing f3^2 - g3^2
         d = reduce_mod(f3 * f3 - g3 * g3, F7)
         if not d.is_zero():
-            assert restrict_to_line(d, tuple(F7.from_int(c) for c in ell_vec)).is_zero()
+            assert restrict_to_line_ref(
+                d, tuple(F7.from_int(c) for c in ell_vec)).is_zero()
 
 
 def test_decompose_rejects_non_tangent():
@@ -520,7 +525,7 @@ def test_decomposition_matches_coordinate_change_oracle():
                 line = tuple(ctx.from_enc(c) for c in vec)
                 f6 = (_random_form(ctx, 3, rng).square()
                       + line_form(ctx, line) * _random_form(ctx, 5, rng))
-                if f6.is_zero() or restrict_to_line(f6, line).is_zero():
+                if f6.is_zero() or restrict_to_line_ref(f6, line).is_zero():
                     continue
                 want = decompose_mod_line(f6, line)
                 if d == 1:
@@ -731,7 +736,7 @@ def _exhaustive_singular(f6: ModForm, max_degree: int):
     """Oracle: scan P^2(F_{p^e}) directly for common zeros of f6 and its
     partials, using the vectorized chart evaluator."""
     base = f6.ctx
-    polys = [f6] + [f6.partial(v) for v in range(3)]
+    polys = [f6] + [partial(f6, v) for v in range(3)]
     hits = []
     for e in range(1, max_degree + 1):
         ctx = field_create(base.p, base.d * e)
@@ -793,7 +798,7 @@ def test_smoothness_node():
     femb = f6 if wctx is F5 else f6.embed(wctx)
     assert eval_form(femb, rep.witness).is_zero()
     for v in range(3):
-        fp = femb.partial(v)
+        fp = partial(femb, v)
         assert fp.is_zero() or eval_form(fp, rep.witness).is_zero()
     # (0:0:1) itself is singular and within reach of the exhaustive oracle
     assert any(_pt_ints(pt) == (0, 0, 1) for pt, _ in _exhaustive_singular(f6, 1))
@@ -823,7 +828,7 @@ def test_smoothness_matches_exhaustive_on_random_sextics():
                 femb = f6 if wctx is ctx else f6.embed(wctx)
                 assert eval_form(femb, rep.witness).is_zero()
                 for v in range(3):
-                    fp = femb.partial(v)
+                    fp = partial(femb, v)
                     assert fp.is_zero() or eval_form(fp, rep.witness).is_zero()
                 if found:
                     assert rep.verdict == "singular"
@@ -837,7 +842,7 @@ def _assert_singular_witness(f6: ModForm, rep):
     wctx = rep.witness[0].ctx
     assert wctx.d == rep.field_degree
     femb = f6 if wctx is f6.ctx else f6.embed(wctx)
-    for g in [femb] + [femb.partial(v) for v in range(3)]:
+    for g in [femb] + [partial(femb, v) for v in range(3)]:
         assert g.is_zero() or eval_form(g, rep.witness).is_zero()
 
 
@@ -1004,20 +1009,80 @@ def test_scan_witness_matches_the_macaulay_path(monkeypatch):
     assert handed_over.count("x = 0 pair") >= primes - 2
 
 
+def _singular_families(ctx, rng):
+    """Seeded singular sextics over F_p, one per family: a node at a random
+    point (on x = 0 one time in four), g^2 h, a conic times a quartic, the
+    square of a cubic, six lines and the cube of a conic."""
+    p = ctx.p
+
+    def form(degree):
+        return _mod(ctx, {m: rng.randrange(p) for m in _monomials(degree)[0]},
+                    degree)
+
+    def lin(a, b, c):
+        return _mod(ctx, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}, 1)
+
+    v, w = rng.randrange(p), rng.randrange(p)
+    Y, Z = ((lin(1, 0, 0), lin(0, -w, 1)) if rng.random() < 0.25
+            else (lin(-v, 1, 0), lin(-w, 0, 1)))
+    g, c = form(2), form(3)
+    lines = [(1, rng.randrange(p), rng.randrange(p)) for _ in range(6)]
+    return [("node", Y * Y * form(4) + Y * Z * form(4) + Z * Z * form(4)),
+            ("g^2 h", g * g * form(2)), ("conic*quartic", g * form(4)),
+            ("cubic^2", c * c), ("six lines", _lines_product(ctx, lines)),
+            ("conic^3", g * g * g)]
+
+
+def test_ported_witness_matches_the_object_reference(monkeypatch):
+    # the witness search on coefficient encodings against the object
+    # reference it replaced (oracles.singular_witness_ref), on the same
+    # echelon forms: the same point over the same field, a common zero of
+    # f6 and its partials; the scan of P^2(F_p) is off, so that the matrix
+    # path runs at p <= 7 too
+    monkeypatch.setattr(geom, "_SCAN_MAX_P", 0)
+    rng = random.Random(18)
+    degrees, compared = set(), 0
+    for p in (3, 5, 7, 37, 41, 101):
+        ctx = field_create(p, 1)
+        for kind, f6 in _singular_families(ctx, rng):
+            if f6.is_zero():
+                continue
+            rep = smoothness_check(f6)
+            _assert_singular_witness(f6, rep)
+            system, skip = geom._smoothness_system(f6)
+            if not any(coeffs[0] for _, coeffs in system):
+                continue  # (0 : 0 : 1), returned before any matrix
+
+            def z_free(degree):
+                _, rows, pivots = geom._reduced_echelon(system, degree, skip,
+                                                        p)
+                return z_free_forms_ref(ctx, rows, pivots, degree)
+
+            polys = [_mod(ctx, dict(zip(_monomials(e)[0], c.tolist())), e)
+                     for e, c in system]
+            want = normalize_point(singular_witness_ref(polys, z_free(14),
+                                                        z_free))
+            assert (rep.witness, rep.field_degree) == \
+                (want, want[0].ctx.d), (p, kind)
+            degrees.add(rep.field_degree)
+            compared += 1
+    assert compared >= 30 and len(degrees) >= 2, (compared, degrees)
+
+
 def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
     # g^2 h with g(0, y, z) irreducible over F_p: the witness lies on x = 0
     # over F_(p^2), where the root finder must not try x + c for every c
     # in F_p (those never split Frobenius conjugates); the witnesses were
     # recorded before the change of candidates, which at p = 4231 took
-    # 4236 pow_mod calls
+    # 4236 modular powers of polynomials
     calls = []
-    pow_mod = Poly.pow_mod
+    powmod = ffield._fq_powmod
 
-    def counting(self, n, mod):
+    def counting(ctx, a, n, m):
         calls.append(n)
-        return pow_mod(self, n, mod)
+        return powmod(ctx, a, n, m)
 
-    monkeypatch.setattr(Poly, "pow_mod", counting)
+    monkeypatch.setattr(ffield, "_fq_powmod", counting)
     g = IntForm({(2, 0, 0): 3, (1, 1, 0): -2, (1, 0, 1): 5, (0, 2, 0): 1,
                  (0, 1, 1): 1, (0, 0, 2): 2}, 2)
     h = IntForm({(2, 0, 0): 1, (1, 1, 0): 4, (1, 0, 1): -3, (0, 2, 0): -7,
@@ -1031,7 +1096,7 @@ def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
 
 
 def test_witness_over_a_large_extension_asks_for_no_tables(monkeypatch):
-    # binary_roots splits an irreducible factor over F_(p^e) with scalar
+    # _binary_roots splits an irreducible factor over F_(p^e) with scalar
     # arithmetic: a witness over F_(5^9) leaves that field, with its
     # 1953124 units, without tables
     asked = []
@@ -1089,11 +1154,11 @@ def _int_system(forms):
 def test_macaulay_matrix_rows_are_form_multiples():
     # each row is the coefficient vector of (monomial) * (form), with the
     # z-free monomials x^(14-i) y^i in the last 15 columns; the integer
-    # partials of the smoothness system are those of ModForm.partial
+    # partials of the smoothness system are those of the oracle partial
     F7 = field_create(7, 1)
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 3, (0, 0, 6): 1, (2, 2, 2): 5,
                    (1, 0, 5): 2, (3, 3, 0): 4})
-    system = [f6] + [f6.partial(v) for v in range(3)]
+    system = [f6] + [partial(f6, v) for v in range(3)]
     generators, skip = geom._smoothness_system(f6)
     assert skip is None and [(e, c.tolist()) for e, c in generators] == \
         [(e, c.tolist()) for e, c in _int_system(system[1:])]
@@ -1155,7 +1220,7 @@ def test_lazy_row_echelon_matches_oracle():
         for f6 in sextics:
             if f6.is_zero():
                 continue
-            system = [f6] + [h for h in (f6.partial(v) for v in range(3))
+            system = [f6] + [h for h in (partial(f6, v) for v in range(3))
                              if not h.is_zero()]
             _assert_echelon_matches_oracle(macaulay_matrix(system, 14), p)
         for nrows, ncols, rank in ((40, 30, 12), (25, 60, 25), (60, 120, 45)):
@@ -1280,7 +1345,7 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
         for f6 in sextics:
             if f6.is_zero():
                 continue
-            partials = [h for h in (f6.partial(v) for v in range(3))
+            partials = [h for h in (partial(f6, v) for v in range(3))
                         if not h.is_zero()]
             if len(partials) == 3:
                 generators, skip = geom._smoothness_system(f6)

@@ -14,6 +14,7 @@ from k3cert.obstruct import (
 )
 
 import data
+from oracles import bf_add, bf_mul, bf_sub
 
 LINE_X = (1, 0, 0)
 LINE_C = (1, 1, 1)
@@ -84,7 +85,7 @@ def test_surface_c_gbar_matches_published_class():
             pub[(b + j, cc)] = pub.get((b + j, cc), 0) + v
     pub_coeffs = [pub.get((6 - i, i), 0) % 3 for i in range(7)]
     pub_bar = BinaryForm.from_ints(F3, pub_coeffs)
-    diff = report.g_bar - pub_bar
+    diff = bf_sub(report.g_bar, pub_bar)
     # difference must lie in the span: solvable system with rhs = diff
     from k3cert.obstruct import _solve_mod_p
     rhs = [c.to_int() for c in diff.coeffs]
@@ -121,7 +122,8 @@ def test_ideal_member_vanishes():
             continue
         assert report.verdict == "vanishes"
         b3, c1 = report.witness
-        assert (report.f3_bar * b3 + report.f5_bar * c1) == report.g_bar
+        assert bf_add(bf_mul(report.f3_bar, b3),
+                      bf_mul(report.f5_bar, c1)) == report.g_bar
 
 
 def test_verdict_invariant_under_lift_perturbation():
@@ -193,7 +195,8 @@ def test_brute_force_oracle_p3():
             for c1c in itertools.product(range(3), repeat=2):
                 b3 = BinaryForm.from_ints(F3, b3c)
                 c1 = BinaryForm.from_ints(F3, c1c)
-                if report.f3_bar * b3 + report.f5_bar * c1 == report.g_bar:
+                if bf_add(bf_mul(report.f3_bar, b3),
+                          bf_mul(report.f5_bar, c1)) == report.g_bar:
                     found = (b3, c1)
                     break
             if found:

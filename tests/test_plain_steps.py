@@ -1,7 +1,7 @@
 """The certificate steps on coefficient encodings against their FieldElem
 references in oracles.py: restriction, square split, decomposition,
-contact points, roots of binary forms and the obstruction on seeded dense
-and sparse sextics at p = 3, 5 and 7, over F_p and F_(p^2); the
+contact points, roots of binary forms and the obstruction on seeded
+dense and sparse sextics at p = 3, 5 and 7, over F_p and F_(p^2); the
 cyclotomic part on planted factors; and the number of FieldElem objects
 a warm certify builds."""
 
@@ -11,15 +11,15 @@ import pytest
 
 from k3cert import geom
 from k3cert.errors import CommonZeroOnLineError, MathError
-from k3cert.ffield import FieldElem, field_create, quad_char
+from k3cert.ffield import FieldElem, field_create
 from k3cert.forms import (
     BinaryForm,
     IntForm,
     ModForm,
+    _restrict,
+    _square_split,
     line_encs,
-    perfect_square_split,
     reduce_mod,
-    restrict_to_line,
 )
 from k3cert.geom import decompose_along_line, find_tritangents
 from k3cert.obstruct import lifts_to_second_order
@@ -27,12 +27,15 @@ from k3cert.zeta import (FrobeniusPoly, _admissible_orders, cyclotomic_part,
                          euler_phi, poly_mul, poly_pow, scaled_cyclotomic)
 
 from oracles import (
+    bf_mul,
+    bf_scale,
     binary_roots_ref,
     contact_points_ref,
     cyclotomic_part_ref,
     decompose_mod_line,
     obstruction_ref,
     perfect_square_split_ref,
+    quad_char,
     restrict_to_line_ref,
 )
 from test_cli import _with_all_counts, run
@@ -69,8 +72,7 @@ def _line(ctx, rng):
 
 
 def _split_key(split):
-    return None if split is None else (split.h, split.unit,
-                                       split.split_field_degree)
+    return None if split is None else (split.h, split.unit)
 
 
 def test_restriction_matches_reference_over_fp_and_fp2():
@@ -84,8 +86,10 @@ def test_restriction_matches_reference_over_fp_and_fp2():
             for _ in range(4):
                 line = _line(ctx, rng)
                 for form in (f, g):
-                    assert (restrict_to_line(form, line)
-                            == restrict_to_line_ref(form, line))
+                    got = _restrict(ctx, form.encodings(), form.degree,
+                                    line_encs(line, ctx))
+                    assert BinaryForm.from_encs(ctx, got) == \
+                        restrict_to_line_ref(form, line)
 
 
 def test_square_split_matches_reference():
@@ -101,18 +105,20 @@ def test_square_split_matches_reference():
                     h = BinaryForm(ctx, [ctx.zero()] * j + [
                         _elem(ctx, rng, nonzero=not i)
                         for i in range(4 - j)])
-                    g = (h * h).scale(_elem(ctx, rng, nonzero=True))
+                    g = bf_scale(bf_mul(h, h), _elem(ctx, rng, nonzero=True))
                     bumped = list(g.coeffs)
                     i = rng.randrange(7)
                     bumped[i] = bumped[i] + _elem(ctx, rng, nonzero=True)
                     for form in (g, BinaryForm(ctx, bumped)):
                         if form.is_zero():
                             continue
-                        split = perfect_square_split(form)
-                        assert _split_key(split) == _split_key(
-                            perfect_square_split_ref(form))
-                        if split is not None:
-                            degrees.add(split.split_field_degree)
+                        split = _square_split(ctx, [c.v for c in form.coeffs])
+                        want = perfect_square_split_ref(form)
+                        assert _split_key(want) == (split and (
+                            BinaryForm.from_encs(ctx, split[0]),
+                            ctx.from_enc(split[1])))
+                        if want is not None:
+                            degrees.add(want.split_field_degree)
     assert degrees == {1, 2}
 
 
@@ -206,7 +212,7 @@ def test_contact_points_match_the_factoriser():
                 for _ in range(2):
                     coeffs = shape()
                     coeffs += [ctx.zero()] * (4 - len(coeffs))
-                    h = BinaryForm(ctx, coeffs).scale(_elem(ctx, rng, True))
+                    h = bf_scale(BinaryForm(ctx, coeffs), _elem(ctx, rng, True))
                     line = _line(ctx, rng)
                     got = geom._contact_points(ctx, [c.v for c in h.coeffs],
                                                line_encs(line, ctx))
@@ -231,8 +237,10 @@ def test_binary_roots_match_the_factoriser():
                     for _ in range(rng.choice((1, 1, 2, p))):
                         coeffs = _poly_mul(coeffs, factor + [ctx.one()])
                 coeffs += [ctx.zero()] * rng.randint(0, 2)
-                bf = BinaryForm(ctx, coeffs).scale(_elem(ctx, rng, True))
-                assert geom.binary_roots(bf) == binary_roots_ref(bf)
+                bf = bf_scale(BinaryForm(ctx, coeffs), _elem(ctx, rng, True))
+                got = geom._binary_roots(ctx, [c.v for c in bf.coeffs])
+                assert [((FieldElem(ext, u0), FieldElem(ext, v0)), m, ext)
+                         for ext, u0, v0, m in got] == binary_roots_ref(bf)
 
 
 def test_obstruction_matches_reference():
