@@ -55,7 +55,7 @@ from .geom import (
     verify_conic_identity,
 )
 from .lattice import gram_rank_disc, row_basis, square_class_equal
-from .obstruct import lifts_to_second_order
+from .obstruct import binary_str, lifts_to_second_order
 from .zeta import (H2_DIM, artin_tate_value, cyclotomic_part, determine_sign,
                    newton_above_hodge, predicted_count)
 
@@ -190,11 +190,10 @@ def _tritangent_dict(cert):
         "line": cert.line_str(),
         "line_field_degree": cert.line_field_degree,
         "split_field_degree": cert.split_field_degree,
-        "unit": cert.unit.to_int(),
+        "unit": cert.unit,
         "contacts": [
-            {"point": [c.to_int() for c in pt], "multiplicity": m,
-             "field_degree": pt[0].ctx.d}
-            for pt, m in cert.contact_points],
+            {"point": list(pt), "multiplicity": m, "field_degree": field.d}
+            for field, pt, m in cert.contact_points],
         "decomposition": (
             None if cert.f3 is None else
             {"f3": cert.f3.serialize(), "f5": cert.f5.serialize()}),
@@ -351,21 +350,20 @@ def _same_up_to_labels(claim, derived):
 
 
 def _obstruction(spec, p, cert):
-    """The second-order obstruction on a rational-split tritangent, from
-    the decomposition its certificate holds."""
-    rep = lifts_to_second_order(spec.f6, cert.line, p,
-                                (cert.f3.lift(), cert.f5.lift()))
+    """The second-order obstruction on a rational-split tritangent over
+    F_p, from the decomposition its certificate holds."""
+    rep = lifts_to_second_order(spec.f6, cert.line, p, (cert.f3, cert.f5))
     return {
         "p": rep.p,
         "G": rep.G.serialize(),
-        "g_bar": rep.g_bar.serialize(),
-        "f3_bar": rep.f3_bar.serialize(),
-        "f5_bar": rep.f5_bar.serialize(),
+        "g_bar": binary_str(rep.g_bar),
+        "f3_bar": binary_str(rep.f3_bar),
+        "f5_bar": binary_str(rep.f5_bar),
         "matrix": [list(r) for r in rep.matrix],
         "rhs": list(rep.rhs),
         "verdict": rep.verdict,
         "witness": None if rep.witness is None else
-        [rep.witness[0].serialize(), rep.witness[1].serialize()],
+        [binary_str(w) for w in rep.witness],
     }
 
 

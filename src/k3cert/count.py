@@ -48,7 +48,7 @@ try:
 except ImportError:  # CPython 3.12 and later, other interpreters
     from hashlib import sha256
 
-from .errors import (BudgetExceededError, CacheFileError,
+from .errors import (BudgetExceededError, CacheFileError, MathError,
                      SingularReductionError, WeilBoundError)
 from .ffield import FieldCtx, field_create, log_horner
 from .forms import IntForm, ModForm, reduce_mod
@@ -118,14 +118,15 @@ def trace_from_count(N: int, q: int) -> int:
 def _coef_log_matrix(ctx: FieldCtx, f: ModForm) -> np.ndarray:
     """M[b, c] = log of the coefficient of x^(n-b-c) y^b z^c, -1 when absent.
 
-    The form may live over ctx itself or over its prime subfield."""
+    The form may live over ctx itself or over its prime subfield, whose
+    encodings are the same in ctx."""
     if f.ctx is not ctx and (f.ctx.p != ctx.p or f.ctx.d != 1):
         raise ValueError("form is not defined over this field or its prime subfield")
     n = f.degree
     m = np.full((n + 1, n + 1), -1, dtype=np.int64)
     log = ctx.tables()[1]
     for (a, b, c), coef in f.coeffs.items():
-        m[b, c] = log[coef.to_int()]
+        m[b, c] = log[coef]
     return m
 
 
@@ -410,27 +411,31 @@ def count_series(f6: IntForm, p: int, dmax: int, cache: CacheStore | None = None
     """Counts for d = 1..dmax with cache reuse and external injection.
 
     External values (for example published deep counts) are accepted for
-    any d and tagged `external`; cache hits are tagged `cached`.
+    any d and tagged `external`; cache hits are tagged `cached`.  An
+    external value that differs from the cached count of the same surface,
+    p and d raises MathError: one of them is wrong.
     """
     external = external or {}
     fp = fingerprint_mod_p(f6, p)
+    for d, n in sorted(external.items()):
+        hit = cache.get(fp, p, d) if cache is not None else None
+        if hit is not None and hit != n:
+            raise MathError(f"external count N_{d} = {n} contradicts N_{d} = "
+                            f"{hit} in the count cache {cache.path}")
     records = []
     sources = []
     for d in range(1, dmax + 1):
-        q = p ** d
+        hit = cache.get(fp, p, d) if cache is not None else None
         if d in external:
             rec = CountRecord(p=p, d=d, N=int(external[d]), fingerprint=fp)
-            rec.trace  # Weil validation also for injected values
             src = "external"
+        elif hit is not None:
+            rec = CountRecord(p=p, d=d, N=hit, fingerprint=fp)
+            src = "cached"
         else:
-            hit = cache.get(fp, p, d) if cache is not None else None
-            if hit is not None:
-                rec = CountRecord(p=p, d=d, N=hit, fingerprint=fp)
-                rec.trace
-                src = "cached"
-            else:
-                rec = count_points(f6, p, d, deep=deep, workers=workers)
-                src = "computed"
+            rec = count_points(f6, p, d, deep=deep, workers=workers)
+            src = "computed"
+        rec.trace  # the Weil bound, for injected and cached values too
         if cache is not None:
             cache.put(fp, p, d, rec.N, src)
         records.append(rec)

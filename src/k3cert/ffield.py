@@ -13,11 +13,13 @@ lists and reduce them mod the modulus; inverses take the extended
 Euclidean algorithm, and the quadratic character is the Legendre symbol
 of the norm, a resultant with the modulus.  FieldCtx's scalar
 operations (_add, _mul, _dot, _pow, _chi) act on encodings, with the
-prime-field case first; FieldElem wraps them, and the _fq_* functions
-build on them the arithmetic of polynomials over the field as lists of
-encodings, down to their roots over the smallest extensions that hold
-them (_fq_roots).  A field also has exp, log and
-Zech logarithm tables over a fixed multiplicative generator, built on
+prime-field case first, and every step of the pipeline computes on
+encodings through them; FieldElem wraps them as element objects for
+callers that want operators.  The _fq_* functions build on them the
+arithmetic of polynomials over the field as lists of encodings, down to
+their roots over the smallest extensions that hold them (_fq_roots), and
+_embed_enc maps encodings into an extension.  A field also has exp, log
+and Zech logarithm tables over a fixed multiplicative generator, built on
 the first call to FieldCtx.tables (up to q = DEFAULT_ZECH_LIMIT): only
 the array kernels read them.  The log_* functions do Zech arithmetic on
 numpy arrays of log indices, for the point count.  The digit_* functions
@@ -252,6 +254,14 @@ def _lex_least_irreducible(p, d):
     raise AssertionError("no irreducible found")  # impossible
 
 
+def check_table_budget(q: int):
+    """Raise BudgetExceededError when F_q is above the Zech table limit;
+    nothing is built, not even the field."""
+    if q > DEFAULT_ZECH_LIMIT:
+        raise BudgetExceededError(f"F_{q} needs Zech tables, which stop at "
+                                  f"q <= {DEFAULT_ZECH_LIMIT}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -312,20 +322,6 @@ class FieldElem:
         """Canonical integer encoding sum a_i p^i of the coefficient vector."""
         return self.v
 
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector (a_0, ..., a_{d-1}) over F_p."""
-        return tuple(_enc_digits(self.v, self.ctx.p, self.ctx.d))
-
-    def lift(self) -> int:
-        """Integer representative in [0, p) (prime fields only)."""
-        if self.ctx.d != 1:
-            raise ValueError("lift is defined for prime fields only")
-        return self.v
-
-    def frobenius(self):
-        """x -> x^p."""
-        return self ** self.ctx.p
-
     def __repr__(self):
         return f"F{self.ctx.q}:{self.v}"
 
@@ -353,17 +349,9 @@ class FieldCtx:
         g^k.  Only the array kernels need them; above DEFAULT_ZECH_LIMIT
         they raise BudgetExceededError."""
         if self._tables is None:
-            self.check_table_budget()
+            check_table_budget(self.q)
             self._tables = self._build_tables()
         return self._tables
-
-    def check_table_budget(self):
-        """Raise BudgetExceededError when the field is above the Zech
-        table limit, without building anything."""
-        if self.q > DEFAULT_ZECH_LIMIT:
-            raise BudgetExceededError(
-                f"F_{self.q} needs Zech tables, which stop at "
-                f"q <= {DEFAULT_ZECH_LIMIT}")
 
     # -- construction helpers ------------------------------------------------
 
@@ -529,21 +517,6 @@ class FieldCtx:
         if not 0 <= e < self.q:
             raise ValueError("encoding out of range")
         return FieldElem(self, int(e))
-
-    def from_coeffs(self, coeffs) -> FieldElem:
-        """Element sum coeffs[i] * t^i from integer coefficients."""
-        if len(coeffs) > self.d:
-            raise ValueError("too many coefficients")
-        return FieldElem(self, _digits_enc([c % self.p for c in coeffs], self.p))
-
-    def gen(self) -> FieldElem:
-        """The class of t (a root of the modulus); d = 1 gives 0."""
-        return self.from_coeffs([0, 1]) if self.d > 1 else self.zero()
-
-    def elements(self):
-        """All field elements in canonical encoding order."""
-        for e in range(self.q):
-            yield FieldElem(self, e)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, d={self.d})"
@@ -860,24 +833,11 @@ def _embedding_powers(src: FieldCtx, target: FieldCtx):
 
 def _embed_enc(src: FieldCtx, target: FieldCtx, a: int) -> int:
     """The encoding in target of the image of the element of encoding a in
-    src under embed_subfield's map."""
+    src, for src a subfield of target (src.d divides target.d), under the
+    canonical ring map: it fixes F_p and sends the class of t to the least
+    root (by encoding) of the source modulus in the target, so the image
+    has the same minimal polynomial over F_p."""
     if src is target or src.d == 1:  # F_p has the same encodings in target
         return a
     return target._dot(_enc_digits(a, src.p, src.d),
                        _embedding_powers(src, target))
-
-
-def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:
-    """Embed a in F_{p^d} into F_{p^(de)} along the canonical ring map.
-
-    The map fixes F_p and sends the class of t to the least root (by
-    encoding) of the source modulus in the target; the image satisfies the
-    same minimal polynomial over F_p.
-    """
-    src = a.ctx
-    if target.p != src.p:
-        raise ValueError("different characteristic")
-    if target.d % src.d:
-        raise ValueError(
-            f"F_p^{src.d} does not embed into F_p^{target.d}: degree not divisible")
-    return FieldElem(target, _embed_enc(src, target, a.v))

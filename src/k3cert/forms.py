@@ -1,9 +1,15 @@
-"""Homogeneous trivariate forms over Z and over F_q, plus binary forms.
+"""Homogeneous trivariate forms over Z, and forms over F_q as data.
 
-Trivariate forms are sparse maps from exponent triples (a, b, c) with
-a + b + c = degree to coefficients; a degree-6 form has at most 28
-monomials.  Binary forms (restrictions to lines) are dense coefficient
-vectors.  Integer lifts use representatives in [0, p) throughout.
+A form is a sparse map from exponent triples (a, b, c) with a + b + c =
+degree to coefficients; a degree-6 form has at most 28 monomials.  IntForm
+has integer coefficients and the arithmetic that the parser, the conic
+identities and the obstruction need.  ModForm carries a form over one
+FieldCtx: its field, its degree and the canonical encodings (ffield) of its
+nonzero coefficients, with no arithmetic; every step over F_q reads the
+encodings.  Over F_p an encoding is the integer lift in [0, p).  A binary
+form (a restriction to a line) is a dense list of coefficient encodings,
+entry i the coefficient of s^(n-i) t^i; a line is the triple of its
+coefficients.
 
 Canonical text serialization lists monomials in descending graded reverse
 lexicographic order as ``c*x^a*y^b*z^c`` joined by ``+``; it feeds reports
@@ -13,9 +19,8 @@ and cache fingerprints, so it must never change.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
-from .ffield import FieldCtx, FieldElem, _fq_mul, embed_subfield
+from .ffield import FieldCtx, _embed_enc, _fq_mul
 
 
 def _grevlex_sort_key(mono):
@@ -33,22 +38,22 @@ def _check_homogeneous(coeffs, degree):
                 f"monomial {mono!r} has degree {sum(mono)}, expected {degree}")
 
 
-class _Form:
-    """Sparse form in x, y, z: the arithmetic IntForm and ModForm share.
+def _serialize(coeffs: dict) -> str:
+    if not coeffs:
+        return "0"
+    return "+".join(f"{coeffs[(a, b, c)]}*x^{a}*y^{b}*z^{c}"
+                    for (a, b, c) in sorted(coeffs, key=_grevlex_sort_key))
 
-    A subclass fixes the coefficient ring: _coerce checks one coefficient,
-    _new builds a form over the same ring, and _int gives the integer a
-    coefficient serializes to.  ctx is the coefficient field, None over Z.
-    """
+
+class IntForm:
+    """Homogeneous form in x, y, z with integer coefficients."""
 
     __slots__ = ("degree", "coeffs")
-    nvars = 3
-    ctx = None
 
     def __init__(self, coeffs: dict, degree: int | None = None):
         clean = {}
         for m, c in coeffs.items():
-            c = self._coerce(c)
+            c = int(c)
             if c:
                 clean[tuple(m)] = c
         if degree is None:
@@ -63,62 +68,41 @@ class _Form:
         return not self.coeffs
 
     def __eq__(self, other):
-        return (type(other) is type(self) and other.ctx is self.ctx
-                and other.degree == self.degree and other.coeffs == self.coeffs)
+        return (type(other) is IntForm and other.degree == self.degree
+                and other.coeffs == self.coeffs)
 
     __hash__ = None
 
-    def _check(self, other):
-        if other.ctx is not self.ctx:
-            raise ValueError("field context mismatch")
-
     def __add__(self, other):
-        self._check(other)
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return self._new(out, self.degree)
+            out[m] = out.get(m, 0) + c
+        return IntForm(out, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._new({m: -c for m, c in self.coeffs.items()}, self.degree)
+        return IntForm({m: -c for m, c in self.coeffs.items()}, self.degree)
 
     def __mul__(self, other):
-        self._check(other)
         out: dict = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = out.get(m)
-                out[m] = c1 * c2 if s is None else s + c1 * c2
-        return self._new(out, self.degree + other.degree)
+                out[m] = out.get(m, 0) + c1 * c2
+        return IntForm(out, self.degree + other.degree)
 
     def scale(self, k):
-        return self._new({m: c * k for m, c in self.coeffs.items()}, self.degree)
+        return IntForm({m: c * k for m, c in self.coeffs.items()}, self.degree)
 
     def square(self):
         return self * self
 
     def serialize(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return "+".join(f"{self._int(self.coeffs[(a, b, c)])}*x^{a}*y^{b}*z^{c}"
-                        for (a, b, c) in sorted(self.coeffs, key=_grevlex_sort_key))
-
-
-class IntForm(_Form):
-    """Homogeneous form in x, y, z with integer coefficients."""
-
-    __slots__ = ()
-    _coerce = _int = staticmethod(int)
-
-    def _new(self, coeffs, degree):
-        return IntForm(coeffs, degree)
+        return _serialize(self.coeffs)
 
     def apply_int_matrix(self, rows):
         """Substitute variable i by the integer linear form rows[i]."""
@@ -140,145 +124,45 @@ class IntForm(_Form):
         return f"IntForm({self.serialize()})"
 
 
-class ModForm(_Form):
-    """Homogeneous form in x, y, z with coefficients in one FieldCtx."""
+class ModForm:
+    """Homogeneous form in x, y, z over one FieldCtx, as data: the
+    encodings of its nonzero coefficients by monomial."""
 
-    __slots__ = ("ctx",)
-    _int = staticmethod(FieldElem.to_int)
+    __slots__ = ("ctx", "degree", "coeffs")
 
-    def __init__(self, ctx: FieldCtx, coeffs: dict, degree: int | None = None):
+    def __init__(self, ctx: FieldCtx, coeffs: dict, degree: int):
+        clean = {tuple(m): c for m, c in coeffs.items() if c}
+        _check_homogeneous(clean, degree)
         self.ctx = ctx
-        super().__init__(coeffs, degree)
+        self.degree = degree
+        self.coeffs = clean
 
-    def _coerce(self, c):
-        if not isinstance(c, FieldElem):
-            raise TypeError("ModForm coefficients must be FieldElem")
-        if c.ctx is not self.ctx:
-            raise ValueError("field context mismatch")
-        return c
+    def is_zero(self):
+        return not self.coeffs
 
-    def _new(self, coeffs, degree):
-        return ModForm(self.ctx, coeffs, degree)
+    def __eq__(self, other):
+        return (isinstance(other, ModForm) and other.ctx is self.ctx
+                and other.degree == self.degree and other.coeffs == self.coeffs)
 
-    @classmethod
-    def from_int_coeffs(cls, ctx, coeffs: dict, degree: int | None = None):
-        return cls(ctx, {m: ctx.from_int(c) for m, c in coeffs.items()}, degree)
+    __hash__ = None
 
-    @classmethod
-    def from_encs(cls, ctx, encs: dict, degree: int):
-        """The form with these coefficient encodings."""
-        return cls(ctx, {m: FieldElem(ctx, c) for m, c in encs.items()},
-                   degree)
+    def serialize(self) -> str:
+        return _serialize(self.coeffs)
 
-    def encodings(self) -> dict:
-        """The coefficient encodings, by monomial."""
-        return {m: c.v for m, c in self.coeffs.items()}
-
-    def lift(self) -> IntForm:
-        """Integer lift with coefficients in [0, p); prime-field forms only."""
-        if self.ctx.d != 1:
-            raise ValueError("lift is defined over prime fields only")
-        return IntForm({m: c.to_int() for m, c in self.coeffs.items()}, self.degree)
-
-    def embed(self, target: FieldCtx) -> "ModForm":
-        """Coefficientwise embedding into an extension field."""
-        return ModForm(target, {m: embed_subfield(c, target)
+    def embed(self, target: FieldCtx) -> ModForm:
+        """The same form over an extension field (ffield._embed_enc)."""
+        return ModForm(target, {m: _embed_enc(self.ctx, target, c)
                                 for m, c in self.coeffs.items()}, self.degree)
 
     def __repr__(self):
         return f"ModForm(F{self.ctx.q}; {self.serialize()})"
 
 
-class BinaryForm:
-    """Homogeneous form in two variables (u, v) over a FieldCtx.
-
-    coeffs[i] is the coefficient of u^(degree-i) v^i, stored densely.
-    """
-
-    __slots__ = ("ctx", "degree", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs: Iterable[FieldElem]):
-        cs = tuple(coeffs)
-        if not cs:
-            raise ValueError("binary form needs at least one coefficient")
-        for c in cs:
-            if not isinstance(c, FieldElem) or c.ctx is not ctx:
-                raise ValueError("field context mismatch")
-        self.ctx = ctx
-        self.degree = len(cs) - 1
-        self.coeffs = cs
-
-    @classmethod
-    def from_ints(cls, ctx, ints):
-        return cls(ctx, [ctx.from_int(n) for n in ints])
-
-    @classmethod
-    def from_encs(cls, ctx, encs):
-        """The form with these coefficient encodings."""
-        return cls(ctx, [FieldElem(ctx, c) for c in encs])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, BinaryForm) and other.ctx is self.ctx
-                and other.coeffs == self.coeffs)
-
-    __hash__ = None
-
-    def serialize(self) -> str:
-        if self.is_zero():
-            return "0"
-        n = self.degree
-        parts = [f"{c.to_int()}*u^{n - i}*v^{i}"
-                 for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"BinaryForm(F{self.ctx.q}; {self.serialize()})"
-
-
-def line_coeffs(line, ctx: FieldCtx | None = None) -> tuple:
-    """Coefficient triple of a linear form given as a ModForm, a triple of
-    FieldElem, or a triple of integers read in ctx."""
-    if isinstance(line, ModForm):
-        if line.degree != 1:
-            raise ValueError("not a linear form")
-        ctx = line.ctx
-        vec = [ctx.zero(), ctx.zero(), ctx.zero()]
-        for m, c in line.coeffs.items():
-            vec[m.index(1)] = c
-        return tuple(vec)
-    vec = tuple(line)
-    if len(vec) != 3:
-        raise ValueError("need three coefficients")
-    if isinstance(vec[0], FieldElem):
-        return vec
-    return tuple(ctx.from_int(c) for c in vec)
-
-
-def line_form(ctx, vec) -> ModForm:
-    return ModForm(ctx, {(1, 0, 0): vec[0], (0, 1, 0): vec[1], (0, 0, 1): vec[2]}, 1)
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
 def reduce_mod(f: IntForm, ctx: FieldCtx) -> ModForm:
     """Coefficientwise reduction of an integer form into F_p."""
     if ctx.d != 1:
         raise ValueError("reduction targets a prime field")
-    return ModForm.from_int_coeffs(ctx, f.coeffs, f.degree)
-
-
-def line_encs(line, ctx: FieldCtx) -> tuple:
-    """The coefficient encodings in ctx of a line given as line_coeffs
-    takes it."""
-    vec = line_coeffs(line, ctx)
-    if any(c.ctx is not ctx for c in vec):
-        raise ValueError("field context mismatch")
-    return tuple(c.v for c in vec)
+    return ModForm(ctx, {m: c % ctx.p for m, c in f.coeffs.items()}, f.degree)
 
 
 def _pivot_split(line):

@@ -14,9 +14,9 @@ one inverse per line from the log tables) runs on those arrays.  Only
 the lines that pass are restricted and split once more in scalar
 arithmetic on coefficient encodings (plain integers, through FieldCtx's
 scalar operations, in every field alike), which also gives their
-decomposition and contact points; FieldElem and ModForm objects are
-built only for the certificates.  A field above the Zech table limit
-raises BudgetExceededError.
+decomposition and contact points; the certificates hold those
+encodings.  A field above the Zech table limit raises
+BudgetExceededError.
 
 The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l happens
 in the line's own coordinates: _restrict parametrizes l = 0 by
@@ -90,7 +90,6 @@ from .errors import BudgetExceededError, MathError, SingularReductionError
 from .ffield import (
     DEFAULT_ZECH_LIMIT,
     FieldCtx,
-    FieldElem,
     _embed_enc,
     _fq_gcd,
     _fq_roots,
@@ -99,6 +98,7 @@ from .ffield import (
     _zp_gcd2,
     _zp_mul,
     _zp_trim,
+    check_table_budget,
     digit_inv,
     digit_mul,
     digit_powers,
@@ -112,7 +112,6 @@ from .forms import (
     _pivot_split,
     _restrict,
     _square_split,
-    line_encs,
     reduce_mod,
 )
 
@@ -160,24 +159,25 @@ def _binary_roots(ctx: FieldCtx, coeffs):
 
 @dataclass
 class TritangentCert:
-    """A line whose restriction of f6 is a unit times a perfect square.
+    """A line whose restriction of f6 is a unit times a perfect square, on
+    coefficient encodings in the line's field.
 
-    f3 and f5 realize f6 = f3^2 + line*f5 over the line's field and are
-    present only for rational splits (the decomposition needs a square
-    unit); contact points carry multiplicities and may live in extension
-    fields."""
+    f3 and f5 realize f6 = f3^2 + line*f5 over that field and are present
+    only for rational splits (the decomposition needs a square unit);
+    contact points carry multiplicities and may live in extension fields,
+    each as (field, encodings of the point, multiplicity)."""
 
-    line: tuple  # normalized coefficient triple
-    line_field_degree: int
+    field: FieldCtx  # the line's field F_(p^e)
+    line: tuple  # encodings of the coefficients, the last nonzero one 1
+    line_field_degree: int  # e
     split_field_degree: int  # 1 when the splits are rational, else 2
-    unit: FieldElem
-    contact_points: tuple  # ((x, y, z), multiplicity) with points normalized
+    unit: int
+    contact_points: tuple  # points with their first nonzero coordinate 1
     f3: ModForm | None
     f5: ModForm | None
 
     def line_str(self) -> str:
-        return "+".join(f"{c.to_int()}*{v}" for c, v in
-                        zip(self.line, "xyz") if not c.is_zero())
+        return "+".join(f"{c}*{v}" for c, v in zip(self.line, "xyz") if c)
 
 
 @dataclass
@@ -194,8 +194,8 @@ class ConicCert:
 @dataclass
 class SingularityReport:
     verdict: str  # smooth | singular
-    witness: tuple | None = None
-    field_degree: int | None = None
+    field: FieldCtx | None = None  # the witness's field
+    witness: tuple | None = None  # encodings of its coordinates in field
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def _contact_points(ctx: FieldCtx, h, line):
     """The contact points of a tritangent with multiplicities: the roots of
     the binary form h (coefficient encodings) from _binary_roots, mapped
     through the line's parametrization (_kernel_basis) and normalized, as
-    cert-ready ((x, y, z), multiplicity) pairs."""
+    (field, (x, y, z), multiplicity) with encodings over the root's field."""
     roots = _binary_roots(ctx, h)
     basis = {ext: [[_embed_enc(ctx, ext, c) for c in w]
                    for w in _kernel_basis(ctx, line)] for ext, *_ in roots}
@@ -215,8 +215,7 @@ def _contact_points(ctx: FieldCtx, h, line):
         pt = [ext._add(ext._mul(u0, a), ext._mul(v0, b))
               for a, b in zip(*basis[ext])]
         inv = ext._pow(next(c for c in pt if c), -1)
-        out.append((tuple(FieldElem(ext, ext._mul(c, inv)) for c in pt),
-                    mult))
+        out.append((ext, tuple(ext._mul(c, inv) for c in pt), mult))
     return tuple(out)
 
 
@@ -270,12 +269,13 @@ def _decompose_mod_line(ctx: FieldCtx, f6: dict, line, h, unit: int):
 
 
 def decompose_along_line(f6: IntForm, line, p: int):
-    """Integer lifts (f3, f5) in [0, p) with f6 = f3^2 + line*f5 (mod p).
+    """Integer lifts (f3, f5) in [0, p) with f6 = f3^2 + line*f5 (mod p),
+    for a line given by its integer coefficient triple.
 
     The line must be a tritangent of f6 mod p with rational splits."""
     ctx = field_create(p, 1)
     f6p = {m: c % p for m, c in f6.coeffs.items()}
-    vec = line_encs(line, ctx)
+    vec = tuple(c % p for c in line)
     split = _square_split(ctx, _restrict(ctx, f6p, f6.degree, vec))
     if split is None:
         raise MathError(
@@ -410,13 +410,13 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
     for sub in subs:
         proper |= sub
     monos, _ = _monomials(n)
-    coeffs = digits(ctx, [f.coeffs[m].to_int() if m in f.coeffs else 0
-                          for m in monos] + [0])
+    coeffs = digits(ctx, [f.coeffs.get(m, 0) for m in monos] + [0])
     (pos1, mult1), (pos2, mult2), pos3 = _restriction_terms(n)
     # U[(s, i), x]: digit i of t^(s+x) for s <= 2d - 2 and x < d, read
-    # from the digits of the field's powers t^0..t^(3d-3)
+    # from the digits of the field's powers t^0..t^(3d-3) (t has the
+    # encoding p, and is 0 over F_p)
     deg = np.arange(2 * d - 1)
-    U = digits(ctx, [(ctx.gen() ** s).to_int() for s in range(3 * d - 2)])
+    U = digits(ctx, [ctx._pow(p % q, s) for s in range(3 * d - 2)])
     U = U[:, np.add.outer(deg, deg[:d])].transpose(1, 0, 2).reshape(
         (2 * d - 1) * d, d)
     # X1[(k, j), (i, m, k', l)]: digit i of the a^j b^l coefficient of R_m
@@ -478,13 +478,13 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     Each field is searched with the array test of _candidate_lines; only
     the lines it finds go, once each, through _restrict and _square_split
     on coefficient encodings, whose split also gives the decomposition
-    and the contact points; the certificate is built from them.  Every
-    field is checked before any is searched: the test needs Zech tables,
-    so a field above the Zech limit raises BudgetExceededError
-    (FieldCtx.check_table_budget, the check FieldCtx.tables makes), and so
-    does a field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT
-    unless deep is set (the q^2 + q + 1 lines run at about 2.5e6 per
-    second over F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
+    and the contact points; the certificate holds them.  Every q = p^e is
+    checked, in order of e, before any field is built: the test needs Zech
+    tables, so a field above the Zech limit raises BudgetExceededError
+    (check_table_budget, the check FieldCtx.tables makes), and so does a
+    field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT unless
+    deep is set (the q^2 + q + 1 lines run at about 2.5e6 per second over
+    F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
     search holds a float64 table of 56 q d bytes (_restriction_blocks),
     235 MB at q = 2^22 over a prime field, besides the field's tables,
     which the search builds: the first blocks over F_4194301 peak at 360
@@ -493,19 +493,19 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     locus) is skipped; that configuration is singular and belongs to
     smoothness_check."""
     base = f6.ctx
-    fields = [field_create(base.p, base.d * e)
-              for e in range(1, search_field_degree + 1)]
-    for ctx in fields:
-        ctx.check_table_budget()
-        if ctx.q ** 2 > MANDATORY_Q2_LIMIT and not deep:
+    for e in range(1, search_field_degree + 1):
+        q = base.q ** e
+        check_table_budget(q)
+        if q ** 2 > MANDATORY_Q2_LIMIT and not deep:
             raise BudgetExceededError(
-                f"the tritangent search over F_{ctx.q} tests q^2 + q + 1 "
+                f"the tritangent search over F_{q} tests q^2 + q + 1 "
                 f"lines, beyond the desk-scale budget q^2 <= "
                 f"{MANDATORY_Q2_LIMIT}; pass deep=True (--deep) to run it")
     out = []
-    for e, ctx in enumerate(fields, start=1):
+    for e in range(1, search_field_degree + 1):
+        ctx = field_create(base.p, base.d * e)
         f = f6 if ctx is base else f6.embed(ctx)
-        coeffs = f.encodings()
+        coeffs = f.coeffs
         for index in _candidate_lines(f, base.q, e):
             vec = _line_at(ctx, index)
             split = _square_split(ctx, _restrict(ctx, coeffs, f.degree, vec))
@@ -517,13 +517,13 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
             f3 = f5 = None
             if rational:
                 f3, f5 = _decompose_mod_line(ctx, coeffs, vec, h, unit)
-                f3 = ModForm.from_encs(ctx, f3, 3)
-                f5 = ModForm.from_encs(ctx, f5, f.degree - 1)
+                f3, f5 = ModForm(ctx, f3, 3), ModForm(ctx, f5, f.degree - 1)
             out.append(TritangentCert(
-                line=tuple(FieldElem(ctx, c) for c in vec),
+                field=ctx,
+                line=vec,
                 line_field_degree=e,
                 split_field_degree=1 if rational else 2,
-                unit=FieldElem(ctx, unit),
+                unit=unit,
                 contact_points=_contact_points(ctx, h, vec),
                 f3=f3,
                 f5=f5,
@@ -572,13 +572,11 @@ class SplitCurve:
 
     @classmethod
     def from_tritangent(cls, name, cert: TritangentCert):
-        def ints(form):
-            return {m: c.to_int() for m, c in form.coeffs.items()}
-
-        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                        (c.to_int() for c in cert.line)))
-        return cls(name, cert.unit.ctx.p, 1, line, ints(cert.f5),
-                   ints(cert.f3), 1)
+        """From a certificate over F_p, whose encodings are the forms'
+        coefficients in [0, p)."""
+        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), cert.line))
+        return cls(name, cert.field.p, 1, line, cert.f5.coeffs,
+                   cert.f3.coeffs, 1)
 
     @classmethod
     def from_conic(cls, name, cert: ConicCert, p: int):
@@ -827,7 +825,7 @@ def _smoothness_system(f6: ModForm):
     p, index = f6.ctx.p, _monomials(6)[1]
     c6 = np.zeros(len(index), dtype=np.int64)
     for m, c in f6.coeffs.items():
-        c6[index[m]] = c.to_int()
+        c6[index[m]] = c
     pos, mult = _partial_terms()
     partials = [(v, (5, g)) for v, g in enumerate(c6[pos] * mult % p)
                 if g.any()]
@@ -1190,21 +1188,17 @@ def smoothness_check(f6: ModForm) -> SingularityReport:
                                   f"stops at p <= {DEFAULT_ZECH_LIMIT}")
     system, skip = _smoothness_system(f6)
     if not any(coeffs[0] for _, coeffs in system):  # the z^k terms
-        return SingularityReport("singular", (ctx.zero(), ctx.zero(),
-                                              ctx.one()), 1)
+        return SingularityReport("singular", ctx, (0, 0, 1))
     if ctx.p <= _SCAN_MAX_P:
         pt = _rational_witness(system, ctx.p)
         if pt is not None:
-            return SingularityReport("singular",
-                                     tuple(map(ctx.from_int, pt)), 1)
+            return SingularityReport("singular", ctx, pt)
     rank, rows, pivots = _reduced_echelon(system, _MACAULAY_DEGREE, skip,
                                           ctx.p)
     if rank == len(_monomials(_MACAULAY_DEGREE)[0]):
         return SingularityReport("smooth")
-    ext, pt = _singular_witness(ctx, system, skip, _z_free_forms(
-        rows, pivots, _MACAULAY_DEGREE))
-    return SingularityReport("singular", tuple(FieldElem(ext, c) for c in pt),
-                             ext.d)
+    return SingularityReport("singular", *_singular_witness(
+        ctx, system, skip, _z_free_forms(rows, pivots, _MACAULAY_DEGREE)))
 
 
 def assert_good_reduction(f6: IntForm, p: int) -> SingularityReport:
@@ -1215,8 +1209,7 @@ def assert_good_reduction(f6: IntForm, p: int) -> SingularityReport:
         raise SingularReductionError(f"f6 vanishes identically mod {p}")
     report = smoothness_check(f6p)
     if report.verdict == "singular":
-        wit = tuple(c.to_int() for c in report.witness)
         raise SingularReductionError(
-            f"branch sextic is singular mod {p}: witness {wit} over "
-            f"F_{p}^{report.field_degree}")
+            f"branch sextic is singular mod {p}: witness {report.witness} "
+            f"over F_{p}^{report.field.d}")
     return report

@@ -22,19 +22,20 @@ from dataclasses import dataclass
 
 from .errors import CommonZeroOnLineError, NotDivisibleError
 from .ffield import field_create
-from .forms import BinaryForm, IntForm, _restrict, line_encs
+from .forms import IntForm, _restrict
 from .geom import _form_gcd, decompose_along_line
 
 
 @dataclass
 class ObstructionReport:
-    """Audit record of one obstruction computation."""
+    """Audit record of one obstruction computation; the binary forms are
+    coefficient lists over F_p, entry i the coefficient of u^(n-i) v^i."""
 
     p: int
     G: IntForm
-    g_bar: BinaryForm   # G mod (p, line), in the line's two coordinates
-    f3_bar: BinaryForm
-    f5_bar: BinaryForm
+    g_bar: list         # G mod (p, line), in the line's two coordinates
+    f3_bar: list
+    f5_bar: list
     matrix: tuple       # 7 rows x 6 columns over F_p
     rhs: tuple          # 7 entries
     verdict: str        # vanishes | nonvanishing
@@ -45,9 +46,19 @@ class ObstructionReport:
         return self.verdict == "vanishes"
 
 
-def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntForm:
+def binary_str(coeffs) -> str:
+    """The report text of a binary form given by its coefficient list:
+    c*u^a*v^b for each nonzero coefficient, joined by +, or 0."""
+    n = len(coeffs) - 1
+    return "+".join(f"{c}*u^{n - i}*v^{i}"
+                    for i, c in enumerate(coeffs) if c) or "0"
+
+
+def obstruction_G(f6: IntForm, line, f3, f5, p: int) -> IntForm:
     """G = (f6 - f3^2 - l*f5)/p, exact over Z, with l the line's
-    coefficients in [0, p).
+    coefficients in [0, p).  f3 and f5 are forms with integer
+    coefficients: IntForms, or ModForms over F_p, whose encodings are
+    their lifts in [0, p).
 
     Every coefficient of the numerator must be divisible by p (the
     decomposition identity mod p); otherwise the decomposition upstream is
@@ -61,7 +72,7 @@ def obstruction_G(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int) -> IntFor
         for m2, c2 in f3.coeffs.items():
             sub((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]), c1 * c2)
     for (x, y, z), lv in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                             line_encs(line, field_create(p, 1))):
+                             (c % p for c in line)):
         for m, c in f5.coeffs.items():
             sub((m[0] + x, m[1] + y, m[2] + z), lv * c)
     if any(c % p for c in numerator.values()):
@@ -98,19 +109,20 @@ def _solve_mod_p(matrix, rhs, p):
     return tuple(sol)
 
 
-def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
+def obstruction_vanishes(G: IntForm, line, f3, f5,
                          p: int) -> ObstructionReport:
-    """Decide membership of G in (p, l, f3, f5) by the 7x6 linear system.
+    """Decide membership of G in (p, l, f3, f5) by the 7x6 linear system,
+    for a line given by its integer coefficient triple and f3, f5 as
+    obstruction_G takes them.
 
     Runs on integers mod p: the restrictions to the line (forms._restrict
     over F_p), the gcd of those of f3 and f5 (geom._form_gcd) and the
-    re-verification of a witness; the report's binary forms are built
-    from the results.  Raises CommonZeroOnLineError when f3 and f5 share
-    a projective zero on the line; that configuration contradicts the
-    smoothness the obstruction formula assumes and must be surfaced, not
-    absorbed."""
+    re-verification of a witness.  Raises CommonZeroOnLineError when f3
+    and f5 share a projective zero on the line; that configuration
+    contradicts the smoothness the obstruction formula assumes and must be
+    surfaced, not absorbed."""
     ctx = field_create(p, 1)
-    vec = line_encs(line, ctx)
+    vec = tuple(c % p for c in line)
     g, a3, a5 = (_restrict(ctx, {m: c % p for m, c in form.coeffs.items()},
                            form.degree, vec) for form in (G, f3, f5))
     if not any(a3) or not any(a5):
@@ -143,11 +155,9 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
                     recombined[i + j] += a * b
         assert [c % p for c in recombined] == g, \
             "witness failed exact re-verification"
-        witness = (BinaryForm.from_encs(ctx, sol[:4]),
-                   BinaryForm.from_encs(ctx, sol[4:]))
-    g_bar, f3_bar, f5_bar = (BinaryForm.from_encs(ctx, c) for c in (g, a3, a5))
+        witness = (list(sol[:4]), list(sol[4:]))
     return ObstructionReport(
-        p=p, G=G, g_bar=g_bar, f3_bar=f3_bar, f5_bar=f5_bar,
+        p=p, G=G, g_bar=g, f3_bar=a3, f5_bar=a5,
         matrix=tuple(tuple(r) for r in matrix), rhs=tuple(g),
         verdict=verdict, witness=witness)
 
@@ -155,9 +165,10 @@ def obstruction_vanishes(G: IntForm, line, f3: IntForm, f5: IntForm,
 def lifts_to_second_order(f6: IntForm, line, p: int,
                           decomposition=None) -> ObstructionReport:
     """Full pipeline: canonical decomposition along the line, then G, then
-    the membership verdict.  `decomposition`, integer lifts (f3, f5) of
-    the canonical decomposition that a TritangentCert already carries,
-    saves computing it again."""
+    the membership verdict, for a line given by its integer coefficient
+    triple.  `decomposition`, the canonical (f3, f5) that a TritangentCert
+    over F_p already carries (or their integer lifts), saves computing it
+    again."""
     f3, f5 = (decompose_along_line(f6, line, p) if decomposition is None
               else decomposition)
     G = obstruction_G(f6, line, f3, f5, p)

@@ -24,9 +24,14 @@ contact_points_ref), the singular witness (singular_witness_ref, with
 z_free_forms_ref, specialize_xy and lift_through_z_ref), the
 obstruction (obstruction_ref) and the cyclotomic part by trial division
 alone (cyclotomic_part_ref).  They build on an object layer of their
-own: Poly, binary form arithmetic through it (bf_mul, bf_add, bf_sub,
-bf_scale, bf_gcd), eval_form, partial, normalize_point and the
-quadratic character by Euler's criterion (quad_char)."""
+own, on FieldElem coefficients: forms over F_q with arithmetic (ObjForm,
+which .mod() turns into the program's ModForm of coefficient encodings
+and ObjForm.of reads back), lines as FieldElem triples (line_coeffs,
+line_form), the subfield embedding of an element (embed_subfield),
+binary forms (BinaryForm) and Poly, binary form arithmetic through Poly
+(bf_mul, bf_add, bf_sub, bf_scale, bf_gcd), eval_form, partial,
+normalize_point and the quadratic character by Euler's criterion
+(quad_char)."""
 
 import collections
 import functools
@@ -41,19 +46,19 @@ from k3cert.errors import (BudgetExceededError, CommonZeroOnLineError,
 from k3cert.ffield import (
     FieldCtx,
     FieldElem,
-    embed_subfield,
+    _embed_enc,
+    _enc_digits,
     field_create,
     log_add,
     log_horner,
     log_mul,
 )
 from k3cert.forms import (
-    BinaryForm,
     IntForm,
     ModForm,
+    _check_homogeneous,
     _grevlex_sort_key,
-    line_coeffs,
-    line_form,
+    _serialize,
     reduce_mod,
 )
 from k3cert.geom import (
@@ -68,9 +73,186 @@ from k3cert.zeta import (RankBound, _is_zero_poly, euler_phi, poly_divmod,
 
 # ---------------------------------------------------------------------------
 # the object layer of FieldElem arithmetic that the references below build
-# on: univariate polynomials (Poly), binary form arithmetic through them,
-# evaluation and partial derivatives of ModForms, the quadratic character
-# by Euler's criterion and the normalization of projective points
+# on: forms over F_q (ObjForm), lines, binary forms, univariate polynomials
+# (Poly), binary form arithmetic through them, evaluation and partial
+# derivatives of forms, the quadratic character by Euler's criterion and
+# the normalization of projective points
+
+
+def embed_subfield(a: FieldElem, target: FieldCtx) -> FieldElem:
+    """a in F_(p^d) embedded into F_(p^(de)) along the program's map
+    (ffield._embed_enc)."""
+    if target.p != a.ctx.p or target.d % a.ctx.d:
+        raise ValueError(f"F_{a.ctx.q} does not embed into F_{target.q}")
+    return FieldElem(target, _embed_enc(a.ctx, target, a.v))
+
+
+def frobenius(a: FieldElem) -> FieldElem:
+    return a ** a.ctx.p
+
+
+def elements(ctx: FieldCtx):
+    """All elements in canonical encoding order."""
+    return [ctx.from_enc(e) for e in range(ctx.q)]
+
+
+class ObjForm:
+    """Homogeneous form in x, y, z with FieldElem coefficients in one
+    FieldCtx, with sums, products and scaling."""
+
+    __slots__ = ("ctx", "degree", "coeffs")
+
+    def __init__(self, ctx: FieldCtx, coeffs: dict, degree: int | None = None):
+        clean = {}
+        for m, c in coeffs.items():
+            if not isinstance(c, FieldElem):
+                raise TypeError("ObjForm coefficients must be FieldElem")
+            if c.ctx is not ctx:
+                raise ValueError("field context mismatch")
+            if c:
+                clean[tuple(m)] = c
+        if degree is None:
+            if not clean:
+                raise ValueError("zero form needs an explicit degree")
+            degree = sum(next(iter(clean)))
+        _check_homogeneous(clean, degree)
+        self.ctx, self.degree, self.coeffs = ctx, degree, clean
+
+    @classmethod
+    def from_int_coeffs(cls, ctx, coeffs: dict, degree: int | None = None):
+        return cls(ctx, {m: ctx.from_int(c) for m, c in coeffs.items()}, degree)
+
+    @classmethod
+    def of(cls, form: ModForm) -> "ObjForm":
+        """The form with the coefficient encodings of a ModForm."""
+        return cls(form.ctx, {m: FieldElem(form.ctx, c)
+                              for m, c in form.coeffs.items()}, form.degree)
+
+    def mod(self) -> ModForm:
+        """The program's ModForm: the coefficient encodings."""
+        return ModForm(self.ctx, self.encodings(), self.degree)
+
+    def encodings(self) -> dict:
+        return {m: c.v for m, c in self.coeffs.items()}
+
+    def lift(self) -> IntForm:
+        """Integer lift with coefficients in [0, p); prime fields only."""
+        if self.ctx.d != 1:
+            raise ValueError("lift is defined over prime fields only")
+        return IntForm(self.encodings(), self.degree)
+
+    def embed(self, target: FieldCtx) -> "ObjForm":
+        return ObjForm(target, {m: embed_subfield(c, target)
+                                for m, c in self.coeffs.items()}, self.degree)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (isinstance(other, ObjForm) and other.ctx is self.ctx
+                and other.degree == self.degree and other.coeffs == self.coeffs)
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if other.ctx is not self.ctx or other.degree != self.degree:
+            raise ValueError("field or degree mismatch")
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out[m] + c if m in out else c
+        return ObjForm(self.ctx, out, self.degree)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ObjForm(self.ctx, {m: -c for m, c in self.coeffs.items()},
+                       self.degree)
+
+    def __mul__(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("field context mismatch")
+        out: dict = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return ObjForm(self.ctx, out, self.degree + other.degree)
+
+    def scale(self, k: FieldElem):
+        return ObjForm(self.ctx, {m: c * k for m, c in self.coeffs.items()},
+                       self.degree)
+
+    def square(self):
+        return self * self
+
+    def serialize(self) -> str:
+        return _serialize(self.encodings())
+
+    def __repr__(self):
+        return f"ObjForm(F{self.ctx.q}; {self.serialize()})"
+
+
+def line_coeffs(line, ctx: FieldCtx | None = None) -> tuple:
+    """Coefficient triple, as FieldElem, of a linear form given as an
+    ObjForm, a triple of FieldElem, or a triple of integers read in ctx."""
+    if isinstance(line, ObjForm):
+        if line.degree != 1:
+            raise ValueError("not a linear form")
+        ctx = line.ctx
+        vec = [ctx.zero(), ctx.zero(), ctx.zero()]
+        for m, c in line.coeffs.items():
+            vec[m.index(1)] = c
+        return tuple(vec)
+    vec = tuple(line)
+    if len(vec) != 3:
+        raise ValueError("need three coefficients")
+    if isinstance(vec[0], FieldElem):
+        return vec
+    return tuple(ctx.from_int(c) for c in vec)
+
+
+def line_form(ctx, vec) -> ObjForm:
+    return ObjForm(ctx, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), vec)), 1)
+
+
+class BinaryForm:
+    """Homogeneous form in (u, v) over a FieldCtx: coeffs[i] is the
+    FieldElem coefficient of u^(degree-i) v^i."""
+
+    __slots__ = ("ctx", "degree", "coeffs")
+
+    def __init__(self, ctx: FieldCtx, coeffs):
+        cs = tuple(coeffs)
+        if not cs:
+            raise ValueError("binary form needs at least one coefficient")
+        for c in cs:
+            if not isinstance(c, FieldElem) or c.ctx is not ctx:
+                raise ValueError("field context mismatch")
+        self.ctx, self.degree, self.coeffs = ctx, len(cs) - 1, cs
+
+    @classmethod
+    def from_ints(cls, ctx, ints):
+        return cls(ctx, [ctx.from_int(n) for n in ints])
+
+    @classmethod
+    def from_encs(cls, ctx, encs):
+        return cls(ctx, [FieldElem(ctx, c) for c in encs])
+
+    def encodings(self) -> list:
+        return [c.v for c in self.coeffs]
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, BinaryForm) and other.ctx is self.ctx
+                and other.coeffs == self.coeffs)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"BinaryForm(F{self.ctx.q}; {self.encodings()})"
 
 
 class Poly:
@@ -255,7 +437,7 @@ def bf_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
                                           u_multiplicity(b)))
 
 
-def eval_form(f: ModForm, point) -> FieldElem:
+def eval_form(f: ObjForm, point) -> FieldElem:
     """Evaluate f at a projective point given as a triple of FieldElem."""
     x, y, z = point
     if x.ctx is not f.ctx or y.ctx is not f.ctx or z.ctx is not f.ctx:
@@ -276,7 +458,7 @@ def eval_form(f: ModForm, point) -> FieldElem:
     return acc
 
 
-def partial(f: ModForm, var: int) -> ModForm:
+def partial(f: ObjForm, var: int) -> ObjForm:
     """Formal partial derivative of f in variable var (0, 1 or 2)."""
     out = {}
     for m, c in f.coeffs.items():
@@ -284,7 +466,7 @@ def partial(f: ModForm, var: int) -> ModForm:
             m2 = list(m)
             m2[var] -= 1
             out[tuple(m2)] = c * f.ctx.from_int(m[var])
-    return ModForm(f.ctx, out, max(f.degree - 1, 0))
+    return ObjForm(f.ctx, out, max(f.degree - 1, 0))
 
 
 def quad_char(a: FieldElem) -> int:
@@ -434,13 +616,13 @@ def line_to_x(line) -> LinearChange:
     return LinearChange(ctx, rows).inverse()
 
 
-def apply_linear_change(f: ModForm, T: LinearChange) -> ModForm:
+def apply_linear_change(f: ObjForm, T: LinearChange) -> ObjForm:
     """The form f(T v); degree is preserved."""
     if T.ctx is not f.ctx:
         raise ValueError("field context mismatch")
     ctx = f.ctx
     lin = [line_form(ctx, T.rows[i]) for i in range(3)]
-    one_form = ModForm(ctx, {(0, 0, 0): ctx.one()}, 0)
+    one_form = ObjForm(ctx, {(0, 0, 0): ctx.one()}, 0)
     memo = [{0: one_form} for _ in range(3)]
 
     def power(i, e):
@@ -453,14 +635,14 @@ def apply_linear_change(f: ModForm, T: LinearChange) -> ModForm:
                 m[k] = cur
         return m[e]
 
-    out = ModForm(ctx, {}, f.degree)
+    out = ObjForm(ctx, {}, f.degree)
     for (a, b, c), coef in f.coeffs.items():
         term = power(0, a) * power(1, b) * power(2, c)
         out = out + term.scale(coef)
     return out
 
 
-def restrict_along(f: ModForm, w1, w2) -> BinaryForm:
+def restrict_along(f: ObjForm, w1, w2) -> BinaryForm:
     """The binary form f(s w1 + t w2) of the same degree, for coordinate
     triples w1, w2 over the field of f."""
     ctx = f.ctx
@@ -519,7 +701,7 @@ def line_kernel_basis(line):
     return tuple(basis)
 
 
-def restrict_to_line_ref(f: ModForm, line) -> BinaryForm:
+def restrict_to_line_ref(f: ObjForm, line) -> BinaryForm:
     """forms.restrict_to_line in FieldElem arithmetic: f(s v1 + t v2) for
     the kernel basis of line_kernel_basis."""
     return restrict_along(f, *line_kernel_basis(line))
@@ -758,14 +940,15 @@ def sqrt_ref(u: FieldElem) -> FieldElem:
 
 def contact_points_ref(split_h: BinaryForm, line, ctx):
     """geom._contact_points through the general factoriser: the roots of h
-    from binary_roots_ref mapped through line_kernel_basis, normalized."""
+    from binary_roots_ref mapped through line_kernel_basis, normalized, as
+    (field, encodings, multiplicity) like the program's certificates."""
     v1, v2 = line_kernel_basis(line)
     out = []
     for (u0, v0), mult, root_ctx in binary_roots_ref(split_h):
         w1 = tuple(embed_subfield(c, root_ctx) for c in v1)
         w2 = tuple(embed_subfield(c, root_ctx) for c in v2)
         pt = tuple(u0 * w1[i] + v0 * w2[i] for i in range(3))
-        out.append((normalize_point(pt), mult))
+        out.append((root_ctx, tuple(c.v for c in normalize_point(pt)), mult))
     return tuple(out)
 
 
@@ -773,7 +956,8 @@ def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
     """obstruct.obstruction_G and obstruction_vanishes in IntForm and
     BinaryForm arithmetic: G from the form products, the restrictions of
     G, f3 and f5 by restrict_to_line_ref, their gcd as binary forms, the
-    7x6 system, and the witness recombined as binary forms."""
+    7x6 system, and the witness recombined as binary forms; the report
+    holds coefficient lists, as the program's does."""
     ctx = field_create(p, 1)
     vec = line_coeffs(line, ctx)
     ell = IntForm({(1, 0, 0): vec[0].to_int(), (0, 1, 0): vec[1].to_int(),
@@ -782,8 +966,8 @@ def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
     if any(c % p for c in numerator.coeffs.values()):
         raise NotDivisibleError("f6 - f3^2 - l*f5 is not divisible by p")
     G = IntForm({m: c // p for m, c in numerator.coeffs.items()}, 6)
-    g_bar, f3_bar, f5_bar = (restrict_to_line_ref(reduce_mod(form, ctx), vec)
-                             for form in (G, f3, f5))
+    g_bar, f3_bar, f5_bar = (restrict_to_line_ref(
+        ObjForm.of(reduce_mod(form, ctx)), vec) for form in (G, f3, f5))
     if f3_bar.is_zero() or f5_bar.is_zero() or bf_gcd(f3_bar, f5_bar).degree:
         raise CommonZeroOnLineError("f3 and f5 share a zero on the line")
     a3, a5 = ([c.to_int() for c in f.coeffs] for f in (f3_bar, f5_bar))
@@ -800,9 +984,9 @@ def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
     if sol is not None:
         b3, c1 = (BinaryForm.from_ints(ctx, x) for x in (sol[:4], sol[4:]))
         assert bf_add(bf_mul(f3_bar, b3), bf_mul(f5_bar, c1)) == g_bar
-        witness = (b3, c1)
+        witness = (list(sol[:4]), list(sol[4:]))
     return ObstructionReport(
-        p=p, G=G, g_bar=g_bar, f3_bar=f3_bar, f5_bar=f5_bar,
+        p=p, G=G, g_bar=g, f3_bar=a3, f5_bar=a5,
         matrix=tuple(tuple(r) for r in matrix), rhs=tuple(g),
         verdict="nonvanishing" if sol is None else "vanishes",
         witness=witness)
@@ -828,7 +1012,7 @@ def cyclotomic_part_ref(P):
     return RankBound(cyclotomic_degree=total, per_n=tuple(per_n))
 
 
-def decompose_mod_line(f6: ModForm, line):
+def decompose_mod_line(f6: ObjForm, line):
     """f6 = f3^2 + line*f5 over the coefficient field of the line.
 
     Canonical choice: with T the change of coordinates that sends the line
@@ -857,7 +1041,7 @@ def decompose_mod_line(f6: ModForm, line):
     if (-cand).to_int() < cand.to_int():
         s = -s
     # the restriction lives in (y, z) after the change of coordinates
-    b3 = ModForm(ctx, {(0, 3 - i, i): s * c
+    b3 = ObjForm(ctx, {(0, 3 - i, i): s * c
                        for i, c in enumerate(split.h.coeffs)
                        if not c.is_zero()}, 3)
     f3 = apply_linear_change(b3, T.inverse())
@@ -887,7 +1071,7 @@ def exact_divide(f, g):
     if f.is_zero():
         if integer:
             return IntForm({}, max(f.degree - g.degree, 0))
-        return ModForm(f.ctx, {}, max(f.degree - g.degree, 0))
+        return ObjForm(f.ctx, {}, max(f.degree - g.degree, 0))
     if f.degree < g.degree:
         raise NotDivisibleError("degree of divisor exceeds degree of dividend")
     lead_g = _lead_monomial(g.coeffs)
@@ -927,11 +1111,11 @@ def exact_divide(f, g):
     deg = f.degree - g.degree
     if integer:
         return IntForm(quo, deg)
-    return ModForm(f.ctx, quo, deg)
+    return ObjForm(f.ctx, quo, deg)
 
 
 def macaulay_matrix(system, degree: int) -> np.ndarray:
-    """Rows: every form of the system (ModForms over F_p) times every
+    """Rows: every form of the system (ObjForms over F_p) times every
     monomial of the complementary degree, as int64 coefficient vectors
     over the monomials of `degree` in the column order of geom."""
     index = _monomials(degree)[1]
@@ -945,7 +1129,7 @@ def macaulay_matrix(system, degree: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def macaulay_smoothness(f6: ModForm):
+def macaulay_smoothness(f6: ObjForm):
     """Reference for smoothness_check: (verdict, witness, field degree)
     from the full Macaulay matrices of f6 and its nonzero partials (210
     rows in degree 14 when no partial vanishes), reduced by row_echelon in
@@ -970,7 +1154,7 @@ def macaulay_smoothness(f6: ModForm):
 
 
 # ---------------------------------------------------------------------------
-# the singular witness on ModForm, BinaryForm and Poly objects, as
+# the singular witness on ObjForm, BinaryForm and Poly objects, as
 # geom._singular_witness took it before it moved to coefficient encodings
 
 
@@ -982,7 +1166,7 @@ def z_free_forms_ref(ctx, rows, pivots, degree: int):
             for row, col in zip(rows, pivots) if col >= first]
 
 
-def specialize_xy(f: ModForm, u0: FieldElem, v0: FieldElem) -> Poly:
+def specialize_xy(f: ObjForm, u0: FieldElem, v0: FieldElem) -> Poly:
     """f(u0, v0, z) as a polynomial in z over the field of u0 and v0."""
     ctx = u0.ctx
     out = [ctx.zero()] * (f.degree + 1)
@@ -992,7 +1176,7 @@ def specialize_xy(f: ModForm, u0: FieldElem, v0: FieldElem) -> Poly:
 
 
 def lift_through_z_ref(system, u0: FieldElem, v0: FieldElem):
-    """A common zero (u0 : v0 : w) of the ModForms of the system, the
+    """A common zero (u0 : v0 : w) of the ObjForms of the system, the
     least w over the smallest field, or None when there is none over (u0
     : v0)."""
     gz = functools.reduce(Poly.gcd, [specialize_xy(f, u0, v0)
@@ -1005,7 +1189,7 @@ def lift_through_z_ref(system, u0: FieldElem, v0: FieldElem):
 
 def singular_witness_ref(system, forms, z_free):
     """geom._singular_witness on objects: the first common zero of the
-    ModForms of the system on x = 0 (the gcd of their restrictions) when
+    ObjForms of the system on x = 0 (the gcd of their restrictions) when
     the z-free forms of degree 14 are empty, else, or when there is none
     there, the first zero of the gcd of the z-free forms of the least
     degree that has them (z_free(degree) gives them above 14) that lifts
@@ -1083,16 +1267,16 @@ def minimal_polynomial(a: FieldElem) -> Poly:
     ctx = a.ctx
     prime = field_create(ctx.p, 1)
     orbit = [a]
-    b = a.frobenius()
+    b = frobenius(a)
     while b != a:
         orbit.append(b)
-        b = b.frobenius()
+        b = frobenius(b)
     poly = Poly(ctx, [ctx.one()])
     for r in orbit:
         poly = poly * Poly(ctx, [-r, ctx.one()])
     ints = []
     for coef in poly.c:
-        vec = coef.coeffs()
+        vec = _enc_digits(coef.v, ctx.p, ctx.d)
         if any(vec[1:]):
             raise AssertionError("minimal polynomial coefficient outside F_p")
         ints.append(vec[0])
@@ -1164,7 +1348,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
     def coef(a, b, c, binom=1):
         # log of binom * f_abc; binom is read in the prime field
         x, y = f.coeffs.get((a, b, c)), logs[binom % ctx.p]
-        return -1 if x is None or y < 0 else logs[x.to_int()] + y
+        return -1 if x is None or y < 0 else logs[x] + y
 
     K = np.full((n + 1, n + 1, n + 1, 1), -1, dtype=np.int64)
     T = np.full((n + 1, n + 1, 1), -1, dtype=np.int64)

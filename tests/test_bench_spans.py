@@ -49,6 +49,18 @@ def test_field_create_span_per_built_field(monkeypatch):
     # the benchmark's wrapper keys a field_create span by the first two
     # arguments and spans only calls that build a field; a change to
     # field_create's signature must fail here before a traced run
+    recorder = _install_spans(monkeypatch)
+    cli = _k3cert("cli")
+    p, d = 8191, 2  # a field that no other test builds
+    ctx = cli.field_create(p, d)
+    assert cli.field_create(p, d) is ctx  # a cache hit: no span
+    assert [(s["name"], s["key"]) for s in recorder.spans] == [
+        ("ffield.field_create", f"p{p}d{d}")]
+
+
+def _install_spans(monkeypatch):
+    """The benchmark's span wrappers on a recorder, enabled, with every
+    name they replace restored after the test."""
     spans = _load(PERFBENCH / "spans.py", "perfbench_spans")
     mods = {m: _k3cert(m) for m in ("cli", "count", "geom")}
     for mod, attr, _ in spans.WRAPPED:
@@ -60,11 +72,28 @@ def test_field_create_span_per_built_field(monkeypatch):
     recorder = spans.Recorder()
     spans.install(recorder)
     recorder.enabled = True
-    p, d = 8191, 2  # a field that no other test builds
-    ctx = mods["cli"].field_create(p, d)
-    assert mods["cli"].field_create(p, d) is ctx  # a cache hit: no span
-    assert [(s["name"], s["key"]) for s in recorder.spans] == [
-        ("ffield.field_create", f"p{p}d{d}")]
+    return recorder
+
+
+def test_per_layer_span_keys(tmp_path, capsys, monkeypatch):
+    # the per-layer metrics read spans by (name, key), and the key comes
+    # from the position of an argument: on the screen workload's two
+    # commands, a warm certify --line-degree 2 with one computed count and
+    # an obstruct, the spans the metrics read must all be there
+    spec = tmp_path / "rank1-p3.txt"
+    spec.write_text((PERFBENCH.parent / "surfaces" / "rank1-p3.txt").read_text()
+                    + "".join(f"external: {d} {n}\n" for d, n in
+                              enumerate(data.COUNTS_B[1:9], start=2)))
+    certify = ["certify", "--spec", str(spec), "-p", "3", "--line-degree", "2"]
+    assert run(certify) == 0  # warm
+    recorder = _install_spans(monkeypatch)
+    assert run(certify) == 0
+    assert run(["obstruct", "--spec", str(spec), "-p", "3"]) == 0
+    capsys.readouterr()
+    keys = {(s["name"], s["key"]) for s in recorder.spans}
+    assert {("geom.find_tritangents", "e1"), ("geom.find_tritangents", "e2"),
+            ("geom.assert_good_reduction", None),
+            ("count.count_points", "p3d1")} <= keys, keys
 
 
 def test_benchmark_checks_accept_obstruct_reports(tmp_path, capsys,

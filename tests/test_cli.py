@@ -551,6 +551,31 @@ def test_cache_roundtrip_via_cli(tmp_path, capsys):
     assert [c["N"] for c in second["counts"]] == [c["N"] for c in first["counts"]]
 
 
+def test_external_count_contradicting_the_cache_is_math_error(tmp_path,
+                                                             capsys):
+    # N_1 = 41 is in the cache; an external: line with another N_1 for the
+    # same surface and p is refused, naming d and both values, and the
+    # value the cache holds is accepted as external
+    cache = tmp_path / "counts.jsonl"
+    surface = SURFACES / "rank1-p5.txt"
+    args = ["--prime", "5", "--dmax", "2", "--cache", str(cache)]
+    assert run(["count", "--spec", str(surface)] + args) == 0
+    capsys.readouterr()
+    path = tmp_path / "external.txt"
+    for n, code in ((43, 2), (41, 0)):
+        path.write_text(surface.read_text() + f"external: 1 {n}\n")
+        assert run(["count", "--spec", str(path), "--json"] + args) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "N_1 = 43 contradicts N_1 = 41" in err
+        else:
+            assert [c["source"] for c in json.loads(out)["counts"]] == \
+                ["external", "cached"]
+    assert run(["count", "--spec", str(surface), "--json"] + args) == 0
+    assert [c["N"] for c in json.loads(capsys.readouterr().out)["counts"]][
+        0] == 41
+
+
 def test_truncated_cache_line_is_usage_error(tmp_path, capsys):
     cache = tmp_path / "counts.jsonl"
     args = ["count", "--spec", str(SURFACES / "rank1-p5.txt"), "--prime", "5",

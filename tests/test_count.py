@@ -22,14 +22,15 @@ from k3cert.ffield import field_create
 from k3cert.forms import IntForm, reduce_mod
 
 import data
-from oracles import chart_points, chart_value_logs, eval_form, quad_char
+from oracles import (ObjForm, chart_points, chart_value_logs, elements,
+                     eval_form, quad_char)
 
 
 def _slow_count(f6: IntForm, p: int, d: int) -> int:
     """Independent oracle: direct enumeration with FieldElem arithmetic."""
     ctx = field_create(p, d)
-    f = reduce_mod(f6, field_create(p, 1)).embed(ctx)
-    els = list(ctx.elements())
+    f = ObjForm.of(reduce_mod(f6, field_create(p, 1))).embed(ctx)
+    els = elements(ctx)
     one, zero = ctx.one(), ctx.zero()
     s = 0
     for y in els:
@@ -118,7 +119,7 @@ def test_chart_points_align_with_chart_logs():
         logs = chart_value_logs(f, ctx, chart)
         pts = chart_points(ctx, chart)
         assert len(logs) == len(pts)
-        femb = f.embed(ctx)
+        femb = ObjForm.of(f).embed(ctx)
         for v, pt in zip(logs, pts):
             val = eval_form(femb, pt)
             assert (v < 0) == val.is_zero()

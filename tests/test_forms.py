@@ -4,24 +4,19 @@ import pytest
 
 from k3cert.errors import NotDivisibleError
 from k3cert.ffield import field_create
-from k3cert.forms import (
-    BinaryForm,
-    IntForm,
-    ModForm,
-    _restrict,
-    _square_split,
-    line_encs,
-    reduce_mod,
-)
+from k3cert.forms import IntForm, _restrict, _square_split, reduce_mod
 
 import data
 from oracles import (
+    BinaryForm,
     LinearChange,
+    ObjForm,
     apply_linear_change,
     bf_mul,
     bf_scale,
     eval_form,
     exact_divide,
+    line_coeffs,
     line_to_x,
     restrict_along,
     unit_square_products,
@@ -29,19 +24,20 @@ from oracles import (
 
 
 def _mod(ctx, coeffs, degree=None):
-    return ModForm.from_int_coeffs(ctx, coeffs, degree)
+    return ObjForm.from_int_coeffs(ctx, coeffs, degree)
 
 
 def _restriction(f, line):
-    """forms._restrict of a ModForm as a BinaryForm."""
+    """forms._restrict of an ObjForm as a BinaryForm."""
     return BinaryForm.from_encs(f.ctx, _restrict(
-        f.ctx, f.encodings(), f.degree, line_encs(line, f.ctx)))
+        f.ctx, f.encodings(), f.degree,
+        [c.v for c in line_coeffs(line, f.ctx)]))
 
 
 def _split(g):
     """forms._square_split of a BinaryForm: (h as a BinaryForm, unit) or
     None."""
-    split = _square_split(g.ctx, [c.v for c in g.coeffs])
+    split = _square_split(g.ctx, g.encodings())
     return split and (BinaryForm.from_encs(g.ctx, split[0]),
                       g.ctx.from_enc(split[1]))
 
@@ -53,7 +49,7 @@ def _random_form(ctx, degree, rng, sparsity=0.6):
             c = degree - a - b
             if rng.random() < sparsity:
                 out[(a, b, c)] = ctx.from_enc(rng.randrange(ctx.q))
-    return ModForm(ctx, out, degree)
+    return ObjForm(ctx, out, degree)
 
 
 def test_eval_at_first_basis_point_gives_leading_coefficient():
@@ -93,11 +89,11 @@ def test_eval_homogeneity():
 def test_reduce_mod_basics():
     F3 = field_create(3, 1)
     f = IntForm({(0, 6, 0): 4})
-    assert reduce_mod(f, F3) == _mod(F3, {(0, 6, 0): 1})
+    assert reduce_mod(f, F3) == _mod(F3, {(0, 6, 0): 1}).mod()
     f6 = IntForm(data.F6_A)
     F5 = field_create(5, 1)
     r = reduce_mod(f6, F5)
-    assert r.coeffs[(5, 1, 0)].to_int() == 1
+    assert r.coeffs[(5, 1, 0)] == 1
     assert reduce_mod(f6 - f6, F5).is_zero()
 
 
@@ -144,7 +140,7 @@ def test_line_to_x_sends_line_to_x():
 def test_surface_c_transported_is_square_mod_x():
     # sending x+y+z to the coordinate x makes f6 mod (3, x) a perfect square
     F3 = field_create(3, 1)
-    f6 = reduce_mod(IntForm(data.F6_C), F3)
+    f6 = ObjForm.of(reduce_mod(IntForm(data.F6_C), F3))
     ell = _mod(F3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     g = apply_linear_change(f6, line_to_x(ell))
     restriction = _restriction(g, _mod(F3, {(1, 0, 0): 1}))
@@ -318,6 +314,7 @@ def test_serialization_is_grevlex_descending():
 
 
 def test_lift_roundtrip():
+    # over F_p the encodings are the integer lifts in [0, p)
     F5 = field_create(5, 1)
     f = IntForm(data.F6_A)
-    assert reduce_mod(f, F5).lift() == f
+    assert IntForm(reduce_mod(f, F5).coeffs, 6) == f

@@ -16,14 +16,7 @@ from k3cert.ffield import (
     field_create,
     is_prime,
 )
-from k3cert.forms import (
-    BinaryForm,
-    IntForm,
-    ModForm,
-    _square_split,
-    line_form,
-    reduce_mod,
-)
+from k3cert.forms import IntForm, _square_split, reduce_mod
 from k3cert.geom import (
     ConicCert,
     SplitCurve,
@@ -41,7 +34,9 @@ from k3cert.geom import (
 
 import data
 from oracles import (
+    BinaryForm,
     LinearChange,
+    ObjForm,
     Poly,
     apply_linear_change,
     bf_mul,
@@ -50,7 +45,9 @@ from oracles import (
     chart_value_logs,
     contact_points_ref,
     decompose_mod_line,
+    elements,
     eval_form,
+    line_form,
     log_restriction_blocks,
     log_unit_times_square,
     macaulay_matrix,
@@ -66,6 +63,7 @@ from oracles import (
     split_pairing_oracle,
     z_free_forms_ref,
 )
+from test_parity_corpus import singular_families
 
 
 # the largest prime below the Zech table limit 2^22, beyond which the
@@ -74,11 +72,28 @@ _LARGEST_PRIME = 4194301
 
 
 def _mod(ctx, coeffs, degree=None):
-    return ModForm.from_int_coeffs(ctx, coeffs, degree)
+    return ObjForm.from_int_coeffs(ctx, coeffs, degree)
 
 
 def _pt_ints(pt):
     return tuple(c.to_int() for c in pt)
+
+
+def _elems(ctx, encs):
+    return tuple(map(ctx.from_enc, encs))
+
+
+def _line_form(cert):
+    """A certificate's line as a linear ObjForm over its field."""
+    return line_form(cert.field, _elems(cert.field, cert.line))
+
+
+def _report(rep):
+    """A SingularityReport as macaulay_smoothness gives it: (verdict,
+    witness as FieldElems, field degree)."""
+    if rep.verdict == "smooth":
+        return "smooth", None, None
+    return rep.verdict, _elems(rep.field, rep.witness), rep.field.d
 
 
 # -- tritangents --------------------------------------------------------------
@@ -88,34 +103,34 @@ def test_find_tritangents_surface_a():
     F5 = field_create(5, 1)
     f6 = reduce_mod(IntForm(data.F6_A), F5)
     certs = find_tritangents(f6, 1)
-    lines = {tuple(c.to_int() for c in t.line) for t in certs}
+    lines = {t.line for t in certs}
     assert (0, 3, 1) in lines  # z - 2y = 0 stored as 3y + z
-    cert = next(t for t in certs if tuple(c.to_int() for c in t.line) == (0, 3, 1))
+    cert = next(t for t in certs if t.line == (0, 3, 1))
     assert cert.split_field_degree == 1
-    pts = {_pt_ints(pt) for pt, _ in cert.contact_points}
+    pts = {pt for _, pt, _ in cert.contact_points}
     assert pts == {(1, 0, 0), (1, 3, 1), (0, 1, 2)}
-    assert all(m == 1 for _, m in cert.contact_points)
+    assert all(m == 1 for *_, m in cert.contact_points)
     # the decomposition attached to the certificate re-verifies
-    ell = line_form(F5, cert.line)
-    assert cert.f3 * cert.f3 + ell * cert.f5 == f6
+    f3, f5 = ObjForm.of(cert.f3), ObjForm.of(cert.f5)
+    assert f3 * f3 + _line_form(cert) * f5 == ObjForm.of(f6)
 
 
 def test_find_tritangents_surface_b():
     F3 = field_create(3, 1)
     f6 = reduce_mod(IntForm(data.F6_B), F3)
     certs = find_tritangents(f6, 1)
-    lines = {tuple(c.to_int() for c in t.line) for t in certs}
+    lines = {t.line for t in certs}
     assert (1, 0, 0) in lines  # the line x = 0
-    cert = next(t for t in certs if tuple(c.to_int() for c in t.line) == (1, 0, 0))
+    cert = next(t for t in certs if t.line == (1, 0, 0))
     # restriction is y^6: one triple contact at (0 : 0 : 1)
-    assert cert.contact_points == (((F3.zero(), F3.zero(), F3.one()), 3),)
+    assert cert.contact_points == ((F3, (0, 0, 1), 3),)
 
 
 def test_find_tritangents_surface_c():
     F3 = field_create(3, 1)
     f6 = reduce_mod(IntForm(data.F6_C), F3)
     certs = find_tritangents(f6, 1)
-    lines = {tuple(c.to_int() for c in t.line) for t in certs}
+    lines = {t.line for t in certs}
     assert (1, 1, 1) in lines  # x + y + z = 0
 
 
@@ -123,12 +138,14 @@ def test_tritangent_certs_reverify():
     F3 = field_create(3, 1)
     f6 = reduce_mod(IntForm(data.F6_C), F3)
     for cert in find_tritangents(f6, 1):
-        ell = line_form(F3, cert.line)
+        ell = _line_form(cert)
+        f = ObjForm.of(f6)
         if cert.f3 is not None:
-            assert cert.f3 * cert.f3 + ell * cert.f5 == f6
-        for pt, _ in cert.contact_points:
-            ctx = pt[0].ctx
-            femb = f6 if ctx is F3 else f6.embed(ctx)
+            f3, f5 = ObjForm.of(cert.f3), ObjForm.of(cert.f5)
+            assert f3 * f3 + ell * f5 == f
+        for ctx, pt, _ in cert.contact_points:
+            pt = _elems(ctx, pt)
+            femb = f if ctx is F3 else f.embed(ctx)
             lemb = ell if ctx is F3 else ell.embed(ctx)
             assert eval_form(femb, pt).is_zero()
             assert eval_form(lemb, pt).is_zero()
@@ -138,15 +155,14 @@ def test_tritangent_set_invariant_under_coordinate_change():
     rng = random.Random(3)
     F5 = field_create(5, 1)
     f6 = reduce_mod(IntForm(data.F6_A), F5)
-    base_lines = {tuple(c.to_int() for c in t.line)
-                  for t in find_tritangents(f6, 1)}
+    base_lines = {t.line for t in find_tritangents(f6, 1)}
     for _ in range(3):
         T = _random_invertible(F5, rng)
-        g = apply_linear_change(f6, T)
+        g = apply_linear_change(ObjForm.of(f6), T)
         moved = set()
-        for cert in find_tritangents(g, 1):
+        for cert in find_tritangents(g.mod(), 1):
             # a line l of g corresponds to l o T^{-1} for f6
-            vec = cert.line
+            vec = _elems(F5, cert.line)
             tinv = T.inverse()
             back = tuple(sum((vec[i] * tinv.rows[i][j] for i in range(3)),
                              F5.zero()) for j in range(3))
@@ -170,22 +186,24 @@ def test_find_tritangents_extension_field():
     # lines x = zeta*y (zeta^6 = -1) and their permutations are tritangents
     F7 = field_create(7, 1)
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
-    certs = find_tritangents(f6, 2)
+    certs = find_tritangents(f6.mod(), 2)
     assert certs and all(c.line_field_degree == 2 for c in certs)
     F49 = field_create(7, 2)
     f = f6.embed(F49)
     for cert in certs:
+        assert cert.field is F49
+        line = _elems(F49, cert.line)
         # the scalar oracle: the restriction is unit * h^2 ...
-        r = restrict_to_line_ref(f, cert.line)
+        r = restrict_to_line_ref(f, line)
         split = perfect_square_split_ref(r)
-        assert split is not None and split.unit == cert.unit
-        assert bf_scale(bf_mul(split.h, split.h), cert.unit) == r
+        assert split is not None and split.unit.v == cert.unit
+        assert bf_scale(bf_mul(split.h, split.h), split.unit) == r
         # ... on a line not defined over F_7 ...
-        assert not all(c ** 7 == c for c in cert.line)
+        assert not all(c ** 7 == c for c in line)
         # ... touching f6 at the contact points
-        ell = line_form(F49, cert.line)
-        for pt, _ in cert.contact_points:
-            ctx = pt[0].ctx
+        ell = line_form(F49, line)
+        for ctx, pt, _ in cert.contact_points:
+            pt = _elems(ctx, pt)
             assert eval_form(f if ctx is F49 else f.embed(ctx), pt).is_zero()
             assert eval_form(ell if ctx is F49 else ell.embed(ctx), pt).is_zero()
 
@@ -199,8 +217,8 @@ def _oracle_tritangents(f6, max_e):
     out = []
     for e in range(1, max_e + 1):
         ctx = field_create(p, e)
-        f = f6 if ctx is f6.ctx else f6.embed(ctx)
-        els = list(ctx.elements())
+        f = ObjForm.of(f6 if ctx is f6.ctx else f6.embed(ctx))
+        els = elements(ctx)
         one, zero = ctx.one(), ctx.zero()
         lines = ([(a, b, one) for a in els for b in els]
                  + [(a, one, zero) for a in els] + [(one, zero, zero)])
@@ -216,10 +234,11 @@ def _oracle_tritangents(f6, max_e):
                 continue
             f3 = f5 = None
             if split.split_field_degree == 1:
-                f3, f5 = decompose_mod_line(f, vec)
+                f3, f5 = (g.mod() for g in decompose_mod_line(f, vec))
             out.append(geom.TritangentCert(
-                line=vec, line_field_degree=e,
-                split_field_degree=split.split_field_degree, unit=split.unit,
+                field=ctx, line=tuple(c.v for c in vec), line_field_degree=e,
+                split_field_degree=split.split_field_degree,
+                unit=split.unit.v,
                 contact_points=contact_points_ref(split.h, vec, ctx),
                 f3=f3, f5=f5))
     return out
@@ -228,7 +247,7 @@ def _oracle_tritangents(f6, max_e):
 def _random_sextic(ctx, rng, density=1.0):
     return _mod(ctx, {(a, b, 6 - a - b): rng.randrange(ctx.p)
                       for a in range(7) for b in range(7 - a)
-                      if rng.random() < density}, 6)
+                      if rng.random() < density}, 6).mod()
 
 
 def test_array_search_matches_per_line_oracle():
@@ -263,15 +282,16 @@ def test_array_search_matches_per_line_oracle():
             (z * z * z) * (z * z * z) + x * f5,  # 6
         ]
         T = _random_invertible(ctx, rng)
-        cases += [(f, 1) for f in degenerate]
-        cases += [(apply_linear_change(f, T), 1) for f in degenerate]
+        cases += [(f.mod(), 1) for f in degenerate]
+        cases += [(apply_linear_change(f, T).mod(), 1) for f in degenerate]
     F3 = field_create(3, 1)
-    cases.append((_mod(F3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6), 2))
+    cases.append((_mod(F3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1},
+                       6).mod(), 2))
     # the rational tritangent y = 0 must not come back in the F_9 search
     g3 = _mod(F3, {(3, 0, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1}, 3)
     g5 = _mod(F3, {(a, b, 5 - a - b): rng.randrange(3)
                    for a in range(6) for b in range(6 - a)}, 5)
-    cases.append((g3 * g3 + _mod(F3, {(0, 1, 0): 1}, 1) * g5, 2))
+    cases.append(((g3 * g3 + _mod(F3, {(0, 1, 0): 1}, 1) * g5).mod(), 2))
     found = 0
     for f6, e in cases:
         certs = find_tritangents(f6, e)
@@ -324,7 +344,7 @@ def test_digit_array_test_matches_log_oracle():
     for f, e in cases:
         base = f.ctx
         ctx = field_create(base.p, base.d * e)
-        g = f if ctx is base else f.embed(ctx)
+        g = (f if ctx is base else f.embed(ctx)).mod()
         blocks = list(geom._restriction_blocks(g, base.q, e))
         reference = list(log_restriction_blocks(g, base.q, e))
         assert len(blocks) == len(reference)
@@ -350,7 +370,7 @@ def test_search_keeps_lines_over_two_unnested_subfields():
     f = (_random_form(ctx, 3, rng).square()
          + line_form(ctx, vec) * _random_form(ctx, 5, rng))
     assert tuple(c.v for c in vec) in [
-        geom._line_at(ctx, i) for i in geom._candidate_lines(f, 3, 6)]
+        geom._line_at(ctx, i) for i in geom._candidate_lines(f.mod(), 3, 6)]
 
 
 def test_digit_square_test_matches_scalar_split():
@@ -397,7 +417,7 @@ def test_search_above_zech_limit_raises(monkeypatch):
 
     monkeypatch.setattr(geom, "_candidate_lines", never)
     base = FieldCtx(2053, 1)
-    f6 = _mod(base, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6)
+    f6 = _mod(base, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6).mod()
     with pytest.raises(AssertionError, match="search started"):
         find_tritangents(f6, 1)
     with pytest.raises(BudgetExceededError, match="F_4214809.*4194304"):
@@ -405,7 +425,7 @@ def test_search_above_zech_limit_raises(monkeypatch):
     assert base._tables is None
     big = field_create(4194319, 1)  # a prime above the default limit 2^22
     with pytest.raises(BudgetExceededError, match=str(1 << 22)):
-        find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6), 1)
+        find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6).mod(), 1)
 
 
 def test_search_above_desk_budget_raises(monkeypatch):
@@ -416,14 +436,34 @@ def test_search_above_desk_budget_raises(monkeypatch):
 
     monkeypatch.setattr(geom, "_candidate_lines", never)
     fermat = {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}
-    f6 = _mod(field_create(1000003, 1), fermat)
+    f6 = _mod(field_create(1000003, 1), fermat).mod()
     with pytest.raises(BudgetExceededError, match="--deep"):
         find_tritangents(f6, 1)
     with pytest.raises(AssertionError, match="search started"):
         find_tritangents(f6, 1, deep=True)
     # F_31^4 (q^2 = 31^8) is beyond the budget, F_31^2 and F_31^3 are not
     with pytest.raises(BudgetExceededError, match="F_923521"):
-        find_tritangents(_mod(field_create(31, 1), fermat), 4)
+        find_tritangents(_mod(field_create(31, 1), fermat).mod(), 4)
+
+
+def test_search_refused_before_any_field_is_built(monkeypatch):
+    # the limits are checked on q = p^e in order of e before any field is
+    # built: F_(5^7) (q^2 above the desk budget) and, with deep, F_(5^10)
+    # (above the Zech limit) are refused without a search for a modulus of
+    # any degree up to 40
+    built = []
+
+    def recording(p, d):
+        built.append(d)
+        return field_create(p, d)
+
+    monkeypatch.setattr(geom, "field_create", recording)
+    f6 = reduce_mod(IntForm(data.F6_A), field_create(5, 1))
+    with pytest.raises(BudgetExceededError, match="F_78125 tests"):
+        find_tritangents(f6, 40)
+    with pytest.raises(BudgetExceededError, match="F_9765625 needs Zech"):
+        find_tritangents(f6, 40, deep=True)
+    assert built == []
 
 
 @pytest.mark.deep
@@ -490,7 +530,7 @@ def test_decompose_synthetic_roundtrip():
         d = reduce_mod(f3 * f3 - g3 * g3, F7)
         if not d.is_zero():
             assert restrict_to_line_ref(
-                d, tuple(F7.from_int(c) for c in ell_vec)).is_zero()
+                ObjForm.of(d), tuple(F7.from_int(c) for c in ell_vec)).is_zero()
 
 
 def test_decompose_rejects_non_tangent():
@@ -500,7 +540,7 @@ def test_decompose_rejects_non_tangent():
 
 
 def _random_form(ctx, degree, rng, density=1.0):
-    return ModForm(ctx, {(a, b, degree - a - b):
+    return ObjForm(ctx, {(a, b, degree - a - b):
                          ctx.from_enc(rng.randrange(ctx.q))
                          for a in range(degree + 1)
                          for b in range(degree + 1 - a)
@@ -531,13 +571,15 @@ def test_decomposition_matches_coordinate_change_oracle():
                 if d == 1:
                     assert decompose_along_line(f6.lift(), vec, p) == tuple(
                         g.lift() for g in want)
-                certs = find_tritangents(f6, 1)
+                certs = find_tritangents(f6.mod(), 1)
                 last = next(c for c in reversed(line) if not c.is_zero())
-                assert tuple(c / last for c in line) in {c.line for c in certs}
+                assert tuple((c / last).v for c in line) in {
+                    c.line for c in certs}
                 for cert in certs:
                     if cert.f3 is not None:
-                        assert ((cert.f3, cert.f5)
-                                == decompose_mod_line(f6, cert.line))
+                        assert (cert.f3, cert.f5) == tuple(
+                            g.mod() for g in decompose_mod_line(
+                                f6, _elems(ctx, cert.line)))
                         compared += 1
     assert compared >= 30
 
@@ -556,7 +598,8 @@ def test_one_square_split_per_tritangent(monkeypatch):
     cases = [(reduce_mod(IntForm(f), field_create(p, 1)), 2)
              for f, p in ((data.F6_A, 5), (data.F6_B, 3), (data.F6_C, 3))]
     F7 = field_create(7, 1)
-    cases.append((_mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}), 2))
+    cases.append((_mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}).mod(),
+                  2))
     rational = 0
     for f6, e in cases:
         calls.clear()
@@ -576,8 +619,8 @@ def test_principal_square_root_matches_factoring():
     for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2),
                  (3, 4)):
         ctx = field_create(p, d)
-        squares = {x * x for x in ctx.elements()}
-        for u in ctx.elements():
+        squares = {x * x for x in elements(ctx)}
+        for u in elements(ctx):
             if u in squares:
                 assert geom._sqrt_in_field(ctx, u.v) == by_factoring(u).v, (
                     p, d, u)
@@ -732,7 +775,7 @@ def test_class_matrix_invariant_under_coordinate_changes():
 # -- smoothness ---------------------------------------------------------------
 
 
-def _exhaustive_singular(f6: ModForm, max_degree: int):
+def _exhaustive_singular(f6: ObjForm, max_degree: int):
     """Oracle: scan P^2(F_{p^e}) directly for common zeros of f6 and its
     partials, using the vectorized chart evaluator."""
     base = f6.ctx
@@ -745,7 +788,7 @@ def _exhaustive_singular(f6: ModForm, max_degree: int):
             for g in polys:
                 if g.is_zero():
                     continue
-                logs = chart_value_logs(g, ctx, chart)
+                logs = chart_value_logs(g.mod(), ctx, chart)
                 zero = logs < 0
                 mask = zero if mask is None else (mask & zero)
             idx = np.nonzero(mask)[0]
@@ -767,15 +810,15 @@ def test_smoothness_surface_c():
 def test_smoothness_x6_singular():
     F5 = field_create(5, 1)
     f6 = _mod(F5, {(6, 0, 0): 1})
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     assert rep.verdict == "singular"
-    assert rep.witness[0].is_zero()  # the witness lies on x = 0
+    assert rep.witness[0] == 0  # the witness lies on x = 0
 
 
 def test_smoothness_fermat_sextic():
     F7 = field_create(7, 1)
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
-    assert smoothness_check(f6).verdict == "smooth"
+    assert smoothness_check(f6.mod()).verdict == "smooth"
     assert not _exhaustive_singular(f6, 2)
 
 
@@ -784,7 +827,7 @@ def test_smoothness_cube_of_conic():
     F3 = field_create(3, 1)
     conic = _mod(F3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     f6 = conic * conic * conic
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     assert rep.verdict == "singular"
 
 
@@ -792,14 +835,7 @@ def test_smoothness_node():
     # f6 with a double point at (0:0:1); the witness must satisfy the system
     F5 = field_create(5, 1)
     f6 = _mod(F5, {(2, 0, 4): 1, (0, 2, 4): 1, (6, 0, 0): 1, (0, 6, 0): 2})
-    rep = smoothness_check(f6)
-    assert rep.verdict == "singular"
-    wctx = rep.witness[0].ctx
-    femb = f6 if wctx is F5 else f6.embed(wctx)
-    assert eval_form(femb, rep.witness).is_zero()
-    for v in range(3):
-        fp = partial(femb, v)
-        assert fp.is_zero() or eval_form(fp, rep.witness).is_zero()
+    _assert_singular_witness(f6, smoothness_check(f6.mod()))
     # (0:0:1) itself is singular and within reach of the exhaustive oracle
     assert any(_pt_ints(pt) == (0, 0, 1) for pt, _ in _exhaustive_singular(f6, 1))
 
@@ -817,33 +853,25 @@ def test_smoothness_matches_exhaustive_on_random_sextics():
             if not coeffs:
                 continue
             f6 = _mod(ctx, coeffs, 6)
-            rep = smoothness_check(f6)
+            rep = smoothness_check(f6.mod())
             found = _exhaustive_singular(f6, 3)
             if rep.verdict == "smooth":
                 assert not found
             else:
-                assert rep.verdict == "singular"
                 # the reported witness satisfies the whole system
-                wctx = rep.witness[0].ctx
-                femb = f6 if wctx is ctx else f6.embed(wctx)
-                assert eval_form(femb, rep.witness).is_zero()
-                for v in range(3):
-                    fp = partial(femb, v)
-                    assert fp.is_zero() or eval_form(fp, rep.witness).is_zero()
-                if found:
-                    assert rep.verdict == "singular"
-                if rep.field_degree is not None and rep.field_degree <= 3:
+                _assert_singular_witness(f6, rep)
+                if rep.field.d <= 3:
                     assert found
 
 
-def _assert_singular_witness(f6: ModForm, rep):
+def _assert_singular_witness(f6: ObjForm, rep):
     """The reported witness is a common zero of f6 and all its partials."""
     assert rep.verdict == "singular"
-    wctx = rep.witness[0].ctx
-    assert wctx.d == rep.field_degree
+    wctx = rep.field
     femb = f6 if wctx is f6.ctx else f6.embed(wctx)
+    pt = _elems(wctx, rep.witness)
     for g in [femb] + [partial(femb, v) for v in range(3)]:
-        assert g.is_zero() or eval_form(g, rep.witness).is_zero()
+        assert g.is_zero() or eval_form(g, pt).is_zero()
 
 
 def _lines_product(ctx, lines):
@@ -873,7 +901,7 @@ def test_smoothness_structured_singular_cases(monkeypatch):
                   * _mod(F7, {(4, 0, 0): 1, (0, 4, 0): 2, (0, 0, 4): 3,
                               (2, 1, 1): 1})))
     for name, f6 in cases:
-        rep = smoothness_check(f6)
+        rep = smoothness_check(f6.mod())
         assert _exhaustive_singular(f6, 2), name
         _assert_singular_witness(f6, rep)
 
@@ -886,7 +914,7 @@ def test_smoothness_structured_singular_cases(monkeypatch):
                               (1, 12, 13), (1, 12, 4), (1, 15, 21)])
     hits = _exhaustive_singular(f6, 1)
     assert len(hits) == 15 and all(not pt[0].is_zero() for pt, _ in hits)
-    scanned = smoothness_check(f6)
+    scanned = smoothness_check(f6.mod())
     degrees = []
 
     def recording(system, degree, skip):
@@ -895,17 +923,17 @@ def test_smoothness_structured_singular_cases(monkeypatch):
 
     monkeypatch.setattr(geom, "_macaulay_matrix", recording)
     monkeypatch.setattr(geom, "_SCAN_MAX_P", 0)
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     _assert_singular_witness(f6, rep)
-    assert (rep.witness, 1) in hits and degrees == [14, 15]
-    assert (scanned.witness, scanned.field_degree) == (rep.witness, 1)
+    assert (_elems(F23, rep.witness), 1) in hits and degrees == [14, 15]
+    assert (scanned.field, scanned.witness) == (F23, rep.witness)
     monkeypatch.undo()
 
     # a node at (0 : 0 : 1) is returned as it is
     f6 = _mod(F7, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1, (5, 0, 1): 2})
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     _assert_singular_witness(f6, rep)
-    assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
+    assert (rep.field, rep.witness) == (F7, (0, 0, 1))
 
     # nodes only at the conjugate points (1 : +-sqrt 2 : 0) over F_25
     F5 = field_create(5, 1)
@@ -914,9 +942,9 @@ def test_smoothness_structured_singular_cases(monkeypatch):
           + _mod(F5, {(0, 0, 6): 1, (3, 0, 3): 1}))
     hits = _exhaustive_singular(f6, 2)
     assert {e for _, e in hits} == {2} and len(hits) == 2
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     _assert_singular_witness(f6, rep)
-    assert rep.field_degree == 2 and (rep.witness, 2) in hits
+    assert rep.field.d == 2 and (_elems(rep.field, rep.witness), 2) in hits
 
 
 def test_scan_witness_matches_the_macaulay_path(monkeypatch):
@@ -982,24 +1010,23 @@ def test_scan_witness_matches_the_macaulay_path(monkeypatch):
     for kind, projection, f6 in cases:
         monkeypatch.setattr(geom, "_SCAN_MAX_P", 0)
         monkeypatch.setattr(geom, "_macaulay_matrix", build)
-        want = smoothness_check(f6)
+        want = smoothness_check(f6.mod())
         monkeypatch.setattr(geom, "_SCAN_MAX_P", bound)
         # a witness over F_p is found by the scan, never by a matrix
         monkeypatch.setattr(geom, "_macaulay_matrix",
-                            never if want.field_degree == 1 else recording)
+                            never if want.field.d == 1 else recording)
         built.clear()
-        rep = smoothness_check(f6)
-        assert (rep.verdict, rep.witness, rep.field_degree) == \
-            (want.verdict, want.witness, want.field_degree), (kind, f6)
+        rep = smoothness_check(f6.mod())
+        assert rep == want, (kind, f6)
         _assert_singular_witness(f6, rep)
-        if rep.field_degree == 1:
+        if rep.field.d == 1:
             settled.append(kind)
         else:
             assert built[:1] == [14], kind
-        if projection is not None and rep.field_degree == 2:
+        if projection is not None and rep.field.d == 2:
             # over the expected projection, where the scan (which found a
             # later F_p-point) handed over to the matrix
-            assert _pt_ints(rep.witness)[:2] == projection, kind
+            assert rep.witness[:2] == projection, kind
             handed_over.append(kind)
     # most random nodes are the first singular point, and most conjugate
     # pairs come before the first F_p-point (10 primes up to 31)
@@ -1007,30 +1034,6 @@ def test_scan_witness_matches_the_macaulay_path(monkeypatch):
     assert settled.count("node") >= 3 * primes
     assert handed_over.count("pair before node") >= primes - 2
     assert handed_over.count("x = 0 pair") >= primes - 2
-
-
-def _singular_families(ctx, rng):
-    """Seeded singular sextics over F_p, one per family: a node at a random
-    point (on x = 0 one time in four), g^2 h, a conic times a quartic, the
-    square of a cubic, six lines and the cube of a conic."""
-    p = ctx.p
-
-    def form(degree):
-        return _mod(ctx, {m: rng.randrange(p) for m in _monomials(degree)[0]},
-                    degree)
-
-    def lin(a, b, c):
-        return _mod(ctx, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}, 1)
-
-    v, w = rng.randrange(p), rng.randrange(p)
-    Y, Z = ((lin(1, 0, 0), lin(0, -w, 1)) if rng.random() < 0.25
-            else (lin(-v, 1, 0), lin(-w, 0, 1)))
-    g, c = form(2), form(3)
-    lines = [(1, rng.randrange(p), rng.randrange(p)) for _ in range(6)]
-    return [("node", Y * Y * form(4) + Y * Z * form(4) + Z * Z * form(4)),
-            ("g^2 h", g * g * form(2)), ("conic*quartic", g * form(4)),
-            ("cubic^2", c * c), ("six lines", _lines_product(ctx, lines)),
-            ("conic^3", g * g * g)]
 
 
 def test_ported_witness_matches_the_object_reference(monkeypatch):
@@ -1044,11 +1047,12 @@ def test_ported_witness_matches_the_object_reference(monkeypatch):
     degrees, compared = set(), 0
     for p in (3, 5, 7, 37, 41, 101):
         ctx = field_create(p, 1)
-        for kind, f6 in _singular_families(ctx, rng):
+        for kind, f in singular_families(p, rng):
+            f6 = reduce_mod(f, ctx)
             if f6.is_zero():
                 continue
             rep = smoothness_check(f6)
-            _assert_singular_witness(f6, rep)
+            _assert_singular_witness(ObjForm.of(f6), rep)
             system, skip = geom._smoothness_system(f6)
             if not any(coeffs[0] for _, coeffs in system):
                 continue  # (0 : 0 : 1), returned before any matrix
@@ -1062,9 +1066,9 @@ def test_ported_witness_matches_the_object_reference(monkeypatch):
                      for e, c in system]
             want = normalize_point(singular_witness_ref(polys, z_free(14),
                                                         z_free))
-            assert (rep.witness, rep.field_degree) == \
-                (want, want[0].ctx.d), (p, kind)
-            degrees.add(rep.field_degree)
+            assert (rep.field, rep.witness) == \
+                (want[0].ctx, tuple(c.v for c in want)), (p, kind)
+            degrees.add(rep.field.d)
             compared += 1
     assert compared >= 30 and len(degrees) >= 2, (compared, degrees)
 
@@ -1090,8 +1094,8 @@ def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
     for p, witness in ((101, (0, 1, 380)), (4231, (0, 1, 8596334))):
         calls.clear()
         rep = smoothness_check(reduce_mod(g * g * h, field_create(p, 1)))
-        assert rep.verdict == "singular" and rep.field_degree == 2
-        assert _pt_ints(rep.witness) == witness
+        assert rep.verdict == "singular" and rep.field.d == 2
+        assert rep.witness == witness
         assert len(calls) <= 10, (p, len(calls))
 
 
@@ -1112,9 +1116,8 @@ def test_witness_over_a_large_extension_asks_for_no_tables(monkeypatch):
 
     sextics = [form(3) * form(3) for _ in range(17)]
     rep = smoothness_check(reduce_mod(sextics[16], field_create(5, 1)))
-    assert rep.verdict == "singular" and rep.field_degree == 9
-    assert _pt_ints(rep.witness) == (1, 180324, 1431381)
-    assert rep.witness[0].ctx is field_create(5, 9)
+    assert rep.verdict == "singular" and rep.field is field_create(5, 9)
+    assert rep.witness == (1, 180324, 1431381)
     assert asked == [] and field_create(5, 9)._tables is None
 
 
@@ -1130,21 +1133,22 @@ def test_smoothness_prime_bound(monkeypatch):
     node = {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1}
     assert is_prime(4194319)
     f6 = _mod(field_create(_LARGEST_PRIME, 1), node)
-    rep = smoothness_check(f6)
+    rep = smoothness_check(f6.mod())
     _assert_singular_witness(f6, rep)
-    assert _pt_ints(rep.witness) == (0, 0, 1) and rep.field_degree == 1
+    assert rep.witness == (0, 0, 1) and rep.field.d == 1
     for p in (4194319, (1 << 31) - 1):
         f6 = _mod(field_create(p, 1), node)
         with pytest.raises(BudgetExceededError, match=str(1 << 22)):
-            smoothness_check(f6)
+            smoothness_check(f6.mod())
     # only forms over the prime field are accepted
     F25 = field_create(5, 2)
     with pytest.raises(ValueError, match="prime field"):
-        smoothness_check(_mod(F25, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}))
+        smoothness_check(_mod(F25, {(6, 0, 0): 1, (0, 6, 0): 1,
+                                    (0, 0, 6): 1}).mod())
 
 
 def _int_system(forms):
-    """ModForms over F_p as the (degree, coefficients) pairs of
+    """ObjForms over F_p as the (degree, coefficients) pairs of
     geom._smoothness_system."""
     return [(f.degree, np.array([f.coeffs[m].to_int() if m in f.coeffs else 0
                                  for m in _monomials(f.degree)[0]]))
@@ -1159,7 +1163,7 @@ def test_macaulay_matrix_rows_are_form_multiples():
     f6 = _mod(F7, {(6, 0, 0): 1, (0, 6, 0): 3, (0, 0, 6): 1, (2, 2, 2): 5,
                    (1, 0, 5): 2, (3, 3, 0): 4})
     system = [f6] + [partial(f6, v) for v in range(3)]
-    generators, skip = geom._smoothness_system(f6)
+    generators, skip = geom._smoothness_system(f6.mod())
     assert skip is None and [(e, c.tolist()) for e, c in generators] == \
         [(e, c.tolist()) for e, c in _int_system(system[1:])]
     mat = _macaulay_matrix(_int_system(system), 14)
@@ -1348,7 +1352,7 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
             partials = [h for h in (partial(f6, v) for v in range(3))
                         if not h.is_zero()]
             if len(partials) == 3:
-                generators, skip = geom._smoothness_system(f6)
+                generators, skip = geom._smoothness_system(f6.mod())
                 assert _macaulay_matrix(generators, 14, skip).shape == \
                     (165, 120)
             want = macaulay_smoothness(f6)
@@ -1357,12 +1361,10 @@ def test_smoothness_matches_full_macaulay_oracle(monkeypatch):
             for bound in (scan_max_p, 0):
                 monkeypatch.setattr(geom, "_SCAN_MAX_P", bound)
                 widths.clear()
-                rep = smoothness_check(f6)
-                assert (rep.verdict, rep.witness, rep.field_degree) == \
-                    want, (p, bound, f6)
+                rep = smoothness_check(f6.mod())
+                assert _report(rep) == want, (p, bound, f6)
             z5 = any((0, 0, 5) in h.coeffs for h in partials)
             if not z5 and (p != 3 or (0, 0, 6) not in f6.coeffs):
-                assert widths == [] and rep.witness == (ctx.zero(), ctx.zero(),
-                                                        ctx.one()), (p, f6)
+                assert widths == [] and rep.witness == (0, 0, 1), (p, f6)
             else:
                 assert widths[0] == (65 if z5 else 75), (p, f6)

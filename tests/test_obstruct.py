@@ -5,7 +5,7 @@ import pytest
 
 from k3cert.errors import CommonZeroOnLineError, NotDivisibleError
 from k3cert.ffield import field_create
-from k3cert.forms import BinaryForm, IntForm
+from k3cert.forms import IntForm
 from k3cert.geom import decompose_along_line
 from k3cert.obstruct import (
     lifts_to_second_order,
@@ -14,7 +14,7 @@ from k3cert.obstruct import (
 )
 
 import data
-from oracles import bf_add, bf_mul, bf_sub
+from oracles import BinaryForm, bf_add, bf_mul, bf_sub
 
 LINE_X = (1, 0, 0)
 LINE_C = (1, 1, 1)
@@ -61,6 +61,14 @@ def test_surface_c_obstruction_nonvanishing():
     assert len(report.matrix) == 7 and len(report.matrix[0]) == 6
 
 
+def _recombines(report, b3, c1):
+    """Whether f3_bar b3 + f5_bar c1 = g_bar for the report's coefficient
+    lists over F_p and binary forms b3 and c1."""
+    f3_bar, f5_bar, g_bar = (BinaryForm.from_ints(b3.ctx, c) for c in (
+        report.f3_bar, report.f5_bar, report.g_bar))
+    return bf_add(bf_mul(f3_bar, b3), bf_mul(f5_bar, c1)) == g_bar
+
+
 def test_surface_c_gbar_matches_published_class():
     # the published reduced class (variables x, y on the line x+y+z=0)
     # transported to this implementation's coordinates must agree up to the
@@ -85,7 +93,7 @@ def test_surface_c_gbar_matches_published_class():
             pub[(b + j, cc)] = pub.get((b + j, cc), 0) + v
     pub_coeffs = [pub.get((6 - i, i), 0) % 3 for i in range(7)]
     pub_bar = BinaryForm.from_ints(F3, pub_coeffs)
-    diff = bf_sub(report.g_bar, pub_bar)
+    diff = bf_sub(BinaryForm.from_ints(F3, report.g_bar), pub_bar)
     # difference must lie in the span: solvable system with rhs = diff
     from k3cert.obstruct import _solve_mod_p
     rhs = [c.to_int() for c in diff.coeffs]
@@ -94,7 +102,7 @@ def test_surface_c_gbar_matches_published_class():
     k3, k5 = IntForm(data.F3_C_KNOWN), IntForm(data.F5_C_KNOWN)
     G_pub = obstruction_G(IntForm(data.F6_C), LINE_C, k3, k5, 3)
     report_pub = obstruction_vanishes(G_pub, LINE_C, k3, k5, 3)
-    assert report_pub.g_bar == pub_bar
+    assert report_pub.g_bar == pub_coeffs
     assert report_pub.verdict == "nonvanishing"
 
 
@@ -121,9 +129,9 @@ def test_ideal_member_vanishes():
         except CommonZeroOnLineError:
             continue
         assert report.verdict == "vanishes"
-        b3, c1 = report.witness
-        assert bf_add(bf_mul(report.f3_bar, b3),
-                      bf_mul(report.f5_bar, c1)) == report.g_bar
+        b3, c1 = (BinaryForm.from_ints(field_create(p, 1), c)
+                  for c in report.witness)
+        assert _recombines(report, b3, c1)
 
 
 def test_verdict_invariant_under_lift_perturbation():
@@ -195,8 +203,7 @@ def test_brute_force_oracle_p3():
             for c1c in itertools.product(range(3), repeat=2):
                 b3 = BinaryForm.from_ints(F3, b3c)
                 c1 = BinaryForm.from_ints(F3, c1c)
-                if bf_add(bf_mul(report.f3_bar, b3),
-                          bf_mul(report.f5_bar, c1)) == report.g_bar:
+                if _recombines(report, b3, c1):
                     found = (b3, c1)
                     break
             if found:
