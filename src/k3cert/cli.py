@@ -43,19 +43,13 @@ import time
 from dataclasses import dataclass, field
 
 from .count import CacheStore, count_series
-from .errors import CacheFileError, MathError
+from .errors import CacheFileError, MathError, WeilBoundError
 from .ffield import field_create, is_prime
 from .forms import IntForm, reduce_mod
-from .geom import (
-    ConicCert,
-    SplitCurve,
-    assert_good_reduction,
-    class_matrix,
-    find_tritangents,
-    verify_conic_identity,
-)
+from .geom import assert_good_reduction, find_tritangents
 from .lattice import gram_rank_disc, row_basis, square_class_equal
-from .obstruct import binary_str, lifts_to_second_order
+from .obstruct import (ConicCert, SplitCurve, binary_str, class_matrix,
+                       lifts_to_second_order, verify_conic_identity)
 from .zeta import (H2_DIM, artin_tate_value, cyclotomic_part, determine_sign,
                    newton_above_hodge, predicted_count)
 
@@ -240,8 +234,15 @@ def _series_for(spec, p, dmax, args):
         cache = CacheStore(args.cache) if args.cache else None
     except CacheFileError as exc:
         raise UsageError(f"corrupt count cache {exc}") from None
-    return count_series(spec.f6, p, dmax, cache, deep=args.deep,
-                        workers=args.workers, external=spec.external_counts)
+    try:
+        return count_series(spec.f6, p, dmax, cache, deep=args.deep,
+                            workers=args.workers,
+                            external=spec.external_counts)
+    except WeilBoundError:
+        # the Weil bound holds only for good reduction: a singular sextic
+        # is reported as such, not as a wrong count
+        assert_good_reduction(spec.f6, p)
+        raise
 
 
 def _count_rows(series):
@@ -298,10 +299,10 @@ def _class_lattice(spec, p, certs):
     """The classes at p from verified objects only: H, the components C+-
     of each conic certificate (its identity checked over Z) and D+- of
     each tritangent over F_p with rational splits among `certs`, with
-    their intersection matrix (geom.class_matrix); the rank of the classes
-    over the closure of Q (H and the C+-, H = (C+ + C-)/2); and a basis of
-    the F_p-rational classes (H, the D+- and the C+- of a conic whose
-    scale is a square mod p) with its determinant.  A `gram:` claim is
+    their intersection matrix (obstruct.class_matrix); the rank of the
+    classes over the closure of Q (H and the C+-, H = (C+ + C-)/2); and a
+    basis of the F_p-rational classes (H, the D+- and the C+- of a conic
+    whose scale is a square mod p) with its determinant.  A `gram:` claim is
     compared with the C+- block up to the +- labels of each conic; no
     bound reads it."""
     for i, cert in enumerate(spec.conics, start=1):

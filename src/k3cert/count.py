@@ -13,7 +13,7 @@ evaluates the row y = 0 and one row per orbit of y -> y^p on F_q^*
 about q/d rows instead of q.
 
 The hot loop works entirely in the discrete-log domain of the field's
-tables (FieldCtx.tables): for fixed y the sextic f6(1, y, z) collapses
+tables (zech_tables): for fixed y the sextic f6(1, y, z) collapses
 to seven per-y coefficients, each z-monomial value is a log gather, and
 additions run through a Zech table.  Everything is vectorized with
 numpy over blocks of (row, z) pairs in int32 logs; the last addition
@@ -32,6 +32,7 @@ scheduling.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -50,10 +51,12 @@ except ImportError:  # CPython 3.12 and later, other interpreters
 
 from .errors import (BudgetExceededError, CacheFileError, MathError,
                      SingularReductionError, WeilBoundError)
-from .ffield import FieldCtx, field_create, log_horner
+from .ffield import (FieldCtx, _enc_digits, _zp_mod, _zp_mul, _zp_powmod,
+                     factorize, field_create)
 from .forms import IntForm, ModForm, reduce_mod
 
 H2_DIM = 22  # second Betti number of a K3 surface
+DEFAULT_ZECH_LIMIT = 1 << 22
 MANDATORY_Q2_LIMIT = 4_000_000_000  # desk-scale policy: q^2 at most 4e9
 _BLOCK_ELEMS = 1 << 16  # (row, z) pairs per kernel block: buffers stay in cache
 # a count forks only above this many (row, z) pairs, about 20 ms of kernel
@@ -112,7 +115,85 @@ def trace_from_count(N: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# log-domain kernel
+# log tables and the log-domain kernel
+
+
+def check_table_budget(q: int):
+    """Raise BudgetExceededError when F_q is above the Zech table limit;
+    nothing is built, not even the field."""
+    if q > DEFAULT_ZECH_LIMIT:
+        raise BudgetExceededError(f"F_{q} needs Zech tables, which stop at "
+                                  f"q <= {DEFAULT_ZECH_LIMIT}")
+
+
+@functools.lru_cache(maxsize=None)
+def zech_tables(ctx: FieldCtx):
+    """(exp, log, zech) over the generator g of least encoding, as
+    read-only int64 arrays: exp[k] is the encoding of g^k, log[x] the log
+    of the element of encoding x (-1 at zero) and zech[k] the log of 1 +
+    g^k.  Built once per context; above DEFAULT_ZECH_LIMIT they raise
+    BudgetExceededError."""
+    check_table_budget(ctx.q)
+    p, d, q, modulus = ctx.p, ctx.d, ctx.q, ctx.modulus
+    q1 = q - 1
+    # g: no power (q-1)/r of it is 1, for the primes r dividing q - 1
+    prime_divs = list(factorize(q1))
+    gen = next(g for g in (_enc_digits(enc, p, d) for enc in range(2, q))
+               if all(_zp_powmod(g, q1 // r, modulus, p) != [1]
+                      for r in prime_divs))
+    # multiply-by-generator matrix: column j = gen * t^j mod modulus
+    cols = []
+    for j in range(d):
+        col = _zp_mod(_zp_mul(gen, [0] * j + [1], p), modulus, p)
+        cols.append(col + [0] * (d - len(col)))
+    mg = np.array(cols, dtype=np.int64).T  # acts on coefficient columns
+    pvec = p ** np.arange(d, dtype=np.int64)
+    exp = np.empty(q1, dtype=np.int64)
+    block = min(q1, 4096)
+    # rows of x are the coefficient vectors of g^0, ..., g^(block-1),
+    # filled by doubling: rows [n, 2n) are rows [0, n) times mg^n
+    x = np.zeros((block, d), dtype=np.int64)
+    x[0, 0] = 1
+    mn, n = mg, 1
+    while n < block:
+        take = min(n, block - n)
+        x[n:n + take] = x[:take].dot(mn.T) % p
+        mn = mn.dot(mn) % p
+        n += take
+    exp[:block] = x.dot(pvec)
+    # the loop below runs only when block = 4096 = n, so mn = mg^block
+    pos = block
+    cur = x
+    while pos < q1:
+        cur = cur.dot(mn.T) % p
+        take = min(block, q1 - pos)
+        exp[pos:pos + take] = cur[:take].dot(pvec)
+        pos += take
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q1, dtype=np.int64)
+    # 1 + g^k: bump the constant coefficient, with wraparound at p-1
+    c0 = exp % p
+    e_plus = np.where(c0 == p - 1, exp - (p - 1), exp + 1)
+    zech = log[e_plus].copy()
+    for a in (exp, log, zech):
+        a.setflags(write=False)
+    return exp, log, zech
+
+
+def _log_horner(ctx: FieldCtx, coef_logs, xlogs):
+    """sum_i c_i x^i by Horner's rule on log indices, where any negative
+    value is zero and results are logs modulo q - 1 but not reduced; the
+    logs c_i may be scalars or arrays that broadcast against xlogs.  Each
+    step multiplies by x (adds logs) and adds c_i through the Zech table:
+    a + c = c (1 + a/c)."""
+    q1, zech = ctx.q - 1, zech_tables(ctx)[2]
+    acc = np.full(np.shape(xlogs), -1, dtype=np.int64)
+    for c in coef_logs[::-1]:
+        a = np.where((acc < 0) | (xlogs < 0), -1, acc + xlogs)
+        zt = zech[(a - c) % q1]
+        acc = np.where(c < 0, a, np.where(a < 0, c,
+                                          np.where(zt < 0, -1, c + zt)))
+    return acc
 
 
 def _coef_log_matrix(ctx: FieldCtx, f: ModForm) -> np.ndarray:
@@ -124,7 +205,7 @@ def _coef_log_matrix(ctx: FieldCtx, f: ModForm) -> np.ndarray:
         raise ValueError("form is not defined over this field or its prime subfield")
     n = f.degree
     m = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    log = ctx.tables()[1]
+    log = zech_tables(ctx)[1]
     for (a, b, c), coef in f.coeffs.items():
         m[b, c] = log[coef]
     return m
@@ -171,7 +252,7 @@ def _kernel_tables(ctx):
     P[0] = 1 its character."""
     q1 = ctx.q - 1
     off = 2 * q1
-    zech = ctx.tables()[2][(np.arange(5 * q1) - off) % q1]
+    zech = zech_tables(ctx)[2][(np.arange(5 * q1) - off) % q1]
     T = np.where(zech < 0, _NEG, zech + off).astype(np.int32)
     P = np.where(zech < 0, 0, 1 - 2 * (zech & 1)).astype(np.int8)
     T[0], P[0] = off, 1
@@ -193,7 +274,7 @@ def _affine_chart_sum(ctx, coef, ylogs, weights, block_elems=_BLOCK_ELEMS) -> in
     q1 = ctx.q - 1
     # per-y coefficient logs of f(1, y, z) as a polynomial in z, lc[j, row]:
     # one Horner pass in y over the columns of coef at once
-    lc = log_horner(ctx, coef[:, :, None], ylogs[None, :])
+    lc = _log_horner(ctx, coef[:, :, None], ylogs[None, :])
     nonzero = lc >= 0
     total = int(np.dot(weights, nonzero[0] * (1 - 2 * (lc[0] & 1))))  # z = 0
     lc = np.where(nonzero, lc % q1, -1).astype(np.int32)
@@ -242,7 +323,7 @@ def _line_chart_sum(ctx, coef) -> int:
     n = coef.shape[0] - 1
     cz = [int(coef[n - c, c]) for c in range(n + 1)]
     zlogs = np.arange(ctx.q, dtype=np.int64) - 1
-    return _chi_sum(log_horner(ctx, cz, zlogs))
+    return _chi_sum(_log_horner(ctx, cz, zlogs))
 
 
 def _point_chart_sum(ctx, coef) -> int:
@@ -263,7 +344,7 @@ def _require_zech(p, d, deep):
             f"q^2 = {q * q} exceeds the desk-scale budget; pass deep=True "
             "(--deep) or inject the count as an external value")
     ctx = field_create(p, d)
-    ctx.tables()  # raises above the Zech limit; forked workers inherit them
+    zech_tables(ctx)  # raises above the Zech limit; forked workers inherit them
     return ctx
 
 

@@ -1,38 +1,19 @@
-"""Exact arithmetic in F_p and F_{p^d} for odd primes p.
+"""Exact scalar arithmetic in F_p and F_{p^d} for odd primes p, on plain
+integers.
 
-A FieldCtx fixes the prime, the extension degree d and a deterministic
-modulus: the monic irreducible of degree d over F_p whose coefficient
-vector (c_0, c_1, ..., c_{d-1}) is lexicographically least (constant term
-first; at p = 5, d = 2 this is t^2 + t + 1).  Every element is its
-canonical integer encoding enc(a) = sum a_i p^i over its coefficient
-vector; encodings order elements deterministically.  Sums are taken digit
-by digit, and products in F_p are plain integer arithmetic mod p.
+- is_prime and factorize: integer helpers.
+- _zp_*: dense polynomials over Z/p as int lists, ascending.
+- FieldCtx, built and cached by field_create: one field with its
+  deterministic modulus (_lex_least_irreducible) and its scalar
+  operations (_add, _mul, _dot, _pow, _chi) on canonical encodings,
+  enc(a) = sum a_i p^i over the coefficient vector of a.  FieldElem wraps
+  an encoding as an element with operators.
+- _fq_*: polynomials over a FieldCtx as lists of encodings, down to their
+  roots over the smallest extensions that hold them (_fq_roots).
+- _embed_enc: encodings mapped into an extension.
 
-Products, powers and inverses in an extension multiply coefficient
-lists and reduce them mod the modulus; inverses take the extended
-Euclidean algorithm, and the quadratic character is the Legendre symbol
-of the norm, a resultant with the modulus.  FieldCtx's scalar
-operations (_add, _mul, _dot, _pow, _chi) act on encodings, with the
-prime-field case first, and every step of the pipeline computes on
-encodings through them; FieldElem wraps them as element objects for
-callers that want operators.  The _fq_* functions build on them the
-arithmetic of polynomials over the field as lists of encodings, down to
-their roots over the smallest extensions that hold them (_fq_roots), and
-_embed_enc maps encodings into an extension.  A field also has exp, log
-and Zech logarithm tables over a fixed multiplicative generator, built on
-the first call to FieldCtx.tables (up to q = DEFAULT_ZECH_LIMIT): only
-the array kernels read them.  The log_* functions do Zech arithmetic on
-numpy arrays of log indices, for the point count.  The digit_* functions
-work on numpy arrays of coordinate vectors over F_p instead (the base-p
-digits of the encoding): sums are digitwise, products are x y mod p over
-F_p and go through the log tables in every extension, as do inverses;
-the tritangent search runs on them.
-
-Contexts are cached by field_create.  Their only state besides the
-field's parameters is the tables, a pure function of those: two threads
-that ask for them first at once build equal tables.  count_points builds
-them before it forks, so that its workers inherit them.  Element
-operations are pure.
+The log tables of the point count are in count, and the arithmetic on
+arrays of coordinate vectors of the tritangent search is in geom.
 """
 
 from __future__ import annotations
@@ -41,11 +22,7 @@ import functools
 import itertools
 import operator
 
-import numpy as np
-
-from .errors import BudgetExceededError, MathError
-
-DEFAULT_ZECH_LIMIT = 1 << 22
+from .errors import MathError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -254,14 +231,6 @@ def _lex_least_irreducible(p, d):
     raise AssertionError("no irreducible found")  # impossible
 
 
-def check_table_budget(q: int):
-    """Raise BudgetExceededError when F_q is above the Zech table limit;
-    nothing is built, not even the field."""
-    if q > DEFAULT_ZECH_LIMIT:
-        raise BudgetExceededError(f"F_{q} needs Zech tables, which stop at "
-                                  f"q <= {DEFAULT_ZECH_LIMIT}")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -329,7 +298,7 @@ class FieldElem:
 class FieldCtx:
     """Arithmetic context for F_{p^d}; build via field_create."""
 
-    __slots__ = ("p", "d", "q", "modulus", "_tables")
+    __slots__ = ("p", "d", "q", "modulus")
 
     def __init__(self, p, d):
         if not is_prime(p):
@@ -340,73 +309,6 @@ class FieldCtx:
             raise ValueError("extension degree must be >= 1")
         self.p, self.d, self.q = p, d, p ** d
         self.modulus = _lex_least_irreducible(p, d)
-        self._tables = None
-
-    def tables(self):
-        """(exp, log, zech) over the generator g of least encoding, built
-        on the first call: exp[k] is the encoding of g^k, log[x] the log of
-        the element of encoding x (-1 at zero) and zech[k] the log of 1 +
-        g^k.  Only the array kernels need them; above DEFAULT_ZECH_LIMIT
-        they raise BudgetExceededError."""
-        if self._tables is None:
-            check_table_budget(self.q)
-            self._tables = self._build_tables()
-        return self._tables
-
-    # -- construction helpers ------------------------------------------------
-
-    def _find_generator(self):
-        """Encoding of the smallest multiplicative generator."""
-        p, d, q = self.p, self.d, self.q
-        prime_divs = list(factorize(q - 1))
-        for enc in range(2, q):
-            cand = _enc_digits(enc, p, d)
-            if all(_zp_powmod(cand, (q - 1) // r, self.modulus, p) != [1]
-                   for r in prime_divs):
-                return enc
-        raise AssertionError("no generator found")
-
-    def _build_tables(self):
-        p, d, q = self.p, self.d, self.q
-        q1 = q - 1
-        gen = _enc_digits(self._find_generator(), p, d)
-        # multiply-by-generator matrix: column j = gen * t^j mod modulus
-        cols = []
-        for j in range(d):
-            col = _zp_mod(_zp_mul(gen, [0] * j + [1], p), self.modulus, p)
-            cols.append(col + [0] * (d - len(col)))
-        mg = np.array(cols, dtype=np.int64).T  # acts on coefficient columns
-        pvec = p ** np.arange(d, dtype=np.int64)
-        exp = np.empty(q1, dtype=np.int64)
-        block = min(q1, 4096)
-        # rows of x are the coefficient vectors of g^0, ..., g^(block-1),
-        # filled by doubling: rows [n, 2n) are rows [0, n) times mg^n
-        x = np.zeros((block, d), dtype=np.int64)
-        x[0, 0] = 1
-        mn, n = mg, 1
-        while n < block:
-            take = min(n, block - n)
-            x[n:n + take] = x[:take].dot(mn.T) % p
-            mn = mn.dot(mn) % p
-            n += take
-        exp[:block] = x.dot(pvec)
-        # the loop below runs only when block = 4096 = n, so mn = mg^block
-        pos = block
-        cur = x
-        while pos < q1:
-            cur = cur.dot(mn.T) % p
-            take = min(block, q1 - pos)
-            exp[pos:pos + take] = cur[:take].dot(pvec)
-            pos += take
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q1, dtype=np.int64)
-        # 1 + g^k: bump the constant coefficient, with wraparound at p-1
-        c0 = exp % p
-        e_plus = np.where(c0 == p - 1, exp - (p - 1), exp + 1)
-        zech = log[e_plus].copy()
-        for a in (exp, log, zech):
-            a.setflags(write=False)
-        return exp, log, zech
 
     # -- operations on encodings ---------------------------------------------
 
@@ -533,90 +435,6 @@ def field_create(p: int, d: int) -> FieldCtx:
     Equal parameters always return the identical context object, so
     element contexts can be compared by identity."""
     return _field_create_cached(int(p), int(d))
-
-
-# ---------------------------------------------------------------------------
-# array arithmetic on log indices (FieldCtx.tables): any negative value is
-# zero, and results are log indices modulo q - 1 but not reduced
-
-
-def log_mul(a, b):
-    """Products of elements given by log arrays."""
-    return np.where((a < 0) | (b < 0), -1, a + b)
-
-
-def log_add(ctx: FieldCtx, a, b):
-    """Sums through the Zech table."""
-    q1 = ctx.q - 1
-    zt = ctx.tables()[2][(a - b) % q1]
-    r = np.where(zt < 0, -1, b + zt)
-    r = np.where(a < 0, b, r)
-    return np.where(b < 0, a, r)
-
-
-def log_horner(ctx: FieldCtx, coef_logs, xlogs):
-    """sum_i c_i x^i by Horner's rule; the logs c_i may be scalars or
-    arrays that broadcast against xlogs."""
-    acc = np.full(np.shape(xlogs), -1, dtype=np.int64)
-    for c in coef_logs[::-1]:
-        acc = log_add(ctx, log_mul(acc, xlogs), c)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# array arithmetic on coordinate vectors: an element is the vector of its
-# d base-p digits (a_0, ..., a_{d-1}), the coefficients of sum a_i t^i,
-# along the first axis of an int64 array (digit i of every element is the
-# contiguous slice x[i]).  Sums are digitwise; products in an extension,
-# inverses and powers go through the log and exp tables of the field.
-
-
-def digits(ctx: FieldCtx, enc) -> np.ndarray:
-    """Coordinate vectors of the elements with encodings enc, one digit at
-    a time (numpy divides by a scalar much faster than by an array)."""
-    enc = np.asarray(enc)
-    out = np.empty((ctx.d,) + enc.shape, dtype=np.int64)
-    for i in range(ctx.d):
-        rest = enc // ctx.p
-        out[i] = enc - ctx.p * rest
-        enc = rest
-    return out
-
-
-def digit_mul(ctx: FieldCtx, x, y) -> np.ndarray:
-    """Products of coordinate vectors that broadcast against each other:
-    x y mod p over F_p; in an extension, both factors are encoded, their
-    logs added and the exp table entry decoded (at d = 2 within a few
-    percent of summing the d^2 digit products, 2-core VM)."""
-    if ctx.d == 1:
-        return x * y % ctx.p
-    a, b = _digit_logs(ctx, x), _digit_logs(ctx, y)
-    return digits(ctx, np.where((a < 0) | (b < 0), 0,
-                                ctx.tables()[0][(a + b) % (ctx.q - 1)]))
-
-
-def _digit_logs(ctx: FieldCtx, x) -> np.ndarray:
-    # logs of coordinate vectors, -1 for zero
-    enc = x[-1]
-    for digit in x[-2::-1]:
-        enc = enc * ctx.p + digit
-    return ctx.tables()[1][enc]
-
-
-def digit_inv(ctx: FieldCtx, x) -> np.ndarray:
-    """Inverses of coordinate vectors through the log and exp tables;
-    zero maps to zero."""
-    logs = _digit_logs(ctx, x)
-    return digits(ctx, np.where(logs < 0, 0, ctx.tables()[0][-logs]))
-
-
-def digit_powers(ctx: FieldCtx, n: int, enc) -> np.ndarray:
-    """Coordinate vectors of x^0, ..., x^n for the elements x with
-    encodings enc: shape (d, len(enc), n + 1), with 0^0 = 1."""
-    exp, log, _ = ctx.tables()
-    logs = log[np.asarray(enc)][:, None]
-    enc = exp[logs * np.arange(n + 1) % (ctx.q - 1)]
-    return digits(ctx, np.where(logs < 0, np.arange(n + 1) == 0, enc))
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,29 @@ and cache fingerprints, so it must never change.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .ffield import FieldCtx, _embed_enc, _fq_mul
+from .ffield import (FieldCtx, _embed_enc, _fq_mul, _sqrt_in_field, _zp_gcd2,
+                     _zp_trim)
 
 
 def _grevlex_sort_key(mono):
     # within one total degree, descending grevlex is ascending (c, b)
     a, b, c = mono
     return (c, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(degree: int):
+    """Monomials of one degree in column order, with their positions.
+
+    Monomials containing z come first (descending power of z); the z-free
+    ones x^(degree-i) y^i end the list in order of i, so the tail of a
+    row is the coefficient list of a binary form in (x, y)."""
+    monos = tuple((degree - c - b, b, c)
+                  for c in range(degree, -1, -1) for b in range(degree - c + 1))
+    return monos, {m: i for i, m in enumerate(monos)}
 
 
 def _check_homogeneous(coeffs, degree):
@@ -241,3 +255,61 @@ def _square_split(ctx, g):
     if [mul(c, u) for c in _fq_mul(ctx, h, h)] != list(g):
         return None
     return h, u
+
+
+def _form_gcd(a, b, p: int):
+    """The gcd of two binary forms over F_p given as coefficient lists
+    ascending in t (a trailing zero is a factor s, the root at infinity):
+    the gcd of the polynomials in t, times s to the smaller order at
+    infinity."""
+    at, bt = _zp_trim(list(a)), _zp_trim(list(b))
+    return _zp_gcd2(at, bt, p) + [0] * min(len(a) - len(at), len(b) - len(bt))
+
+
+def _decompose_mod_line(ctx: FieldCtx, f6: dict, line, h, unit: int):
+    """f6 = f3^2 + line*f5 over ctx, on coefficient encodings (f6 and the
+    results by monomial, the line and h as lists), from the rational
+    square split unit * h^2 of the restriction of f6 to the line.
+
+    _restrict parametrizes the line as s w1 + t w2, where w1 and w2 are 1
+    in the non-pivot coordinates j1 and j2 respectively and 0 in the other
+    one, so a binary form b(s, t) is the restriction of b(x_j1, x_j2).
+    Canonical choice: f3 = r h(x_j1, x_j2) with r the principal square root
+    of the unit; f6 - f3^2 vanishes on the line, and the quotient f5 =
+    (f6 - f3^2)/line is unique.  It comes from synthetic division in the
+    pivot variable x_v: with line = a x_v + L, the terms of x_v-degree e +
+    1 of g = f6 - f3^2 give the quotient's terms of degree e, g_(e+1) = a
+    q_e + L q_(e+1), and the terms left in x_v-degree 0 are the remainder,
+    which must vanish."""
+    mul, add = ctx._mul, ctx._add
+    r = _sqrt_in_field(ctx, unit)
+    pivot, j1, j2 = _pivot_split(line)
+    f3 = {tuple(3 - i if v == j1 else i if v == j2 else 0
+                for v in range(3)): mul(r, c)
+          for i, c in enumerate(h) if c}
+    n = 2 * (len(h) - 1)
+    levels = [{} for _ in range(n + 1)]  # the terms of g by x_v-degree
+    for m, c in f6.items():
+        levels[m[pivot]][m] = c
+    for m1, c1 in f3.items():
+        for m2, c2 in f3.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            level = levels[m[pivot]]
+            level[m] = add(level.get(m, 0), mul(c1, c2), -1)
+    inv, quotient = ctx._pow(line[pivot], -1), {}
+    axis = [tuple(int(v == j) for v in range(3)) for j in range(3)]
+    dv = axis[pivot]
+    rest = [(axis[j], line[j]) for j in (j1, j2) if line[j]]
+    for e in range(n, 0, -1):
+        lower = levels[e - 1]
+        for m, c in levels[e].items():
+            if not c:
+                continue
+            c = mul(c, inv)
+            m = (m[0] - dv[0], m[1] - dv[1], m[2] - dv[2])
+            quotient[m] = c
+            for dj, lj in rest:
+                mj = (m[0] + dj[0], m[1] + dj[1], m[2] + dj[2])
+                lower[mj] = add(lower.get(mj, 0), mul(c, lj), -1)
+    assert not any(levels[0].values()), "the line does not divide f6 - f3^2"
+    return f3, quotient

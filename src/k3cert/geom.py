@@ -1,79 +1,19 @@
-"""Tangency geometry of the branch sextic over F_p.
+"""Geometry of the branch sextic over F_p: tritangent lines and smoothness.
 
-A line is a tritangent exactly when the restriction of f6 to it is a unit
-times the square of a binary cubic; the cubic's roots are the contact
-points.  Lines are canonicalized by scaling the last nonzero coefficient
-to 1 and searched in a deterministic dual-point order, exhaustively over
-P^2(F_{p^e}) for the requested field degrees.  The search runs on numpy
-arrays of coordinate vectors over F_p: the seven restriction
-coefficients of a block of lines are two float64 matrix products of
-the digits of the powers of the line coefficients with those of the
-sextic's coefficients (exact, as every sum stays below 2^53), and the
-u*h^2 test (the formal square root from the leading coefficient, with
-one inverse per line from the log tables) runs on those arrays.  Only
-the lines that pass are restricted and split once more in scalar
-arithmetic on coefficient encodings (plain integers, through FieldCtx's
-scalar operations, in every field alike), which also gives their
-decomposition and contact points; the certificates hold those
-encodings.  A field above the Zech table limit raises
-BudgetExceededError.
-
-The decomposition f6 = f3^2 + l f5 (mod p) along a tritangent l happens
-in the line's own coordinates: _restrict parametrizes l = 0 by
-the two coordinates other than the first nonzero one of l, so the
-principal square root r h of the restriction (r the square root of the
-unit with the smaller representative in [0, p), h normalized to 1 at its
-first nonzero coefficient) is f3 written in those two coordinates, and
-f5 = (f6 - f3^2)/l by synthetic division in the first nonzero
-coordinate of l.
-
-Smoothness of the sextic (good reduction of the double cover for odd p)
-is one rank computation over F_p: f6 and its partials have no common zero
-over the algebraic closure exactly when their multiples span all 120
-monomials of degree 14 (Lazard's bound 6 + 5 + 5 - 2 for forms of degrees
-6, 5, 5, 5 in three variables).  Like the point counts and the tritangent
-search, it stops at the Zech table limit: p above 2^22 raises
-BudgetExceededError before any matrix is built.  (0 : 0 : 1) is singular
-exactly when no form of the system has its z^k term (k its degree), and
-is then returned as the witness without a matrix.  For p <= _SCAN_MAX_P
-(31) the system is next evaluated at every other point of P^2(F_p) in
-the witness order of the matrix path, (0 : 1 : w) by w and then (1 : v :
-w) by (v, w), by float64 products with a cached table of monomial values;
-the first common zero is the witness, without a matrix, unless a
-singular point over an extension comes first in that order, on x = 0 or
-over a smaller projection (1 : v'), which one gcd over F_p per line
-through (0 : 0 : 1) rules out.  The Macaulay rows are built from the
-integer coefficients of f6 and of its partials.  Euler's identity 6 f6
-= x fx + y fy + z fz makes 45 of the 210 rows redundant: for p != 3 the
-multiples of f6 lie in the span of the partials' multiples, and for p = 3
-(where the left side vanishes) the multiples x_k m f_k of the last
-nonzero partial f_k do; the matrix keeps 165 rows with the same row
-space.  With the columns in descending powers of z, the form of least
-degree k with a unit coefficient on z^k (for p != 3 a partial with k = 5,
-which exists when a_006, a_105 or a_015 is nonzero; at p = 3, where fz
-has no z^5 term, fx or fy, else f6 with k = 6) gives a unit triangular
-block, its multiples by every monomial, with pivots at the 55 (or 45)
-columns of z-degree >= k.  The other forms' multiples by monomials
-divisible by z^k are redundant modulo the block and are dropped; the rest
-(80 rows for p != 3) are divided by the block one z-level at a time, a
-float64 matrix product per level, exact while p + k (D - k + 1) (p-1)^2 <
-2^53, which holds for p <= 2^22 in every degree D <= 30.  Only the
-remainder on the 65 (or 75) columns of z-degree below k goes through the
-pivot loop, and the rank is the block size plus its rank.  The pivot loop
-reduces mod p lazily: only the pivot column and the pivot row are reduced
-at each step, and the rows below take one unreduced slice update per
-pivot, which changes each entry by less than (p-1)^2.  Entries then stay
-below p + ncols*(p-1)^2 in magnitude, and the matrix is stored in the
-narrowest of int16, int32 and int64 that holds that bound (at 120
-columns: int16 up to p = 17, int32 up to p = 4231; int64 holds it for p
-<= 2^22 up to the 496 columns of degree 30).  On a rank deficit the
-witness comes from the same echelon form: the rows with a z-free pivot
-are binary forms in the ideal (they span the z-free part of the full
-matrix's row space, as every block row has a pivot of z-degree >= k), and
-a zero of their gcd lifts through the specialised system in z.  Without
-such rows a singular curve is found on the line x = 0, and a finite
-singular locus off that line from the matrix in a higher degree (at most
-30), reduced the same way.
+- Lines and binary forms: _line_at, the dual-point order of the search,
+  and _binary_roots.
+- Certificates: TritangentCert and SingularityReport.
+- A tritangent's contact points (_contact_points) and its decomposition
+  f6 = f3^2 + l f5 mod p (decompose_along_line, on
+  forms._decompose_mod_line).
+- Arrays of coordinate vectors over F_q (digits, digit_*), on the log
+  tables of count.zech_tables.
+- The tritangent search, find_tritangents: an array test of every line
+  over each field (_restriction_blocks, _unit_times_square), then the
+  exact split of the lines that pass.
+- Smoothness (smoothness_check, assert_good_reduction): a scan of P^2(F_p)
+  for small p (_rational_witness), the rank of a Macaulay matrix in
+  degree 14 (_reduced_echelon) and a singular witness (_singular_witness).
 """
 
 from __future__ import annotations
@@ -85,31 +25,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .count import MANDATORY_Q2_LIMIT
+from .count import (DEFAULT_ZECH_LIMIT, MANDATORY_Q2_LIMIT, check_table_budget,
+                    zech_tables)
 from .errors import BudgetExceededError, MathError, SingularReductionError
 from .ffield import (
-    DEFAULT_ZECH_LIMIT,
     FieldCtx,
     _embed_enc,
     _fq_gcd,
     _fq_roots,
-    _sqrt_in_field,
-    _zp_divmod,
     _zp_gcd2,
-    _zp_mul,
     _zp_trim,
-    check_table_budget,
-    digit_inv,
-    digit_mul,
-    digit_powers,
-    digits,
     field_create,
 )
 from .forms import (
     IntForm,
     ModForm,
+    _decompose_mod_line,
+    _form_gcd,
     _kernel_basis,
-    _pivot_split,
+    _monomials,
     _restrict,
     _square_split,
     reduce_mod,
@@ -181,17 +115,6 @@ class TritangentCert:
 
 
 @dataclass
-class ConicCert:
-    """Exact integer identity f6 = scale * q3^2 + q2 * q4 exhibiting a
-    conic q2 with six-fold tangency."""
-
-    scale: int
-    q2: IntForm
-    q3: IntForm
-    q4: IntForm
-
-
-@dataclass
 class SingularityReport:
     verdict: str  # smooth | singular
     field: FieldCtx | None = None  # the witness's field
@@ -199,7 +122,7 @@ class SingularityReport:
 
 
 # ---------------------------------------------------------------------------
-# tritangent search and decomposition
+# contact points and decomposition
 
 
 def _contact_points(ctx: FieldCtx, h, line):
@@ -217,55 +140,6 @@ def _contact_points(ctx: FieldCtx, h, line):
         inv = ext._pow(next(c for c in pt if c), -1)
         out.append((ext, tuple(ext._mul(c, inv) for c in pt), mult))
     return tuple(out)
-
-
-def _decompose_mod_line(ctx: FieldCtx, f6: dict, line, h, unit: int):
-    """f6 = f3^2 + line*f5 over ctx, on coefficient encodings (f6 and the
-    results by monomial, the line and h as lists), from the rational
-    square split unit * h^2 of the restriction of f6 to the line.
-
-    _restrict parametrizes the line as s w1 + t w2, where w1 and w2 are 1
-    in the non-pivot coordinates j1 and j2 respectively and 0 in the other
-    one, so a binary form b(s, t) is the restriction of b(x_j1, x_j2).
-    Canonical choice: f3 = r h(x_j1, x_j2) with r the principal square root
-    of the unit; f6 - f3^2 vanishes on the line, and the quotient f5 =
-    (f6 - f3^2)/line is unique.  It comes from synthetic division in the
-    pivot variable x_v: with line = a x_v + L, the terms of x_v-degree e +
-    1 of g = f6 - f3^2 give the quotient's terms of degree e, g_(e+1) = a
-    q_e + L q_(e+1), and the terms left in x_v-degree 0 are the remainder,
-    which must vanish."""
-    mul, add = ctx._mul, ctx._add
-    r = _sqrt_in_field(ctx, unit)
-    pivot, j1, j2 = _pivot_split(line)
-    f3 = {tuple(3 - i if v == j1 else i if v == j2 else 0
-                for v in range(3)): mul(r, c)
-          for i, c in enumerate(h) if c}
-    n = 2 * (len(h) - 1)
-    levels = [{} for _ in range(n + 1)]  # the terms of g by x_v-degree
-    for m, c in f6.items():
-        levels[m[pivot]][m] = c
-    for m1, c1 in f3.items():
-        for m2, c2 in f3.items():
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            level = levels[m[pivot]]
-            level[m] = add(level.get(m, 0), mul(c1, c2), -1)
-    inv, quotient = ctx._pow(line[pivot], -1), {}
-    axis = [tuple(int(v == j) for v in range(3)) for j in range(3)]
-    dv = axis[pivot]
-    rest = [(axis[j], line[j]) for j in (j1, j2) if line[j]]
-    for e in range(n, 0, -1):
-        lower = levels[e - 1]
-        for m, c in levels[e].items():
-            if not c:
-                continue
-            c = mul(c, inv)
-            m = (m[0] - dv[0], m[1] - dv[1], m[2] - dv[2])
-            quotient[m] = c
-            for dj, lj in rest:
-                mj = (m[0] + dj[0], m[1] + dj[1], m[2] + dj[2])
-                lower[mj] = add(lower.get(mj, 0), mul(c, lj), -1)
-    assert not any(levels[0].values()), "the line does not divide f6 - f3^2"
-    return f3, quotient
 
 
 def decompose_along_line(f6: IntForm, line, p: int):
@@ -286,6 +160,66 @@ def decompose_along_line(f6: IntForm, line, p: int):
             "(non-square unit); the decomposition needs a rational split")
     f3, f5 = _decompose_mod_line(ctx, f6p, vec, *split)
     return IntForm(f3, 3), IntForm(f5, f6.degree - 1)
+
+
+# ---------------------------------------------------------------------------
+# array arithmetic on coordinate vectors: an element is the vector of its
+# d base-p digits (a_0, ..., a_{d-1}), the coefficients of sum a_i t^i,
+# along the first axis of an int64 array (digit i of every element is the
+# contiguous slice x[i]).  Sums are digitwise; products in an extension,
+# inverses and powers go through the field's log and exp tables.
+
+
+def digits(ctx: FieldCtx, enc) -> np.ndarray:
+    """Coordinate vectors of the elements with encodings enc, one digit at
+    a time (numpy divides by a scalar much faster than by an array)."""
+    enc = np.asarray(enc)
+    out = np.empty((ctx.d,) + enc.shape, dtype=np.int64)
+    for i in range(ctx.d):
+        rest = enc // ctx.p
+        out[i] = enc - ctx.p * rest
+        enc = rest
+    return out
+
+
+def digit_mul(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Products of coordinate vectors that broadcast against each other:
+    x y mod p over F_p; in an extension, both factors are encoded, their
+    logs added and the exp table entry decoded (at d = 2 within a few
+    percent of summing the d^2 digit products, 2-core VM)."""
+    if ctx.d == 1:
+        return x * y % ctx.p
+    a, b = _digit_logs(ctx, x), _digit_logs(ctx, y)
+    return digits(ctx, np.where((a < 0) | (b < 0), 0,
+                                zech_tables(ctx)[0][(a + b) % (ctx.q - 1)]))
+
+
+def _digit_logs(ctx: FieldCtx, x) -> np.ndarray:
+    # logs of coordinate vectors, -1 for zero
+    enc = x[-1]
+    for digit in x[-2::-1]:
+        enc = enc * ctx.p + digit
+    return zech_tables(ctx)[1][enc]
+
+
+def digit_inv(ctx: FieldCtx, x) -> np.ndarray:
+    """Inverses of coordinate vectors through the log and exp tables;
+    zero maps to zero."""
+    logs = _digit_logs(ctx, x)
+    return digits(ctx, np.where(logs < 0, 0, zech_tables(ctx)[0][-logs]))
+
+
+def digit_powers(ctx: FieldCtx, n: int, enc) -> np.ndarray:
+    """Coordinate vectors of x^0, ..., x^n for the elements x with
+    encodings enc: shape (d, len(enc), n + 1), with 0^0 = 1."""
+    exp, log, _ = zech_tables(ctx)
+    logs = log[np.asarray(enc)][:, None]
+    enc = exp[logs * np.arange(n + 1) % (ctx.q - 1)]
+    return digits(ctx, np.where(logs < 0, np.arange(n + 1) == 0, enc))
+
+
+# ---------------------------------------------------------------------------
+# the array test of the tritangent search
 
 
 def _unit_times_square(ctx: FieldCtx, R):
@@ -403,7 +337,7 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
         raise ValueError(f"the float64 restriction is not exact at p = {p}")
     # subs[i][x]: the element of encoding x lies in the i-th proper
     # subfield; those subfields need not contain each other (e = 6)
-    log = ctx.tables()[1]
+    log = zech_tables(ctx)[1]
     subs = [(log < 0) | (log % ((q - 1) // (q0 ** e1 - 1)) == 0)
             for e1 in range(1, e) if e % e1 == 0]
     proper = np.zeros(q, dtype=bool)
@@ -481,7 +415,7 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     and the contact points; the certificate holds them.  Every q = p^e is
     checked, in order of e, before any field is built: the test needs Zech
     tables, so a field above the Zech limit raises BudgetExceededError
-    (check_table_budget, the check FieldCtx.tables makes), and so does a
+    (check_table_budget, the check count.zech_tables makes), and so does a
     field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT unless
     deep is set (the q^2 + q + 1 lines run at about 2.5e6 per second over
     F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
@@ -531,229 +465,6 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     return out
 
 
-def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
-    """Exact check of f6 = scale * q3^2 + q2 * q4 over Z, on the
-    coefficient dicts."""
-    if not 2 * cert.q3.degree == cert.q2.degree + cert.q4.degree == f6.degree:
-        return False
-    rhs: dict = {}
-    for a, b, scale in ((cert.q3, cert.q3, cert.scale), (cert.q2, cert.q4, 1)):
-        for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                rhs[m] = rhs.get(m, 0) + scale * c1 * c2
-    return {m: c for m, c in rhs.items() if c} == f6.coeffs
-
-
-# ---------------------------------------------------------------------------
-# split curves and their intersection numbers, in plain integers mod p
-
-
-@dataclass
-class SplitCurve:
-    """A line or conic Q = 0 over F_p with f6 = s h^2 + Q Q' (mod p): its
-    preimage on w^2 = f6 splits into the components X+ (w = sqrt(s) h)
-    and X- (w = -sqrt(s) h), which are F_p-rational when s is a square
-    mod p.  A tritangent with rational splits has s = 1, h = f3 and Q' =
-    f5; a conic certificate has its scale, h = q3 and Q' = q4.  Forms are
-    {monomial: int in [0, p)}.
-
-    sqrt(s) is c sqrt(n) with n = 1 when s is a square mod p and else the
-    least non-square, and c the principal root of s/n in F_p: that fixes
-    which component is X+."""
-
-    name: str
-    p: int
-    degree: int
-    curve: dict
-    cofactor: dict
-    half: dict
-    scale: int
-
-    @classmethod
-    def from_tritangent(cls, name, cert: TritangentCert):
-        """From a certificate over F_p, whose encodings are the forms'
-        coefficients in [0, p)."""
-        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), cert.line))
-        return cls(name, cert.field.p, 1, line, cert.f5.coeffs,
-                   cert.f3.coeffs, 1)
-
-    @classmethod
-    def from_conic(cls, name, cert: ConicCert, p: int):
-        def ints(form):
-            return {m: c % p for m, c in form.coeffs.items()}
-
-        return cls(name, p, 2, ints(cert.q2), ints(cert.q4), ints(cert.q3),
-                   cert.scale % p)
-
-    @functools.cached_property
-    def root(self):
-        """(c, n) with sqrt(s) = c sqrt(n)."""
-        p = self.p
-        ctx = field_create(p, 1)
-        n = 1 if ctx._chi(self.scale) >= 0 else next(
-            n for n in range(2, p) if ctx._chi(n) < 0)
-        return _sqrt_in_field(ctx, self.scale * pow(n, -1, p) % p), n
-
-    @functools.cached_property
-    def phi(self):
-        """A parametrization P^1 -> curve: three binary forms of degree
-        deg Q, as coefficient lists ascending in t.  A line takes
-        _kernel_basis; a conic, phi(V) = q2(V) P0 - (grad q2(P0) . V)
-        V, the second point of the conic on the line through P0 and V,
-        for V = s e_i + t e_j on a coordinate line x_k = 0 with P0_k != 0.
-        P0 is (0 : 0 : 1) when it lies on the conic, else the first
-        F_p-point on a line through it and (1 : u : 0) by u; a smooth
-        conic has p + 1 points, at most two of them on x = 0.  None when
-        the conic is singular mod p."""
-        p, q2 = self.p, self.curve
-        ctx = field_create(p, 1)
-        if self.degree == 1:
-            basis = _kernel_basis(ctx, tuple(
-                q2.get(m, 0) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-            return [list(w) for w in zip(*basis)]
-        a = [[0] * 3 for _ in range(3)]  # q2(v) = v^T a v / 2
-        for m, c in q2.items():
-            i, j = (v for v in range(3) for _ in range(m[v]))
-            a[i][j] += c
-            a[j][i] += c
-        det = sum(a[0][v] * (a[1][v - 2] * a[2][v - 1]
-                             - a[1][v - 1] * a[2][v - 2]) for v in range(3))
-        if det % p == 0:
-            return None
-        P0, C = None, q2.get((0, 0, 2), 0)  # C = q2(0, 0, 1)
-        if C == 0:
-            P0 = (0, 0, 1)
-        for u in range(p if P0 is None else 0):
-            # q2(1, u, t) = A + B t + C t^2
-            A = sum(c * u ** m[1] for m, c in q2.items() if m[2] == 0)
-            B = a[0][2] + u * a[1][2]
-            disc = (B * B - 4 * A * C) % p
-            if ctx._chi(disc) >= 0:
-                t = (_sqrt_in_field(ctx, disc) - B) * pow(2 * C, -1, p)
-                P0 = (1, u, t % p)
-                break
-        k = next(v for v in range(3) if P0[v])
-        i, j = (v for v in range(3) if v != k)
-        g = [sum(a[v][w] * P0[w] for w in range(3)) for v in range(3)]
-        quad = [a[i][i] // 2, a[i][j], a[j][j] // 2]  # q2(s e_i + t e_j)
-        return [[(P0[v] * x - y) % p for x, y in zip(quad, (
-            g[i] * (v == i), g[i] * (v == j) + g[j] * (v == i),
-            g[j] * (v == j)))] for v in range(3)]
-
-    @functools.cached_property
-    def _images(self):
-        return {(0, 0, 0): [1]}
-
-    def image(self, form: dict, n: int):
-        """form(phi) for a form of degree n, as a binary form of degree n
-        deg Q: its coefficient list ascending in t, untrimmed.  The images
-        of the monomials are built degree by degree, one product each, and
-        kept for the next form."""
-        p, phi, images = self.p, self.phi, self._images
-        if (0, 0, n) not in images:
-            for m in _monomials(n)[0]:
-                v = 0 if m[0] else 1 if m[1] else 2
-                lower = (m[0] - (v == 0), m[1] - (v == 1), m[2] - (v == 2))
-                if lower not in images:
-                    self.image({}, n - 1)
-                images[m] = _zp_mul(images[lower], phi[v], p)
-        out = [0] * (n * self.degree + 1)
-        for m, c in form.items():
-            for i, x in enumerate(images[m]):
-                out[i] += c * x
-        return [c % p for c in out]
-
-
-def _order_sum(sigma, g, p: int) -> int:
-    """The sum of the orders of the nonzero binary form sigma at the roots
-    of the binary form g on P^1, infinity (s = 0, a trailing zero of the
-    coefficient list) included, by repeated gcds."""
-    a, gp = _zp_trim(list(sigma)), _zp_trim(list(g))
-    total = len(sigma) - len(a) if len(gp) < len(g) else 0
-    while True:
-        d = _zp_gcd2(a, gp, p)
-        if len(d) < 2:
-            return total
-        total += len(d) - 1
-        a = _zp_divmod(a, d, p)[0]
-
-
-def _form_gcd(a, b, p: int):
-    """The gcd of two binary forms, in the coefficient lists of
-    _order_sum: the gcd of the polynomials in t, times s to the smaller
-    order at infinity."""
-    at, bt = _zp_trim(list(a)), _zp_trim(list(b))
-    return _zp_gcd2(at, bt, p) + [0] * min(len(a) - len(at), len(b) - len(bt))
-
-
-def split_pairing(X: SplitCurve, Y: SplitCurve):
-    """X+ . Y+ on the double cover, or None when X is a conic that is
-    singular mod p (or lies on Y).
-
-    When sqrt(s_X) and sqrt(s_Y) are c sqrt(n) with different n, Frobenius
-    swaps the components of one curve and fixes those of the other, so
-    X+ . Y+ = X+ . Y- = deg X deg Y / 2.  Otherwise X+ is parametrized by
-    phi and sigma = (c_X h_X - c_Y h_Y)(phi) is the difference of the two
-    sheets over it, up to the unit sqrt(n), so X+ meets Y+ at the roots
-    of g = Q_Y(phi) where sigma vanishes.  Where Q_Y' is a unit, w -
-    sqrt(s_Y) h_Y is a local equation of Y+ (its product with w + sqrt(s_Y)
-    h_Y is Q_Y Q_Y'), and the point counts the order of sigma.  Where Q_Y'
-    vanishes too, h_Y does not (f6 would be singular there), so w +
-    sqrt(s_Y) h_Y is a unit, Q_Y is a local equation, and the point counts
-    the order of g.  With c the gcd of g and Q_Y'(phi), that is the
-    orders of sigma at the roots of g, less those at the roots of c, plus
-    the orders of g at the common roots of c and sigma.  A sigma that
-    vanishes identically meets Y+ at every root of g, by Q_Y'(phi) = 0."""
-    p, (cx, nx), (cy, ny) = X.p, X.root, Y.root
-    if nx != ny:
-        return X.degree * Y.degree // 2
-    if X.phi is None:
-        return None
-    g = X.image(Y.curve, Y.degree)
-    if not any(g):
-        return None
-    sigma = [(cx * a - cy * b) % p for a, b in
-             zip(X.image(X.half, 3), X.image(Y.half, 3))]
-    if not any(sigma):
-        return len(g) - 1
-    c = _form_gcd(g, X.image(Y.cofactor, 6 - Y.degree), p)
-    return (_order_sum(sigma, g, p) - _order_sum(sigma, c, p)
-            + _order_sum(g, _form_gcd(c, sigma, p), p))
-
-
-def class_matrix(curves):
-    """The intersection matrix of H and the components X+, X- of each
-    split curve, in that order: H^2 = 2, H . X = deg X, X^2 = -2, X+ . X-
-    = deg X^2 + 2, and for two curves X+ . Y+ = X- . Y- from split_pairing
-    (in the direction Y, X when X, Y does not decide it) and X+ . Y- = X-
-    . Y+ = deg X deg Y - X+ . Y+.  Raises MathError naming a pair that
-    neither direction decides."""
-    n = 1 + 2 * len(curves)
-    G = [[0] * n for _ in range(n)]
-    G[0][0] = 2
-    for i, X in enumerate(curves):
-        a = 1 + 2 * i
-        G[0][a] = G[a][0] = G[0][a + 1] = G[a + 1][0] = X.degree
-        G[a][a] = G[a + 1][a + 1] = -2
-        G[a][a + 1] = G[a + 1][a] = X.degree ** 2 + 2
-        for j, Y in enumerate(curves[:i]):
-            same = split_pairing(X, Y)
-            if same is None:
-                same = split_pairing(Y, X)
-            if same is None:
-                raise MathError(
-                    f"the pairing of {X.name} and {Y.name} is not decided "
-                    f"mod {X.p}: each is a conic singular mod p or lies on "
-                    "the other")
-            b = 1 + 2 * j
-            for r, c, v in ((a, b, same), (a + 1, b + 1, same),
-                            (a, b + 1, X.degree * Y.degree - same),
-                            (a + 1, b, X.degree * Y.degree - same)):
-                G[r][c] = G[c][r] = v
-    return G
-
-
 # ---------------------------------------------------------------------------
 # smoothness
 
@@ -761,18 +472,6 @@ def class_matrix(curves):
 # variables without a common projective zero generate every monomial of
 # degree 6 + 5 + 5 - 2.
 _MACAULAY_DEGREE = 14
-
-
-@functools.lru_cache(maxsize=None)
-def _monomials(degree: int):
-    """Monomials of one degree in column order, with their positions.
-
-    Monomials containing z come first (descending power of z); the z-free
-    ones x^(degree-i) y^i end the list in order of i, so the tail of a
-    row is the coefficient list of a binary form in (x, y)."""
-    monos = tuple((degree - c - b, b, c)
-                  for c in range(degree, -1, -1) for b in range(degree - c + 1))
-    return monos, {m: i for i, m in enumerate(monos)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -855,8 +554,9 @@ def _macaulay_matrix(system, degree: int, skip=None) -> np.ndarray:
 
 def _elimination_dtype(p: int, ncols: int):
     """The narrowest of int16, int32 and int64 that holds p + ncols*(p-1)^2,
-    the largest magnitude a lazily reduced elimination reaches (int64 does
-    for p <= 2^22 up to the 496 columns of degree 30)."""
+    the largest magnitude a lazily reduced elimination reaches: at the 120
+    columns of degree 14, int16 up to p = 17 and int32 up to p = 4231;
+    int64 holds it for p <= 2^22 up to the 496 columns of degree 30."""
     return next(t for t in (np.int16, np.int32, np.int64)
                 if p + ncols * (p - 1) ** 2 <= np.iinfo(t).max)
 
@@ -932,9 +632,9 @@ def _reduced_echelon(system, degree: int, skip, p: int):
     so every entry stays below p + k (degree - k + 1) (p-1)^2 in magnitude,
     which float64 holds exactly for p <= 2^22 up to degree 30.  The rank is
     the block size plus the rank of the remainder on the columns of
-    z-degree below k, and the z-free rows of the full matrix span the same
-    space as those of the remainder, as the block has no row without a
-    pivot of z-degree >= k.
+    z-degree below k (65 or 75 of them in degree 14), and the z-free rows
+    of the full matrix span the same space as those of the remainder, as
+    the block has no row without a pivot of z-degree >= k.
 
     The form is the one of least (degree, index).  At p = 3 the last form
     can lose multiples to skip, but it never has its z^5 term: with fz
@@ -1154,30 +854,19 @@ def _rational_witness(system, p: int):
 
 def smoothness_check(f6: ModForm) -> SingularityReport:
     """Decide whether f6 and its partials share a projective zero over the
-    algebraic closure (singular branch locus means bad reduction).
+    algebraic closure (singular branch locus means bad reduction); a
+    singular verdict carries a common zero over the smallest extension
+    that the witness search needed.
 
-    f6 is smooth exactly when the degree-14 Macaulay matrix of f6 and its
-    nonzero partials (less the rows that Euler's identity makes redundant,
-    see _smoothness_system) has full rank 120 over F_p; rank does not change
-    under field extension.  p above 2^22 (the Zech table limit
-    DEFAULT_ZECH_LIMIT, where point counting and the tritangent search stop
-    too) raises BudgetExceededError before any matrix is built; the float64
-    division and the int64 elimination below are exact up to there.  When
-    no form of the system has its z^k term (k its degree), (0 : 0 : 1) is
-    a common zero and is returned as the witness.  For p <= _SCAN_MAX_P
-    the system is then evaluated at every other point of P^2(F_p)
-    (_rational_witness), in the order in which _singular_witness ranks
-    its witnesses: (0 : 1 : w) by w, then (1 : v : w) by (v, w).  The
-    first common zero is returned without a matrix when it lies on x = 0,
-    or when no common zero over any extension lies on x = 0 or on a line
-    (1 : v' : w) with v' < v, which one gcd of the restrictions per line
-    decides; so the witness is the one the matrix path gives.  Otherwise,
-    and for larger p, the rank is that of the triangular block of a form
-    with a unit z-power plus that of the other rows divided by it
-    (_reduced_echelon), so the pivot loop runs over at most 75 columns;
-    its rows come from the integer coefficients of f6 and its partials.
-    A singular verdict carries a common zero over the smallest extension
-    that the witness search needed."""
+    f6 is smooth exactly when the degree-14 Macaulay matrix of its system
+    (_smoothness_system) has full rank 120 over F_p; rank does not change
+    under field extension.  p above DEFAULT_ZECH_LIMIT, where point
+    counting and the tritangent search stop too, raises
+    BudgetExceededError before any matrix is built.  The witness is
+    (0 : 0 : 1) when no form of the system has its z^k term (k its
+    degree); otherwise, for p <= _SCAN_MAX_P, the point _rational_witness
+    finds, if any; otherwise the rank comes from _reduced_echelon and a
+    deficit's witness from _singular_witness."""
     ctx = f6.ctx
     if ctx.d != 1:
         raise ValueError("smoothness_check needs a form over a prime field")

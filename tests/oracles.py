@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from k3cert.count import _coef_log_matrix
+from k3cert.count import _coef_log_matrix, zech_tables
 from k3cert.errors import (BudgetExceededError, CommonZeroOnLineError,
                            MathError, NotDivisibleError)
 from k3cert.ffield import (
@@ -49,23 +49,17 @@ from k3cert.ffield import (
     _embed_enc,
     _enc_digits,
     field_create,
-    log_add,
-    log_horner,
-    log_mul,
 )
 from k3cert.forms import (
     IntForm,
     ModForm,
     _check_homogeneous,
     _grevlex_sort_key,
+    _monomials,
     _serialize,
     reduce_mod,
 )
-from k3cert.geom import (
-    _MACAULAY_DEGREE,
-    _SEARCH_BLOCK,
-    _monomials,
-)
+from k3cert.geom import _MACAULAY_DEGREE, _SEARCH_BLOCK
 from k3cert.obstruct import ObstructionReport, _solve_mod_p
 from k3cert.zeta import (RankBound, _is_zero_poly, euler_phi, poly_divmod,
                          scaled_cyclotomic)
@@ -1216,6 +1210,35 @@ def singular_witness_ref(system, forms, z_free):
                          "elimination forms")
 
 
+# ---------------------------------------------------------------------------
+# Zech arithmetic on arrays of log indices (count.zech_tables): any
+# negative value is zero, and results are log indices modulo q - 1 but not
+# reduced; the count kernel folds these steps into one Horner loop
+
+
+def log_mul(a, b):
+    """Products of elements given by log arrays."""
+    return np.where((a < 0) | (b < 0), -1, a + b)
+
+
+def log_add(ctx: FieldCtx, a, b):
+    """Sums through the Zech table."""
+    q1 = ctx.q - 1
+    zt = zech_tables(ctx)[2][(a - b) % q1]
+    r = np.where(zt < 0, -1, b + zt)
+    r = np.where(a < 0, b, r)
+    return np.where(b < 0, a, r)
+
+
+def log_horner(ctx: FieldCtx, coef_logs, xlogs):
+    """sum_i c_i x^i by Horner's rule; the logs c_i may be scalars or
+    arrays that broadcast against xlogs."""
+    acc = np.full(np.shape(xlogs), -1, dtype=np.int64)
+    for c in coef_logs[::-1]:
+        acc = log_add(ctx, log_mul(acc, xlogs), c)
+    return acc
+
+
 def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
     """Log values of the form over one chart, for oracles and diagnostics.
 
@@ -1253,7 +1276,7 @@ def chart_value_logs(form: ModForm, ctx: FieldCtx, chart: int) -> np.ndarray:
 
 def chart_points(ctx: FieldCtx, chart: int):
     """The projective points of a chart in the order used by chart_value_logs."""
-    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in ctx.tables()[0]]
+    elems = [ctx.zero()] + [ctx.from_enc(int(e)) for e in zech_tables(ctx)[0]]
     one, zero = ctx.one(), ctx.zero()
     if chart == 2:
         return [(zero, zero, one)]
@@ -1320,7 +1343,7 @@ def log_unit_times_square(ctx: FieldCtx, R):
             acc = log_add(ctx, acc, log_mul(h[a], h[i - a]))
         return acc
 
-    half = ctx.tables()[1][ctx.from_int(2).inverse().to_int()]
+    half = zech_tables(ctx)[1][ctx.from_int(2).inverse().to_int()]
     for j in range(1, k + 1):
         inner = square_coeff(j, 1, j - 1)
         h.append(log_mul(log_add(ctx, g[j], log_neg(ctx, inner)), half))
@@ -1338,7 +1361,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
     A^j; (a, 1, 0) as (s, A s, t) and (1, 0, 0) as (0, s, t)."""
     ctx, n = f.ctx, f.degree
     q = ctx.q
-    logs = ctx.tables()[1]
+    logs = zech_tables(ctx)[1]
     neg = log_neg(ctx, logs)
     steps = [(q - 1) // (q0 ** e1 - 1) for e1 in range(1, e) if e % e1 == 0]
 
@@ -1379,7 +1402,7 @@ def log_restriction_blocks(f: ModForm, q0: int, e: int):
 
 
 def split_pairing_oracle(X, Y):
-    """X+ . Y+ for two geom.SplitCurve over F_(p^2), where sqrt(s) = c
+    """X+ . Y+ for two obstruct.SplitCurve over F_(p^2), where sqrt(s) = c
     sqrt(n) with sqrt(n) the principal root: at each root of Q_Y(phi) that
     binary_roots_ref finds where sigma = (sqrt(s_X) h_X - sqrt(s_Y)
     h_Y)(phi) vanishes, the order of sigma, or of Q_Y(phi) where Q_Y'(phi)

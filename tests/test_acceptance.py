@@ -13,9 +13,10 @@ from k3cert.count import CacheStore, count_points, count_series, trace_from_coun
 from k3cert.errors import CommonZeroOnLineError
 from k3cert.ffield import field_create
 from k3cert.forms import IntForm, _square_split, reduce_mod
-from k3cert.geom import ConicCert, decompose_along_line, find_tritangents, verify_conic_identity
+from k3cert.geom import decompose_along_line, find_tritangents
 from k3cert.lattice import gram_rank_disc
-from k3cert.obstruct import obstruction_G, obstruction_vanishes
+from k3cert.obstruct import (ConicCert, obstruction_G, obstruction_vanishes,
+                             verify_conic_identity)
 from k3cert.zeta import (cyclotomic_part, determine_sign, newton_above_hodge,
                          predicted_count)
 

@@ -8,11 +8,11 @@ import pytest
 
 from k3cert import cli, geom, zeta
 from k3cert.cli import load_surface_file, parse_surface_spec, run
-from k3cert.ffield import FieldCtx
 from k3cert.forms import IntForm
 
 import data
 from test_bench_spans import PERFBENCH, _load
+from test_parity_corpus import sextic
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -83,6 +83,32 @@ def test_count_stage_prints_counts(capsys):
     assert code == 0
     assert [c["N"] for c in out["counts"]] == [41, 751, 15626]
     assert [c["trace"] for c in out["counts"]] == [15, 125, 0]
+
+
+def test_count_of_a_singular_sextic_reports_the_singular_point(tmp_path,
+                                                                capsys):
+    # the Weil bound holds only for good reduction: the square of a cubic
+    # (the corpus's "cubic^2" kind) breaks it at d = 2 with an exact
+    # count, and count names the singular point, not a wrong count
+    path = tmp_path / "cubic-squared.txt"
+    path.write_text(dict(sextic("singular", 5, 0))["cubic^2"])
+    assert run(["count", "--spec", str(path), "--prime", "5",
+                "--dmax", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "mathematical error: branch sextic is singular mod 5: witness "
+        "(0, 1, 0) over F_5^1\n")
+
+
+def test_wrong_count_of_a_smooth_sextic_is_reported_as_wrong(tmp_path,
+                                                             capsys):
+    path = tmp_path / "wrong-count.txt"
+    path.write_text((SURFACES / "rank1-p5.txt").read_text()
+                    + "external: 1 1000\n")
+    assert run(["count", "--spec", str(path), "--prime", "5",
+                "--dmax", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "mathematical error: trace 974 violates |t| <= 22 q = 110; the "
+        "count is wrong\n")
 
 
 def test_tritangent_stage_reports_line(capsys):
@@ -871,20 +897,16 @@ def test_pinned_contact_points_in_extensions(tmp_path, capsys):
     assert digest == CONTACT_DIGEST
 
 
-def test_contact_points_ask_for_no_tables(tmp_path, capsys, monkeypatch):
+def test_contact_points_ask_for_no_tables(tmp_path, capsys, tables_asked):
     # contact points over F_(p^3) are found with scalar arithmetic: only
     # the fields the search runs over, F_p and F_(p^2), ask for Zech tables
     # (recorded, as other tests count over F_125 in this process)
-    asked = []
-    tables = FieldCtx.tables
-    monkeypatch.setattr(FieldCtx, "tables",
-                        lambda ctx: asked.append((ctx.p, ctx.d)) or tables(ctx))
     call = _contact_calls(tmp_path)[1]
     assert call[call.index("--prime") + 1] == "5" and run(call) == 0
     report = json.loads(capsys.readouterr().out)
     assert 3 in {c["field_degree"] for cert in report["tritangents"]
                  for c in cert["contacts"]}
-    assert set(asked) == {(5, 1), (5, 2)}
+    assert set(tables_asked) == {(5, 1), (5, 2)}
 
 
 def test_pinned_outputs_of_every_command(tmp_path, capsys):

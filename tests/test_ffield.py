@@ -3,19 +3,16 @@ import random
 import numpy as np
 import pytest
 
+from k3cert.count import DEFAULT_ZECH_LIMIT, zech_tables
 from k3cert.errors import BudgetExceededError
 from k3cert.ffield import (
-    DEFAULT_ZECH_LIMIT,
     FieldCtx,
     _digits_enc,
     _zp_powmod,
-    digit_inv,
-    digit_mul,
-    digit_powers,
     _enc_digits,
-    digits,
     field_create,
 )
+from k3cert.geom import digit_inv, digit_mul, digit_powers, digits
 
 from oracles import (Poly, elements, embed_subfield, factor_univariate,
                      frobenius, minimal_polynomial, poly_roots)
@@ -39,7 +36,7 @@ def test_create_prime_field():
 
 def test_create_f25_generator_order():
     F25 = field_create(5, 2)
-    g = F25.from_enc(int(F25.tables()[0][1]))  # exp[1]
+    g = F25.from_enc(int(zech_tables(F25)[0][1]))  # exp[1]
     assert g ** 24 == F25.one()
     for k in range(1, 24):
         assert g ** k != F25.one()
@@ -55,22 +52,23 @@ def test_create_rejects_composite_and_two():
 
 
 def test_zech_limit_budget():
-    # a fresh context holds no tables until an array kernel asks for them,
+    # a fresh context has no tables until an array kernel asks for them,
     # and scalar arithmetic never does; above the limit asking raises
     ctx = FieldCtx(5, 4)
+    built = zech_tables.cache_info().currsize
     a, b = ctx.from_enc(7), ctx.from_enc(311)
     assert (a * b / a == b and quad_char(a) in (1, -1)
             and a ** 624 == ctx.one())
-    assert ctx._tables is None
+    assert zech_tables.cache_info().currsize == built
     digit_mul(ctx, digits(ctx, [7]), digits(ctx, [311]))
-    assert ctx._tables is not None
+    assert zech_tables.cache_info().currsize == built + 1
     big = FieldCtx(2053, 2)  # q = 4214809, the least p^2 above 2^22
     assert big.q > DEFAULT_ZECH_LIMIT
     c = big.from_enc(123456)
     assert c * c.inverse() == big.one() and quad_char(c * c) == 1
     with pytest.raises(BudgetExceededError, match=str(DEFAULT_ZECH_LIMIT)):
-        big.tables()
-    assert big._tables is None
+        zech_tables(big)
+    assert zech_tables.cache_info().currsize == built + 1
 
 
 def test_prime_field_arithmetic():
@@ -126,7 +124,7 @@ def test_quad_char_multiplicative(p, d):
 def test_exp_log_tables_inverse_bijections():
     import numpy as np
     for p, d in [(3, 3), (5, 2), (7, 1)]:
-        exp, log, _ = field_create(p, d).tables()
+        exp, log, _ = zech_tables(field_create(p, d))
         assert np.array_equal(log[exp], np.arange(len(exp)))
         assert sorted(exp.tolist()) == list(range(1, p ** d))
 
@@ -162,7 +160,7 @@ def test_poly_rep_matches_zech_rep():
         q = p ** d
         q1 = q - 1
         F = field_create(p, d)
-        exp, log, _ = F.tables()
+        exp, log, _ = zech_tables(F)
         with pytest.raises(ZeroDivisionError):
             F.zero().inverse()
         with pytest.raises(ZeroDivisionError):
@@ -241,7 +239,7 @@ def test_embed_constant():
 def test_embed_preserves_multiplicative_order():
     F9 = field_create(3, 2)
     F81 = field_create(3, 4)
-    g = F9.from_enc(int(F9.tables()[0][1]))  # exp[1]
+    g = F9.from_enc(int(zech_tables(F9)[0][1]))  # exp[1]
     img = embed_subfield(g, F81)
     assert img ** 8 == F81.one()
     for k in range(1, 8):

@@ -9,25 +9,22 @@ import pytest
 
 from k3cert import ffield, geom
 from k3cert.errors import BudgetExceededError, MathError
-from k3cert.ffield import (
-    DEFAULT_ZECH_LIMIT,
-    FieldCtx,
-    digits,
-    field_create,
-    is_prime,
-)
-from k3cert.forms import IntForm, _square_split, reduce_mod
+from k3cert.count import DEFAULT_ZECH_LIMIT, zech_tables
+from k3cert.ffield import FieldCtx, field_create, is_prime
+from k3cert.forms import IntForm, _monomials, _square_split, reduce_mod
 from k3cert.geom import (
-    ConicCert,
-    SplitCurve,
     _macaulay_matrix,
-    _monomials,
     _row_echelon,
     assert_good_reduction,
-    class_matrix,
     decompose_along_line,
+    digits,
     find_tritangents,
     smoothness_check,
+)
+from k3cert.obstruct import (
+    ConicCert,
+    SplitCurve,
+    class_matrix,
     split_pairing,
     verify_conic_identity,
 )
@@ -302,7 +299,7 @@ def test_array_search_matches_per_line_oracle():
 
 def _log_digits(ctx, logs):
     """Coordinate vectors, digit axis first, of elements given by logs."""
-    exp = ctx.tables()[0]
+    exp = zech_tables(ctx)[0]
     return digits(ctx, np.where(logs < 0, 0, exp[logs % (ctx.q - 1)]))
 
 
@@ -365,7 +362,7 @@ def test_search_keeps_lines_over_two_unnested_subfields():
     # only: the search over F_729 from the base F_3 must test it
     rng = random.Random(606)
     ctx = field_create(3, 6)
-    g = ctx.from_enc(int(ctx.tables()[0][1]))  # exp[1]
+    g = ctx.from_enc(int(zech_tables(ctx)[0][1]))  # exp[1]
     vec = (g ** 91, g ** 28, ctx.one())  # of orders 8 and 26
     f = (_random_form(ctx, 3, rng).square()
          + line_form(ctx, vec) * _random_form(ctx, 5, rng))
@@ -398,7 +395,7 @@ def test_digit_square_test_matches_scalar_split():
         columns.append([zero] * 7)
         R = digits(ctx, np.array([[c.to_int() for c in col]
                                   for col in columns]).T)
-        log = ctx.tables()[1]
+        log = zech_tables(ctx)[1]
         logs = np.array([[log[c.to_int()] for c in col]
                          for col in columns]).T
         ok = geom._unit_times_square(ctx, R)
@@ -417,12 +414,13 @@ def test_search_above_zech_limit_raises(monkeypatch):
 
     monkeypatch.setattr(geom, "_candidate_lines", never)
     base = FieldCtx(2053, 1)
+    built = zech_tables.cache_info().currsize
     f6 = _mod(base, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6).mod()
     with pytest.raises(AssertionError, match="search started"):
         find_tritangents(f6, 1)
     with pytest.raises(BudgetExceededError, match="F_4214809.*4194304"):
         find_tritangents(f6, 2, deep=True)
-    assert base._tables is None
+    assert zech_tables.cache_info().currsize == built
     big = field_create(4194319, 1)  # a prime above the default limit 2^22
     with pytest.raises(BudgetExceededError, match=str(1 << 22)):
         find_tritangents(_mod(big, {(6, 0, 0): 1, (0, 0, 6): 1}, 6).mod(), 1)
@@ -622,18 +620,18 @@ def test_principal_square_root_matches_factoring():
         squares = {x * x for x in elements(ctx)}
         for u in elements(ctx):
             if u in squares:
-                assert geom._sqrt_in_field(ctx, u.v) == by_factoring(u).v, (
+                assert ffield._sqrt_in_field(ctx, u.v) == by_factoring(u).v, (
                     p, d, u)
             else:
                 with pytest.raises(MathError, match="not a square"):
-                    geom._sqrt_in_field(ctx, u.v)
+                    ffield._sqrt_in_field(ctx, u.v)
     rng = random.Random(41)
     # 1000033 = 1 (mod 4) takes the Tonelli-Shanks path at a large prime
     for p in (1000003, 1000033, (1 << 31) - 1):
         ctx = field_create(p, 1)
         for _ in range(10):
             x = ctx.from_enc(rng.randrange(1, p))
-            assert geom._sqrt_in_field(ctx, (x * x).v) == by_factoring(
+            assert ffield._sqrt_in_field(ctx, (x * x).v) == by_factoring(
                 x * x).v, p
 
 
@@ -1099,14 +1097,10 @@ def test_witness_over_quadratic_extension_splits_in_few_steps(monkeypatch):
         assert len(calls) <= 10, (p, len(calls))
 
 
-def test_witness_over_a_large_extension_asks_for_no_tables(monkeypatch):
+def test_witness_over_a_large_extension_asks_for_no_tables(tables_asked):
     # _binary_roots splits an irreducible factor over F_(p^e) with scalar
     # arithmetic: a witness over F_(5^9) leaves that field, with its
     # 1953124 units, without tables
-    asked = []
-    tables = FieldCtx.tables
-    monkeypatch.setattr(FieldCtx, "tables",
-                        lambda ctx: asked.append((ctx.p, ctx.d)) or tables(ctx))
     rng = random.Random(1)
 
     def form(degree):
@@ -1118,7 +1112,7 @@ def test_witness_over_a_large_extension_asks_for_no_tables(monkeypatch):
     rep = smoothness_check(reduce_mod(sextics[16], field_create(5, 1)))
     assert rep.verdict == "singular" and rep.field is field_create(5, 9)
     assert rep.witness == (1, 180324, 1431381)
-    assert asked == [] and field_create(5, 9)._tables is None
+    assert tables_asked == []
 
 
 def test_smoothness_prime_bound(monkeypatch):

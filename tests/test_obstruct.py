@@ -36,7 +36,8 @@ def test_obstruction_g_trivial_cases():
 
 def test_surface_b_obstruction_nonvanishing():
     f6 = IntForm(data.F6_B)
-    report = lifts_to_second_order(f6, LINE_X, 3)
+    report = lifts_to_second_order(f6, LINE_X, 3,
+                                   decompose_along_line(f6, LINE_X, 3))
     assert report.verdict == "nonvanishing"
     # G contains the monomial y^2 z^4 with unit coefficient: the printed
     # lift has it 3 mod 9, so G picks it up with coefficient 1 mod 3
@@ -56,7 +57,8 @@ def test_surface_b_obstruction_with_published_decomposition():
 
 def test_surface_c_obstruction_nonvanishing():
     f6 = IntForm(data.F6_C)
-    report = lifts_to_second_order(f6, LINE_C, 3)
+    report = lifts_to_second_order(f6, LINE_C, 3,
+                                   decompose_along_line(f6, LINE_C, 3))
     assert report.verdict == "nonvanishing"
     assert len(report.matrix) == 7 and len(report.matrix[0]) == 6
 

@@ -52,9 +52,9 @@ FULL = {"dense": 200, "sparse": 200, "singular": 60, "split": 40,
         "split non-square s": 40}
 
 SLICE_DIGEST = (
-    "01a0974ef8d11c7217d9c001971a6c14115c3fddcac2c0ffd17f3656bd5c1d20")
+    "0730424408b44c4cc66e1dac0c3ea77a57b1aa60921bca7355f44c1048579787")
 FULL_DIGEST = (
-    "ea60a0923a61d8c0b7d07576ca90ede25f1869acd1bd69c7bdbe0a760266dcc6")
+    "48575daa8185651664bf9ebd2ecad200f4ca7487343b283eebc44b8311135451")
 
 
 def _monomials(degree):
