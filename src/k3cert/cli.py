@@ -187,7 +187,7 @@ def _tritangent_dict(cert):
         "unit": cert.unit,
         "contacts": [
             {"point": list(pt), "multiplicity": m, "field_degree": field.d}
-            for field, pt, m in cert.contact_points],
+            for field, pt, m in cert.contact_points()],
         "decomposition": (
             None if cert.f3 is None else
             {"f3": cert.f3.serialize(), "f5": cert.f5.serialize()}),

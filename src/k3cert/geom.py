@@ -3,14 +3,17 @@
 - Lines and binary forms: _line_at, the dual-point order of the search,
   and _binary_roots.
 - Certificates: TritangentCert and SingularityReport.
-- A tritangent's contact points (_contact_points) and its decomposition
-  f6 = f3^2 + l f5 mod p (decompose_along_line, on
-  forms._decompose_mod_line).
+- A tritangent's contact points (_contact_points, found when a report
+  asks) and its decomposition f6 = f3^2 + l f5 mod p
+  (decompose_along_line, on forms._decompose_mod_line).
 - Arrays of coordinate vectors over F_q (digits, digit_*), on the log
   tables of count.zech_tables.
 - The tritangent search, find_tritangents: an array test of every line
-  over each field (_restriction_blocks, _unit_times_square), then the
-  exact split of the lines that pass.
+  over each field, then the exact split of the lines that pass.  Fields
+  with at most _MAP_MAX_LINES lines take one product with a cached
+  restriction map and a lookup in a table of the monic squares
+  (_mapped_candidates); larger ones stream their lines
+  (_restriction_blocks, _unit_times_square).
 - Smoothness (smoothness_check, assert_good_reduction): a scan of P^2(F_p)
   for small p (_rational_witness), the rank of a Macaulay matrix in
   degree 14 (_reduced_echelon) and a singular witness (_singular_witness).
@@ -93,25 +96,31 @@ def _binary_roots(ctx: FieldCtx, coeffs):
 
 @dataclass
 class TritangentCert:
-    """A line whose restriction of f6 is a unit times a perfect square, on
-    coefficient encodings in the line's field.
+    """A line whose restriction of f6 is unit * h^2, on coefficient
+    encodings in the line's field.
 
     f3 and f5 realize f6 = f3^2 + line*f5 over that field and are present
-    only for rational splits (the decomposition needs a square unit);
-    contact points carry multiplicities and may live in extension fields,
-    each as (field, encodings of the point, multiplicity)."""
+    only for rational splits (the decomposition needs a square unit)."""
 
     field: FieldCtx  # the line's field F_(p^e)
     line: tuple  # encodings of the coefficients, the last nonzero one 1
     line_field_degree: int  # e
     split_field_degree: int  # 1 when the splits are rational, else 2
     unit: int
-    contact_points: tuple  # points with their first nonzero coordinate 1
+    h: tuple  # coefficients of s^(3-i) t^i, the first nonzero one 1
     f3: ModForm | None
     f5: ModForm | None
 
     def line_str(self) -> str:
         return "+".join(f"{c}*{v}" for c, v in zip(self.line, "xyz") if c)
+
+    def contact_points(self) -> tuple:
+        """The contact points with multiplicities, which may live in
+        extension fields, each as (field, encodings of the point with its
+        first nonzero coordinate 1, multiplicity): the roots of h
+        (_contact_points), found on each call, as only the reports that
+        print them ask for them."""
+        return _contact_points(self.field, self.h, self.line)
 
 
 @dataclass
@@ -328,18 +337,12 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
     give (reduced mod p) the digits of the coefficient of b^l t^k' in each
     R_m; those times the rows of b give R_m.  The lines (a, 1, 0) take one
     product, the rows of a times the digits of c t^k.  The products run in
-    float64: every sum has (n + 1) d terms below p^2, exact below 2^53.  An
-    element lies in F_{q0^e1} exactly when it is zero or its log is
-    divisible by (q - 1)/(q0^e1 - 1)."""
+    float64: every sum has (n + 1) d terms below p^2, exact below 2^53."""
     ctx, n = f.ctx, f.degree
     q, p, d = ctx.q, ctx.p, ctx.d
     if (n + 1) * d * (p - 1) ** 2 >= 1 << 53:
         raise ValueError(f"the float64 restriction is not exact at p = {p}")
-    # subs[i][x]: the element of encoding x lies in the i-th proper
-    # subfield; those subfields need not contain each other (e = 6)
-    log = zech_tables(ctx)[1]
-    subs = [(log < 0) | (log % ((q - 1) // (q0 ** e1 - 1)) == 0)
-            for e1 in range(1, e) if e % e1 == 0]
+    subs = _subfields(ctx, q0, e)
     proper = np.zeros(q, dtype=bool)
     for sub in subs:
         proper |= sub
@@ -385,11 +388,11 @@ def _restriction_blocks(f: ModForm, q0: int, e: int):
     yield coeffs[:, pos3, None], np.array([e > 1])
 
 
-def _candidate_lines(f: ModForm, q0: int, e: int):
+def _streamed_candidates(f: ModForm, q0: int, e: int):
     """Indices, in _line_at order, of the lines of P^2(F_q), q = q0^e, on
     which f restricts to a unit times a square, without the lines defined
-    over a proper subfield; consecutive blocks are tested together up to
-    _SEARCH_BLOCK lines."""
+    over a proper subfield; consecutive blocks of _restriction_blocks are
+    tested together by _unit_times_square up to _SEARCH_BLOCK lines."""
     start, pending, width = 0, [], 0
     for block in itertools.chain(_restriction_blocks(f, q0, e), [None]):
         if pending and (block is None
@@ -404,6 +407,152 @@ def _candidate_lines(f: ModForm, q0: int, e: int):
             width += block[0].shape[2]
 
 
+# fields with at most this many lines q^2 + q + 1, F_3 to F_13, are
+# searched through the cached _restriction_map and _square_table; larger
+# ones stream their lines through _restriction_blocks.  Per call the map
+# path wins on every field measured, by less as q grows (at F_29 405
+# against 470 us), but its arrays grow as 1.6 q^2 d kB and its one-time
+# build with them: F_13 is the last field at which the caches of all the
+# fields under the bound stay within 1 MB, and its build has paid for
+# itself after about a dozen searches (BENCH_small_field_search.json)
+_MAP_MAX_LINES = 183
+
+
+@functools.lru_cache(maxsize=None)
+def _map_terms():
+    """_restriction_terms(6) by monomial and m: the exponent j of a, the
+    exponent l of b and the integer multiplier of the term mult a^j b^l
+    that each monomial of degree 6, in _monomials order, contributes to
+    the coefficient of s^(6-m) t^m of its restriction, multiplier 0 where
+    there is none; each of shape (3, 28, 7), for the lines (a, b, 1), (a,
+    1, 0) and (1, 0, 0) in turn."""
+    (pos1, mult1), (pos2, mult2), pos3 = _restriction_terms(6)
+    out = np.zeros((3, 3, 28, 7), dtype=np.int64)
+    j, m, l = (pos1 < 28).nonzero()
+    out[:, 0, pos1[j, m, l], m] = j, l, mult1[j, m, l]
+    j, m = (pos2 < 28).nonzero()
+    out[0::2, 1, pos2[j, m], m] = j, mult2[j, m]
+    out[2, 2, pos3, np.arange(7)] = 1
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _restriction_map(ctx: FieldCtx) -> np.ndarray:
+    """float64, shape (28, L*7*d) for the L = q^2 + q + 1 lines of
+    P^2(F_q): entry (monomial, line, m, i), monomials in _monomials(6)
+    order and lines in _line_at order, is digit i of the coefficient of
+    s^(6-m) t^m in the restriction of that monomial to that line.
+
+    That coefficient is the one term mult a^j b^l of _map_terms, or 0.
+    Its log is j log a + l log b + log mult for all lines at once, with
+    the log of zero replaced by z = 7 q, above 7 (q - 2), the largest log
+    sum of a nonzero term (j + l <= 6): a zero factor with a positive
+    exponent, or a zero multiplier, sends the sum to z or beyond.  A
+    multiplier mod p lies in F_p, whose encodings are its integers."""
+    q, p = ctx.q, ctx.p
+    exp, log, _ = zech_tables(ctx)
+    z = 7 * q
+    log = np.where(log < 0, z, log)
+    (ja, jb, mult), x = _map_terms(), log[:q, None, None]
+    lm = log[mult % p]
+    lg = np.concatenate([
+        ((x * ja[0])[:, None] + x * jb[0] + lm[0]).reshape(-1, 28, 7),
+        x * ja[1] + lm[1], lm[2:]])
+    enc = np.where(lg < z, exp[lg % (q - 1)], 0)
+    table = digits(ctx, enc).transpose(2, 1, 3, 0).reshape(28, -1).astype(
+        np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _square_table(ctx: FieldCtx) -> np.ndarray:
+    """The coefficients g_1..g_6 of the q^3 monic squares g = h^2, h = (1,
+    h1, h2, h3) over F_q, as a table: entry enc(g1) + enc(g2) q + enc(g3)
+    q^2 is enc(g4) + enc(g5) q + enc(g6) q^2.  g1, g2 and g3 determine h
+    (h1 = g1/2, h2 = (g2 - h1^2)/2, h3 = (g3 - 2 h1 h2)/2, p odd), so every
+    entry is set once, and a monic g is a square exactly when its g4, g5,
+    g6 are the entry of its g1, g2, g3."""
+    q, p, d = ctx.q, ctx.p, ctx.d
+    h = digits(ctx, np.arange(q ** 3) // q ** np.arange(3)[::-1, None] % q)
+    # h1h1, h1h2, h1h3, h2h2, h2h3, h3h3
+    hh = digit_mul(ctx, h[:, [0, 0, 0, 1, 1, 2]], h[:, [0, 1, 2, 1, 2, 2]])
+    g = np.stack([2 * h[:, 0], hh[:, 0] + 2 * h[:, 1],
+                  2 * (h[:, 2] + hh[:, 1]), hh[:, 3] + 2 * hh[:, 2],
+                  2 * hh[:, 4], hh[:, 5]], axis=1) % p
+    weight = np.outer(p ** np.arange(d), q ** np.arange(3)).ravel()
+    table = np.empty(q ** 3, dtype=np.int64)
+    table[weight @ g[:, :3].reshape(3 * d, -1)] = (
+        weight @ g[:, 3:].reshape(3 * d, -1))
+    table.setflags(write=False)
+    return table
+
+
+def _subfields(ctx: FieldCtx, q0: int, e: int):
+    """For each proper subfield F_(q0^e1) of F_q, q = q0^e, whether the
+    element of each encoding lies in it; those subfields need not contain
+    each other (e = 6).  An element lies in F_(q0^e1) exactly when it is
+    zero or its log is divisible by (q - 1)/(q0^e1 - 1)."""
+    q, log = ctx.q, zech_tables(ctx)[1]
+    return [(log < 0) | (log % ((q - 1) // (q0 ** e1 - 1)) == 0)
+            for e1 in range(1, e) if e % e1 == 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_lines(ctx: FieldCtx, q0: int, e: int) -> np.ndarray:
+    """Whether each line of P^2(F_q), q = q0^e, in _line_at order, is
+    defined over no proper subfield F_(q0^e1)."""
+    mask = np.ones(ctx.q * ctx.q + ctx.q + 1, dtype=bool)
+    for sub in _subfields(ctx, q0, e):
+        mask &= ~np.concatenate([np.outer(sub, sub).ravel(), sub, [True]])
+    mask.setflags(write=False)
+    return mask
+
+
+def _mapped_candidates(f: ModForm, q0: int, e: int):
+    """_streamed_candidates for a sextic with coefficients in F_p over a
+    field with few lines: the restriction digits of every line are (c @
+    _restriction_map) mod p, with c the 28 coefficient lifts in [0, p)
+    (28 products below p^2, exact in float64).  With i0 the index of the
+    first nonzero coefficient, R = t^i0 R' with i0 even is u h^2 exactly
+    when R' s^i0 / r_i0 is a monic square: its coefficients, shifted to
+    start at i0 and divided through the log and exp tables, are looked up
+    in _square_table (a shifted h with trailing zeros is among its h)."""
+    ctx = f.ctx
+    q, p, d = ctx.q, ctx.p, ctx.d
+    exp, log, _ = zech_tables(ctx)
+    c = np.zeros(28)
+    c[[_monomials(6)[1][m] for m in f.coeffs]] = list(f.coeffs.values())
+    digit = (c @ _restriction_map(ctx)).astype(np.int64).reshape(-1, 7, d) % p
+    # encodings, then six zero columns for the shift by i0 <= 6
+    R = np.zeros((digit.shape[0], 13), dtype=np.int64)
+    R[:, :7] = digit[:, :, -1]
+    for i in range(d - 2, -1, -1):
+        R[:, :7] = R[:, :7] * p + digit[:, :, i]
+    i0 = (R != 0).argmax(axis=1)
+    G = R[np.arange(R.shape[0])[:, None], i0[:, None] + np.arange(7)]
+    lg = log[G]
+    g = np.where(lg[:, 1:] < 0, 0, exp[(lg[:, 1:] - lg[:, :1]) % (q - 1)])
+    weight = q ** np.arange(3)
+    ok = (G[:, 0] != 0) & (i0 % 2 == 0) & _extension_lines(ctx, q0, e)
+    ok &= _square_table(ctx)[g[:, :3].dot(weight)] == g[:, 3:].dot(weight)
+    return np.flatnonzero(ok).tolist()
+
+
+def _candidate_lines(f: ModForm, q0: int, e: int):
+    """Indices, in _line_at order, of the lines of P^2(F_q), q = q0^e, on
+    which the sextic f restricts to a unit times a square, without the
+    lines defined over a proper subfield: through the cached map when the
+    field has at most _MAP_MAX_LINES lines and f's coefficients lie in
+    F_p (their encodings are below p), streamed otherwise."""
+    q = f.ctx.q
+    if (q * q + q + 1 <= _MAP_MAX_LINES
+            and all(c < f.ctx.p for c in f.coeffs.values())):
+        return _mapped_candidates(f, q0, e)
+    return _streamed_candidates(f, q0, e)
+
+
 def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
                      deep: bool = False):
     """All tritangent lines of f6 over F_{p^e} for e up to the requested
@@ -412,13 +561,15 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
     Each field is searched with the array test of _candidate_lines; only
     the lines it finds go, once each, through _restrict and _square_split
     on coefficient encodings, whose split also gives the decomposition
-    and the contact points; the certificate holds them.  Every q = p^e is
-    checked, in order of e, before any field is built: the test needs Zech
-    tables, so a field above the Zech limit raises BudgetExceededError
-    (check_table_budget, the check count.zech_tables makes), and so does a
-    field with q^2 above the desk-scale budget MANDATORY_Q2_LIMIT unless
-    deep is set (the q^2 + q + 1 lines run at about 2.5e6 per second over
-    F_p and 1e6 over F_(p^2) on a 2-core VM).  Each field's
+    and h, from which the certificate finds its contact points when asked.
+    Every q = p^e is checked, in order of e, before any field is built:
+    the test needs Zech tables, so a field above the Zech limit raises
+    BudgetExceededError (check_table_budget, the check count.zech_tables
+    makes), and so does a field with q^2 above the desk-scale budget
+    MANDATORY_Q2_LIMIT unless deep is set.  On a 2-core VM the map path
+    tests a field of F_3 to F_13 in 30-130 us (0.2e6 to 1.5e6 lines per
+    second), and the streamed path runs at about 4e6 lines per second
+    over F_1009 and 1.9e6 over F_(31^2).  A streamed field's
     search holds a float64 table of 56 q d bytes (_restriction_blocks),
     235 MB at q = 2^22 over a prime field, besides the field's tables,
     which the search builds: the first blocks over F_4194301 peak at 360
@@ -458,7 +609,7 @@ def find_tritangents(f6: ModForm, search_field_degree: int = 1, *,
                 line_field_degree=e,
                 split_field_degree=1 if rational else 2,
                 unit=unit,
-                contact_points=_contact_points(ctx, h, vec),
+                h=tuple(h),
                 f3=f3,
                 f5=f5,
             ))

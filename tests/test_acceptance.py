@@ -160,7 +160,7 @@ def test_criterion_7_tritangents():
         target = [(0, 3, 1)]
         found = [c for c in certs if c.line == (0, 3, 1)]
         assert len(found) == 1
-        pts = {pt for _, pt, _ in found[0].contact_points}
+        pts = {pt for _, pt, _ in found[0].contact_points()}
         assert pts == {(1, 0, 0), (1, 3, 1), (0, 1, 2)}
 
         F3 = field_create(3, 1)

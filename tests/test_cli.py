@@ -909,6 +909,31 @@ def test_contact_points_ask_for_no_tables(tmp_path, capsys, tables_asked):
     assert set(tables_asked) == {(5, 1), (5, 2)}
 
 
+def test_contact_points_only_where_printed(tmp_path, capsys, monkeypatch):
+    # a certificate finds its contact points when a report prints them:
+    # once per tritangent in tritangent and certify, never in obstruct,
+    # lattice or zeta
+    calls, contact_points = [], geom._contact_points
+    monkeypatch.setattr(geom, "_contact_points",
+                        lambda *args: calls.append(args) or contact_points(
+                            *args))
+    printed = 0
+    for name, (p, _) in BUNDLED.items():
+        supplied = _with_all_counts(tmp_path, name)
+        for command in ("obstruct", "lattice", "zeta", "tritangent",
+                        "certify"):
+            calls.clear()
+            assert run([command, "--spec", supplied, "--prime", str(p),
+                        "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            if command in ("tritangent", "certify"):
+                assert len(calls) == len(report["tritangents"]) > 0
+                printed += len(calls)
+            else:
+                assert calls == [], (name, command)
+    assert printed >= 6
+
+
 def test_pinned_outputs_of_every_command(tmp_path, capsys):
     outputs, digest = _digest(_all_command_calls(tmp_path), capsys)
     assert [o[0] for o in outputs] == [0] * len(outputs)

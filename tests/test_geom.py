@@ -104,9 +104,9 @@ def test_find_tritangents_surface_a():
     assert (0, 3, 1) in lines  # z - 2y = 0 stored as 3y + z
     cert = next(t for t in certs if t.line == (0, 3, 1))
     assert cert.split_field_degree == 1
-    pts = {pt for _, pt, _ in cert.contact_points}
+    pts = {pt for _, pt, _ in cert.contact_points()}
     assert pts == {(1, 0, 0), (1, 3, 1), (0, 1, 2)}
-    assert all(m == 1 for *_, m in cert.contact_points)
+    assert all(m == 1 for *_, m in cert.contact_points())
     # the decomposition attached to the certificate re-verifies
     f3, f5 = ObjForm.of(cert.f3), ObjForm.of(cert.f5)
     assert f3 * f3 + _line_form(cert) * f5 == ObjForm.of(f6)
@@ -120,7 +120,7 @@ def test_find_tritangents_surface_b():
     assert (1, 0, 0) in lines  # the line x = 0
     cert = next(t for t in certs if t.line == (1, 0, 0))
     # restriction is y^6: one triple contact at (0 : 0 : 1)
-    assert cert.contact_points == ((F3, (0, 0, 1), 3),)
+    assert cert.contact_points() == ((F3, (0, 0, 1), 3),)
 
 
 def test_find_tritangents_surface_c():
@@ -140,7 +140,7 @@ def test_tritangent_certs_reverify():
         if cert.f3 is not None:
             f3, f5 = ObjForm.of(cert.f3), ObjForm.of(cert.f5)
             assert f3 * f3 + ell * f5 == f
-        for ctx, pt, _ in cert.contact_points:
+        for ctx, pt, _ in cert.contact_points():
             pt = _elems(ctx, pt)
             femb = f if ctx is F3 else f.embed(ctx)
             lemb = ell if ctx is F3 else ell.embed(ctx)
@@ -199,7 +199,7 @@ def test_find_tritangents_extension_field():
         assert not all(c ** 7 == c for c in line)
         # ... touching f6 at the contact points
         ell = line_form(F49, line)
-        for ctx, pt, _ in cert.contact_points:
+        for ctx, pt, _ in cert.contact_points():
             pt = _elems(ctx, pt)
             assert eval_form(f if ctx is F49 else f.embed(ctx), pt).is_zero()
             assert eval_form(ell if ctx is F49 else ell.embed(ctx), pt).is_zero()
@@ -209,9 +209,10 @@ def _oracle_tritangents(f6, max_e):
     """The per-line search: every line of P^2(F_{p^e}) in dual-point order
     through the FieldElem references of restrict_to_line,
     perfect_square_split and the contact points, skipping zero
-    restrictions and lines defined over a proper subfield."""
+    restrictions and lines defined over a proper subfield; the
+    certificates and, apart, their contact points."""
     p = f6.ctx.p
-    out = []
+    out, contacts = [], []
     for e in range(1, max_e + 1):
         ctx = field_create(p, e)
         f = ObjForm.of(f6 if ctx is f6.ctx else f6.embed(ctx))
@@ -235,16 +236,43 @@ def _oracle_tritangents(f6, max_e):
             out.append(geom.TritangentCert(
                 field=ctx, line=tuple(c.v for c in vec), line_field_degree=e,
                 split_field_degree=split.split_field_degree,
-                unit=split.unit.v,
-                contact_points=contact_points_ref(split.h, vec, ctx),
+                unit=split.unit.v, h=tuple(split.h.encodings()),
                 f3=f3, f5=f5))
-    return out
+            contacts.append(contact_points_ref(split.h, vec, ctx))
+    return out, contacts
 
 
 def _random_sextic(ctx, rng, density=1.0):
     return _mod(ctx, {(a, b, 6 - a - b): rng.randrange(ctx.p)
                       for a in range(7) for b in range(7 - a)
                       if rng.random() < density}, 6).mod()
+
+
+def _degenerate_sextics(ctx, rng):
+    """Sextics over F_p whose restriction to x = 0 is degenerate for the
+    u*h^2 test, and the same moved off x = 0 by a coordinate change."""
+    p = ctx.p
+    x, y, z = (line_form(ctx, tuple(ctx.from_int(int(i == j))
+                                    for j in range(3))) for i in range(3))
+    f5 = _mod(ctx, {(a, b, 5 - a - b): rng.randrange(p)
+                    for a in range(6) for b in range(6 - a)}, 5)
+    h = y * y + y * z.scale(ctx.from_int(2)) + z * z.scale(ctx.from_int(3))
+    nonres = next(ctx.from_int(c) for c in range(2, p)
+                  if pow(c, (p - 1) // 2, p) != 1)
+    degenerate = [
+        x * f5,  # x = 0 is a line component: zero restriction
+        _mod(ctx, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6),
+        _mod(ctx, {(6, 0, 0): 1, (0, 5, 1): 2, (0, 1, 5): 1,
+                   (1, 4, 1): 3}, 6),  # odd leading index on x = 0
+        z * z * (h * h) + x * f5,  # leading index 2 on x = 0
+        y * y * (h * h) + x * f5,  # u-multiplicity 2 on x = 0
+        z * z * z * z * h + x * f5,  # 4, h is not a square
+        (z * z * z * z * (y + z) * (y + z)).scale(nonres) + x * f5,  # 4
+        (z * z * z) * (z * z * z) + x * f5,  # 6
+    ]
+    T = _random_invertible(ctx, rng)
+    return [f.mod() for f in degenerate] + [
+        apply_linear_change(f, T).mod() for f in degenerate]
 
 
 def test_array_search_matches_per_line_oracle():
@@ -257,30 +285,8 @@ def test_array_search_matches_per_line_oracle():
     for p in (3, 5):
         cases += [(_random_sextic(field_create(p, 1), rng, density), 2)
                   for density in (1.0, 0.4)]
-    # degenerate restrictions, moved off x = 0 by a coordinate change too
     for p in (5, 7):
-        ctx = field_create(p, 1)
-        x, y, z = (line_form(ctx, tuple(ctx.from_int(int(i == j))
-                                        for j in range(3))) for i in range(3))
-        f5 = _mod(ctx, {(a, b, 5 - a - b): rng.randrange(p)
-                        for a in range(6) for b in range(6 - a)}, 5)
-        h = y * y + y * z.scale(ctx.from_int(2)) + z * z.scale(ctx.from_int(3))
-        nonres = next(ctx.from_int(c) for c in range(2, p)
-                      if pow(c, (p - 1) // 2, p) != 1)
-        degenerate = [
-            x * f5,  # x = 0 is a line component: zero restriction
-            _mod(ctx, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1}, 6),
-            _mod(ctx, {(6, 0, 0): 1, (0, 5, 1): 2, (0, 1, 5): 1,
-                       (1, 4, 1): 3}, 6),  # odd leading index on x = 0
-            z * z * (h * h) + x * f5,  # leading index 2 on x = 0
-            y * y * (h * h) + x * f5,  # u-multiplicity 2 on x = 0
-            z * z * z * z * h + x * f5,  # 4, h is not a square
-            (z * z * z * z * (y + z) * (y + z)).scale(nonres) + x * f5,  # 4
-            (z * z * z) * (z * z * z) + x * f5,  # 6
-        ]
-        T = _random_invertible(ctx, rng)
-        cases += [(f.mod(), 1) for f in degenerate]
-        cases += [(apply_linear_change(f, T).mod(), 1) for f in degenerate]
+        cases += [(f, 1) for f in _degenerate_sextics(field_create(p, 1), rng)]
     F3 = field_create(3, 1)
     cases.append((_mod(F3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1},
                        6).mod(), 2))
@@ -292,9 +298,55 @@ def test_array_search_matches_per_line_oracle():
     found = 0
     for f6, e in cases:
         certs = find_tritangents(f6, e)
-        assert certs == _oracle_tritangents(f6, e), (f6, e)
+        want, contacts = _oracle_tritangents(f6, e)
+        assert certs == want, (f6, e)
+        assert [c.contact_points() for c in certs] == contacts, (f6, e)
         found += len(certs)
     assert found > len(cases)
+
+
+def _streamed_lines(f, q0, e):
+    """The lines that the streamed search keeps: _unit_times_square on each
+    block of _restriction_blocks, without the lines over a subfield."""
+    return np.flatnonzero(np.concatenate([
+        geom._unit_times_square(f.ctx, R) & ~skip
+        for R, skip in geom._restriction_blocks(f, q0, e)])).tolist()
+
+
+def test_map_search_matches_streamed_search():
+    # on every field F_(p^e), e = 1, 2, with at most _MAP_MAX_LINES lines,
+    # and on the first field above the bound, the map path returns exactly
+    # the lines of the streamed path: dense and sparse sextics, planted
+    # tritangents f3^2 + l f5 with l over F_p and f3^2 + l l' g4 with l over
+    # F_q and l' its conjugate (so that the sextic stays over F_p), and the
+    # degenerate restrictions
+    rng = random.Random(97)
+    fields = sorted((p ** e, p, e) for p in range(3, 30) if is_prime(p)
+                    for e in (1, 2))
+    below = [f for f in fields if f[0] ** 2 + f[0] + 1 <= geom._MAP_MAX_LINES]
+    above = fields[len(below)]
+    assert 9 in [q for q, _, _ in below] and above[0] < 25
+    for q, p, e in below + [above]:
+        base, ctx = field_create(p, 1), field_create(p, e)
+        # the last coordinate is not in F_p when e = 2
+        vec = (rng.randrange(q), rng.randrange(p if e > 1 else 0, q), 1)
+        line = tuple(map(ctx.from_enc, vec))
+        conj = line_form(ctx, tuple(c ** p for c in line))
+        planted = (_random_form(base, 3, rng).embed(ctx).square()
+                   + line_form(ctx, line) * conj
+                   * _random_form(base, 4, rng).embed(ctx)).mod()
+        ell = line_form(base, tuple(map(base.from_enc, (
+            rng.randrange(p), rng.randrange(p), 1))))
+        sextics = [_random_sextic(base, rng, density)
+                   for density in (1.0, 1.0, 0.3, 0.3)]
+        sextics.append((_random_form(base, 3, rng).square()
+                        + ell * _random_form(base, 5, rng)).mod())
+        sextics += _degenerate_sextics(base, rng)
+        for f in [planted] + [g if e == 1 else g.embed(ctx) for g in sextics]:
+            got = geom._mapped_candidates(f, p, e)
+            assert got == _streamed_lines(f, p, e), (q, f)
+            if f is planted:
+                assert vec in [geom._line_at(ctx, i) for i in got], q
 
 
 def _log_digits(ctx, logs):

@@ -1,5 +1,5 @@
 """The package, its error classes and the exact proof steps import without
-numpy."""
+numpy, and importing the command-line module builds no search table."""
 
 import json
 import os
@@ -66,14 +66,36 @@ print(json.dumps({"version": k3cert.__version__,
 """
 
 
-def test_package_imports_without_numpy():
+# import the command-line module, then print the k3cert modules loaded
+# and the sizes of the caches that the tritangent search fills
+AT_IMPORT = """
+import json
+import sys
+
+import k3cert.cli
+from k3cert import count, geom
+
+print(json.dumps({
+    "modules": sorted(m for m in sys.modules if m.split(".")[0] == "k3cert"),
+    "cached": [f.cache_info().currsize for f in (
+        count.zech_tables, geom._map_terms, geom._restriction_map,
+        geom._square_table, geom._extension_lines)]}))
+"""
+
+
+def _run_fresh(code):
+    """The JSON that `code` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), str(TESTS)]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_package_imports_without_numpy():
+    out = _run_fresh(WITHOUT_NUMPY)
     assert out["version"] == "0.1.0"
     f6 = IntForm(data.F6_B)
     rep = lifts_to_second_order(f6, (1, 0, 0), 3,
@@ -82,3 +104,14 @@ def test_package_imports_without_numpy():
         [rep.matrix, rep.rhs, rep.verdict]))
     assert rep.verdict == "nonvanishing"
     assert out["gram"] == data.GRAM_C
+
+
+def test_cli_import_builds_no_search_tables():
+    # start-up stays free of table work: importing k3cert.cli loads the
+    # same ten modules and fills none of the search's per-field caches
+    out = _run_fresh(AT_IMPORT)
+    assert out["modules"] == [
+        "k3cert", "k3cert.cli", "k3cert.count", "k3cert.errors",
+        "k3cert.ffield", "k3cert.forms", "k3cert.geom", "k3cert.lattice",
+        "k3cert.obstruct", "k3cert.zeta"]
+    assert out["cached"] == [0] * 5

@@ -152,7 +152,7 @@ def test_certificates_match_references():
             split = perfect_square_split_ref(restrict_to_line_ref(f, line))
             assert (split.unit.v, split.split_field_degree) == (
                 cert.unit, cert.split_field_degree)
-            assert cert.contact_points == contact_points_ref(split.h, line,
+            assert cert.contact_points() == contact_points_ref(split.h, line,
                                                              ctx)
             if cert.f3 is not None:
                 assert (cert.f3, cert.f5) == tuple(
