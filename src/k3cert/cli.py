@@ -295,25 +295,31 @@ def _tritangents(spec, p, line_degree, deep):
                             line_degree, deep=deep)
 
 
-def _class_lattice(spec, p, certs):
+def _split_tritangents(certs):
+    """The tritangents over F_p with rational splits among `certs`, each
+    as its split curve D[line], by its line's text."""
+    return {c.line_str(): SplitCurve.from_tritangent(f"D[{c.line_str()}]", c)
+            for c in certs
+            if c.line_field_degree == 1 and c.split_field_degree == 1}
+
+
+def _class_lattice(spec, p, tritangents):
     """The classes at p from verified objects only: H, the components C+-
     of each conic certificate (its identity checked over Z) and D+- of
-    each tritangent over F_p with rational splits among `certs`, with
-    their intersection matrix (obstruct.class_matrix); the rank of the
-    classes over the closure of Q (H and the C+-, H = (C+ + C-)/2); and a
-    basis of the F_p-rational classes (H, the D+- and the C+- of a conic
-    whose scale is a square mod p) with its determinant.  A `gram:` claim is
-    compared with the C+- block up to the +- labels of each conic; no
-    bound reads it."""
+    each rational-split tritangent in `tritangents` (_split_tritangents),
+    with their intersection matrix (obstruct.class_matrix); the rank of
+    the classes over the closure of Q (H and the C+-, H = (C+ + C-)/2);
+    and a basis of the F_p-rational classes (H, the D+- and the C+- of a
+    conic whose scale is a square mod p) with its determinant.  A `gram:`
+    claim is compared with the C+- block up to the +- labels of each
+    conic; no bound reads it."""
     for i, cert in enumerate(spec.conics, start=1):
         if not verify_conic_identity(cert, spec.f6):
             raise MathError(f"conic certificate {i} fails its exact integer "
                             "identity")
     curves = [SplitCurve.from_conic(f"C{i}", cert, p)
               for i, cert in enumerate(spec.conics, start=1)]
-    curves += [SplitCurve.from_tritangent(f"D[{c.line_str()}]", c)
-               for c in certs
-               if c.line_field_degree == 1 and c.split_field_degree == 1]
+    curves += tritangents.values()
     G = class_matrix(curves)
     labels = ["H"] + [c.name + sign for c in curves for sign in "+-"]
     closure = range(1 + 2 * len(spec.conics))
@@ -350,10 +356,9 @@ def _same_up_to_labels(claim, derived):
     return False
 
 
-def _obstruction(spec, p, cert):
-    """The second-order obstruction on a rational-split tritangent over
-    F_p, from the decomposition its certificate holds."""
-    rep = lifts_to_second_order(spec.f6, cert.line, p, (cert.f3, cert.f5))
+def _obstruction(f6, curve):
+    """The second-order obstruction on a split curve."""
+    rep = lifts_to_second_order(f6, curve)
     return {
         "p": rep.p,
         "G": rep.G.serialize(),
@@ -376,7 +381,8 @@ def _stage_count(spec, p, args):
 
 def _stage_zeta(spec, p, args):
     assert_good_reduction(spec.f6, p)
-    lattice = _class_lattice(spec, p, _tritangents(spec, p, 1, args.deep))
+    lattice = _class_lattice(spec, p, _split_tritangents(
+        _tritangents(spec, p, 1, args.deep)))
     k, series, survivors, _ = _zeta_data(spec, p, args, lattice)
     out = {"p": p, "k": k, "rational_basis": lattice["rational_basis"],
            "counts": _count_rows(series), "signs": []}
@@ -403,22 +409,24 @@ def _stage_tritangent(spec, p, args):
 def _stage_obstruct(spec, p, args):
     assert_good_reduction(spec.f6, p)
     reports = []
-    for cert in _tritangents(spec, p, 1, args.deep):
-        entry = {"line": cert.line_str(),
-                 "split_field_degree": cert.split_field_degree}
-        if cert.split_field_degree != 1:
+    certs = _tritangents(spec, p, 1, args.deep)
+    split = _split_tritangents(certs)
+    for cert in certs:
+        line = cert.line_str()
+        entry = {"line": line, "split_field_degree": cert.split_field_degree}
+        if line in split:
+            entry["obstruction"] = _obstruction(spec.f6, split[line])
+        else:
             entry["note"] = ("splits are only rational over the quadratic "
                              "extension; obstruction not computed")
-        else:
-            entry["obstruction"] = _obstruction(spec, p, cert)
         reports.append(entry)
     return {"p": p, "tritangents": reports}
 
 
 def _stage_lattice(spec, p, args):
     assert_good_reduction(spec.f6, p)
-    return {"p": p, **_class_lattice(spec, p, _tritangents(spec, p, 1,
-                                                           args.deep))}
+    return {"p": p, **_class_lattice(spec, p, _split_tritangents(
+        _tritangents(spec, p, 1, args.deep)))}
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +447,11 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
 
     certs = _tritangents(spec, p, args.line_degree, args.deep)
     report["tritangents"] = [_tritangent_dict(c) for c in certs]
-    rational = [c for c in certs
-                if c.line_field_degree == 1 and c.split_field_degree == 1]
+    split = _split_tritangents(certs)
     chain.append(f"find_tritangents: {len(certs)} tritangent line(s) over "
                  f"F_{p}^e, e <= {args.line_degree}; "
-                 f"{len(rational)} with rational splits")
-    lattice = report["lattice"] = _class_lattice(spec, p, certs)
+                 f"{len(split)} with rational splits")
+    lattice = report["lattice"] = _class_lattice(spec, p, split)
     if spec.conics:
         chain.append(f"verify_conic_identity: {len(spec.conics)} six-fold "
                      "tangent conic identity(ies) verified exactly over Z")
@@ -514,16 +521,18 @@ def cmd_certify(spec: SurfaceSpec, p: int, args) -> dict:
 
     blocked = False
     obstruction_reports = []
-    for cert in rational:
-        obstruction = _obstruction(spec, p, cert)
-        obstruction_reports.append({"line": cert.line_str(),
+    for line, curve in split.items():
+        obstruction = _obstruction(spec.f6, curve)
+        obstruction_reports.append({"line": line,
                                     "obstruction": obstruction})
         if obstruction["verdict"] != "vanishes":
             blocked = True
+            rows = obstruction["matrix"]
             chain.append(
-                f"lifts_to_second_order: obstruction on {cert.line_str()} is "
-                "nonvanishing (7x6 system unsolvable); the split class does "
-                "not lift to the second-order thickening")
+                f"lifts_to_second_order: obstruction on {line} is "
+                f"nonvanishing ({len(rows)}x{len(rows[0])} system "
+                "unsolvable); the split class does not lift to the "
+                "second-order thickening")
     report["obstructions"] = obstruction_reports
 
     lower = lattice["rank_over_closure"]

@@ -450,9 +450,11 @@ class CacheStore:
     def __init__(self, path):
         self.path = Path(path)
         self._mem: dict[tuple, int] = {}
+        self._line_open = False  # the file's last line lacks its newline
         if self.path.exists():
-            lines = self.path.read_text().splitlines()
-            for lineno, line in enumerate(lines, start=1):
+            text = self.path.read_text()
+            self._line_open = not text.endswith("\n") and bool(text)
+            for lineno, line in enumerate(text.splitlines(), start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -482,8 +484,10 @@ class CacheStore:
             return
         self._mem[key] = N
         with self.path.open("a") as fh:
-            fh.write(json.dumps({"fingerprint": fingerprint, "p": p, "d": d,
-                                 "N": N, "source": source}) + "\n")
+            fh.write("\n" * self._line_open + json.dumps(
+                {"fingerprint": fingerprint, "p": p, "d": d, "N": N,
+                 "source": source}) + "\n")
+        self._line_open = False
 
 
 def count_series(f6: IntForm, p: int, dmax: int, cache: CacheStore | None = None,

@@ -2,14 +2,14 @@
 
 A form is a sparse map from exponent triples (a, b, c) with a + b + c =
 degree to coefficients; a degree-6 form has at most 28 monomials.  IntForm
-has integer coefficients and the arithmetic that the parser, the conic
-identities and the obstruction need.  ModForm carries a form over one
-FieldCtx: its field, its degree and the canonical encodings (ffield) of its
-nonzero coefficients, with no arithmetic; every step over F_q reads the
-encodings.  Over F_p an encoding is the integer lift in [0, p).  A binary
-form (a restriction to a line) is a dense list of coefficient encodings,
-entry i the coefficient of s^(n-i) t^i; a line is the triple of its
-coefficients.
+has integer coefficients and the arithmetic of obstruct.residual, the one
+expansion of f6 - s*h^2 - Q*Q' behind the conic identities and the
+obstruction.  ModForm carries a form over one FieldCtx: its field, its
+degree and the canonical encodings (ffield) of its nonzero coefficients,
+with no arithmetic; every step over F_q reads the encodings.  Over F_p an
+encoding is the integer lift in [0, p).  A binary form (a restriction to
+a line) is a dense list of coefficient encodings, entry i the
+coefficient of s^(n-i) t^i; a line is the triple of its coefficients.
 
 Canonical text serialization lists monomials in descending graded reverse
 lexicographic order as ``c*x^a*y^b*z^c`` joined by ``+``; it feeds reports
@@ -87,52 +87,43 @@ class IntForm:
 
     __hash__ = None
 
+    @classmethod
+    def _exact(cls, coeffs: dict, degree: int):
+        """The form with integer coefficients that are known to lie on
+        monomials of `degree` (a result of IntForm arithmetic, or a checked
+        form's): only the zeros are dropped, as the constructor's checks
+        are for input."""
+        form = object.__new__(cls)
+        form.degree = degree
+        form.coeffs = {m: c for m, c in coeffs.items() if c}
+        return form
+
     def __add__(self, other):
+        return self - other.scale(-1)
+
+    def __sub__(self, other):
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return IntForm(out, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return IntForm({m: -c for m, c in self.coeffs.items()}, self.degree)
+            out[m] = out.get(m, 0) - c
+        return IntForm._exact(out, self.degree)
 
     def __mul__(self, other):
         out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[m] = out.get(m, 0) + c1 * c2
-        return IntForm(out, self.degree + other.degree)
+        terms = other.coeffs.items()
+        for (a1, b1, c1), x in self.coeffs.items():
+            for (a2, b2, c2), y in terms:
+                m = (a1 + a2, b1 + b2, c1 + c2)
+                out[m] = out.get(m, 0) + x * y
+        return IntForm._exact(out, self.degree + other.degree)
 
     def scale(self, k):
-        return IntForm({m: c * k for m, c in self.coeffs.items()}, self.degree)
-
-    def square(self):
-        return self * self
+        return IntForm._exact({m: c * k for m, c in self.coeffs.items()},
+                              self.degree)
 
     def serialize(self) -> str:
         return _serialize(self.coeffs)
-
-    def apply_int_matrix(self, rows):
-        """Substitute variable i by the integer linear form rows[i]."""
-        out = IntForm({}, self.degree)
-        lin = [IntForm({(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}, 1)
-               for r in rows]
-        pows = [{0: IntForm({(0, 0, 0): 1}, 0)} for _ in range(3)]
-        for m, c in self.coeffs.items():
-            term = IntForm({(0, 0, 0): c}, 0)
-            for i, e in enumerate(m):
-                memo = pows[i]
-                for k in range(max(memo) + 1, e + 1):
-                    memo[k] = memo[k - 1] * lin[i]
-                term = term * memo[e]
-            out = out + term
-        return out
 
     def __repr__(self):
         return f"IntForm({self.serialize()})"

@@ -1,26 +1,24 @@
 """Split curves, their intersection numbers, and the second-order lifting
-obstruction for a tritangent split class.
+obstruction of their classes.
 
-Given integer lifts with f6 = f3^2 + l*f5 (mod p), the integer form
-G = (f6 - f3^2 - l*f5)/p decides whether the split class extends to the
-thickening mod p^2: it does exactly when G lies in the ideal
-(p, l, f3, f5).  Restricted to the line l = 0 mod p, in the line's own
-parametrization (forms._restrict), membership collapses to the degree-6
-graded piece in two variables: is Gbar a combination f3bar*b3 +
-f5bar*c1 with b3 a binary cubic and c1 a binary linear form?  That is a
-linear system of seven equations (the binary sextic's coefficients) in
-six unknowns over F_p.
+A split curve (SplitCurve) is a line or conic Q = 0 with f6 = s*h^2 +
+Q*Q' (mod p): a tritangent with rational splits (s = 1, h = f3, Q' =
+f5) or a conic certificate (its scale, q3 and q4).  Its preimage on the
+double cover splits into two components, whose intersection matrix
+(class_matrix) takes one parametrization and a few gcds per pair.
 
-The verdict is independent of the integer lifts (they shift G by ideal
-members) and of the choice of coordinates; the test suite checks both.
-A nonvanishing obstruction blocks the lift, which is what certificates
-build on.
-
-The classes the obstruction and the lattice rest on come from split
-curves (SplitCurve): tritangents with rational splits and conic
-certificates, whose preimages on the double cover split into two
-components.  Their intersection matrix (class_matrix) is computed in
-plain integers mod p, one parametrization and a few gcds per pair.
+G = (f6 - s*h^2 - Q*Q')/p on integer lifts decides whether the class
+extends to the thickening mod p^2: it does exactly when G lies in (p, Q,
+h, Q').  Along the curve's parametrization phi (SplitCurve.image; a
+line's is the kernel basis of forms._restrict) that asks whether G(phi)
+= h(phi)*b + Q'(phi)*c for binary forms b and c of degrees 3 deg Q and
+deg Q^2: 6 deg Q + 1 linear equations in 6 deg Q unknowns over F_p, 7 x
+6 on a line and 13 x 12 on a conic.  The verdict is independent of the
+lifts (they shift G by ideal members) and of the coordinates; the tests
+check both.  A nonvanishing obstruction blocks the lift, which is what
+certificates build on.  One expansion of f6 - s*h^2 - Q*Q' over Z
+(residual) serves the obstruction, where it must be divisible by p, and
+the conic identities, where it must vanish.
 """
 
 from __future__ import annotations
@@ -31,23 +29,27 @@ from dataclasses import dataclass
 from .errors import CommonZeroOnLineError, MathError, NotDivisibleError
 from .ffield import (_sqrt_in_field, _zp_divmod, _zp_gcd2, _zp_mul, _zp_trim,
                      field_create)
-from .forms import IntForm, _form_gcd, _kernel_basis, _monomials, _restrict
+from .forms import IntForm, _form_gcd, _kernel_basis, _monomials
+
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the monomials of degree 1
 
 
 @dataclass
 class ObstructionReport:
     """Audit record of one obstruction computation; the binary forms are
-    coefficient lists over F_p, entry i the coefficient of u^(n-i) v^i."""
+    coefficient lists over F_p, entry i the coefficient of u^(n-i) v^i.
+    f3_bar and f5_bar are the images of h and Q' (f3 and f5 on a
+    tritangent)."""
 
     p: int
     G: IntForm
-    g_bar: list         # G mod (p, line), in the line's two coordinates
+    g_bar: list         # G(phi) mod p
     f3_bar: list
     f5_bar: list
-    matrix: tuple       # 7 rows x 6 columns over F_p
-    rhs: tuple          # 7 entries
+    matrix: tuple       # 6 deg Q + 1 rows x 6 deg Q columns over F_p
+    rhs: tuple          # g_bar
     verdict: str        # vanishes | nonvanishing
-    witness: tuple | None  # (b3 coefficients, c1 coefficients) when solvable
+    witness: tuple | None  # (b, c) coefficient lists when solvable
 
     @property
     def vanishes(self) -> bool:
@@ -62,31 +64,27 @@ def binary_str(coeffs) -> str:
                     for i, c in enumerate(coeffs) if c) or "0"
 
 
-def obstruction_G(f6: IntForm, line, f3, f5, p: int) -> IntForm:
-    """G = (f6 - f3^2 - l*f5)/p, exact over Z, with l the line's
-    coefficients in [0, p).  f3 and f5 are forms with integer
-    coefficients: IntForms, or ModForms over F_p, whose encodings are
-    their lifts in [0, p).
+def residual(f6: IntForm, scale: int, h: IntForm, Q: IntForm,
+             cofactor: IntForm) -> IntForm:
+    """f6 - scale*h^2 - Q*cofactor over Z: zero for a conic certificate,
+    divisible by p for a split curve mod p."""
+    return f6 - (h * h).scale(scale) - Q * cofactor
 
-    Every coefficient of the numerator must be divisible by p (the
-    decomposition identity mod p); otherwise the decomposition upstream is
-    broken."""
-    numerator = dict(f6.coeffs)
 
-    def sub(m, c):
-        numerator[m] = numerator.get(m, 0) - c
+def obstruction_G(f6: IntForm, curve: SplitCurve) -> IntForm:
+    """G = (f6 - s*h^2 - Q*Q')/p, exact over Z, from the integer lifts
+    the split curve holds.
 
-    for m1, c1 in f3.coeffs.items():
-        for m2, c2 in f3.coeffs.items():
-            sub((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]), c1 * c2)
-    for (x, y, z), lv in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                             (c % p for c in line)):
-        for m, c in f5.coeffs.items():
-            sub((m[0] + x, m[1] + y, m[2] + z), lv * c)
-    if any(c % p for c in numerator.values()):
+    Every coefficient of the numerator must be divisible by p (the split
+    identity mod p); otherwise the decomposition upstream is broken."""
+    p = curve.p
+    numerator = residual(f6, curve.scale, curve.half, curve.curve,
+                         curve.cofactor)
+    if any(c % p for c in numerator.coeffs.values()):
         raise NotDivisibleError(
-            "f6 - f3^2 - l*f5 is not divisible by p: invalid decomposition")
-    return IntForm({m: c // p for m, c in numerator.items()}, f6.degree)
+            "f6 - s*h^2 - Q*Q' is not divisible by p: invalid decomposition")
+    return IntForm._exact({m: c // p for m, c in numerator.coeffs.items()},
+                          f6.degree)
 
 
 def _solve_mod_p(matrix, rhs, p):
@@ -117,68 +115,44 @@ def _solve_mod_p(matrix, rhs, p):
     return tuple(sol)
 
 
-def obstruction_vanishes(G: IntForm, line, f3, f5,
-                         p: int) -> ObstructionReport:
-    """Decide membership of G in (p, l, f3, f5) by the 7x6 linear system,
-    for a line given by its integer coefficient triple and f3, f5 as
-    obstruction_G takes them.
-
-    Runs on integers mod p: the restrictions to the line (forms._restrict
-    over F_p), the gcd of those of f3 and f5 (forms._form_gcd) and the
-    re-verification of a witness.  Raises CommonZeroOnLineError when f3
-    and f5 share a projective zero on the line; that configuration
-    contradicts the smoothness the obstruction formula assumes and must be
-    surfaced, not absorbed."""
-    ctx = field_create(p, 1)
-    vec = tuple(c % p for c in line)
-    g, a3, a5 = (_restrict(ctx, {m: c % p for m, c in form.coeffs.items()},
-                           form.degree, vec) for form in (G, f3, f5))
+def lifts_to_second_order(f6: IntForm,
+                          curve: SplitCurve) -> ObstructionReport:
+    """G, then the membership verdict, on a split curve with a
+    parametrization (a line, or a conic smooth mod p): the images of G, h
+    and Q' (SplitCurve.image), a system whose columns are the shifts of
+    h(phi) and then of Q'(phi), and the re-verification of a witness.
+    Raises CommonZeroOnLineError when h and Q' share a zero on the curve,
+    where f6 would be singular and the formula does not apply."""
+    p = curve.p
+    G = obstruction_G(f6, curve)
+    g, a3, a5 = (curve.image(form) for form in (G, curve.half,
+                                                 curve.cofactor))
     if not any(a3) or not any(a5):
         raise CommonZeroOnLineError(
-            "f3 or f5 vanishes identically on the line")
+            "h or Q' vanishes identically on the curve")
     if len(_form_gcd(a3, a5, p)) > 1:
         raise CommonZeroOnLineError(
-            "f3 and f5 share a zero on the line; the surface would be "
+            "h and Q' share a zero on the curve; the surface would be "
             "singular there and the obstruction formula does not apply")
-    # unknowns: 4 coefficients of a binary cubic b3, 2 of a linear c1
-    matrix = [[0] * 6 for _ in range(7)]
-    for j in range(4):
-        for m in range(7):
-            if 0 <= m - j <= 3:
-                matrix[m][j] = a3[m - j]
-    for m in range(7):
-        if m <= 5:
-            matrix[m][4] = a5[m]
-        if m >= 1:
-            matrix[m][5] = a5[m - 1]
+    shifts = [len(g) - len(a) + 1 for a in (a3, a5)]
+    columns = [[0] * j + a + [0] * (k - 1 - j)
+               for a, k in zip((a3, a5), shifts) for j in range(k)]
+    matrix = tuple(zip(*columns))
     sol = _solve_mod_p(matrix, g, p)
     witness = None
     verdict = "nonvanishing"
     if sol is not None:
         verdict = "vanishes"
-        recombined = [0] * 7
-        for form, part in ((a3, sol[:4]), (a5, sol[4:])):
-            for i, a in enumerate(form):
-                for j, b in enumerate(part):
-                    recombined[i + j] += a * b
+        witness = (list(sol[:shifts[0]]), list(sol[shifts[0]:]))
+        recombined = [0] * len(g)
+        for form, part in zip((a3, a5), witness):
+            for i, c in enumerate(_zp_mul(form, part, p)):
+                recombined[i] += c
         assert [c % p for c in recombined] == g, \
             "witness failed exact re-verification"
-        witness = (list(sol[:4]), list(sol[4:]))
     return ObstructionReport(
-        p=p, G=G, g_bar=g, f3_bar=a3, f5_bar=a5,
-        matrix=tuple(tuple(r) for r in matrix), rhs=tuple(g),
-        verdict=verdict, witness=witness)
-
-
-def lifts_to_second_order(f6: IntForm, line, p: int,
-                          decomposition) -> ObstructionReport:
-    """G, then the membership verdict, for a line given by its integer
-    coefficient triple and its decomposition (f3, f5): the canonical pair
-    that a TritangentCert over F_p carries, or integer lifts of it
-    (geom.decompose_along_line)."""
-    f3, f5 = decomposition
-    G = obstruction_G(f6, line, f3, f5, p)
-    return obstruction_vanishes(G, line, f3, f5, p)
+        p=p, G=G, g_bar=g, f3_bar=a3, f5_bar=a5, matrix=matrix,
+        rhs=tuple(g), verdict=verdict, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +171,11 @@ class ConicCert:
 
 
 def verify_conic_identity(cert: ConicCert, f6: IntForm) -> bool:
-    """Exact check of f6 = scale * q3^2 + q2 * q4 over Z, on the
-    coefficient dicts."""
+    """Exact check of f6 = scale * q3^2 + q2 * q4 over Z: the residual is
+    zero."""
     if not 2 * cert.q3.degree == cert.q2.degree + cert.q4.degree == f6.degree:
         return False
-    rhs: dict = {}
-    for a, b, scale in ((cert.q3, cert.q3, cert.scale), (cert.q2, cert.q4, 1)):
-        for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                rhs[m] = rhs.get(m, 0) + scale * c1 * c2
-    return {m: c for m, c in rhs.items() if c} == f6.coeffs
+    return residual(f6, cert.scale, cert.q3, cert.q2, cert.q4).is_zero()
 
 
 @dataclass
@@ -216,8 +184,8 @@ class SplitCurve:
     preimage on w^2 = f6 splits into the components X+ (w = sqrt(s) h)
     and X- (w = -sqrt(s) h), which are F_p-rational when s is a square
     mod p.  A tritangent with rational splits has s = 1, h = f3 and Q' =
-    f5; a conic certificate has its scale, h = q3 and Q' = q4.  Forms are
-    {monomial: int in [0, p)}.
+    f5; a conic certificate has its scale, h = q3 and Q' = q4.  The forms
+    are integer lifts, in [0, p) from from_tritangent and from_conic.
 
     sqrt(s) is c sqrt(n) with n = 1 when s is a square mod p and else the
     least non-square, and c the principal root of s/n in F_p: that fixes
@@ -226,23 +194,25 @@ class SplitCurve:
     name: str
     p: int
     degree: int
-    curve: dict
-    cofactor: dict
-    half: dict
+    curve: IntForm      # Q
+    cofactor: IntForm   # Q'
+    half: IntForm       # h
     scale: int
 
     @classmethod
     def from_tritangent(cls, name, cert):
         """From a geom.TritangentCert over F_p, whose encodings are the
         forms' coefficients in [0, p)."""
-        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), cert.line))
-        return cls(name, cert.field.p, 1, line, cert.f5.coeffs,
-                   cert.f3.coeffs, 1)
+        line, f3, f5 = (IntForm._exact(coeffs, degree) for coeffs, degree in (
+            (dict(zip(_AXES, cert.line)), 1), (cert.f3.coeffs, 3),
+            (cert.f5.coeffs, 5)))
+        return cls(name, cert.field.p, 1, line, f5, f3, 1)
 
     @classmethod
     def from_conic(cls, name, cert: ConicCert, p: int):
         def ints(form):
-            return {m: c % p for m, c in form.coeffs.items()}
+            return IntForm({m: c % p for m, c in form.coeffs.items()},
+                           form.degree)
 
         return cls(name, p, 2, ints(cert.q2), ints(cert.q4), ints(cert.q3),
                    cert.scale % p)
@@ -267,11 +237,10 @@ class SplitCurve:
         F_p-point on a line through it and (1 : u : 0) by u; a smooth
         conic has p + 1 points, at most two of them on x = 0.  None when
         the conic is singular mod p."""
-        p, q2 = self.p, self.curve
+        p, q2 = self.p, self.curve.coeffs
         ctx = field_create(p, 1)
         if self.degree == 1:
-            basis = _kernel_basis(ctx, tuple(
-                q2.get(m, 0) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+            basis = _kernel_basis(ctx, tuple(q2.get(m, 0) % p for m in _AXES))
             return [list(w) for w in zip(*basis)]
         a = [[0] * 3 for _ in range(3)]  # q2(v) = v^T a v / 2
         for m, c in q2.items():
@@ -304,26 +273,43 @@ class SplitCurve:
 
     @functools.cached_property
     def _images(self):
-        return {(0, 0, 0): [1]}
-
-    def image(self, form: dict, n: int):
-        """form(phi) for a form of degree n, as a binary form of degree n
-        deg Q: its coefficient list ascending in t, untrimmed.  The images
-        of the monomials are built degree by degree, one product each, and
-        kept for the next form."""
-        p, phi, images = self.p, self.phi, self._images
-        if (0, 0, n) not in images:
-            for m in _monomials(n)[0]:
+        """The images of the monomials of degree at most 3 under phi,
+        built degree by degree, one product each."""
+        p, phi, images = self.p, self.phi, {(0, 0, 0): [1]}
+        for k in range(1, 4):
+            for m in _monomials(k)[0]:
                 v = 0 if m[0] else 1 if m[1] else 2
                 lower = (m[0] - (v == 0), m[1] - (v == 1), m[2] - (v == 2))
-                if lower not in images:
-                    self.image({}, n - 1)
                 images[m] = _zp_mul(images[lower], phi[v], p)
+        return images
+
+    def image(self, form: IntForm):
+        """form(phi) mod p for a form of degree n <= 6, as a binary form of
+        degree n deg Q: its coefficient list ascending in t, untrimmed.
+        The images of the tails under one head (_head_tail) are summed and
+        then multiplied by the head's, one product per head: 10 for a
+        sextic, where a table of the monomials of degree 6 would take 83."""
+        p, images, n = self.p, self._images, form.degree
+        split, tails = _head_tail(n), {}
+        for m, c in form.coeffs.items():
+            head, tail = split[m]
+            acc = tails.setdefault(head, [0] * (min(n, 3) * self.degree + 1))
+            for i, x in enumerate(images[tail]):
+                acc[i] += c * x
         out = [0] * (n * self.degree + 1)
-        for m, c in form.items():
-            for i, x in enumerate(images[m]):
-                out[i] += c * x
+        for head, acc in tails.items():
+            for i, x in enumerate(_zp_mul(images[head], acc, p)):
+                out[i] += x
         return [c % p for c in out]
+
+
+@functools.lru_cache(maxsize=None)
+def _head_tail(n: int):
+    """{monomial: (head, tail)} for the monomials of degree n <= 6, with
+    head * tail the monomial and the head of degree max(n - 3, 0)."""
+    r = max(n - 3, 0)
+    return {(h[0] + t[0], h[1] + t[1], h[2] + t[2]): (h, t)
+            for h in _monomials(r)[0] for t in _monomials(n - r)[0]}
 
 
 def _order_sum(sigma, g, p: int) -> int:
@@ -363,14 +349,14 @@ def split_pairing(X: SplitCurve, Y: SplitCurve):
         return X.degree * Y.degree // 2
     if X.phi is None:
         return None
-    g = X.image(Y.curve, Y.degree)
+    g = X.image(Y.curve)
     if not any(g):
         return None
     sigma = [(cx * a - cy * b) % p for a, b in
-             zip(X.image(X.half, 3), X.image(Y.half, 3))]
+             zip(X.image(X.half), X.image(Y.half))]
     if not any(sigma):
         return len(g) - 1
-    c = _form_gcd(g, X.image(Y.cofactor, 6 - Y.degree), p)
+    c = _form_gcd(g, X.image(Y.cofactor), p)
     return (_order_sum(sigma, g, p) - _order_sum(sigma, c, p)
             + _order_sum(g, _form_gcd(c, sigma, p), p))
 

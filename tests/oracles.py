@@ -610,6 +610,21 @@ def line_to_x(line) -> LinearChange:
     return LinearChange(ctx, rows).inverse()
 
 
+def apply_int_matrix(f: IntForm, rows) -> IntForm:
+    """The integer form f with variable i replaced by the integer linear
+    form rows[i]."""
+    lin = [IntForm(dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), r)), 1)
+           for r in rows]
+    out = IntForm({}, f.degree)
+    for m, c in f.coeffs.items():
+        term = IntForm({(0, 0, 0): c}, 0)
+        for v, e in enumerate(m):
+            for _ in range(e):
+                term = term * lin[v]
+        out = out + term
+    return out
+
+
 def apply_linear_change(f: ObjForm, T: LinearChange) -> ObjForm:
     """The form f(T v); degree is preserved."""
     if T.ctx is not f.ctx:
@@ -947,7 +962,7 @@ def contact_points_ref(split_h: BinaryForm, line, ctx):
 
 
 def obstruction_ref(f6: IntForm, line, f3: IntForm, f5: IntForm, p: int):
-    """obstruct.obstruction_G and obstruction_vanishes in IntForm and
+    """obstruct.lifts_to_second_order on a line in IntForm and
     BinaryForm arithmetic: G from the form products, the restrictions of
     G, f3 and f5 by restrict_to_line_ref, their gcd as binary forms, the
     7x6 system, and the witness recombined as binary forms; the report
@@ -1410,19 +1425,19 @@ def split_pairing_oracle(X, Y):
     ctx = field_create(X.p, 2)
     phi = [Poly(ctx, [ctx.from_int(c) for c in f]) for f in X.phi]
 
-    def image(form, n):
+    def image(form):
         out = Poly(ctx, [])
-        for m, c in form.items():
+        for m, c in form.coeffs.items():
             term = Poly(ctx, [ctx.from_int(c)])
             for v in range(3):
                 for _ in range(m[v]):
                     term = term * phi[v]
             out = out + term
-        return bf_from_poly(out, n * X.degree)
+        return bf_from_poly(out, form.degree * X.degree)
 
     def sheet(curve):
         c, n = curve.root
-        return bf_scale(image(curve.half, 3),
+        return bf_scale(image(curve.half),
                         ctx.from_int(c) * sqrt_ref(ctx.from_int(n)))
 
     def order(form, root):
@@ -1435,8 +1450,8 @@ def split_pairing_oracle(X, Y):
             f, k = f // factor, k + 1
         return k
 
-    g, sigma = image(Y.curve, Y.degree), bf_sub(sheet(X), sheet(Y))
-    cofactor = image(Y.cofactor, 6 - Y.degree)
+    g, sigma = image(Y.curve), bf_sub(sheet(X), sheet(Y))
+    cofactor = image(Y.cofactor)
     return sum(order(sigma, r) and (order(g, r) if order(cofactor, r)
                                     else order(sigma, r))
                for r in binary_roots_ref(g))

@@ -15,14 +15,15 @@ from k3cert.ffield import field_create
 from k3cert.forms import IntForm, _square_split, reduce_mod
 from k3cert.geom import decompose_along_line, find_tritangents
 from k3cert.lattice import gram_rank_disc
-from k3cert.obstruct import (ConicCert, obstruction_G, obstruction_vanishes,
+from k3cert.obstruct import (ConicCert, lifts_to_second_order,
                              verify_conic_identity)
 from k3cert.zeta import (cyclotomic_part, determine_sign, newton_above_hodge,
                          predicted_count)
 
 import data
-from oracles import unit_square_products
+from oracles import apply_int_matrix, unit_square_products
 from test_cli import SURFACES
+from test_obstruct import line_curve
 
 
 @contextmanager
@@ -188,15 +189,14 @@ def test_criterion_9_obstructions_and_certificates(cache_path, series_b,
     with criterion(9, "nonvanishing obstructions; rank 1 and rank 3 proved"):
         # surface C: unsolvable 7x6 system
         f3, f5 = decompose_along_line(IntForm(data.F6_C), (1, 1, 1), 3)
-        G = obstruction_G(IntForm(data.F6_C), (1, 1, 1), f3, f5, 3)
-        rep_c = obstruction_vanishes(G, (1, 1, 1), f3, f5, 3)
+        rep_c = lifts_to_second_order(IntForm(data.F6_C),
+                                      line_curve((1, 1, 1), f3, f5, 3))
         assert rep_c.verdict == "nonvanishing"
         assert len(rep_c.matrix) == 7 and len(rep_c.matrix[0]) == 6
         # surface B: the y^2 z^4 lift makes the obstruction bite
         f3b, f5b = decompose_along_line(IntForm(data.F6_B), (1, 0, 0), 3)
-        Gb = obstruction_G(IntForm(data.F6_B), (1, 0, 0), f3b, f5b, 3)
-        assert obstruction_vanishes(Gb, (1, 0, 0), f3b, f5b, 3).verdict == \
-            "nonvanishing"
+        assert lifts_to_second_order(IntForm(data.F6_B), line_curve(
+            (1, 0, 0), f3b, f5b, 3)).verdict == "nonvanishing"
         # end-to-end certificates through the CLI, reusing the count cache
         code = run(["certify", "--spec", str(SURFACES / "rank1-p3.txt"),
                     "--prime", "3", "--cache", str(cache_path), "--json"])
@@ -231,24 +231,22 @@ def test_criterion_10_property_suites(series_a, series_b, series_c,
         rng = random.Random(2024)
         f6b = IntForm(data.F6_B)
         f3, f5 = decompose_along_line(f6b, (1, 0, 0), 3)
-        base = obstruction_vanishes(
-            obstruction_G(f6b, (1, 0, 0), f3, f5, 3), (1, 0, 0), f3, f5, 3
-        ).verdict
+        base = lifts_to_second_order(
+            f6b, line_curve((1, 0, 0), f3, f5, 3)).verdict
         for _ in range(20):
             d3 = IntForm({(a, b, 3 - a - b): rng.randrange(-5, 6)
                           for a in range(4) for b in range(4 - a)}, 3)
             d5 = IntForm({(a, b, 5 - a - b): rng.randrange(-5, 6)
                           for a in range(6) for b in range(6 - a)}, 5)
             g3, g5 = f3 + d3.scale(3), f5 + d5.scale(3)
-            rep = obstruction_vanishes(
-                obstruction_G(f6b, (1, 0, 0), g3, g5, 3), (1, 0, 0), g3, g5, 3)
+            rep = lifts_to_second_order(
+                f6b, line_curve((1, 0, 0), g3, g5, 3))
             assert rep.verdict == base
         # obstruction verdict invariance: 20 coordinate changes
         f6c = IntForm(data.F6_C)
         f3c, f5c = decompose_along_line(f6c, (1, 1, 1), 3)
-        base_c = obstruction_vanishes(
-            obstruction_G(f6c, (1, 1, 1), f3c, f5c, 3), (1, 1, 1), f3c, f5c, 3
-        ).verdict
+        base_c = lifts_to_second_order(
+            f6c, line_curve((1, 1, 1), f3c, f5c, 3)).verdict
         done = 0
         while done < 20:
             rows = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
@@ -257,15 +255,15 @@ def test_criterion_10_property_suites(series_a, series_b, series_c,
                    + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
             if det % 3 == 0:
                 continue
-            f6t = f6c.apply_int_matrix(rows)
-            f3t = f3c.apply_int_matrix(rows)
-            f5t = f5c.apply_int_matrix(rows)
+            f6t = apply_int_matrix(f6c, rows)
+            f3t = apply_int_matrix(f3c, rows)
+            f5t = apply_int_matrix(f5c, rows)
             lt = tuple(sum(rows[i][j] for i in range(3)) % 3 for j in range(3))
             if all(c == 0 for c in lt):
                 continue
             try:
-                rep = obstruction_vanishes(
-                    obstruction_G(f6t, lt, f3t, f5t, 3), lt, f3t, f5t, 3)
+                rep = lifts_to_second_order(
+                    f6t, line_curve(lt, f3t, f5t, 3))
             except CommonZeroOnLineError:
                 continue
             assert rep.verdict == base_c

@@ -93,6 +93,7 @@ def test_per_layer_span_keys(tmp_path, capsys, monkeypatch):
     keys = {(s["name"], s["key"]) for s in recorder.spans}
     assert {("geom.find_tritangents", "e1"), ("geom.find_tritangents", "e2"),
             ("geom.assert_good_reduction", None),
+            ("obstruct.lifts_to_second_order", None),
             ("count.count_points", "p3d1")} <= keys, keys
 
 

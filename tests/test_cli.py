@@ -616,6 +616,23 @@ def test_truncated_cache_line_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cache_without_final_newline_survives_an_append(tmp_path, capsys):
+    # a cache whose last record ends without a newline (written by another
+    # tool, or cut after its last brace) got the next record on the same
+    # line, and every later run refused the whole file as corrupt
+    cache = tmp_path / "counts.jsonl"
+    args = ["count", "--spec", str(SURFACES / "rank1-p3.txt"), "--prime", "3",
+            "--cache", str(cache), "--json"]
+    assert run(args + ["--dmax", "2"]) == 0
+    capsys.readouterr()
+    cache.write_text(cache.read_text().rstrip("\n"))
+    assert run(args + ["--dmax", "3"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--dmax", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [row["source"] for row in out["counts"]] == ["cached"] * 3
+
+
 @pytest.mark.parametrize("case, line", [
     ("repeated", None), ("contradicting", 3), ("float", 1), ("bool", 1)])
 def test_cache_reads_only_consistent_integer_counts(tmp_path, capsys, case,

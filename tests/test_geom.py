@@ -35,6 +35,7 @@ from oracles import (
     LinearChange,
     ObjForm,
     Poly,
+    apply_int_matrix,
     apply_linear_change,
     bf_mul,
     bf_scale,
@@ -698,9 +699,14 @@ def test_conic_identities_surface_c():
                    q3=IntForm(data.CONIC2_Q3), q4=IntForm(data.CONIC2_Q4))
     assert verify_conic_identity(c1, f6)
     assert verify_conic_identity(c2, f6)
-    perturbed = ConicCert(scale=c1.scale, q2=c1.q2, q3=c1.q3,
-                          q4=c1.q4 + IntForm({(0, 0, 4): 1}, 4))
-    assert not verify_conic_identity(perturbed, f6)
+    # each part of the identity matters: one coefficient more in any of
+    # scale, q2, q3 and q4 breaks it
+    for change in ({"scale": c1.scale + 1},
+                   {"q2": c1.q2 + IntForm({(1, 1, 0): 1}, 2)},
+                   {"q3": c1.q3 + IntForm({(0, 3, 0): 1}, 3)},
+                   {"q4": c1.q4 + IntForm({(0, 0, 4): 1}, 4)}):
+        perturbed = dataclasses.replace(c1, **change)
+        assert not verify_conic_identity(perturbed, f6), change
 
 
 # -- split curves and their intersection numbers ------------------------------
@@ -747,8 +753,8 @@ def _split_curves(p, conic, f6):
 
 def _flipped(curve):
     """The same curve with its components swapped."""
-    return dataclasses.replace(curve, half={m: -c % curve.p
-                                            for m, c in curve.half.items()})
+    return dataclasses.replace(curve, half=IntForm(
+        {m: -c % curve.p for m, c in curve.half.coeffs.items()}, 3))
 
 
 def test_split_pairing_matches_oracle_over_the_quadratic_extension():
@@ -805,20 +811,20 @@ def test_class_matrix_invariant_under_coordinate_changes():
         def key(curve, T=None):
             if curve.degree == 2:
                 return "C"
-            line = [curve.curve.get(m, 0) for m in ((1, 0, 0), (0, 1, 0),
-                                                    (0, 0, 1))]
+            line = [curve.curve.coeffs.get(m, 0)
+                    for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
             if T is not None:
                 line = [sum(T[j][i] * line[j] for j in range(3)) % p
                         for i in range(3)]
             last = max(i for i in range(3) if line[i])
             return tuple(c * pow(line[last], -1, p) % p for c in line)
 
-        moved = ConicCert(conic.scale, *(f.apply_int_matrix(M) for f in
+        moved = ConicCert(conic.scale, *(apply_int_matrix(f, M) for f in
                                          (conic.q2, conic.q3, conic.q4)))
         before = _pair_invariants(_split_curves(p, conic, f6),
                                   functools.partial(key, T=M))
-        after = _pair_invariants(_split_curves(p, moved,
-                                               f6.apply_int_matrix(M)), key)
+        after = _pair_invariants(
+            _split_curves(p, moved, apply_int_matrix(f6, M)), key)
         assert before == after, n
 
 

@@ -12,6 +12,7 @@ from k3cert.geom import decompose_along_line
 from k3cert.obstruct import lifts_to_second_order
 
 import data
+from test_obstruct import line_curve
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -54,7 +55,9 @@ f6 = IntForm(data.F6_B)
 f6p = {m: c % 3 for m, c in f6.coeffs.items()}
 split = _square_split(ctx, _restrict(ctx, f6p, 6, line))
 f3, f5 = _decompose_mod_line(ctx, f6p, line, *split)
-rep = lifts_to_second_order(f6, line, 3, (IntForm(f3, 3), IntForm(f5, 5)))
+x = IntForm({(1, 0, 0): 1}, 1)
+rep = lifts_to_second_order(f6, SplitCurve("D", 3, 1, x, IntForm(f5, 5),
+                                          IntForm(f3, 3), 1))
 conics = [ConicCert(c, IntForm(q2), IntForm(q3), IntForm(q4)) for c, q2, q3, q4
           in ((data.CONIC1_C, data.CONIC1_Q2, data.CONIC1_Q3, data.CONIC1_Q4),
               (data.CONIC2_C, data.CONIC2_Q2, data.CONIC2_Q3, data.CONIC2_Q4))]
@@ -98,8 +101,8 @@ def test_package_imports_without_numpy():
     out = _run_fresh(WITHOUT_NUMPY)
     assert out["version"] == "0.1.0"
     f6 = IntForm(data.F6_B)
-    rep = lifts_to_second_order(f6, (1, 0, 0), 3,
-                                decompose_along_line(f6, (1, 0, 0), 3))
+    rep = lifts_to_second_order(f6, line_curve(
+        (1, 0, 0), *decompose_along_line(f6, (1, 0, 0), 3), 3))
     assert out["obstruction"] == json.loads(json.dumps(
         [rep.matrix, rep.rhs, rep.verdict]))
     assert rep.verdict == "nonvanishing"

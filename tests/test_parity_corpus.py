@@ -106,7 +106,7 @@ def _split_sextic(p, rng, square):
                     if (pow(s, (p - 1) // 2, p) == 1) == square])
     while True:
         q2, q3, q4 = (_random_form(rng, d, 3) for d in (2, 3, 4))
-        f6 = q3.square().scale(s) + q2 * q4
+        f6 = (q3 * q3).scale(s) + q2 * q4
         f = reduce_mod(f6, ctx)
         if (not f.is_zero() and smoothness_check(f).verdict == "smooth"
                 and any(c.split_field_degree == 1

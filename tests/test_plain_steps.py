@@ -34,6 +34,7 @@ from oracles import (
     restrict_to_line_ref,
 )
 from test_cli import _with_all_counts, run
+from test_obstruct import line_curve
 
 PRIMES = (3, 5, 7)
 
@@ -268,9 +269,9 @@ def test_obstruction_matches_reference():
                 want = obstruction_ref(f6, line, *dec, p)
             except CommonZeroOnLineError:
                 with pytest.raises(CommonZeroOnLineError):
-                    lifts_to_second_order(f6, line, p, dec)
+                    lifts_to_second_order(f6, line_curve(line, *dec, p))
                 continue
-            got = lifts_to_second_order(f6, line, p, dec)
+            got = lifts_to_second_order(f6, line_curve(line, *dec, p))
             assert got == want
             assert (got.witness is None) == (got.verdict == "nonvanishing")
             verdicts.add(got.verdict)
