@@ -7,9 +7,7 @@ keys accumulating monomials:
     # coefficient of x^a y^b z^c as "a b c coeff"
     f6: 6 0 0 4
     f6: 5 1 0 2
-    k: 2                      # claimed q-eigenvalue multiplicity (optional)
     external: 10 3486675052   # published deep count (optional, repeatable)
-    gram: -2 6 2 2            # claimed C+- intersection rows (optional)
     conic.1.scale: 1          # conic certificates (optional, grouped)
     conic.1.q2: 2 0 0 2
     ...
@@ -24,9 +22,9 @@ t = p in the polynomial), and a nonvanishing second-order obstruction on
 a rational-split tritangent, which forces the geometric rank strictly
 below the rank of the reduction and hence caps it at U - 1.  When bounds
 meet, the rank is proved; otherwise the report carries bounds plus
-explicitly-labelled evidence.  `k:` and `gram:` are claims: a `k:` above
-the derived k is refused, and a `gram:` is compared with the derived
-conic block in the report but read by no bound.
+explicitly-labelled evidence.  The file states facts only: k and the
+intersection matrix are derived, and the lines of the retired claims
+`k:` and `gram:` are skipped unread.
 
 Exit codes: 0 verdict or report emitted, 1 usage problem, 2 mathematical
 precondition failure (for example singular reduction).
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import time
@@ -72,10 +69,8 @@ PRIME_BOUND = 1 << 31
 class SurfaceSpec:
     name: str
     f6: IntForm
-    k: int | None = None
     external_counts: dict = field(default_factory=dict)
     conics: list = field(default_factory=list)
-    gram: tuple | None = None
 
 
 def _parse_monomial_line(value: str, degree: int):
@@ -92,9 +87,7 @@ def _parse_monomial_line(value: str, degree: int):
 def parse_surface_spec(text: str) -> SurfaceSpec:
     name = "surface"
     f6: dict = {}
-    k = None
     external: dict = {}
-    gram_rows = []
     conics: dict = {}
     given: dict = {}  # single-valued entries read so far, with their value
 
@@ -111,6 +104,8 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
         if ":" not in line:
             raise UsageError(f"expected 'key: value', got {raw!r}")
         key, value = (s.strip() for s in line.split(":", 1))
+        if key in ("k", "gram"):  # retired claims, now derived: skipped
+            continue
         try:
             if key == "name":
                 name = once(key, value)
@@ -119,18 +114,11 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                 if mono in f6:
                     raise UsageError(f"duplicate monomial {mono} in f6")
                 f6[mono] = coeff
-            elif key == "k":
-                k = once(key, int(value))
-                if not 0 <= k <= H2_DIM or (H2_DIM - k) % 2:
-                    raise UsageError(f"k = {k} must be even and between 0 "
-                                     f"and {H2_DIM}")
             elif key == "external":
                 d, n = (int(x) for x in value.split())
                 if d < 1:
                     raise UsageError(f"count degree {d} is below 1")
                 external[d] = once(f"external count {d}", n)
-            elif key == "gram":
-                gram_rows.append(tuple(int(x) for x in value.split()))
             elif key.startswith("conic."):
                 _, idx, fld = key.split(".")
                 entry = conics.setdefault(int(idx), {"scale": 1, "q2": {},
@@ -152,27 +140,20 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                 f"surface file line {raw.strip()!r}: {exc}") from None
     if not f6:
         raise UsageError("surface file has no f6 monomials")
-    gram = tuple(gram_rows) if gram_rows else None
-    if gram is not None and any(len(r) != len(gram) for r in gram):
-        raise UsageError("gram matrix must be square")
-    for i, j in ((i, j) for i in range(len(gram or ())) for j in range(i)):
-        if gram[i][j] != gram[j][i]:
-            raise UsageError(f"gram matrix is not symmetric: entries ({j + 1}, "
-                             f"{i + 1}) and ({i + 1}, {j + 1}) are "
-                             f"{gram[j][i]} and {gram[i][j]}")
     conic_list = [ConicCert(scale=e["scale"], q2=IntForm(e["q2"], 2),
                             q3=IntForm(e["q3"], 3), q4=IntForm(e["q4"], 4))
                   for _, e in sorted(conics.items())]
-    return SurfaceSpec(name=name, f6=IntForm(f6, 6), k=k,
-                       external_counts=external, conics=conic_list, gram=gram)
+    return SurfaceSpec(name=name, f6=IntForm(f6, 6),
+                       external_counts=external, conics=conic_list)
 
 
 def load_surface_file(path: str) -> SurfaceSpec:
     try:
-        with open(path) as fh:
-            return parse_surface_spec(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read surface file: {exc}")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read surface file {path}: {exc}") from None
+    return parse_surface_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +213,11 @@ def emit_report(report: dict, as_json: bool) -> str:
 def _series_for(spec, p, dmax, args):
     try:
         cache = CacheStore(args.cache) if args.cache else None
-    except CacheFileError as exc:
-        raise UsageError(f"corrupt count cache {exc}") from None
-    try:
         return count_series(spec.f6, p, dmax, cache, deep=args.deep,
                             workers=args.workers,
                             external=spec.external_counts)
+    except CacheFileError as exc:  # unreadable, unwritable or corrupt
+        raise UsageError(str(exc)) from None
     except WeilBoundError:
         # the Weil bound holds only for good reduction: a singular sextic
         # is reported as such, not as a wrong count
@@ -256,13 +236,10 @@ def _zeta_data(spec, p, args, lattice):
     rules out: a sign survives only if its polynomial lies on or above the
     Hodge polygon and predicts every external count above m.  k is the
     largest even number at most the rank r of the F_p-rational classes of
-    the class lattice (their r eigenvalues t = q are known); a `k:` claim
-    above it is refused.  Raises MathError when no sign survives."""
+    the class lattice (their r eigenvalues t = q are known).  Raises
+    MathError when no sign survives."""
     r = lattice["rational_rank"]
     k = r - r % 2
-    if spec.k is not None and spec.k > k:
-        raise MathError(f"k: {spec.k} claims more than the derived k = {k}: "
-                        f"the F_{p}-rational classes have rank {r}")
     m = (H2_DIM - k) // 2
     series = _series_for(spec, p, m, args)
     beyond = [(d, n) for d, n in sorted(spec.external_counts.items())
@@ -310,9 +287,7 @@ def _class_lattice(spec, p, tritangents):
     with their intersection matrix (obstruct.class_matrix); the rank of
     the classes over the closure of Q (H and the C+-, H = (C+ + C-)/2);
     and a basis of the F_p-rational classes (H, the D+- and the C+- of a
-    conic whose scale is a square mod p) with its determinant.  A `gram:`
-    claim is compared with the C+- block up to the +- labels of each
-    conic; no bound reads it."""
+    conic whose scale is a square mod p) with its determinant."""
     for i, cert in enumerate(spec.conics, start=1):
         if not verify_conic_identity(cert, spec.f6):
             raise MathError(f"conic certificate {i} fails its exact integer "
@@ -330,30 +305,12 @@ def _class_lattice(spec, p, tritangents):
         return [[G[i][j] for j in idx] for i in idx]
 
     basis = [rational[i] for i in row_basis(block(rational))]
-    out = {"classes": labels, "matrix": G,
-           "rank_over_closure": gram_rank_disc(block(closure))[0],
-           "rational_classes": [labels[i] for i in rational],
-           "rational_rank": len(basis),
-           "rational_basis": [labels[i] for i in basis],
-           "rational_disc": gram_rank_disc(block(basis))[1]}
-    if spec.gram is not None:
-        out["gram_claim"] = ("matches" if _same_up_to_labels(
-            spec.gram, block(closure[1:])) else "differs")
-    return out
-
-
-def _same_up_to_labels(claim, derived):
-    """Whether a claimed matrix on C1+, C1-, C2+, ... equals the derived
-    one once the +- labels of some conics are swapped."""
-    n = len(derived)
-    if len(claim) != n:
-        return False
-    for swaps in itertools.product((0, 1), repeat=n // 2):
-        perm = [i ^ swaps[i // 2] for i in range(n)]
-        if all(claim[i][j] == derived[perm[i]][perm[j]]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
+    return {"classes": labels, "matrix": G,
+            "rank_over_closure": gram_rank_disc(block(closure))[0],
+            "rational_classes": [labels[i] for i in rational],
+            "rational_rank": len(basis),
+            "rational_basis": [labels[i] for i in basis],
+            "rational_disc": gram_rank_disc(block(basis))[1]}
 
 
 def _obstruction(f6, curve):

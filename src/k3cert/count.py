@@ -337,14 +337,23 @@ def _point_chart_sum(ctx, coef) -> int:
 # public counting API
 
 
-def _require_zech(p, d, deep):
+def _check_count_budget(p, d, deep):
+    """Raise BudgetExceededError when F_(p^d) is above the Zech table
+    limit (check_table_budget) or, unless deep, q^2 is above the
+    desk-scale budget MANDATORY_Q2_LIMIT; nothing is built."""
     q = p ** d
+    check_table_budget(q)
     if q * q > MANDATORY_Q2_LIMIT and not deep:
         raise BudgetExceededError(
-            f"q^2 = {q * q} exceeds the desk-scale budget; pass deep=True "
-            "(--deep) or inject the count as an external value")
+            f"counting N_{d} over F_{p}^{d}: q^2 = {q * q} exceeds the "
+            f"desk-scale budget q^2 <= {MANDATORY_Q2_LIMIT}; pass deep=True "
+            f"(--deep), or give the count as a line 'external: {d} N'")
+
+
+def _require_zech(p, d, deep):
+    _check_count_budget(p, d, deep)
     ctx = field_create(p, d)
-    zech_tables(ctx)  # raises above the Zech limit; forked workers inherit them
+    zech_tables(ctx)  # forked workers inherit them
     return ctx
 
 
@@ -445,14 +454,19 @@ class CacheStore:
     Reading accepts only a JSON integer N (not a float, a string or a
     bool), and a key that comes again only with the same N: any other
     line makes the file corrupt (CacheFileError naming the line), as a
-    count read from it would be a guess."""
+    count read from it would be a guess.  A file that cannot be read as
+    UTF-8 text, or appended to, raises CacheFileError too."""
 
     def __init__(self, path):
         self.path = Path(path)
         self._mem: dict[tuple, int] = {}
         self._line_open = False  # the file's last line lacks its newline
         if self.path.exists():
-            text = self.path.read_text()
+            try:
+                text = self.path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CacheFileError(f"cannot read count cache {self.path}: "
+                                     f"{exc}") from None
             self._line_open = not text.endswith("\n") and bool(text)
             for lineno, line in enumerate(text.splitlines(), start=1):
                 line = line.strip()
@@ -463,16 +477,18 @@ class CacheStore:
                     key = (rec["fingerprint"], rec["p"], rec["d"])
                     N, known = rec["N"], self._mem.get(key)
                 except (ValueError, KeyError, TypeError) as exc:
-                    raise CacheFileError(f"{self.path}, line {lineno}: not a "
-                                         f"count record ({exc})") from None
+                    raise CacheFileError(
+                        f"corrupt count cache {self.path}, line {lineno}: "
+                        f"not a count record ({exc})") from None
                 if type(N) is not int:
-                    raise CacheFileError(f"{self.path}, line {lineno}: N = "
-                                         f"{N!r} is not an integer")
+                    raise CacheFileError(
+                        f"corrupt count cache {self.path}, line {lineno}: "
+                        f"N = {N!r} is not an integer")
                 if known is not None and known != N:
                     raise CacheFileError(
-                        f"{self.path}, line {lineno}: N = {N} contradicts "
-                        f"N = {known} recorded earlier for the same surface, "
-                        "p and d")
+                        f"corrupt count cache {self.path}, line {lineno}: "
+                        f"N = {N} contradicts N = {known} recorded earlier "
+                        "for the same surface, p and d")
                 self._mem[key] = N
 
     def get(self, fingerprint: str, p: int, d: int):
@@ -483,10 +499,14 @@ class CacheStore:
         if key in self._mem:
             return
         self._mem[key] = N
-        with self.path.open("a") as fh:
-            fh.write("\n" * self._line_open + json.dumps(
-                {"fingerprint": fingerprint, "p": p, "d": d, "N": N,
-                 "source": source}) + "\n")
+        try:
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write("\n" * self._line_open + json.dumps(
+                    {"fingerprint": fingerprint, "p": p, "d": d, "N": N,
+                     "source": source}) + "\n")
+        except OSError as exc:
+            raise CacheFileError(f"cannot write count cache {self.path}: "
+                                 f"{exc}") from None
         self._line_open = False
 
 
@@ -498,19 +518,27 @@ def count_series(f6: IntForm, p: int, dmax: int, cache: CacheStore | None = None
     External values (for example published deep counts) are accepted for
     any d and tagged `external`; cache hits are tagged `cached`.  An
     external value that differs from the cached count of the same surface,
-    p and d raises MathError: one of them is wrong.
+    p and d raises MathError: one of them is wrong.  Every degree left to
+    count is checked against the budgets before any is counted.
     """
     external = external or {}
     fp = fingerprint_mod_p(f6, p)
+
+    def cached(d):
+        return cache.get(fp, p, d) if cache is not None else None
+
     for d, n in sorted(external.items()):
-        hit = cache.get(fp, p, d) if cache is not None else None
+        hit = cached(d)
         if hit is not None and hit != n:
             raise MathError(f"external count N_{d} = {n} contradicts N_{d} = "
                             f"{hit} in the count cache {cache.path}")
+    for d in range(1, dmax + 1):
+        if d not in external and cached(d) is None:
+            _check_count_budget(p, d, deep)
     records = []
     sources = []
     for d in range(1, dmax + 1):
-        hit = cache.get(fp, p, d) if cache is not None else None
+        hit = cached(d)
         if d in external:
             rec = CountRecord(p=p, d=d, N=int(external[d]), fingerprint=fp)
             src = "external"

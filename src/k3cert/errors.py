@@ -40,4 +40,5 @@ class ChainHypothesisError(MathError):
 
 
 class CacheFileError(ValueError):
-    """A line of the count cache file is not a count record."""
+    """The count cache file cannot be read or written, or a line of it is
+    not a count record."""

@@ -122,8 +122,13 @@ def lifts_to_second_order(f6: IntForm,
     and Q' (SplitCurve.image), a system whose columns are the shifts of
     h(phi) and then of Q'(phi), and the re-verification of a witness.
     Raises CommonZeroOnLineError when h and Q' share a zero on the curve,
-    where f6 would be singular and the formula does not apply."""
+    where f6 would be singular and the formula does not apply, and
+    MathError on a conic singular mod p, which has no parametrization."""
     p = curve.p
+    if curve.phi is None:
+        raise MathError(f"{curve.name} is a conic singular mod {p}: it has "
+                        "no parametrization, and the second-order "
+                        "obstruction on it is not defined")
     G = obstruction_G(f6, curve)
     g, a3, a5 = (curve.image(form) for form in (G, curve.half,
                                                  curve.cofactor))

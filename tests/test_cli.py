@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3cert import cli, geom, zeta
+from k3cert import cli, count, geom, zeta
 from k3cert.cli import load_surface_file, parse_surface_spec, run
 from k3cert.forms import IntForm
 
@@ -18,7 +18,7 @@ SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
 
 def _write_fully_external_spec(tmp_path, name="all-external"):
-    lines = [f"name: {name}", "k: 2"]
+    lines = [f"name: {name}"]
     for (a, b, c), v in sorted(data.F6_B.items()):
         lines.append(f"f6: {a} {b} {c} {v}")
     for d, n in enumerate(data.COUNTS_B, start=1):
@@ -33,12 +33,8 @@ def serialize_surface_spec(spec) -> str:
     out = [f"name: {spec.name}"]
     for (a, b, c) in sorted(spec.f6.coeffs):
         out.append(f"f6: {a} {b} {c} {spec.f6.coeffs[(a, b, c)]}")
-    if spec.k is not None:
-        out.append(f"k: {spec.k}")
     for d in sorted(spec.external_counts):
         out.append(f"external: {d} {spec.external_counts[d]}")
-    for row in spec.gram or ():
-        out.append("gram: " + " ".join(str(x) for x in row))
     for i, cert in enumerate(spec.conics, start=1):
         out.append(f"conic.{i}.scale: {cert.scale}")
         for fld in ("q2", "q3", "q4"):
@@ -55,9 +51,7 @@ def test_parse_serialize_roundtrip():
         again = parse_surface_spec(serialize_surface_spec(spec))
         assert again.name == spec.name
         assert again.f6 == spec.f6
-        assert again.k == spec.k
         assert again.external_counts == spec.external_counts
-        assert again.gram == spec.gram
         assert len(again.conics) == len(spec.conics)
         for c1, c2 in zip(again.conics, spec.conics):
             assert (c1.scale, c1.q2, c1.q3, c1.q4) == \
@@ -72,8 +66,32 @@ def test_bundled_files_match_reference_data():
     assert b.f6 == IntForm(data.F6_B)
     c = load_surface_file(str(SURFACES / "rank3-conics.txt"))
     assert c.f6 == IntForm(data.F6_C)
-    assert c.gram == tuple(tuple(r) for r in data.GRAM_C)
-    assert c.k == 4
+    assert len(c.conics) == 2
+
+
+def test_benchmark_surfaces_state_the_bundled_facts():
+    # the benchmark measures the bundled surfaces: each of its copies
+    # parses to the same name, f6 and conic certificates, and differs from
+    # the bundled file only in external: lines and retired k:/gram: lines,
+    # which the bundled files no longer hold
+    def facts(text):
+        return [line for line in text.splitlines()
+                if not line.startswith(("external:", "k:", "gram:"))]
+
+    for path in SURFACES.glob("*.txt"):
+        assert not [line for line in path.read_text().splitlines()
+                    if line.startswith(("k:", "gram:"))], path
+
+    copies = sorted((PERFBENCH / "surfaces").glob("*.txt"))
+    assert [path.name for path in copies] == sorted(
+        path.name for path in SURFACES.glob("*.txt"))
+    for copy in copies:
+        bundled = SURFACES / copy.name
+        assert facts(copy.read_text()) == facts(bundled.read_text()), copy
+        a, b = (load_surface_file(str(path)) for path in (copy, bundled))
+        assert (a.name, a.f6) == (b.name, b.f6), copy
+        assert [(c.scale, c.q2, c.q3, c.q4) for c in a.conics] == \
+            [(c.scale, c.q2, c.q3, c.q4) for c in b.conics], copy
 
 
 def test_count_stage_prints_counts(capsys):
@@ -172,6 +190,28 @@ def test_tritangent_search_beyond_desk_budget_needs_deep(capsys,
         assert "desk-scale budget" in err and "--deep" in err
 
 
+@pytest.mark.parametrize("stage", ["zeta", "certify"])
+def test_count_series_beyond_the_budget_is_refused_before_counting(
+        tmp_path, capsys, monkeypatch, stage):
+    # a smooth sextic mod 3 without a tritangent over F_3 has k = 0, so m
+    # = 11 and q^2 = 3^22 is above the desk-scale budget: zeta and certify
+    # counted d = 1..10 (about 5 s) before they refused N_11
+    def never(*args, **kwargs):
+        raise AssertionError("a count started")
+
+    path = tmp_path / "no-tritangent.txt"
+    path.write_text(dict(sextic("dense", 3, 4))["dense"])
+    assert run(["tritangent", "--spec", str(path), "--prime", "3",
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tritangents"] == []
+    monkeypatch.setattr(count, "count_points", never)
+    assert run([stage, "--spec", str(path), "--prime", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mathematical error: counting N_11 over F_3^11"), \
+        err
+    assert "--deep" in err and "external: 11" in err, err
+
+
 def test_line_degree_below_one_is_usage_error(capsys):
     for command in ("certify", "tritangent"):
         for degree in ("0", "-1"):
@@ -206,16 +246,16 @@ def test_zero_reduction_is_math_error(tmp_path, capsys):
     ("external: 0 5", []),
     ("f6: 0 5 0 1", []),
     ("f6: -1 7 0 1", []),
-    ("k: two", []),
+    ("external: 1 x", []),
     ("conic.x.q2: 2 0 0 1", []),
     ("conic.1: 2 0 0 1", []),
     ("conic.1.q5: 2 0 0 1", []),
     ("conic.1.q2: 1 0 0 1", []),
-    ("gram: 1 a", []),
+    ("conic.1.scale: s", []),
     ("", ["count", "--dmax", "-1"]),
     ("", ["count", "--dmax", "0"]),
-    ("k: 24", ["zeta"]),
-    ("k: 3", ["certify"]),
+    ("frobenius: 3", ["zeta"]),
+    ("name rank1-p3", ["certify"]),
     ("conic.1.q2: 2 0 0 2\nconic.1.q2: 2 0 0 7", []),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, extra_line,
@@ -293,17 +333,6 @@ def test_search_refusal_names_an_option_the_command_accepts(
     assert "(--deep)" in err and "--deep" in _OWN_OPTIONS[command], err
     assert run(base + ["--deep"]) == 0
     assert json.loads(capsys.readouterr().out)["stage"] == command
-
-
-def test_non_symmetric_gram_is_usage_error(tmp_path, capsys):
-    text = (SURFACES / "rank3-conics.txt").read_text()
-    path = tmp_path / "asymmetric.txt"
-    path.write_text(text.replace("gram: -2 6 2 2", "gram: -2 7 2 2"))
-    for stage in ("lattice", "certify"):
-        assert run([stage, "--spec", str(path), "--prime", "3"]) == 1
-        assert capsys.readouterr().err == (
-            "usage error: gram matrix is not symmetric: entries (1, 2) and "
-            "(2, 1) are 7 and 6\n"), stage
 
 
 def test_no_consistent_sign_is_math_error(tmp_path, capsys):
@@ -397,8 +426,8 @@ def test_external_count_beyond_m_settles_an_ambiguous_sign(tmp_path, capsys,
         **derive(*args), "rational_rank": 20, "rational_disc": -6})
     text = "".join(line + "\n" for line in
                    (SURFACES / "rank1-p3.txt").read_text().splitlines()
-                   if not line.startswith(("k:", "external:")))
-    text += "k: 20\nexternal: 1 70\n"
+                   if not line.startswith("external:"))
+    text += "external: 1 70\n"
     both = zeta.determine_sign([60], q=3, degree=22, k=20)
     assert sorted(s for s, _ in both) == [-1, 1]
     path = tmp_path / "ambiguous.txt"
@@ -462,7 +491,7 @@ def test_lattice_stage(capsys):
     assert out["classes"] == ["H", "C1+", "C1-", "C2+", "C2-",
                               "D[1*x+1*y+1*z]+", "D[1*x+1*y+1*z]-"]
     assert [row[1:5] for row in out["matrix"][1:5]] == data.GRAM_C
-    assert out["rank_over_closure"] == 3 and out["gram_claim"] == "matches"
+    assert out["rank_over_closure"] == 3
     assert (out["rational_rank"], out["rational_disc"]) == (4, -72)
 
 
@@ -472,47 +501,51 @@ def _certify_json(argv, capsys):
     return code, json.loads(captured.out) if code == 0 else captured.err
 
 
-@pytest.mark.parametrize("rows, claim", [
+@pytest.mark.parametrize("rows, old_claim", [
     (["2 0 0", "0 -2 0", "0 0 -2"], "differs"),
     (["-2 6 2 2", "6 -2 2 2", "2 2 -2 5", "2 2 5 -2"], "differs"),
     ([], None),
 ])
-def test_no_verdict_reads_gram(tmp_path, capsys, rows, claim):
+def test_no_verdict_reads_gram(tmp_path, capsys, rows, old_claim):
     # diag(2, -2, -2) once proved rank 3 with gram_disc 8, and the 6 -> 5
     # change (rank 4) crossed the bounds; the lower bound is the rank of
-    # the derived conic block, and the report says whether a claim matches
-    path = tmp_path / "claims.txt"
-    path.write_text("".join(
-        line + "\n" for line in Path(_with_all_counts(
-            tmp_path, "rank3-conics")).read_text().splitlines()
-        if not line.startswith("gram:")) + "".join(f"gram: {r}\n"
-                                                    for r in rows))
+    # the derived conic block.  gram: lines are retired and skipped
+    # unread: old_claim is what the report's gram_claim field said of the
+    # rows before, and no field reports on them now
+    path = Path(_with_all_counts(tmp_path, "rank3-conics"))
+    path.write_text(path.read_text() + "".join(f"gram: {r}\n" for r in rows))
     code, out = _certify_json(["--spec", str(path), "--prime", "3"], capsys)
     assert code == 0
     assert out["verdict"] == "rank = 3 proved"
     assert (out["rank_lower_bound"], out["k"]) == (3, 4)
-    assert out["lattice"].get("gram_claim") == claim
+    assert "gram_claim" not in out["lattice"]
 
 
-@pytest.mark.parametrize("name, claim", [
-    ("rank3-conics", 6), ("rank3-conics", 8), ("rank3-conics", 10),
-    ("rank3-conics", 22), ("rank1-p5", 4), ("rank1-p3", 4), ("rank1-p5", 22),
-    ("rank1-p3", 22),
-])
-def test_k_claim_above_the_derived_k_is_refused(tmp_path, capsys, name,
-                                                claim):
-    # k: 22 once skipped every count; k: 6, 8 and 10 on rank3-conics and
-    # k: 4 on the rank-1 surfaces failed only as traces without a sign
-    p, derived = BUNDLED[name][0], 4 if name == "rank3-conics" else 2
-    path = Path(_with_all_counts(tmp_path, name))
-    path.write_text(path.read_text().replace(f"k: {derived}\n",
-                                             f"k: {claim}\n"))
-    for stage in ("zeta", "certify"):
-        assert run([stage, "--spec", str(path), "--prime", str(p)]) == 2
-        assert capsys.readouterr().err == (
-            f"mathematical error: k: {claim} claims more than the derived "
-            f"k = {derived}: the F_{p}-rational classes have rank "
-            f"{derived}\n"), stage
+# lines of the retired claims with any value: the benchmark copy's stale
+# gram: rows of rank3-conics among them
+RETIRED_LINES = ("k: 22", "k: two", "k: 3", "gram: -2 7 2 2", "gram: 1 a",
+                 "gram: -2 6 1 3", "gram: 6 -2 3 1", "gram: 1 3 -2 6",
+                 "gram: 3 1 6 -2")
+
+
+@pytest.mark.parametrize("name", ["rank1-p5", "rank1-p3", "rank3-conics"])
+def test_retired_keys_are_skipped(tmp_path, capsys, name):
+    # k and the class matrix come from the certificates alone: k: and
+    # gram: lines are skipped unread, and every report is the one of the
+    # file without them
+    retired = "".join(line + "\n" for line in RETIRED_LINES)
+    plain = _with_all_counts(tmp_path, name)
+    claims = tmp_path / "claims.txt"
+    claims.write_text(retired + Path(plain).read_text() + retired)
+    for command in ("certify", "zeta", "lattice"):
+        reports = []
+        for path in (plain, str(claims)):
+            assert run([command, "--spec", path, "--prime",
+                        str(BUNDLED[name][0]), "--json"]) == 0, (command, path)
+            report = json.loads(capsys.readouterr().out)
+            del report["timing_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1], command
 
 
 def test_bundled_classes_derive_k_and_the_artin_tate_value(tmp_path, capsys):
@@ -520,12 +553,8 @@ def test_bundled_classes_derive_k_and_the_artin_tate_value(tmp_path, capsys):
                 "rank1-p3": (2, "H, D[1*x]+", "5"),
                 "rank3-conics": (4, "H, C1+, C2+, D[1*x+1*y+1*z]+", "72")}
     for name, (p, _) in BUNDLED.items():
-        path = Path(_with_all_counts(tmp_path, name))
-        path.write_text("".join(line + "\n" for line in
-                                path.read_text().splitlines()
-                                if not line.startswith("k:")))
-        code, out = _certify_json(["--spec", str(path), "--prime", str(p)],
-                                  capsys)
+        code, out = _certify_json(["--spec", _with_all_counts(tmp_path, name),
+                                   "--prime", str(p)], capsys)
         k, basis, value = expected[name]
         assert code == 0 and out["k"] == k
         assert ", ".join(out["lattice"]["rational_basis"]) == basis
@@ -670,9 +699,34 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("case", [
+    "surface not UTF-8", "cache not UTF-8", "cache is a directory",
+    "cache in a missing directory"])
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, case):
+    # each ended in a traceback: a UnicodeDecodeError from either file, an
+    # IsADirectoryError, and a FileNotFoundError when the first count was
+    # written to the cache
+    spec = tmp_path / "surface.txt"
+    spec.write_bytes((SURFACES / "rank1-p5.txt").read_bytes())
+    cache = tmp_path / "counts.jsonl"
+    if case == "surface not UTF-8":
+        spec.write_bytes(b"\xff\xfe" + spec.read_bytes())
+    elif case == "cache not UTF-8":
+        cache.write_bytes(b"\xff\xfe{}\n")
+    elif case == "cache is a directory":
+        cache.mkdir()
+    else:
+        cache = tmp_path / "missing" / "counts.jsonl"
+    code = run(["count", "--spec", str(spec), "--prime", "5", "--dmax", "1",
+                "--cache", str(cache)])
+    err = capsys.readouterr().err
+    assert code == 1, case
+    assert err.startswith("usage error: cannot ") and "corrupt" not in err
+    assert str(spec if case.startswith("surface") else cache) in err, err
+
+
 @pytest.mark.parametrize("line, repeat", [
     ("name: rank3-conics", "name: other"),
-    ("k: 4", "k: 2"),
     ("conic.1.scale: 1", "conic.1.scale: 3"),
     ("external: 1 19", "external: 1 20"),
 ])
@@ -757,10 +811,12 @@ def test_one_root_solve_per_sign_candidate(tmp_path, capsys, monkeypatch):
 # newton_above_hodge line, and again when certify derived its classes
 # (the lattice and artin_tate fields and their chain lines in, the
 # bound_is_even and gram_rank fields out; every verdict, polynomial,
-# count, certificate and obstruction the same); a certificate, witness or
+# count, certificate and obstruction the same), and again when the
+# retired gram: claim took its gram_claim field along (the earlier
+# outputs less that field give this digest); a certificate, witness or
 # verdict that changes changes it
 PINNED_DIGEST = (
-    "b4453164e6ea5af3fd4380532f7cbc07b737dbb85a08a268179da5bf59329475")
+    "2d011d7e0b52297a3076e738322b8266ea6826987836eb0b461194877c328ddb")
 
 
 # sha256 of the outputs of _contact_calls, recorded before the array test
@@ -773,9 +829,10 @@ CONTACT_DIGEST = (
 # before certify and the stage commands came to share one helper per fact,
 # and re-recorded when the classes came to be derived: the lattice
 # command reports the class lattice, zeta its rational basis and no
-# bound_is_even, certify as in PINNED_DIGEST
+# bound_is_even, certify as in PINNED_DIGEST; and again, as PINNED_DIGEST,
+# for the gram_claim field alone
 ALL_COMMANDS_DIGEST = (
-    "80fff1d2077bbfb02c92b4f6856e2a6ebf262ef8ab7f8bd9a4785bde73824aff")
+    "c478ba6813d0b110cd4dd371a2d9018bfc2c0c3cc11b12ee83412808f0efe761")
 
 # each bundled surface: its prime and every count of the reference data
 BUNDLED = {"rank1-p5": (5, data.COUNTS_A), "rank1-p3": (3, data.COUNTS_B),

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from k3cert.errors import CommonZeroOnLineError, NotDivisibleError
+from k3cert.errors import (CommonZeroOnLineError, MathError,
+                           NotDivisibleError)
 from k3cert.ffield import field_create
 from k3cert.forms import IntForm, reduce_mod
 from k3cert.geom import decompose_along_line, smoothness_check
@@ -229,6 +230,19 @@ def test_common_zero_is_a_distinct_error():
     with pytest.raises(CommonZeroOnLineError):
         lifts_to_second_order(_with_G(G, LINE_X, f3, f5, 3),
                               line_curve(LINE_X, f3, f5, 3))
+
+
+def test_conic_singular_mod_p_has_no_obstruction():
+    # q2 = x y is a line pair mod 3: the conic has no parametrization, and
+    # the obstruction on it failed with a TypeError in SplitCurve._images
+    cert = ConicCert(1, IntForm({(1, 1, 0): 1}),
+                     IntForm({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}),
+                     IntForm({(0, 0, 4): 1, (2, 2, 0): 1}))
+    f6 = cert.q3 * cert.q3 + cert.q2 * cert.q4
+    curve = SplitCurve.from_conic("C1", cert, 3)
+    assert curve.phi is None
+    with pytest.raises(MathError, match="C1 is a conic singular mod 3"):
+        lifts_to_second_order(f6, curve)
 
 
 def _random_form(rng, degree, bound=3):
